@@ -23,7 +23,6 @@
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "core/report.h"
-#include "puma/plan.h"
 #include "puma/tiled_mvm.h"
 #include "tensor/ops.h"
 #include "xbar/circuit_solver.h"
@@ -251,14 +250,14 @@ BENCHMARK(BM_TiledMatmulThreads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Plan A/B: the serve-shaped fast-noise batched matmul ((16 x 128)
-// classifier head, 32-column block) with the execution plan off (Arg 0,
-// the per-call interpreter) and on (Arg 1, fused chunk kernels + pooled
-// workspaces). Results are bit-identical; the time ratio is the fusion
-// win. Per-arm ms land in the run manifest as
-// bench/plan/tiled_matmul_{interp,plan}_ms and the ratio as
-// bench/plan/tiled_matmul_speedup — the perf gate holds the ratio >= 1.2.
-void BM_TiledMatmulPlan(benchmark::State& state) {
+// Fused A/B: the serve-shaped fast-noise batched matmul ((16 x 128)
+// classifier head, 32-column block) on the unfused legacy float route
+// (Arg 0, forced through ScopedIntPathForTests(false)) and on the fused
+// chunk kernels the TiledMatrix builds at construction (Arg 1). Results
+// are bit-identical; the time ratio is the fusion win. Per-arm ms land in
+// the run manifest as bench/tiled/{float,fused}_ms and the ratio as
+// bench/tiled/fused_speedup — the perf gate holds the ratio >= 1.2.
+void BM_TiledMatmulFused(benchmark::State& state) {
   Rng rng(10);
   Tensor w = Tensor::normal({16, 128}, 0, 0.1f, rng);
   Tensor x({128, 32});
@@ -267,27 +266,24 @@ void BM_TiledMatmulPlan(benchmark::State& state) {
   auto model =
       std::make_shared<xbar::FastNoiseModel>(xbar::xbar_32x32_100k());
   puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  const bool use_plan = state.range(0) != 0;
-  puma::ScopedPlanForTests gate(use_plan);
-  (void)tiled.plan();  // compile outside the timed region
+  const bool fused = state.range(0) != 0;
+  puma::ScopedIntPathForTests route(fused);
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   if (state.iterations() == 0) return;
   const double ms = dt.count() * 1e3 / static_cast<double>(state.iterations());
-  metrics::gauge(use_plan ? "bench/plan/tiled_matmul_plan_ms"
-                          : "bench/plan/tiled_matmul_interp_ms")
+  metrics::gauge(fused ? "bench/tiled/fused_ms" : "bench/tiled/float_ms")
       .set(ms);
-  if (use_plan) {
-    // Arg 0 registered first, so the interpreter gauge is already set.
-    const double interp =
-        metrics::gauge("bench/plan/tiled_matmul_interp_ms").value();
-    if (ms > 0.0 && interp > 0.0)
-      metrics::gauge("bench/plan/tiled_matmul_speedup").set(interp / ms);
+  if (fused) {
+    // Arg 0 registered first, so the float-route gauge is already set.
+    const double unfused = metrics::gauge("bench/tiled/float_ms").value();
+    if (ms > 0.0 && unfused > 0.0)
+      metrics::gauge("bench/tiled/fused_speedup").set(unfused / ms);
   }
 }
-BENCHMARK(BM_TiledMatmulPlan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TiledMatmulFused)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Warm-start A/B: the same circuit-solver tiled matmul with stream
 // warm-starting off (Arg 0, the pre-streaming behavior) and on (Arg 1).

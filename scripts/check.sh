@@ -225,84 +225,48 @@ else
   echo "== tier-1: perf gate skipped (needs python3) =="
 fi
 
-# Execution-plan legs (DESIGN.md §17). The plan path (NVM_PLAN=1, the
-# default) must be bit-identical to the interpreter (NVM_PLAN=0): the
-# quickstart accuracy and every served label must match exactly. The serve
-# parameters are the shed-free smoke parameters (big queue, modest rate),
-# so the labels checksum covers identical request sets on both legs.
-plan_identity_check() {
+# Thread-identity legs: results are bit-identical for any NVM_THREADS
+# (DESIGN.md §13), so the quickstart accuracy and every served label must
+# match exactly between 1 and 4 threads. The serve parameters are the
+# shed-free smoke parameters (big queue, modest rate), so the labels
+# checksum covers identical request sets on both legs.
+thread_identity_check() {
   local cli="$1" tag="$2"
-  local m0=/tmp/nvmrobust_check_plan0.json m1=/tmp/nvmrobust_check_plan1.json
-  rm -f "$m0" "$m1"
-  NVM_PLAN=0 "$cli" quickstart --metrics-out "$m0" >/dev/null
-  NVM_PLAN=1 "$cli" quickstart --metrics-out "$m1" >/dev/null
-  python3 - "$m0" "$m1" <<'EOF'
+  local m1=/tmp/nvmrobust_check_threads1.json m4=/tmp/nvmrobust_check_threads4.json
+  rm -f "$m1" "$m4"
+  NVM_THREADS=1 "$cli" quickstart --metrics-out "$m1" >/dev/null
+  NVM_THREADS=4 "$cli" quickstart --metrics-out "$m4" >/dev/null
+  python3 - "$m1" "$m4" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
 assert a["results"]["hw_accuracy"] == b["results"]["hw_accuracy"], \
-    "quickstart accuracy differs between interpreter and plan: %r vs %r" % (
+    "quickstart accuracy differs between 1 and 4 threads: %r vs %r" % (
         a["results"]["hw_accuracy"], b["results"]["hw_accuracy"])
-assert b["metrics"].get("plan/executes", 0) > 0, \
-    "NVM_PLAN=1 quickstart never executed a plan"
-assert "plan/executes" not in a["metrics"] or a["metrics"]["plan/executes"] == 0
-print("plan identity ok (quickstart): hw_accuracy %.2f on both paths"
+print("thread identity ok (quickstart): hw_accuracy %.2f on both legs"
       % a["results"]["hw_accuracy"])
 EOF
-  rm -f "$m0" "$m1"
-  NVM_PLAN=0 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
-    --metrics-out "$m0" >/dev/null
-  NVM_PLAN=1 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
+  rm -f "$m1" "$m4"
+  NVM_THREADS=1 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
     --metrics-out "$m1" >/dev/null
-  python3 - "$m0" "$m1" <<'EOF'
+  NVM_THREADS=4 "$cli" serve --requests 200 --rate 1500 --queue 1024 \
+    --metrics-out "$m4" >/dev/null
+  python3 - "$m1" "$m4" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
 assert a["results"]["requests_shed"] == 0 and b["results"]["requests_shed"] == 0
 assert a["results"]["labels_checksum"] == b["results"]["labels_checksum"], \
-    "served labels differ between interpreter and plan"
-print("plan identity ok (serve): labels checksum %d on both paths"
+    "served labels differ between 1 and 4 threads"
+print("thread identity ok (serve): labels checksum %d on both legs"
       % a["results"]["labels_checksum"])
 EOF
-  echo "plan identity ok ($tag)"
-}
-
-# Plan-descriptor cache: against a fresh cache directory the first run
-# must record compile-time cache misses, and a rerun over the same warm
-# directory must record hits.
-plan_cache_check() {
-  local cli="$1" tag="$2"
-  local dir manifest=/tmp/nvmrobust_check_plancache.json
-  dir="$(mktemp -d /tmp/nvmrobust_plan_cache.XXXXXX)"
-  rm -f "$manifest"
-  NVMROBUST_CACHE_DIR="$dir" "$cli" serve --requests 40 --rate 1500 \
-    --queue 1024 --metrics-out "$manifest" >/dev/null
-  python3 - "$manifest" cold <<'EOF'
-import json, sys
-m = json.load(open(sys.argv[1]))
-assert m["metrics"].get("plan/cache_misses", 0) >= 1, \
-    "cold plan cache must miss: %r" % m["metrics"].get("plan/cache_misses")
-print("plan cache cold ok: %d miss(es)" % m["metrics"]["plan/cache_misses"])
-EOF
-  rm -f "$manifest"
-  NVMROBUST_CACHE_DIR="$dir" "$cli" serve --requests 40 --rate 1500 \
-    --queue 1024 --metrics-out "$manifest" >/dev/null
-  python3 - "$manifest" warm <<'EOF'
-import json, sys
-m = json.load(open(sys.argv[1]))
-assert m["metrics"].get("plan/cache_hits", 0) >= 1, \
-    "warm plan cache must hit: %r" % m["metrics"].get("plan/cache_hits")
-print("plan cache warm ok: %d hit(s)" % m["metrics"]["plan/cache_hits"])
-EOF
-  rm -rf "$dir"
-  echo "plan cache ok ($tag)"
+  echo "thread identity ok ($tag)"
 }
 
 if command -v python3 >/dev/null 2>&1; then
-  echo "== tier-1: execution-plan identity (NVM_PLAN=0 vs 1) =="
-  plan_identity_check ./build/examples/nvmrobust_cli release
-  echo "== tier-1: plan-descriptor cache cold/warm =="
-  plan_cache_check ./build/examples/nvmrobust_cli release
+  echo "== tier-1: thread identity (NVM_THREADS=1 vs 4) =="
+  thread_identity_check ./build/examples/nvmrobust_cli release
 else
-  echo "== tier-1: plan legs skipped (needs python3) =="
+  echo "== tier-1: thread identity leg skipped (needs python3) =="
 fi
 
 # Numeric-parsing regression: a fully non-numeric value handed to a double
@@ -341,9 +305,8 @@ echo "== sanitizer: cluster drain race under ASan+UBSan =="
 cluster_drain_smoke ./build-asan/examples/nvmrobust_cli /tmp/nvmrobust_check_cluster_asan.json
 
 if command -v python3 >/dev/null 2>&1; then
-  echo "== sanitizer: plan identity + descriptor cache under ASan+UBSan =="
-  plan_identity_check ./build-asan/examples/nvmrobust_cli asan
-  plan_cache_check ./build-asan/examples/nvmrobust_cli asan
+  echo "== sanitizer: thread identity under ASan+UBSan =="
+  thread_identity_check ./build-asan/examples/nvmrobust_cli asan
 fi
 
 if command -v python3 >/dev/null 2>&1; then

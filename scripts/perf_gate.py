@@ -48,17 +48,17 @@ SPECS = [
      "bench/multi_rhs/multi_b128_cols_per_sec", "higher", 0.35),
     ("BENCH_mvm_perf.json", "metrics",
      "bench/solver/ordering_redblack_ms", "lower", 0.60),
-    # Fused execution plans: the plan path must beat the interpreter by
-    # >= 1.2x on the batched fast-noise matmul — a structural floor, not a
-    # baseline comparison, so a landed fusion can never silently regress
-    # into a slowdown.
+    # Fused chunk kernels: the fused route must beat the unfused float
+    # route by >= 1.2x on the batched fast-noise matmul — a structural
+    # floor, not a baseline comparison, so a landed fusion can never
+    # silently regress into a slowdown.
     ("BENCH_mvm_perf.json", "metrics",
-     "bench/plan/tiled_matmul_speedup", "min", 1.2),
+     "bench/tiled/fused_speedup", "min", 1.2),
     # Serving layer (BENCH_serve.json).
     ("BENCH_serve.json", "results",
      "b32_saturation_throughput_rps", "higher", 0.35),
     ("BENCH_serve.json", "results", "saturation_speedup", "higher", 0.30),
-    ("BENCH_serve.json", "results", "plan_matmul_speedup", "min", 1.2),
+    ("BENCH_serve.json", "results", "fused_matmul_speedup", "min", 1.2),
     # Sharded cluster (BENCH_serve_cluster.json): aggregate saturation and
     # the worst per-shard tail; shed fraction under 2.5x overload is rate-
     # coupled, so it gets the widest band.

@@ -5,11 +5,13 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "common/check.h"
 #include "common/file_cache.h"
 #include "common/health.h"
 #include "common/logging.h"
+#include "common/simd.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 
@@ -295,6 +297,20 @@ void RunManifest::write() {
   j.value(run_name_);
   j.key("schema");
   j.value(std::int64_t{1});
+
+  // The host the numbers came from, so a committed manifest says what
+  // machine its timings describe.
+  j.key("host");
+  j.begin_object();
+  j.key("nproc");
+  j.value(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  j.key("simd/isa");
+  j.value(simd::isa_name(simd::active_isa()));
+  j.key("compiler");
+  j.value(__VERSION__);
+  j.key("build_type");
+  j.value(NVM_BUILD_TYPE);
+  j.end_object();
 
   j.key("xbar");
   if (xbar_.has_value()) {

@@ -9,39 +9,31 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "puma/bit_slicing.h"
-#include "puma/plan.h"
 #include "puma/quantize.h"
 
 namespace nvm::puma {
 
 namespace {
 
-/// -1 = no test override; 0/1 force the gate.
-std::atomic<int>& int_path_override() {
-  static std::atomic<int> v{-1};
+/// Set by ScopedIntPathForTests(false): every matmul takes the legacy
+/// float route.
+std::atomic<bool>& force_legacy_route() {
+  static std::atomic<bool> v{false};
   return v;
 }
 
 }  // namespace
 
-bool int_path_enabled() {
-  const int o = int_path_override().load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool enabled = env_int("NVM_INT_PATH", 1) != 0;
-  return enabled;
-}
-
 ScopedIntPathForTests::ScopedIntPathForTests(bool enabled)
-    : prev_(int_path_override().exchange(enabled ? 1 : 0)) {}
+    : prev_(force_legacy_route().exchange(!enabled)) {}
 
 ScopedIntPathForTests::~ScopedIntPathForTests() {
-  int_path_override().store(prev_);
+  force_legacy_route().store(prev_);
 }
 
 std::int64_t HwConfig::weight_slices() const {
@@ -99,6 +91,22 @@ TiledMatrix::TiledMatrix(const Tensor& w,
   tiles_.resize(
       static_cast<std::size_t>(row_tiles_ * col_tiles_ * 2 * slices));
   if (int_gates_ok_ && model_->is_ideal()) wchunks_.resize(tiles_.size());
+
+  // Fused slot schedule (DESIGN.md §13), built alongside programming: one
+  // step per programmed slot with its per-stream ADC shift factors. Chunk
+  // kernels only pay off where the int chunk route is reachable: the
+  // bit-width gates hold and the model is not ideal (the digital route
+  // outranks chunks and never consults the tiles).
+  const std::int64_t streams = hw_.input_streams();
+  const float v_unit = static_cast<float>(
+      cfg.v_read /
+      static_cast<double>((std::int64_t{1} << hw_.stream_bits) - 1));
+  const float dot_unit = v_unit * g_unit;
+  const bool fuse = int_gates_ok_ && wchunks_.empty() &&
+                    model_->supports_chunk_mvm();
+  const int max_code =
+      static_cast<int>((std::int64_t{1} << hw_.stream_bits) - 1);
+  std::int64_t fused = 0;
   for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
     const std::int64_t k0 = ti * cfg.rows;
     const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
@@ -142,6 +150,21 @@ TiledMatrix::TiledMatrix(const Tensor& w,
                 w8[static_cast<std::size_t>(kk * (m1 - m0) + mm)] =
                     static_cast<std::int8_t>(chunk.at(kk, mm));
           }
+          SlotStep step;
+          step.slot = slot;
+          step.ti = ti;
+          step.k_used = k1 - k0;
+          step.m_used = m1 - m0;
+          const float sign = (pol == 0) ? 1.0f : -1.0f;
+          const float slice_w = chunk_weight(s, hw_.slice_bits);
+          for (std::int64_t t = 0; t < streams; ++t)
+            step.shifts.push_back(sign * chunk_weight(t, hw_.stream_bits) *
+                                  slice_w / dot_unit);
+          if (fuse) {
+            step.kernel = tiles_[slot]->compile_chunk_kernel(v_unit, max_code);
+            if (step.kernel != nullptr) ++fused;
+          }
+          steps_.push_back(std::move(step));
         }
       }
     }
@@ -149,6 +172,8 @@ TiledMatrix::TiledMatrix(const Tensor& w,
   static metrics::Counter& programmed =
       metrics::counter("puma/tiled/tiles_programmed");
   programmed.add(static_cast<std::uint64_t>(programmed_count_));
+  static metrics::Counter& m_fused = metrics::counter("puma/tiled/fused_slots");
+  m_fused.add(static_cast<std::uint64_t>(fused));
 }
 
 TiledMatrix::~TiledMatrix() = default;
@@ -157,20 +182,11 @@ std::int64_t TiledMatrix::total_tile_slots() const {
   return row_tiles_ * col_tiles_ * 2 * hw_.weight_slices();
 }
 
-const MvmPlan* TiledMatrix::plan() const {
-  std::call_once(plan_once_, [&] { plan_ = MvmPlan::compile(*this); });
-  return plan_.get();
-}
-
 Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
-  // Plan route (DESIGN.md §17): compile once, then run the fused schedule.
-  // NVM_PLAN=0 restores the interpreter below, the bit-identity reference.
-  if (plan_enabled()) {
-    if (const MvmPlan* p = plan(); p != nullptr)
-      return p->execute(*this, x, input_scale);
-  }
   NVM_TRACE_SPAN("puma/tiled/matmul");
   static metrics::Counter& m_matmuls = metrics::counter("puma/tiled/matmuls");
+  static metrics::Counter& m_fused_runs =
+      metrics::counter("puma/tiled/fused_runs");
   m_matmuls.add();
   NVM_CHECK_EQ(x.rank(), 2u);
   NVM_CHECK_EQ(x.dim(0), k_);
@@ -185,16 +201,15 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
 
   const auto& cfg = model_->config();
 
-  // Route through the integer bit-slice pipeline when eligible
-  // (DESIGN.md §13): kIntDigital computes the whole evaluation with int8
-  // GEMMs (ideal models only — their analog step IS the exact dot
-  // product); kIntChunks keeps the analog model but hands it integer DAC
-  // codes instead of materialized voltages (bit-identical by the
-  // mvm_chunks_active contract). kLegacy is the original float pipeline
-  // (NVM_INT_PATH=0 escape hatch).
+  // Route selection (DESIGN.md §13): kIntDigital computes the whole
+  // evaluation with int8 GEMMs (ideal models only — their analog step IS
+  // the exact dot product); kIntChunks keeps the analog model but hands it
+  // integer DAC codes instead of materialized voltages (bit-identical by
+  // the mvm_chunks_active contract), through the slot's fused kernel when
+  // it has one. kLegacy is the float pipeline every other model runs.
   enum class Path { kLegacy, kIntDigital, kIntChunks };
   Path path = Path::kLegacy;
-  if (int_gates_ok_ && int_path_enabled()) {
+  if (int_gates_ok_ && !force_legacy_route().load(std::memory_order_relaxed)) {
     if (!wchunks_.empty())
       path = Path::kIntDigital;
     else if (model_->supports_chunk_mvm())
@@ -214,7 +229,6 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   else
     xq16 = quantize_activations_i16(x, s_x, hw_.input_bits);
 
-  const std::int64_t slices = hw_.weight_slices();
   const std::int64_t streams = hw_.input_streams();
   const float v_unit = static_cast<float>(
       cfg.v_read / static_cast<double>((std::int64_t{1} << hw_.stream_bits) - 1));
@@ -234,6 +248,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // The GEMM runs in three phases on the thread pool. Results are
   // bit-identical for any NVM_THREADS because every parallel unit owns
   // disjoint output and the cross-slot reduction happens in a fixed order.
+  // Scratch comes from the shared WorkspacePool.
   //
   // Phase 1 — DAC: per (row tile, stream) voltage blocks and g_off
   // baselines, independent across row tiles.
@@ -250,11 +265,8 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
     const std::int64_t k0 = ti * cfg.rows;
     const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
     const std::int64_t k_used = k1 - k0;
-
-    // Zero-padded integer input block and chunk scratch live in reused
-    // per-thread workspace; only buffers that outlive this phase
-    // (sb.volts / sb.chunk) are allocated.
-    thread_local simd::Workspace ws;
+    simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
+    simd::Workspace& ws = lease.get();
     const std::size_t cells = static_cast<std::size_t>(cfg.rows * n);
 
     if (path == Path::kLegacy) {
@@ -329,79 +341,85 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
     }
   });
 
-  // Phase 2 — crossbar passes: every programmed tile slot
-  // (row tile, col tile, polarity, slice) is an independent task that
-  // streams its input chunks, ADC-quantizes, and shift-adds into a
-  // slot-local partial sum.
-  const std::int64_t slots = total_tile_slots();
-  std::vector<Tensor> partial(static_cast<std::size_t>(slots));
+  // Phase 2 — crossbar passes: every programmed tile slot of the schedule
+  // is an independent task that streams its input chunks, ADC-quantizes,
+  // and shift-adds into a slot-local partial sum.
+  std::vector<Tensor> partial(static_cast<std::size_t>(total_tile_slots()));
   static metrics::Counter& m_tile_mvms =
       metrics::counter("puma/tiled/tile_mvms");
-  parallel_for(slots, [&](std::int64_t slot) {
-    xbar::ProgrammedXbar* tile = tiles_[static_cast<std::size_t>(slot)].get();
-    if (tile == nullptr) return;
-    const std::int64_t s = slot % slices;
-    const std::int64_t q = slot / slices;
-    const int pol = static_cast<int>(q % 2);
-    const std::int64_t tj = (q / 2) % col_tiles_;
-    const std::int64_t ti = (q / 2) / col_tiles_;
-    const std::int64_t k_used = std::min(k_, (ti + 1) * cfg.rows) - ti * cfg.rows;
-    const std::int64_t m_used = std::min(m_, (tj + 1) * cfg.cols) - tj * cfg.cols;
-    const float sign = (pol == 0) ? 1.0f : -1.0f;
-    const float slice_w = chunk_weight(s, hw_.slice_bits);
-
+  parallel_for(static_cast<std::int64_t>(steps_.size()), [&](std::int64_t si) {
+    const SlotStep& step = steps_[static_cast<std::size_t>(si)];
+    const std::int64_t k_used = step.k_used, m_used = step.m_used;
     Tensor acc;
     std::uint64_t passes = 0;
+    simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
+    simd::Workspace& ws = lease.get();
+    auto chunk_block = [&](const StreamBlock& sb) {
+      xbar::ChunkBlock cb;
+      cb.chunk = sb.chunk.data();
+      cb.row_max = sb.row_max.data();
+      cb.rows = cfg.rows;
+      cb.n = n;
+      cb.v_unit = v_unit;
+      return cb;
+    };
 
     if (path == Path::kIntDigital) {
       // Fully digital: the ideal tile's analog output IS the dot product,
       // so compute it in int8/int32 and feed the integer ADC epilogue. The
-      // model tiles are not consulted (NVM_INT_PATH=0 restores them).
-      const std::vector<std::int8_t>& w8 =
-          wchunks_[static_cast<std::size_t>(slot)];
-      thread_local simd::Workspace ws;
+      // model tiles are not consulted.
+      const std::vector<std::int8_t>& w8 = wchunks_[step.slot];
       std::span<std::int32_t> dot =
           ws.i32s(1, static_cast<std::size_t>(m_used * n));
       for (std::int64_t t = 0; t < streams; ++t) {
         const StreamBlock& sb =
-            dac[static_cast<std::size_t>(ti * streams + t)];
+            dac[static_cast<std::size_t>(step.ti * streams + t)];
         if (!sb.active) continue;
         ++passes;
         std::fill(dot.begin(), dot.end(), 0);
         simd::gemm_at_i8_i32acc(dot.data(), w8.data(), sb.chunk.data(),
                                 m_used, n, k_used, m_used, n, n);
-        const float shift =
-            sign * chunk_weight(t, hw_.stream_bits) * slice_w / dot_unit;
+        const float shift = step.shifts[static_cast<std::size_t>(t)];
         if (acc.numel() == 0) acc = Tensor({m_used, n});
         for (std::int64_t mm = 0; mm < m_used; ++mm)
           simd::adc_shift_add_i32(acc.raw() + mm * n, dot.data() + mm * n,
                                   sb.baseline.data(), n, dot_unit, i_scale,
                                   adc_steps, shift);
       }
+    } else if (path == Path::kIntChunks && step.kernel != nullptr) {
+      // Fused: the compiled per-cell tables replace the per-call table
+      // build; currents land in pooled scratch (no per-pass Tensor).
+      m_fused_runs.add();
+      std::span<float> cur = ws.floats(3, static_cast<std::size_t>(m_used * n));
+      for (std::int64_t t = 0; t < streams; ++t) {
+        const StreamBlock& sb =
+            dac[static_cast<std::size_t>(step.ti * streams + t)];
+        if (!sb.active) continue;
+        ++passes;
+        step.kernel->run(chunk_block(sb), k_used, m_used, cur.data(), ws);
+        const float shift = step.shifts[static_cast<std::size_t>(t)];
+        if (acc.numel() == 0) acc = Tensor({m_used, n});
+        for (std::int64_t mm = 0; mm < m_used; ++mm)
+          simd::adc_shift_add(acc.raw() + mm * n, cur.data() + mm * n,
+                              sb.baseline.data(), n, i_scale, adc_steps,
+                              shift);
+      }
     } else {
       // One stream per tile visit: chunk t+1 reuses state chunk t left
       // behind (e.g. the circuit solver's converged node voltages as a
       // warm start).
-      std::unique_ptr<xbar::XbarStream> stream = tile->open_stream();
+      std::unique_ptr<xbar::XbarStream> stream =
+          tiles_[step.slot]->open_stream();
       for (std::int64_t t = 0; t < streams; ++t) {
         const StreamBlock& sb =
-            dac[static_cast<std::size_t>(ti * streams + t)];
+            dac[static_cast<std::size_t>(step.ti * streams + t)];
         if (!sb.active) continue;
         ++passes;
-        Tensor currents;  // (cols, n)
-        if (path == Path::kIntChunks) {
-          xbar::ChunkBlock cb;
-          cb.chunk = sb.chunk.data();
-          cb.row_max = sb.row_max.data();
-          cb.rows = cfg.rows;
-          cb.n = n;
-          cb.v_unit = v_unit;
-          currents = stream->mvm_chunks_active(cb, k_used, m_used);
-        } else {
-          currents = stream->mvm_multi_active(sb.volts, k_used, m_used);
-        }
-        const float shift =
-            sign * chunk_weight(t, hw_.stream_bits) * slice_w / dot_unit;
+        const Tensor currents =  // (cols, n)
+            path == Path::kIntChunks
+                ? stream->mvm_chunks_active(chunk_block(sb), k_used, m_used)
+                : stream->mvm_multi_active(sb.volts, k_used, m_used);
+        const float shift = step.shifts[static_cast<std::size_t>(t)];
         if (acc.numel() == 0) acc = Tensor({m_used, n});
         for (std::int64_t mm = 0; mm < m_used; ++mm)
           simd::adc_shift_add(acc.raw() + mm * n, currents.raw() + mm * n,
@@ -410,11 +428,12 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
       }
     }
     if (passes != 0) m_tile_mvms.add(passes);
-    partial[static_cast<std::size_t>(slot)] = std::move(acc);
+    partial[step.slot] = std::move(acc);
   });
 
   // Phase 3 — reduction: each output col tile owns disjoint result rows
   // and folds its slots in a fixed (row tile, polarity, slice) order.
+  const std::int64_t slices = hw_.weight_slices();
   parallel_for(col_tiles_, [&](std::int64_t tj) {
     const std::int64_t m0 = tj * cfg.cols;
     const std::int64_t m_used = std::min(m_, m0 + cfg.cols) - m0;

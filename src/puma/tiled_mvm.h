@@ -25,26 +25,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "xbar/mvm_model.h"
 
 namespace nvm::puma {
 
-class MvmPlan;
-
-/// True when the integer bit-slice fast path (DESIGN.md §13) is enabled:
-/// NVM_INT_PATH env (default 1), overridable per-scope in tests. Even when
-/// enabled, a TiledMatrix only takes it when its bit widths fit the
-/// integer kernels (slice_bits <= 7, stream_bits <= 7, input_bits <= 15,
-/// per-tile dot counts < 2^24) and its model is ideal (full digital
-/// evaluation) or supports chunk MVM (fast_noise); everything else uses
-/// the legacy float pipeline.
-bool int_path_enabled();
-
-/// Test-only: forces the int-path gate while alive (restores on
-/// destruction).
+/// Test-only: while alive with `enabled == false`, every TiledMatrix takes
+/// the legacy float route (DESIGN.md §13) — the production route for
+/// GENIEx, the circuit solver and wrapped models, and the oracle the
+/// integer and fused routes are checked against. `true` restores the
+/// normal route selection. Restores the previous state on destruction.
 class ScopedIntPathForTests {
  public:
   explicit ScopedIntPathForTests(bool enabled);
@@ -53,7 +44,7 @@ class ScopedIntPathForTests {
   ScopedIntPathForTests& operator=(const ScopedIntPathForTests&) = delete;
 
  private:
-  int prev_;
+  bool prev_;
 };
 
 struct HwConfig {
@@ -96,15 +87,9 @@ class TiledMatrix {
   /// Approximates W * X. `x` is (K, N), elementwise >= 0. `input_scale`
   /// fixes the activation quantization range; pass <= 0 for dynamic
   /// (per-call max) scaling. Tile evaluations run on the current
-  /// nvm::ThreadPool; safe to call concurrently (tiles are immutable).
-  /// With NVM_PLAN enabled (the default) the call runs through a lazily
-  /// compiled, fused MvmPlan — bit-identical to the interpreter body,
-  /// which NVM_PLAN=0 restores.
+  /// nvm::ThreadPool; safe to call concurrently (tiles, schedule and
+  /// fused kernels are immutable after construction).
   Tensor matmul(const Tensor& x, float input_scale = 0.0f) const;
-
-  /// The compiled plan, building it on first use (test/bench hook; matmul
-  /// calls this internally when the plan gate is on).
-  const MvmPlan* plan() const;
 
   std::int64_t rows() const { return m_; }
   std::int64_t cols() const { return k_; }
@@ -122,17 +107,27 @@ class TiledMatrix {
   // tiles_[((ti * col_tiles + tj) * 2 + pol) * slices + s]; null = skipped.
   std::vector<std::unique_ptr<xbar::ProgrammedXbar>> tiles_;
   std::int64_t programmed_count_ = 0;
-  /// Bit widths fit the integer kernels (see int_path_enabled()).
+  /// Bit widths fit the integer kernels: slice_bits <= 7,
+  /// stream_bits <= 7, input_bits <= 15, per-tile dot counts < 2^24.
   bool int_gates_ok_ = false;
   /// Per-slot int8 weight chunks, stored only for ideal models with
   /// int_gates_ok_ (the fully-digital int path); same indexing and skip
   /// pattern as tiles_.
   std::vector<std::vector<std::int8_t>> wchunks_;
-  /// Lazily compiled execution plan (immutable once built; call_once
-  /// keeps concurrent matmuls race-free).
-  friend class MvmPlan;
-  mutable std::once_flag plan_once_;
-  mutable std::unique_ptr<MvmPlan> plan_;
+
+  /// Fused slot schedule (DESIGN.md §13): one entry per PROGRAMMED tile
+  /// slot, with its used tile bounds and per-stream ADC shift factors
+  /// precomputed at construction.
+  struct SlotStep {
+    std::size_t slot = 0;  ///< index into tiles_ / wchunks_
+    std::int64_t ti = 0;   ///< row tile (selects the DAC stream blocks)
+    std::int64_t k_used = 0, m_used = 0;
+    std::vector<float> shifts;  ///< per stream t: sign*2^(t*sb)*slice_w/du
+    /// Compiled per-tile chunk kernel; null: the slot streams through the
+    /// model's mvm_chunks_active / mvm_multi_active.
+    std::unique_ptr<const xbar::FusedChunkKernel> kernel;
+  };
+  std::vector<SlotStep> steps_;
 };
 
 }  // namespace nvm::puma

@@ -19,6 +19,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/report.h"
@@ -527,6 +528,16 @@ TEST(Manifest, RoundTripsConfigResultsAndMetricDeltas) {
   EXPECT_NE(text.find("\"weird \\\"name\\\"\\n\""), std::string::npos);
   EXPECT_NE(text.find("\"test/manifest_counter\": 3"), std::string::npos);
   EXPECT_NE(text.find("\"solver/nonconverged\""), std::string::npos);
+  // Host header: the machine the numbers came from.
+  EXPECT_NE(text.find("\"host\": {"), std::string::npos);
+  EXPECT_NE(text.find("\"nproc\": " +
+                      std::to_string(std::thread::hardware_concurrency())),
+            std::string::npos);
+  EXPECT_NE(text.find(std::string("\"simd/isa\": \"") +
+                      simd::isa_name(simd::active_isa()) + "\""),
+            std::string::npos);
+  EXPECT_NE(text.find("\"compiler\": \""), std::string::npos);
+  EXPECT_NE(text.find("\"build_type\": \""), std::string::npos);
   std::filesystem::remove(path);
 }
 

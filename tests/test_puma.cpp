@@ -6,12 +6,22 @@
 #include "common/check.h"
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/metrics.h"
+#include "common/simd.h"
+#include "common/thread_pool.h"
 #include "puma/bit_slicing.h"
 #include "puma/engine.h"
 #include "puma/quantize.h"
 #include "tensor/ops.h"
 #include "xbar/fast_noise.h"
+#include "xbar/fault.h"
+#include "xbar/geniex.h"
+#include "xbar/variation.h"
 
 namespace nvm::puma {
 namespace {
@@ -247,6 +257,128 @@ TEST(Engine, GainTrimCompensatesFastNoiseLoss) {
   // Parasitic current loss -> fitted digital gain above unity.
   EXPECT_GT(engine.output_gain(), 1.0f);
   EXPECT_LT(engine.output_gain(), 2.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Route identity: every backend x ISA x thread count, and fused vs float
+// ---------------------------------------------------------------------------
+
+std::vector<simd::Isa> usable_isas() {
+  std::vector<simd::Isa> isas{simd::Isa::Scalar};
+  for (simd::Isa isa :
+       {simd::Isa::Avx2, simd::Isa::Avx512, simd::Isa::Neon})
+    if (simd::isa_usable(isa)) isas.push_back(isa);
+  return isas;
+}
+
+/// The GENIEx surrogate shared across tests in this binary (training once
+/// is the slow part; bit-identity only needs *a* deterministic surrogate).
+const xbar::GeniexFit& shared_fit() {
+  static const xbar::GeniexFit fit = [] {
+    xbar::GeniexTrainOptions opt;
+    opt.solver_samples = 80;
+    return xbar::GeniexModel::fit(test_cfg(), opt);
+  }();
+  return fit;
+}
+
+/// Backends x wrappers. Wrapped models and GENIEx take the legacy float
+/// route (decorators do not advertise chunk/ideal capabilities), bare
+/// fast_noise the fused chunk route, bare ideal the int-digital route —
+/// together every route of TiledMatrix::matmul is exercised.
+std::vector<std::pair<std::string, std::shared_ptr<const xbar::MvmModel>>>
+backend_matrix() {
+  const xbar::CrossbarConfig cfg = test_cfg();
+  auto ideal = std::make_shared<xbar::IdealXbarModel>(cfg);
+  auto fast = std::make_shared<xbar::FastNoiseModel>(cfg);
+  auto geniex = std::make_shared<xbar::GeniexModel>(cfg, shared_fit().mlp);
+  xbar::FaultOptions fo;
+  fo.stuck_on_rate = 0.05;
+  fo.stuck_off_rate = 0.05;
+  xbar::VariationOptions vo;
+  return {
+      {"ideal", ideal},
+      {"fast_noise", fast},
+      {"geniex", geniex},
+      {"fault(fast_noise)", std::make_shared<xbar::FaultModel>(fast, fo)},
+      {"variation(fast_noise)",
+       std::make_shared<xbar::VariationModel>(fast, vo)},
+      {"fault(ideal)", std::make_shared<xbar::FaultModel>(ideal, fo)},
+  };
+}
+
+Tensor uniform_input(std::int64_t k, std::int64_t n, Rng& rng) {
+  Tensor x({k, n});
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+  return x;
+}
+
+TEST(TiledRoutes, BitIdenticalAcrossBackendsIsasAndThreads) {
+  Rng rng(71);
+  Tensor w = Tensor::normal({20, 18}, 0.0f, 0.4f, rng);
+  Tensor x = uniform_input(18, 5, rng);
+
+  for (auto& [tag, model] : backend_matrix()) {
+    TiledMatrix tiled(w, model, HwConfig{});
+    Tensor ref;
+    {
+      simd::ScopedIsaForTests scope(simd::Isa::Scalar);
+      ThreadPool serial(1);
+      ThreadPool::ScopedUse use(serial);
+      ref = tiled.matmul(x, 0.0f);
+    }
+    ASSERT_GT(ref.abs_max(), 0.0f) << tag;
+    for (simd::Isa isa : usable_isas()) {
+      simd::ScopedIsaForTests scope(isa);
+      for (std::size_t threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        ThreadPool::ScopedUse use(pool);
+        Tensor out = tiled.matmul(x, 0.0f);
+        ASSERT_EQ(out.numel(), ref.numel());
+        for (std::int64_t i = 0; i < out.numel(); ++i)
+          EXPECT_EQ(out[i], ref[i])
+              << tag << " isa=" << simd::isa_name(isa)
+              << " threads=" << threads << " i=" << i;
+      }
+    }
+  }
+}
+
+/// fast_noise runs through the fused chunk kernels built at construction;
+/// the legacy float route (ScopedIntPathForTests(false)) is its oracle and
+/// must match bit for bit — on a small tiled matrix and on the 16x128
+/// serve-shaped classifier head.
+TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
+  Rng rng(72);
+  const struct {
+    std::int64_t m, k, n;
+    xbar::CrossbarConfig cfg;
+  } cases[] = {{20, 18, 5, test_cfg()},
+               {16, 128, 32, xbar::xbar_32x32_100k()}};
+  metrics::Counter& fused_runs = metrics::counter("puma/tiled/fused_runs");
+  for (const auto& c : cases) {
+    Tensor w = Tensor::normal({c.m, c.k}, 0.0f, 0.4f, rng);
+    Tensor x = uniform_input(c.k, c.n, rng);
+    TiledMatrix tiled(w, std::make_shared<xbar::FastNoiseModel>(c.cfg),
+                      HwConfig{});
+
+    const std::uint64_t before = fused_runs.value();
+    Tensor fused = tiled.matmul(x, 0.0f);
+    EXPECT_GT(fused_runs.value(), before) << "fused path did not engage";
+
+    Tensor ref;
+    {
+      ScopedIntPathForTests float_route(false);
+      const std::uint64_t runs = fused_runs.value();
+      ref = tiled.matmul(x, 0.0f);
+      EXPECT_EQ(fused_runs.value(), runs) << "float route ran fused kernels";
+    }
+    ASSERT_GT(ref.abs_max(), 0.0f);
+    ASSERT_EQ(fused.numel(), ref.numel());
+    for (std::int64_t i = 0; i < fused.numel(); ++i)
+      EXPECT_EQ(fused[i], ref[i]) << c.m << "x" << c.k << " i=" << i;
+  }
 }
 
 }  // namespace

@@ -224,13 +224,16 @@ TEST(Serve, QueuedRequestTimesOut) {
   serve::ServeOptions opt;
   opt.max_batch = 1;
   opt.flush_us = 0;
-  opt.timeout_us = 1000;
+  // Far above scheduler wake-up latency on a loaded host, so `a` is
+  // dispatched before it can expire (an expired `a` never enters the
+  // backend and wait_for_batches would block forever).
+  opt.timeout_us = 20000;
   serve::Server server(backend, opt);
 
   auto a = server.submit(Tensor({4}));
   backend.wait_for_batches(1);
   auto b = server.submit(Tensor({4}));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // >> timeout
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // >> timeout
   backend.open();
 
   EXPECT_EQ(a.get().status, serve::ReplyStatus::Ok);
