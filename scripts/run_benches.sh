@@ -34,10 +34,11 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # the multi-RHS family (looped vs mvm_multi items/sec at block 1/8/32/128,
 # plus bench/simd/gflops from the widest ideal block), the solver
 # warm-start A/B (sweeps_per_matmul with streaming off/on), and the
-# red-black vs lexicographic sweep-schedule A/B, and the float-vs-fused
-# tiled matmul A/B (bench/tiled/fused_speedup).
+# red-black vs lexicographic sweep-schedule A/B, the float-vs-fused
+# tiled matmul A/B (bench/tiled/fused_speedup), and the ideal and GENIEx
+# tiled matmuls (bench/tiled/geniex_ms).
 run mvm_perf "$BUILD/bench/bench_mvm_perf" \
-  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/0|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering' \
+  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering' \
   --benchmark_min_time=0.05
 # Serving layer: throughput + exact p50/p99 latency at 2 offered loads and
 # saturation, max_batch 1 vs 32; exits nonzero if batching fails to beat

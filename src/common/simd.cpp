@@ -252,10 +252,6 @@ void scale_scalar(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] = alpha * x[i];
 }
 
-void tanh_block_scalar(float* x, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) x[i] = tanh_fast(x[i]);
-}
-
 void gemm_scalar(float* c, const float* a, const float* b, std::int64_t m,
                  std::int64_t n, std::int64_t k, std::int64_t lda,
                  std::int64_t ldb, std::int64_t ldc) {
@@ -294,6 +290,45 @@ void gemm_bt_scalar(float* c, const float* a, const float* b, std::int64_t m,
     float* crow = c + i * ldc;
     for (std::int64_t j = 0; j < n; ++j)
       crow[j] += dot_scalar(arow, b + j * ldb, k);
+  }
+}
+
+void gemm_madd_scalar(float* c, const float* a, const float* b,
+                      std::int64_t m, std::int64_t n, std::int64_t k,
+                      std::int64_t lda, std::int64_t ldb, std::int64_t ldc) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    const float* arow = a + i * lda;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float aik = arow[kk];
+      const float* brow = b + kk * ldb;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float t = aik * brow[j];
+        crow[j] = crow[j] + t;
+      }
+    }
+  }
+}
+
+void mlp_tanh_scalar(float* out, const float* x, std::int64_t n,
+                     std::int64_t in_dim, std::int64_t hidden, const float* w1,
+                     const float* b1, const float* w2, float b2) {
+  // Zero weights are skipped exactly where gemm_scalar skips them.
+  for (std::int64_t s = 0; s < n; ++s) {
+    float o = b2;
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      const float wo = w2[h];
+      if (wo == 0.0f) continue;
+      float acc = b1[h];
+      const float* wrow = w1 + h * in_dim;
+      for (std::int64_t i = 0; i < in_dim; ++i) {
+        const float w = wrow[i];
+        if (w == 0.0f) continue;
+        acc += w * x[i * n + s];
+      }
+      o += wo * tanh_fast(acc);
+    }
+    out[s] = o;
   }
 }
 
@@ -451,12 +486,6 @@ void scale(float* y, const float* x, float alpha, std::int64_t n) {
   NVM_SIMD_DISPATCH(scale, y, x, alpha, n);
 }
 
-void tanh_block(float* x, std::int64_t n) {
-  static metrics::Counter& c = metrics::counter("simd/kernel/tanh_block");
-  tally(c, 12 * u64(n));  // ~12 arithmetic ops per rational tanh
-  NVM_SIMD_DISPATCH(tanh_block, x, n);
-}
-
 void gemm_accum(float* c, const float* a, const float* b, std::int64_t m,
                 std::int64_t n, std::int64_t k, std::int64_t lda,
                 std::int64_t ldb, std::int64_t ldc) {
@@ -479,6 +508,24 @@ void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_bt");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
   NVM_SIMD_DISPATCH(gemm_bt, c, a, b, m, n, k, lda, ldb, ldc);
+}
+
+void gemm_madd(float* c, const float* a, const float* b, std::int64_t m,
+               std::int64_t n, std::int64_t k, std::int64_t lda,
+               std::int64_t ldb, std::int64_t ldc) {
+  static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_madd");
+  tally(calls, 2 * u64(m) * u64(n) * u64(k));
+  NVM_SIMD_DISPATCH(gemm_madd, c, a, b, m, n, k, lda, ldb, ldc);
+}
+
+void mlp_tanh(float* out, const float* x, std::int64_t n, std::int64_t in_dim,
+              std::int64_t hidden, const float* w1, const float* b1,
+              const float* w2, float b2) {
+  static metrics::Counter& calls = metrics::counter("simd/kernel/mlp_tanh");
+  // Per sample and hidden unit: 2*in_dim for the hidden FMA chain, ~12
+  // for the rational tanh, 2 for the output FMA.
+  tally(calls, u64(n) * u64(hidden) * (2 * u64(in_dim) + 14));
+  NVM_SIMD_DISPATCH(mlp_tanh, out, x, n, in_dim, hidden, w1, b1, w2, b2);
 }
 
 void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,

@@ -32,6 +32,9 @@
 //     their extra lanes pairwise onto the 8-lane tree (still [~ulp]).
 //   * gemm*: per output element, sequential accumulation over k (the
 //     microtile blocks rows/columns, never the reduction).
+//   * mlp_tanh: per sample, each hidden unit's sum sequential over the
+//     inputs, the output sum sequential over the hidden units (vector
+//     tiers block samples, never the reductions).
 //   * gemm_f64acc: sequential double accumulation over the inner index —
 //     bit-identical to nvm::matvec's scalar loop per output element.
 #pragma once
@@ -100,11 +103,26 @@ void madd(float* y, const float* x, float alpha, std::int64_t n);
 /// [exact] y[i] = alpha * x[i].
 void scale(float* y, const float* x, float alpha, std::int64_t n);
 
-/// [exact] In-place rational fast-tanh (same polynomial as
-/// xbar::fast_tanh, which forwards to tanh_fast below).
-void tanh_block(float* x, std::int64_t n);
-/// Scalar fast-tanh; max abs error vs std::tanh ~2e-3.
+/// Scalar rational fast-tanh (xbar::fast_tanh forwards here); max abs
+/// error vs std::tanh ~2e-3. The vector tiers of mlp_tanh evaluate the
+/// same op sequence per lane, so it is exact across tiers.
 float tanh_fast(float x);
+
+/// [~ulp] Batched forward of a one-hidden-layer tanh MLP over `n` samples
+/// stored FEATURE-MAJOR (x[i * n + s] is feature i of sample s):
+///   out[s] = b2 + sum_h w2[h] * tanh_fast(b1[h] + sum_i w1[h*in_dim+i]*x_i)
+/// with both sums sequential (over i, then over h). The vector tiers run
+/// each sum as one FMA chain — the op order of gemm_accum, an elementwise
+/// tanh_fast and gemm_accum on a column block — and interleave several
+/// sample vectors per hidden unit; the scalar tier uses unfused mul+add
+/// and skips zero weights, like gemm_accum's scalar tier. Each out[s]
+/// depends only on sample s (ragged tails take masked/staged vectors), so
+/// any batch width or position gives the same bits on a given tier;
+/// vector tiers agree with each other bit-for-bit, the scalar tier within
+/// a few ULP.
+void mlp_tanh(float* out, const float* x, std::int64_t n, std::int64_t in_dim,
+              std::int64_t hidden, const float* w1, const float* b1,
+              const float* w2, float b2);
 
 // GEMM micro-kernels ------------------------------------------------------
 // All operate on row-major storage with explicit leading dimensions and
@@ -127,6 +145,17 @@ void gemm_at_accum(float* c, const float* a, const float* b, std::int64_t m,
 void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
                    std::int64_t n, std::int64_t k, std::int64_t lda,
                    std::int64_t ldb, std::int64_t ldc);
+
+/// [exact] C(m x n, ldc) += A(m x k, lda) * B(k x n, ldb) with an UNfused
+/// multiply then add per term, sequential over k — per element the same
+/// op sequence as the scalar loop `for k: c = c + a * b;`, so every tier
+/// (and every blocking of m and n) is bit-identical. The vector tiers hold
+/// a register block of C (4 rows x 2 vectors) across the whole k loop and
+/// finish ragged columns with masked (AVX2/AVX-512) or staged (NEON)
+/// vectors, never a scalar remainder. The GENIEx feature GEMMs run here.
+void gemm_madd(float* c, const float* a, const float* b, std::int64_t m,
+               std::int64_t n, std::int64_t k, std::int64_t lda,
+               std::int64_t ldb, std::int64_t ldc);
 
 /// [exact] out(m x n, ldo) = A(m x k, lda) * V(k x n, ldv) accumulated in
 /// double per output element, sequential over k — bit-identical to the
@@ -223,8 +252,8 @@ class Workspace {
 /// Thread-safe pool of Workspaces for tiled-GEMM tasks. Where the
 /// thread_local idiom pins one workspace per (thread, call site) forever,
 /// a pool bounds scratch to the number of CONCURRENT users and lets
-/// warmed buffers migrate between call sites (a TiledMatrix::matmul task
-/// and the GENIEx MLP forward reuse the same allocations). acquire() hands
+/// warmed buffers migrate between the TiledMatrix::matmul tasks that
+/// share it. acquire() hands
 /// out a warm workspace when one is free and grows the pool otherwise;
 /// the lease returns it on destruction.
 class WorkspacePool {
@@ -256,8 +285,7 @@ class WorkspacePool {
   std::vector<std::unique_ptr<Workspace>> free_;
 };
 
-/// Process-wide pool shared by puma::TiledMatrix::matmul and the blocked
-/// model forwards (MlpRegressor::predict_block).
+/// Process-wide pool shared by the puma::TiledMatrix::matmul tasks.
 WorkspacePool& shared_workspace_pool();
 
 }  // namespace nvm::simd

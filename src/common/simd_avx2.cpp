@@ -5,7 +5,9 @@
 //
 // Parity rules mirrored from simd.h: [exact] kernels use the same
 // unfused mul/add sequence as the scalar reference in simd.cpp; [~ulp]
-// kernels (dot, axpy, gemm, gemm_at, gemm_bt) use FMA in the vector body.
+// kernels (dot, axpy, gemm, gemm_at, gemm_bt, mlp_tanh) use FMA in the
+// vector body. gemm_madd and mlp_tanh finish ragged columns with
+// maskload/maskstore vectors, so they have no scalar tail.
 // Scalar tail loops in this TU are unfused like the reference (the whole
 // build carries -ffp-contract=off; FMA only appears via intrinsics).
 #include "common/simd_kernels.h"
@@ -40,6 +42,28 @@ inline __m256 round_nonneg(__m256 t) {
   const __m256 ge =
       _mm256_cmp_ps(frac, _mm256_set1_ps(0.5f), _CMP_GE_OQ);
   return _mm256_add_ps(fl, _mm256_and_ps(ge, _mm256_set1_ps(1.0f)));
+}
+
+/// tanh_fast on 8 lanes: the same polynomial op sequence, saturation
+/// applied by blend.
+inline __m256 tanh8(__m256 v) {
+  const __m256 x2 = _mm256_mul_ps(v, v);
+  __m256 p = _mm256_add_ps(_mm256_set1_ps(378.0f), x2);
+  p = _mm256_add_ps(_mm256_set1_ps(17325.0f), _mm256_mul_ps(x2, p));
+  p = _mm256_add_ps(_mm256_set1_ps(135135.0f), _mm256_mul_ps(x2, p));
+  p = _mm256_mul_ps(v, p);
+  __m256 q = _mm256_add_ps(_mm256_set1_ps(3150.0f),
+                           _mm256_mul_ps(x2, _mm256_set1_ps(28.0f)));
+  q = _mm256_add_ps(_mm256_set1_ps(62370.0f), _mm256_mul_ps(x2, q));
+  q = _mm256_add_ps(_mm256_set1_ps(135135.0f), _mm256_mul_ps(x2, q));
+  __m256 r = _mm256_div_ps(p, q);
+  r = _mm256_blendv_ps(
+      r, _mm256_set1_ps(1.0f),
+      _mm256_cmp_ps(v, _mm256_set1_ps(4.97f), _CMP_GT_OQ));
+  r = _mm256_blendv_ps(
+      r, _mm256_set1_ps(-1.0f),
+      _mm256_cmp_ps(v, _mm256_set1_ps(-4.97f), _CMP_LT_OQ));
+  return r;
 }
 
 }  // namespace
@@ -85,37 +109,6 @@ void scale_avx2(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n8; i += 8)
     _mm256_storeu_ps(y + i, _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
   for (std::int64_t i = n8; i < n; ++i) y[i] = alpha * x[i];
-}
-
-void tanh_block_avx2(float* x, std::int64_t n) {
-  // Same polynomial op sequence as tanh_fast; saturation applied by blend.
-  const __m256 hi = _mm256_set1_ps(4.97f);
-  const __m256 lo = _mm256_set1_ps(-4.97f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 neg_one = _mm256_set1_ps(-1.0f);
-  const __m256 c0 = _mm256_set1_ps(135135.0f);
-  const __m256 c1 = _mm256_set1_ps(17325.0f);
-  const __m256 c2 = _mm256_set1_ps(378.0f);
-  const __m256 d1 = _mm256_set1_ps(62370.0f);
-  const __m256 d2 = _mm256_set1_ps(3150.0f);
-  const __m256 d3 = _mm256_set1_ps(28.0f);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 x2 = _mm256_mul_ps(v, v);
-    __m256 p = _mm256_add_ps(c2, x2);
-    p = _mm256_add_ps(c1, _mm256_mul_ps(x2, p));
-    p = _mm256_add_ps(c0, _mm256_mul_ps(x2, p));
-    p = _mm256_mul_ps(v, p);
-    __m256 q = _mm256_add_ps(d2, _mm256_mul_ps(x2, d3));
-    q = _mm256_add_ps(d1, _mm256_mul_ps(x2, q));
-    q = _mm256_add_ps(c0, _mm256_mul_ps(x2, q));
-    __m256 r = _mm256_div_ps(p, q);
-    r = _mm256_blendv_ps(r, one, _mm256_cmp_ps(v, hi, _CMP_GT_OQ));
-    r = _mm256_blendv_ps(r, neg_one, _mm256_cmp_ps(v, lo, _CMP_LT_OQ));
-    _mm256_storeu_ps(x + i, r);
-  }
-  for (std::int64_t i = n8; i < n; ++i) x[i] = tanh_fast(x[i]);
 }
 
 namespace {
@@ -436,6 +429,144 @@ void adc_shift_add_i32_avx2(float* acc, const std::int32_t* dot,
   }
 }
 
+namespace {
+
+/// Lane mask selecting the first `lanes` (1..8) floats of a vector.
+inline __m256i tail_mask8(std::int64_t lanes) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Vector v of a V-vector block; with kTail the last vector touches only
+/// the lanes in `mask` (masked lanes load as zero and are never stored).
+template <int V, bool kTail>
+inline __m256 load8(const float* p, int v, __m256i mask) {
+  if (kTail && v == V - 1) return _mm256_maskload_ps(p, mask);
+  return _mm256_loadu_ps(p);
+}
+
+template <int V, bool kTail>
+inline void store8(float* p, int v, __m256i mask, __m256 x) {
+  if (kTail && v == V - 1)
+    _mm256_maskstore_ps(p, mask, x);
+  else
+    _mm256_storeu_ps(p, x);
+}
+
+/// R rows x V vectors of C held in registers across the whole k loop;
+/// every term is an unfused multiply then add, as in gemm_madd_scalar.
+template <int R, int V, bool kTail>
+inline void madd_block8(float* c, const float* a, const float* b,
+                        std::int64_t k, std::int64_t lda, std::int64_t ldb,
+                        std::int64_t ldc, __m256i mask) {
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      acc[r][v] = load8<V, kTail>(c + r * ldc + 8 * v, v, mask);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    __m256 bv[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      bv[v] = load8<V, kTail>(b + kk * ldb + 8 * v, v, mask);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 ar = _mm256_set1_ps(a[r * lda + kk]);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(ar, bv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      store8<V, kTail>(c + r * ldc + 8 * v, v, mask, acc[r][v]);
+}
+
+/// All n columns of R rows: 2-vector blocks, then one full vector, then
+/// one masked vector for the ragged tail.
+template <int R>
+inline void madd_rows8(float* c, const float* a, const float* b,
+                       std::int64_t n, std::int64_t k, std::int64_t lda,
+                       std::int64_t ldb, std::int64_t ldc) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16)
+    madd_block8<R, 2, false>(c + j, a, b + j, k, lda, ldb, ldc, all);
+  if (j + 8 <= n) {
+    madd_block8<R, 1, false>(c + j, a, b + j, k, lda, ldb, ldc, all);
+    j += 8;
+  }
+  if (j < n)
+    madd_block8<R, 1, true>(c + j, a, b + j, k, lda, ldb, ldc,
+                            tail_mask8(n - j));
+}
+
+/// V sample vectors of the MLP forward, interleaved per hidden unit so
+/// their FMA chains and tanh divides overlap. Per sample the op order is
+/// gemm_avx2's (hidden FMA chain from b1, tanh8, output FMA chain from
+/// b2).
+template <int V, bool kTail>
+inline void mlp_block8(float* out, const float* x, std::int64_t n,
+                       std::int64_t in_dim, std::int64_t hidden,
+                       const float* w1, const float* b1, const float* w2,
+                       float b2, __m256i mask) {
+  __m256 o[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) o[v] = _mm256_set1_ps(b2);
+  for (std::int64_t h = 0; h < hidden; ++h) {
+    __m256 acc[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) acc[v] = _mm256_set1_ps(b1[h]);
+    const float* wrow = w1 + h * in_dim;
+    for (std::int64_t i = 0; i < in_dim; ++i) {
+      const __m256 w = _mm256_set1_ps(wrow[i]);
+      const float* xi = x + i * n;
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v)
+        acc[v] = _mm256_fmadd_ps(w, load8<V, kTail>(xi + 8 * v, v, mask),
+                                 acc[v]);
+    }
+    const __m256 wo = _mm256_set1_ps(w2[h]);
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      o[v] = _mm256_fmadd_ps(wo, tanh8(acc[v]), o[v]);
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) store8<V, kTail>(out + 8 * v, v, mask, o[v]);
+}
+
+}  // namespace
+
+void gemm_madd_avx2(float* c, const float* a, const float* b, std::int64_t m,
+                    std::int64_t n, std::int64_t k, std::int64_t lda,
+                    std::int64_t ldb, std::int64_t ldc) {
+  std::int64_t i = 0;
+  for (; i + 4 <= m; i += 4)
+    madd_rows8<4>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+  for (; i < m; ++i)
+    madd_rows8<1>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+}
+
+void mlp_tanh_avx2(float* out, const float* x, std::int64_t n,
+                   std::int64_t in_dim, std::int64_t hidden, const float* w1,
+                   const float* b1, const float* w2, float b2) {
+  constexpr int kV = 2;
+  const __m256i all = _mm256_set1_epi32(-1);
+  std::int64_t s = 0;
+  for (; s + 8 * kV <= n; s += 8 * kV)
+    mlp_block8<kV, false>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2,
+                          all);
+  for (; s + 8 <= n; s += 8)
+    mlp_block8<1, false>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2,
+                         all);
+  if (s < n)
+    mlp_block8<1, true>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2,
+                        tail_mask8(n - s));
+}
+
 }  // namespace nvm::simd::detail
 
 #else  // !NVM_SIMD_AVX2_TU — linker stubs, unreachable behind the dispatch.
@@ -457,7 +588,6 @@ float dot_avx2(const float*, const float*, std::int64_t) { stub_fail(); }
 void axpy_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
 void madd_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
 void scale_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
-void tanh_block_avx2(float*, std::int64_t) { stub_fail(); }
 void gemm_avx2(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
   stub_fail();
@@ -470,6 +600,16 @@ void gemm_at_avx2(float*, const float*, const float*, std::int64_t,
 void gemm_bt_avx2(float*, const float*, const float*, std::int64_t,
                   std::int64_t, std::int64_t, std::int64_t, std::int64_t,
                   std::int64_t) {
+  stub_fail();
+}
+void gemm_madd_avx2(float*, const float*, const float*, std::int64_t,
+                    std::int64_t, std::int64_t, std::int64_t, std::int64_t,
+                    std::int64_t) {
+  stub_fail();
+}
+void mlp_tanh_avx2(float*, const float*, std::int64_t, std::int64_t,
+                   std::int64_t, const float*, const float*, const float*,
+                   float) {
   stub_fail();
 }
 void gemm_f64acc_avx2(float*, const float*, const float*, std::int64_t,

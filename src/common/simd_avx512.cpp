@@ -8,12 +8,13 @@
 // unfused mul/add sequence per element as the scalar reference in
 // simd.cpp (elementwise IEEE ops are width-independent, so running them
 // 16 wide changes nothing); [~ulp] kernels (dot, axpy, gemm, gemm_at,
-// gemm_bt) use FMA in the vector body, and dot folds its 16 lanes
-// pairwise onto the documented 8-lane tree. gemm_f64acc stays [exact]:
-// float*float products are exact in double, so fmadd_pd rounds like the
-// reference's mul-then-add. Scalar tail loops in this TU are unfused like
-// the reference (the whole build carries -ffp-contract=off; FMA only
-// appears via intrinsics).
+// gemm_bt, mlp_tanh) use FMA in the vector body, and dot folds its 16
+// lanes pairwise onto the documented 8-lane tree. gemm_madd and mlp_tanh
+// finish ragged columns with masked vectors, so they have no scalar
+// tail. gemm_f64acc stays [exact]: float*float products are exact in
+// double, so fmadd_pd rounds like the reference's mul-then-add. Scalar
+// tail loops in this TU are unfused like the reference (the whole build
+// carries -ffp-contract=off; FMA only appears via intrinsics).
 #include "common/simd_kernels.h"
 
 #ifdef NVM_SIMD_AVX512_TU
@@ -47,6 +48,28 @@ inline __m512 round_nonneg(__m512 t) {
   const __mmask16 ge =
       _mm512_cmp_ps_mask(frac, _mm512_set1_ps(0.5f), _CMP_GE_OQ);
   return _mm512_mask_add_ps(fl, ge, fl, _mm512_set1_ps(1.0f));
+}
+
+/// tanh_fast on 16 lanes: the same polynomial op sequence, saturation
+/// applied by mask.
+inline __m512 tanh16(__m512 v) {
+  const __m512 x2 = _mm512_mul_ps(v, v);
+  __m512 p = _mm512_add_ps(_mm512_set1_ps(378.0f), x2);
+  p = _mm512_add_ps(_mm512_set1_ps(17325.0f), _mm512_mul_ps(x2, p));
+  p = _mm512_add_ps(_mm512_set1_ps(135135.0f), _mm512_mul_ps(x2, p));
+  p = _mm512_mul_ps(v, p);
+  __m512 q = _mm512_add_ps(_mm512_set1_ps(3150.0f),
+                           _mm512_mul_ps(x2, _mm512_set1_ps(28.0f)));
+  q = _mm512_add_ps(_mm512_set1_ps(62370.0f), _mm512_mul_ps(x2, q));
+  q = _mm512_add_ps(_mm512_set1_ps(135135.0f), _mm512_mul_ps(x2, q));
+  __m512 r = _mm512_div_ps(p, q);
+  r = _mm512_mask_mov_ps(
+      r, _mm512_cmp_ps_mask(v, _mm512_set1_ps(4.97f), _CMP_GT_OQ),
+      _mm512_set1_ps(1.0f));
+  r = _mm512_mask_mov_ps(
+      r, _mm512_cmp_ps_mask(v, _mm512_set1_ps(-4.97f), _CMP_LT_OQ),
+      _mm512_set1_ps(-1.0f));
+  return r;
 }
 
 }  // namespace
@@ -94,38 +117,6 @@ void scale_avx512(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n16; i += 16)
     _mm512_storeu_ps(y + i, _mm512_mul_ps(va, _mm512_loadu_ps(x + i)));
   for (std::int64_t i = n16; i < n; ++i) y[i] = alpha * x[i];
-}
-
-void tanh_block_avx512(float* x, std::int64_t n) {
-  // Same polynomial op sequence as tanh_fast; saturation applied by mask.
-  const __m512 hi = _mm512_set1_ps(4.97f);
-  const __m512 lo = _mm512_set1_ps(-4.97f);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 neg_one = _mm512_set1_ps(-1.0f);
-  const __m512 c0 = _mm512_set1_ps(135135.0f);
-  const __m512 c1 = _mm512_set1_ps(17325.0f);
-  const __m512 c2 = _mm512_set1_ps(378.0f);
-  const __m512 d1 = _mm512_set1_ps(62370.0f);
-  const __m512 d2 = _mm512_set1_ps(3150.0f);
-  const __m512 d3 = _mm512_set1_ps(28.0f);
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16) {
-    const __m512 v = _mm512_loadu_ps(x + i);
-    const __m512 x2 = _mm512_mul_ps(v, v);
-    __m512 p = _mm512_add_ps(c2, x2);
-    p = _mm512_add_ps(c1, _mm512_mul_ps(x2, p));
-    p = _mm512_add_ps(c0, _mm512_mul_ps(x2, p));
-    p = _mm512_mul_ps(v, p);
-    __m512 q = _mm512_add_ps(d2, _mm512_mul_ps(x2, d3));
-    q = _mm512_add_ps(d1, _mm512_mul_ps(x2, q));
-    q = _mm512_add_ps(c0, _mm512_mul_ps(x2, q));
-    __m512 r = _mm512_div_ps(p, q);
-    r = _mm512_mask_mov_ps(r, _mm512_cmp_ps_mask(v, hi, _CMP_GT_OQ), one);
-    r = _mm512_mask_mov_ps(r, _mm512_cmp_ps_mask(v, lo, _CMP_LT_OQ),
-                           neg_one);
-    _mm512_storeu_ps(x + i, r);
-  }
-  for (std::int64_t i = n16; i < n; ++i) x[i] = tanh_fast(x[i]);
 }
 
 namespace {
@@ -418,6 +409,130 @@ void adc_shift_add_i32_avx512(float* acc, const std::int32_t* dot,
   }
 }
 
+namespace {
+
+/// Lane mask of vector v in a block of V vectors whose last one holds only
+/// the lanes in `last`.
+template <int V>
+inline __mmask16 lanes16(int v, __mmask16 last) {
+  return v == V - 1 ? last : static_cast<__mmask16>(0xFFFF);
+}
+
+/// R rows x V vectors of C held in registers across the whole k loop;
+/// every term is an unfused multiply then add, as in gemm_madd_scalar.
+template <int R, int V>
+inline void madd_block16(float* c, const float* a, const float* b,
+                         std::int64_t k, std::int64_t lda, std::int64_t ldb,
+                         std::int64_t ldc, __mmask16 last) {
+  __m512 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      acc[r][v] = _mm512_maskz_loadu_ps(lanes16<V>(v, last),
+                                        c + r * ldc + 16 * v);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    __m512 bv[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      bv[v] = _mm512_maskz_loadu_ps(lanes16<V>(v, last), b + kk * ldb + 16 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m512 ar = _mm512_set1_ps(a[r * lda + kk]);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(ar, bv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      _mm512_mask_storeu_ps(c + r * ldc + 16 * v, lanes16<V>(v, last),
+                            acc[r][v]);
+}
+
+/// All n columns of R rows: 2-vector blocks, then one full vector, then
+/// one masked vector for the ragged tail.
+template <int R>
+inline void madd_rows16(float* c, const float* a, const float* b,
+                        std::int64_t n, std::int64_t k, std::int64_t lda,
+                        std::int64_t ldb, std::int64_t ldc) {
+  std::int64_t j = 0;
+  for (; j + 32 <= n; j += 32)
+    madd_block16<R, 2>(c + j, a, b + j, k, lda, ldb, ldc, 0xFFFF);
+  if (j + 16 <= n) {
+    madd_block16<R, 1>(c + j, a, b + j, k, lda, ldb, ldc, 0xFFFF);
+    j += 16;
+  }
+  if (j < n)
+    madd_block16<R, 1>(c + j, a, b + j, k, lda, ldb, ldc,
+                       static_cast<__mmask16>((1u << (n - j)) - 1));
+}
+
+/// V sample vectors of the MLP forward, interleaved per hidden unit so
+/// their FMA chains and tanh divides overlap. Per sample the op order is
+/// gemm_avx512's (hidden FMA chain from b1, tanh16, output FMA chain
+/// from b2).
+template <int V>
+inline void mlp_block16(float* out, const float* x, std::int64_t n,
+                        std::int64_t in_dim, std::int64_t hidden,
+                        const float* w1, const float* b1, const float* w2,
+                        float b2, __mmask16 last) {
+  __m512 o[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) o[v] = _mm512_set1_ps(b2);
+  for (std::int64_t h = 0; h < hidden; ++h) {
+    __m512 acc[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) acc[v] = _mm512_set1_ps(b1[h]);
+    const float* wrow = w1 + h * in_dim;
+    for (std::int64_t i = 0; i < in_dim; ++i) {
+      const __m512 w = _mm512_set1_ps(wrow[i]);
+      const float* xi = x + i * n;
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v)
+        acc[v] = _mm512_fmadd_ps(
+            w, _mm512_maskz_loadu_ps(lanes16<V>(v, last), xi + 16 * v),
+            acc[v]);
+    }
+    const __m512 wo = _mm512_set1_ps(w2[h]);
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      o[v] = _mm512_fmadd_ps(wo, tanh16(acc[v]), o[v]);
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v)
+    _mm512_mask_storeu_ps(out + 16 * v, lanes16<V>(v, last), o[v]);
+}
+
+}  // namespace
+
+void gemm_madd_avx512(float* c, const float* a, const float* b,
+                      std::int64_t m, std::int64_t n, std::int64_t k,
+                      std::int64_t lda, std::int64_t ldb, std::int64_t ldc) {
+  std::int64_t i = 0;
+  for (; i + 4 <= m; i += 4)
+    madd_rows16<4>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+  for (; i < m; ++i)
+    madd_rows16<1>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+}
+
+void mlp_tanh_avx512(float* out, const float* x, std::int64_t n,
+                     std::int64_t in_dim, std::int64_t hidden, const float* w1,
+                     const float* b1, const float* w2, float b2) {
+  constexpr int kV = 4;
+  std::int64_t s = 0;
+  for (; s + 16 * kV <= n; s += 16 * kV)
+    mlp_block16<kV>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2,
+                    0xFFFF);
+  for (; s + 16 <= n; s += 16)
+    mlp_block16<1>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2, 0xFFFF);
+  if (s < n)
+    mlp_block16<1>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2,
+                   static_cast<__mmask16>((1u << (n - s)) - 1));
+}
+
 }  // namespace nvm::simd::detail
 
 #else  // !NVM_SIMD_AVX512_TU — linker stubs, unreachable behind dispatch.
@@ -439,7 +554,6 @@ float dot_avx512(const float*, const float*, std::int64_t) { stub_fail(); }
 void axpy_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
 void madd_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
 void scale_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
-void tanh_block_avx512(float*, std::int64_t) { stub_fail(); }
 void gemm_avx512(float*, const float*, const float*, std::int64_t,
                  std::int64_t, std::int64_t, std::int64_t, std::int64_t,
                  std::int64_t) {
@@ -458,6 +572,16 @@ void gemm_bt_avx512(float*, const float*, const float*, std::int64_t,
 void gemm_f64acc_avx512(float*, const float*, const float*, std::int64_t,
                         std::int64_t, std::int64_t, std::int64_t,
                         std::int64_t, std::int64_t) {
+  stub_fail();
+}
+void gemm_madd_avx512(float*, const float*, const float*, std::int64_t,
+                      std::int64_t, std::int64_t, std::int64_t, std::int64_t,
+                      std::int64_t) {
+  stub_fail();
+}
+void mlp_tanh_avx512(float*, const float*, std::int64_t, std::int64_t,
+                     std::int64_t, const float*, const float*, const float*,
+                     float) {
   stub_fail();
 }
 void quantize_affine_avx512(float*, const float*, std::int64_t, float,

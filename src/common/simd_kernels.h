@@ -25,7 +25,6 @@ bool neon_tu_compiled();
   void axpy_##SUF(float* y, const float* x, float alpha, std::int64_t n);    \
   void madd_##SUF(float* y, const float* x, float alpha, std::int64_t n);    \
   void scale_##SUF(float* y, const float* x, float alpha, std::int64_t n);   \
-  void tanh_block_##SUF(float* x, std::int64_t n);                           \
   void gemm_##SUF(float* c, const float* a, const float* b, std::int64_t m,  \
                   std::int64_t n, std::int64_t k, std::int64_t lda,          \
                   std::int64_t ldb, std::int64_t ldc);                       \
@@ -35,6 +34,14 @@ bool neon_tu_compiled();
   void gemm_bt_##SUF(float* c, const float* a, const float* b,               \
                      std::int64_t m, std::int64_t n, std::int64_t k,         \
                      std::int64_t lda, std::int64_t ldb, std::int64_t ldc);  \
+  void gemm_madd_##SUF(float* c, const float* a, const float* b,             \
+                       std::int64_t m, std::int64_t n, std::int64_t k,       \
+                       std::int64_t lda, std::int64_t ldb,                   \
+                       std::int64_t ldc);                                    \
+  void mlp_tanh_##SUF(float* out, const float* x, std::int64_t n,            \
+                      std::int64_t in_dim, std::int64_t hidden,              \
+                      const float* w1, const float* b1, const float* w2,     \
+                      float b2);                                             \
   void gemm_f64acc_##SUF(float* out, const float* a, const float* v,         \
                          std::int64_t m, std::int64_t n, std::int64_t k,     \
                          std::int64_t lda, std::int64_t ldv,                 \

@@ -5,8 +5,10 @@
 // Parity rules mirrored from simd.h: [exact] kernels repeat the scalar
 // reference's unfused per-element op sequence 4 lanes at a time (NEON
 // float ops are IEEE-754 compliant on AArch64); [~ulp] kernels use vfmaq
-// in the vector body; dot uses two float32x4 accumulators so its lane
-// layout matches the documented 8-strided-lane tree exactly. vrndaq_f32
+// in the vector body; gemm_madd and mlp_tanh stage ragged columns through
+// a zero-padded vector instead of a scalar tail; dot uses two float32x4
+// accumulators so its lane layout matches the documented 8-strided-lane
+// tree exactly. vrndaq_f32
 // rounds half away from zero, which is std::round's semantics, so the
 // quantize/ADC kernels need no floor+frac trick here. gemm_f64acc uses
 // vfmaq_f64 on exact float*float products — bit-identical to the scalar
@@ -32,6 +34,24 @@ namespace {
 inline float reduce_lanes(const float lanes[8]) {
   return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
          ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+}
+
+/// tanh_fast on 4 lanes: the same polynomial op sequence, saturation
+/// applied by bsl.
+inline float32x4_t tanh4(float32x4_t v) {
+  const float32x4_t x2 = vmulq_f32(v, v);
+  float32x4_t p = vaddq_f32(vdupq_n_f32(378.0f), x2);
+  p = vaddq_f32(vdupq_n_f32(17325.0f), vmulq_f32(x2, p));
+  p = vaddq_f32(vdupq_n_f32(135135.0f), vmulq_f32(x2, p));
+  p = vmulq_f32(v, p);
+  float32x4_t q =
+      vaddq_f32(vdupq_n_f32(3150.0f), vmulq_f32(x2, vdupq_n_f32(28.0f)));
+  q = vaddq_f32(vdupq_n_f32(62370.0f), vmulq_f32(x2, q));
+  q = vaddq_f32(vdupq_n_f32(135135.0f), vmulq_f32(x2, q));
+  float32x4_t r = vdivq_f32(p, q);
+  r = vbslq_f32(vcgtq_f32(v, vdupq_n_f32(4.97f)), vdupq_n_f32(1.0f), r);
+  r = vbslq_f32(vcltq_f32(v, vdupq_n_f32(-4.97f)), vdupq_n_f32(-1.0f), r);
+  return r;
 }
 
 }  // namespace
@@ -79,37 +99,6 @@ void scale_neon(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n4; i += 4)
     vst1q_f32(y + i, vmulq_f32(va, vld1q_f32(x + i)));
   for (std::int64_t i = n4; i < n; ++i) y[i] = alpha * x[i];
-}
-
-void tanh_block_neon(float* x, std::int64_t n) {
-  // Same polynomial op sequence as tanh_fast; saturation applied by bsl.
-  const float32x4_t hi = vdupq_n_f32(4.97f);
-  const float32x4_t lo = vdupq_n_f32(-4.97f);
-  const float32x4_t one = vdupq_n_f32(1.0f);
-  const float32x4_t neg_one = vdupq_n_f32(-1.0f);
-  const float32x4_t c0 = vdupq_n_f32(135135.0f);
-  const float32x4_t c1 = vdupq_n_f32(17325.0f);
-  const float32x4_t c2 = vdupq_n_f32(378.0f);
-  const float32x4_t d1 = vdupq_n_f32(62370.0f);
-  const float32x4_t d2 = vdupq_n_f32(3150.0f);
-  const float32x4_t d3 = vdupq_n_f32(28.0f);
-  const std::int64_t n4 = n & ~std::int64_t{3};
-  for (std::int64_t i = 0; i < n4; i += 4) {
-    const float32x4_t v = vld1q_f32(x + i);
-    const float32x4_t x2 = vmulq_f32(v, v);
-    float32x4_t p = vaddq_f32(c2, x2);
-    p = vaddq_f32(c1, vmulq_f32(x2, p));
-    p = vaddq_f32(c0, vmulq_f32(x2, p));
-    p = vmulq_f32(v, p);
-    float32x4_t q = vaddq_f32(d2, vmulq_f32(x2, d3));
-    q = vaddq_f32(d1, vmulq_f32(x2, q));
-    q = vaddq_f32(c0, vmulq_f32(x2, q));
-    float32x4_t r = vdivq_f32(p, q);
-    r = vbslq_f32(vcgtq_f32(v, hi), one, r);
-    r = vbslq_f32(vcltq_f32(v, lo), neg_one, r);
-    vst1q_f32(x + i, r);
-  }
-  for (std::int64_t i = n4; i < n; ++i) x[i] = tanh_fast(x[i]);
 }
 
 namespace {
@@ -424,6 +413,132 @@ void adc_shift_add_i32_neon(float* acc, const std::int32_t* dot,
   }
 }
 
+namespace {
+
+/// The first `lanes` (1..4) floats at p as a vector; a ragged tail is
+/// staged through a zero-padded buffer so nothing past p[lanes-1] is read.
+inline float32x4_t load_part(const float* p, std::int64_t lanes) {
+  if (lanes == 4) return vld1q_f32(p);
+  float t[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  for (std::int64_t l = 0; l < lanes; ++l) t[l] = p[l];
+  return vld1q_f32(t);
+}
+
+inline void store_part(float* p, float32x4_t x, std::int64_t lanes) {
+  if (lanes == 4) {
+    vst1q_f32(p, x);
+    return;
+  }
+  float t[4];
+  vst1q_f32(t, x);
+  for (std::int64_t l = 0; l < lanes; ++l) p[l] = t[l];
+}
+
+/// R rows x V vectors of C held in registers across the whole k loop;
+/// every term is an unfused multiply then add, as in gemm_madd_scalar.
+/// The last vector covers `last` (1..4) lanes.
+template <int R, int V>
+inline void madd_block4(float* c, const float* a, const float* b,
+                        std::int64_t k, std::int64_t lda, std::int64_t ldb,
+                        std::int64_t ldc, std::int64_t last) {
+  float32x4_t acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      acc[r][v] = load_part(c + r * ldc + 4 * v, v == V - 1 ? last : 4);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    float32x4_t bv[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      bv[v] = load_part(b + kk * ldb + 4 * v, v == V - 1 ? last : 4);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float32x4_t ar = vdupq_n_f32(a[r * lda + kk]);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = vaddq_f32(acc[r][v], vmulq_f32(ar, bv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      store_part(c + r * ldc + 4 * v, acc[r][v], v == V - 1 ? last : 4);
+}
+
+/// All n columns of R rows: 2-vector blocks, then one full vector, then
+/// one staged vector for the ragged tail.
+template <int R>
+inline void madd_rows4(float* c, const float* a, const float* b,
+                       std::int64_t n, std::int64_t k, std::int64_t lda,
+                       std::int64_t ldb, std::int64_t ldc) {
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8)
+    madd_block4<R, 2>(c + j, a, b + j, k, lda, ldb, ldc, 4);
+  for (; j < n; j += 4)
+    madd_block4<R, 1>(c + j, a, b + j, k, lda, ldb, ldc,
+                      std::min<std::int64_t>(4, n - j));
+}
+
+/// V sample vectors of the MLP forward, interleaved per hidden unit so
+/// their FMA chains and tanh divides overlap. Per sample the op order is
+/// gemm_neon's (hidden FMA chain from b1, tanh4, output FMA chain from
+/// b2). The last vector covers `last` (1..4) samples.
+template <int V>
+inline void mlp_block4(float* out, const float* x, std::int64_t n,
+                       std::int64_t in_dim, std::int64_t hidden,
+                       const float* w1, const float* b1, const float* w2,
+                       float b2, std::int64_t last) {
+  float32x4_t o[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) o[v] = vdupq_n_f32(b2);
+  for (std::int64_t h = 0; h < hidden; ++h) {
+    float32x4_t acc[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) acc[v] = vdupq_n_f32(b1[h]);
+    const float* wrow = w1 + h * in_dim;
+    for (std::int64_t i = 0; i < in_dim; ++i) {
+      const float32x4_t w = vdupq_n_f32(wrow[i]);
+      const float* xi = x + i * n;
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v)
+        acc[v] = vfmaq_f32(acc[v], w,
+                           load_part(xi + 4 * v, v == V - 1 ? last : 4));
+    }
+    const float32x4_t wo = vdupq_n_f32(w2[h]);
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) o[v] = vfmaq_f32(o[v], wo, tanh4(acc[v]));
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v)
+    store_part(out + 4 * v, o[v], v == V - 1 ? last : 4);
+}
+
+}  // namespace
+
+void gemm_madd_neon(float* c, const float* a, const float* b, std::int64_t m,
+                    std::int64_t n, std::int64_t k, std::int64_t lda,
+                    std::int64_t ldb, std::int64_t ldc) {
+  std::int64_t i = 0;
+  for (; i + 4 <= m; i += 4)
+    madd_rows4<4>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+  for (; i < m; ++i)
+    madd_rows4<1>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+}
+
+void mlp_tanh_neon(float* out, const float* x, std::int64_t n,
+                   std::int64_t in_dim, std::int64_t hidden, const float* w1,
+                   const float* b1, const float* w2, float b2) {
+  constexpr int kV = 4;
+  std::int64_t s = 0;
+  for (; s + 4 * kV <= n; s += 4 * kV)
+    mlp_block4<kV>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2, 4);
+  for (; s < n; s += 4)
+    mlp_block4<1>(out + s, x + s, n, in_dim, hidden, w1, b1, w2, b2,
+                  std::min<std::int64_t>(4, n - s));
+}
+
 }  // namespace nvm::simd::detail
 
 #else  // !NVM_SIMD_NEON_TU or not AArch64 — stubs, unreachable via dispatch.
@@ -446,7 +561,6 @@ float dot_neon(const float*, const float*, std::int64_t) { stub_fail(); }
 void axpy_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
 void madd_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
 void scale_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
-void tanh_block_neon(float*, std::int64_t) { stub_fail(); }
 void gemm_neon(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
   stub_fail();
@@ -459,6 +573,16 @@ void gemm_at_neon(float*, const float*, const float*, std::int64_t,
 void gemm_bt_neon(float*, const float*, const float*, std::int64_t,
                   std::int64_t, std::int64_t, std::int64_t, std::int64_t,
                   std::int64_t) {
+  stub_fail();
+}
+void gemm_madd_neon(float*, const float*, const float*, std::int64_t,
+                    std::int64_t, std::int64_t, std::int64_t, std::int64_t,
+                    std::int64_t) {
+  stub_fail();
+}
+void mlp_tanh_neon(float*, const float*, std::int64_t, std::int64_t,
+                   std::int64_t, const float*, const float*, const float*,
+                   float) {
   stub_fail();
 }
 void gemm_f64acc_neon(float*, const float*, const float*, std::int64_t,

@@ -112,9 +112,12 @@ class GeniexProgrammed final : public ProgrammedXbar {
 
  private:
   /// The blocked evaluation core behind every entry point. Runs entirely
-  /// on the calling thread; every per-sample op sequence is independent of
-  /// the block width, so any blocking of the same inputs (including n=1
-  /// single-vector mvm) produces bit-identical outputs.
+  /// on the calling thread. Every surrogate sample — one (column, input
+  /// vector) pair — is a pure function of its own inputs: the feature
+  /// GEMMs are gemm_madd ([exact], sequential over rows) and the MLP is
+  /// one batch-invariant mlp_tanh call over all cols_used * n samples, so
+  /// any blocking of the same inputs (including n=1 single-vector mvm)
+  /// produces bit-identical outputs.
   Tensor eval_block(const Tensor& vb, std::int64_t rows_used,
                     std::int64_t cols_used) {
     NVM_TRACE_SPAN("xbar/geniex/mvm_batch");
@@ -123,6 +126,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
     NVM_CHECK(rows_used >= 1 && rows_used <= cfg_.rows);
     NVM_CHECK(cols_used >= 1 && cols_used <= cfg_.cols);
     const std::int64_t rows = cfg_.rows, cols = cfg_.cols, n = vb.dim(1);
+    const std::int64_t ns = cols_used * n;  // surrogate samples
     const float v_read = static_cast<float>(cfg_.v_read);
     const float g_on = static_cast<float>(cfg_.g_on());
     const float i_scale = static_cast<float>(cfg_.i_scale());
@@ -131,14 +135,14 @@ class GeniexProgrammed final : public ProgrammedXbar {
     // matmul evaluates thousands of chunk blocks, and the reused buffers
     // keep this path allocation-free after warm-up.
     thread_local simd::Workspace ws;
-    const auto sz = [n](std::int64_t r) {
-      return static_cast<std::size_t>(r * n);
+    const auto sz = [](std::int64_t count) {
+      return static_cast<std::size_t>(count);
     };
 
     // Elementwise input transforms (rows beyond rows_used are zero volts,
     // contributing exactly nothing to any sum below).
-    std::span<float> vv = ws.floats(0, sz(rows_used));
-    std::span<float> vr = ws.floats(1, sz(rows_used));
+    std::span<float> vv = ws.floats(0, sz(rows_used * n));
+    std::span<float> vr = ws.floats(1, sz(rows_used * n));
     const float* pvb = vb.raw();
     {
       float* pvv = vv.data();
@@ -155,48 +159,31 @@ class GeniexProgrammed final : public ProgrammedXbar {
       }
     }
 
-    // Fused feature GEMMs over the active region.
-    std::span<float> iid = ws.floats(2, sz(cols_used));
-    std::span<float> e = ws.floats(3, sz(cols_used));
-    std::span<float> p = ws.floats(4, sz(cols_used));
-    std::span<float> wd = ws.floats(5, sz(cols_used));
+    // Feature-major block feeding the MLP: feature f of sample (j, k) at
+    // ft[f * ns + j * n + k]. The energy, power and wire-distance GEMMs
+    // accumulate straight into their feature rows and are normalized in
+    // place below; the ideal current keeps its own buffer for the output
+    // formula.
+    std::span<float> ft = ws.floats(2, sz(kGeniexFeatureCount * ns));
+    std::span<float> iid = ws.floats(3, sz(ns));
+    float* fe = ft.data() + 4 * ns;
+    float* fp = ft.data() + 5 * ns;
+    float* fw = ft.data() + 9 * ns;
     std::fill(iid.begin(), iid.end(), 0.0f);
-    std::fill(e.begin(), e.end(), 0.0f);
-    std::fill(p.begin(), p.end(), 0.0f);
-    std::fill(wd.begin(), wd.end(), 0.0f);
-    {
-      const float* pgt = stats_.gt.raw();    // (cols, rows)
-      const float* pgtd = stats_.gtd.raw();  // (cols, rows)
-      const float* pvv = vv.data();
-      const float* pvr = vr.data();
-      for (std::int64_t j = 0; j < cols_used; ++j) {
-        float* oi = iid.data() + j * n;
-        float* oe = e.data() + j * n;
-        float* op = p.data() + j * n;
-        float* ow = wd.data() + j * n;
-        const float* grow = pgt + j * rows;
-        const float* gdrow = pgtd + j * rows;
-        for (std::int64_t i = 0; i < rows_used; ++i) {
-          const float g = grow[i];
-          const float gd = gdrow[i];
-          if (g == 0.0f && gd == 0.0f) continue;
-          const float* xb = pvb + i * n;
-          const float* xv = pvv + i * n;
-          const float* xr = pvr + i * n;
-          for (std::int64_t k = 0; k < n; ++k) {
-            oi[k] += g * xb[k];
-            oe[k] += g * xv[k];
-            op[k] += g * xr[k];
-            ow[k] += gd * xb[k];
-          }
-        }
-      }
-    }
+    std::fill(fe, fe + ns, 0.0f);
+    std::fill(fp, fp + ns, 0.0f);
+    std::fill(fw, fw + ns, 0.0f);
+    const float* pgt = stats_.gt.raw();    // (cols, rows)
+    const float* pgtd = stats_.gtd.raw();  // (cols, rows)
+    simd::gemm_madd(iid.data(), pgt, pvb, cols_used, n, rows_used, rows, n, n);
+    simd::gemm_madd(fe, pgt, vv.data(), cols_used, n, rows_used, rows, n, n);
+    simd::gemm_madd(fp, pgt, vr.data(), cols_used, n, rows_used, rows, n, n);
+    simd::gemm_madd(fw, pgtd, pvb, cols_used, n, rows_used, rows, n, n);
 
     // Per-input-vector scalars.
-    std::span<float> vbar = ws.floats(6, static_cast<std::size_t>(n));
-    std::span<float> v2bar = ws.floats(7, static_cast<std::size_t>(n));
-    std::span<float> rbar = ws.floats(8, static_cast<std::size_t>(n));
+    std::span<float> vbar = ws.floats(4, sz(n));
+    std::span<float> v2bar = ws.floats(5, sz(n));
+    std::span<float> rbar = ws.floats(6, sz(n));
     std::fill(vbar.begin(), vbar.end(), 0.0f);
     std::fill(v2bar.begin(), v2bar.end(), 0.0f);
     std::fill(rbar.begin(), rbar.end(), 0.0f);
@@ -223,19 +210,8 @@ class GeniexProgrammed final : public ProgrammedXbar {
       }
     }
 
-    Tensor out({cols, n});
-    const float rel_floor = kGeniexRelFloor * i_scale;
-    std::vector<std::uint8_t> out_of_envelope(static_cast<std::size_t>(n), 0);
-    bool any_fallback = false;
-    // Feature-major block (feature f of sample k at ft[f*n + k]) feeding
-    // the batched MLP forward. Denominators are the exact float
-    // expressions of fill_features, applied per sample, so each sample's
-    // feature values match the looped path bit-for-bit — and
-    // predict_block is batch-width-invariant (mlp.h), so the prediction
-    // does too under whichever simd tier is active.
-    std::span<float> ft =
-        ws.floats(9, static_cast<std::size_t>(kGeniexFeatureCount * n));
-    std::span<float> rel = ws.floats(10, static_cast<std::size_t>(n));
+    // Remaining feature rows, normalized per sample with the same float
+    // denominators as fill_features.
     const float rows_f = static_cast<float>(cfg_.rows);
     const float cols_f = static_cast<float>(cfg_.cols);
     const float d_e = g_on * v_read * v_read * rows_f;
@@ -243,30 +219,38 @@ class GeniexProgrammed final : public ProgrammedXbar {
     const float d_w = g_on * v_read * rows_f;
     const float d_g = g_on * rows_f;
     for (std::int64_t j = 0; j < cols_used; ++j) {
+      float* F = ft.data() + j * n;
       const float* ji = iid.data() + j * n;
-      const float* je = e.data() + j * n;
-      const float* jp = p.data() + j * n;
-      const float* jw = wd.data() + j * n;
-      float* jo = out.raw() + j * n;
-      float* F = ft.data();
       const float f_gsum = stats_.gsum[j] / d_g;
       const float f_pos =
           cols_f > 1 ? static_cast<float>(j) / (cols_f - 1) : 0.0f;
       for (std::int64_t k = 0; k < n; ++k) {
-        F[0 * n + k] = ji[k] / i_scale;
-        F[4 * n + k] = je[k] / d_e;
-        F[5 * n + k] = jp[k] / d_p;
-        F[9 * n + k] = jw[k] / d_w;
-        F[1 * n + k] = f_gsum;
-        F[7 * n + k] = f_pos;
-        F[8 * n + k] = stats_.garr;
+        F[0 * ns + k] = ji[k] / i_scale;
+        F[4 * ns + k] = F[4 * ns + k] / d_e;
+        F[5 * ns + k] = F[5 * ns + k] / d_p;
+        F[9 * ns + k] = F[9 * ns + k] / d_w;
+        F[1 * ns + k] = f_gsum;
+        F[7 * ns + k] = f_pos;
+        F[8 * ns + k] = stats_.garr;
       }
-      std::copy(vbar.begin(), vbar.end(), F + 2 * n);
-      std::copy(v2bar.begin(), v2bar.end(), F + 3 * n);
-      std::copy(rbar.begin(), rbar.end(), F + 6 * n);
-      mlp_.predict_block(F, n, rel.data());
+      std::copy(vbar.begin(), vbar.end(), F + 2 * ns);
+      std::copy(v2bar.begin(), v2bar.end(), F + 3 * ns);
+      std::copy(rbar.begin(), rbar.end(), F + 6 * ns);
+    }
+    std::span<float> rel = ws.floats(7, sz(ns));
+    mlp_.predict_block(ft.data(), ns, rel.data());
+
+    Tensor out({cols, n});
+    const float rel_floor = kGeniexRelFloor * i_scale;
+    std::span<std::int8_t> out_of_envelope = ws.i8s(0, sz(n));
+    std::fill(out_of_envelope.begin(), out_of_envelope.end(), 0);
+    bool any_fallback = false;
+    for (std::int64_t j = 0; j < cols_used; ++j) {
+      const float* ji = iid.data() + j * n;
+      const float* jr = rel.data() + j * n;
+      float* jo = out.raw() + j * n;
       for (std::int64_t k = 0; k < n; ++k) {
-        const float r = rel[static_cast<std::size_t>(k)];
+        const float r = jr[k];
         if (guard_.enabled && (!std::isfinite(r) || r < guard_.rel_min ||
                                r > guard_.rel_max)) {
           // Out-of-envelope deviation: the surrogate is off its training
@@ -284,7 +268,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
     if (any_fallback) degrade_to_fallback(vb, out_of_envelope, cols_used, out);
     guard_output_finite(out, "geniex");
     static metrics::Counter& preds = metrics::counter("xbar/geniex/predictions");
-    preds.add(static_cast<std::uint64_t>(cols_used * n));
+    preds.add(static_cast<std::uint64_t>(ns));
     return out;
   }
 
@@ -292,7 +276,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
   /// Replaces the output columns of every flagged sample with the
   /// fast-noise model's prediction (counted + logged, never a crash).
   void degrade_to_fallback(const Tensor& vb,
-                           const std::vector<std::uint8_t>& flagged,
+                           std::span<const std::int8_t> flagged,
                            std::int64_t cols_used, Tensor& out) {
     const std::int64_t rows = cfg_.rows, n = vb.dim(1);
     std::uint64_t dropped = 0;

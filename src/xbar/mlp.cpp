@@ -55,45 +55,8 @@ float MlpRegressor::predict(std::span<const float> features) const {
 
 void MlpRegressor::predict_block(const float* features_t, std::int64_t n,
                                  float* out) const {
-  // Whole-block forward through the gemm microtiles of the active simd
-  // tier: hid = b1 + W1 * F, tanh, out = b2 + w2 * act — two gemm_accum
-  // calls instead of a per-hidden-row madd sweep, so the hidden layer
-  // runs 4xW broadcast-FMA microtiles (W = the tier's lane count).
-  //
-  // Columns are padded to a multiple of 16 (one AVX-512 vector; a whole
-  // number of AVX2/NEON vectors): the gemm kernels handle remainder
-  // columns with an unfused scalar tail, so without padding a sample's
-  // result would depend on its position within the block and therefore on
-  // the batch width n. With every real column inside the vector FMA body,
-  // out[s] is invariant to n — the batch-invariance GENIEx's mvm paths
-  // are pinned to — and the vector tiers agree bit-for-bit with each
-  // other (per column the FMA chain is lane-width-independent); only the
-  // scalar tier differs, by the documented gemm [~ulp] bound.
-  constexpr std::int64_t kPad = 16;
-  const std::int64_t np = (n + kPad - 1) / kPad * kPad;
-  const float* w1 = w1_.raw();
-  simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
-  simd::Workspace& ws = lease.get();
-  std::span<float> fp = ws.floats(0, static_cast<std::size_t>(in_dim_ * np));
-  std::span<float> hid = ws.floats(1, static_cast<std::size_t>(hidden_ * np));
-  std::span<float> op = ws.floats(2, static_cast<std::size_t>(np));
-
-  // Stage features into the padded block; padding columns are zeroed so
-  // their (discarded) accumulators stay finite through tanh.
-  for (std::int64_t i = 0; i < in_dim_; ++i) {
-    float* row = fp.data() + i * np;
-    std::copy(features_t + i * n, features_t + (i + 1) * n, row);
-    std::fill(row + n, row + np, 0.0f);
-  }
-  for (std::int64_t h = 0; h < hidden_; ++h)
-    std::fill(hid.data() + h * np, hid.data() + (h + 1) * np, b1_[h]);
-  simd::gemm_accum(hid.data(), w1, fp.data(), hidden_, np, in_dim_, in_dim_,
-                   np, np);
-  simd::tanh_block(hid.data(), hidden_ * np);
-  std::fill(op.data(), op.data() + np, b2_[0]);
-  simd::gemm_accum(op.data(), w2_.raw(), hid.data(), 1, np, hidden_, hidden_,
-                   np, np);
-  std::copy(op.data(), op.data() + n, out);
+  simd::mlp_tanh(out, features_t, n, in_dim_, hidden_, w1_.raw(), b1_.raw(),
+                 w2_.raw(), b2_[0]);
 }
 
 float MlpRegressor::train(const Tensor& x, const Tensor& y,

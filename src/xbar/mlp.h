@@ -49,14 +49,14 @@ class MlpRegressor {
 
   /// Batched predict over `n` samples laid out FEATURE-MAJOR:
   /// features_t[i * n + s] is feature i of sample s. Writes one prediction
-  /// per sample into out[0..n). Runs on the widest usable nvm::simd gemm
-  /// tier; samples are staged into a 16-column-padded block so every
-  /// sample's accumulation takes the vector FMA body regardless of n —
-  /// each out[s] is a pure function of sample s's features, independent of
-  /// batch width (the GENIEx batch-invariance requirement). Across simd
-  /// tiers the result carries the gemm kernels' [~ulp] parity contract
-  /// (vector tiers agree bit-for-bit; the scalar tier differs by a few
-  /// ULP because its multiply-adds are unfused).
+  /// per sample into out[0..n). One nvm::simd::mlp_tanh call on the active
+  /// tier, with no scratch: each out[s] is a pure function of sample s's
+  /// features (ragged tails take masked vectors, never a scalar path), so
+  /// it is independent of batch width and position — the GENIEx
+  /// batch-invariance requirement. Across simd tiers the result carries
+  /// mlp_tanh's [~ulp] contract (vector tiers agree bit-for-bit; the
+  /// scalar tier differs by a few ULP because its multiply-adds are
+  /// unfused).
   void predict_block(const float* features_t, std::int64_t n,
                      float* out) const;
 

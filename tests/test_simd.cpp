@@ -236,13 +236,17 @@ TEST(SimdKernels, AdcShiftAddMatchesUnfusedFormula) {
   }
 }
 
-TEST(SimdKernels, TanhBlockMatchesTanhFastExactly) {
+/// The vector tanh inside mlp_tanh is [exact]: with unit weights and zero
+/// biases every FMA is exact, so the output is tanh_fast itself.
+TEST(SimdKernels, MlpTanhUnitWeightsMatchTanhFastExactly) {
   std::vector<float> x;
   for (float t = -6.0f; t <= 6.0f; t += 0.037f) x.push_back(t);
+  const auto n = static_cast<std::int64_t>(x.size());
+  const float one = 1.0f, zero = 0.0f;
   for (simd::Isa isa : test_isas()) {
     simd::ScopedIsaForTests scope(isa);
-    std::vector<float> y = x;
-    simd::tanh_block(y.data(), static_cast<std::int64_t>(y.size()));
+    std::vector<float> y(x.size());
+    simd::mlp_tanh(y.data(), x.data(), n, 1, 1, &one, &zero, &one, 0.0f);
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_EQ(y[i], simd::tanh_fast(x[i]))
           << "isa=" << simd::isa_name(isa) << " x=" << x[i];
@@ -265,17 +269,46 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
   std::vector<float> x = random_vec(n, rng, -3.0, 3.0);
   std::vector<float> y0 = random_vec(n, rng);
 
+  // gemm_madd over ragged shapes (2-vector, single-vector and masked-tail
+  // column blocks; 4-row and single-row blocks) with padded leading
+  // dimensions; each tier must also equal the naive unfused loop below.
+  struct GemmShape {
+    std::int64_t m, n, k;
+  };
+  const std::vector<GemmShape> shapes = {{13, 37, 29}, {1, 1, 1}, {5, 7, 3},
+                                         {7, 17, 11},  {9, 45, 5}, {3, 64, 64}};
+  std::vector<std::vector<float>> ga, gb, gc0, gwant;
+  for (const GemmShape& sh : shapes) {
+    const std::int64_t lda = sh.k + 3, ldb = sh.n + 5, ldc = sh.n + 7;
+    ga.push_back(random_vec(sh.m * lda, rng, -2.0, 2.0));
+    gb.push_back(random_vec(sh.k * ldb, rng, -2.0, 2.0));
+    gc0.push_back(random_vec(sh.m * ldc, rng));
+    std::vector<float> want = gc0.back();
+    for (std::int64_t i = 0; i < sh.m; ++i)
+      for (std::int64_t j = 0; j < sh.n; ++j)
+        for (std::int64_t kk = 0; kk < sh.k; ++kk) {
+          const float t = ga.back()[i * lda + kk] * gb.back()[kk * ldb + j];
+          want[i * ldc + j] = want[i * ldc + j] + t;
+        }
+    gwant.push_back(std::move(want));
+  }
+
   auto run = [&](simd::Isa isa) {
     simd::ScopedIsaForTests scope(isa);
     struct Out {
-      std::vector<float> madd, scl, tanh, quant, adc;
+      std::vector<float> madd, scl, quant, adc;
+      std::vector<std::vector<float>> gemm;
     } o;
+    for (std::size_t t = 0; t < shapes.size(); ++t) {
+      const GemmShape& sh = shapes[t];
+      o.gemm.push_back(gc0[t]);
+      simd::gemm_madd(o.gemm.back().data(), ga[t].data(), gb[t].data(), sh.m,
+                      sh.n, sh.k, sh.k + 3, sh.n + 5, sh.n + 7);
+    }
     o.madd = y0;
     simd::madd(o.madd.data(), x.data(), 1.7f, n);
     o.scl.assign(static_cast<std::size_t>(n), 0.0f);
     simd::scale(o.scl.data(), x.data(), -0.313f, n);
-    o.tanh = x;
-    simd::tanh_block(o.tanh.data(), n);
     o.quant.assign(static_cast<std::size_t>(n), 0.0f);
     simd::quantize_affine(o.quant.data(), x.data(), n, 2.3f, 127.0f);
     o.adc = y0;
@@ -290,11 +323,17 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
       EXPECT_EQ(s.madd[i], v.madd[i])
           << simd::isa_name(isa) << " madd " << i;
       EXPECT_EQ(s.scl[i], v.scl[i]) << simd::isa_name(isa) << " scale " << i;
-      EXPECT_EQ(s.tanh[i], v.tanh[i]) << simd::isa_name(isa) << " tanh " << i;
       EXPECT_EQ(s.quant[i], v.quant[i])
           << simd::isa_name(isa) << " quantize " << i;
       EXPECT_EQ(s.adc[i], v.adc[i]) << simd::isa_name(isa) << " adc " << i;
     }
+    // Row padding (j >= n) must come back untouched as well.
+    for (std::size_t t = 0; t < shapes.size(); ++t)
+      for (std::size_t i = 0; i < gwant[t].size(); ++i) {
+        EXPECT_EQ(s.gemm[t][i], gwant[t][i]) << "scalar gemm_madd " << t;
+        EXPECT_EQ(v.gemm[t][i], gwant[t][i])
+            << simd::isa_name(isa) << " gemm_madd shape " << t << " at " << i;
+      }
   }
 }
 
@@ -352,6 +391,70 @@ TEST(SimdParity, UlpKernelsWithinDocumentedBound) {
                   2.0 * std::numeric_limits<float>::epsilon() *
                       (std::abs(axpy_s[i]) + std::abs(0.77f * a[i])))
           << simd::isa_name(isa) << " " << i;
+  }
+}
+
+/// mlp_tanh is [~ulp]: vector tiers agree with each other bit for bit
+/// (one FMA chain per sum, lane-width-independent), the unfused scalar
+/// tier stays within a few eps of each sum's absolute-term magnitude
+/// (tanh' <= 1 carries the hidden-sum error through), and every output
+/// is independent of the sample's position in the batch.
+TEST(SimdParity, MlpTanhVectorTiersIdenticalScalarWithinBound) {
+  Rng rng(25);
+  const std::int64_t in_dim = 10, hidden = 28, n = 77;
+  std::vector<float> x = random_vec(in_dim * n, rng, -1.5, 1.5);
+  std::vector<float> w1 = random_vec(hidden * in_dim, rng, -0.6, 0.6);
+  std::vector<float> b1 = random_vec(hidden, rng, -0.3, 0.3);
+  std::vector<float> w2 = random_vec(hidden, rng, -0.4, 0.4);
+  w1[7] = 0.0f;  // the scalar tier skips zero weights
+  w2[3] = 0.0f;
+  const float b2 = 0.125f;
+  auto run = [&](simd::Isa isa) {
+    simd::ScopedIsaForTests scope(isa);
+    std::vector<float> out(static_cast<std::size_t>(n));
+    simd::mlp_tanh(out.data(), x.data(), n, in_dim, hidden, w1.data(),
+                   b1.data(), w2.data(), b2);
+    return out;
+  };
+  const std::vector<float> s = run(simd::Isa::Scalar);
+  const double eps = std::numeric_limits<float>::epsilon();
+  for (std::int64_t k = 0; k < n; ++k) {
+    // Per-sample bound: the output sum's own rounding plus each hidden
+    // sum's rounding scaled by |w2[h]|.
+    double bound = std::abs(b2);
+    for (std::int64_t h = 0; h < hidden; ++h) {
+      double pre = std::abs(b1[h]);
+      for (std::int64_t i = 0; i < in_dim; ++i)
+        pre += std::abs(static_cast<double>(w1[h * in_dim + i]) *
+                        x[i * n + k]);
+      bound += std::abs(w2[h]) * (1.0 + 4.0 * in_dim * eps * pre);
+    }
+    bound *= 4.0 * (in_dim + hidden) * eps;
+    for (simd::Isa isa : vector_isas()) {
+      const std::vector<float> v = run(isa);
+      EXPECT_NEAR(s[k], v[k], bound) << simd::isa_name(isa) << " " << k;
+    }
+  }
+  const std::vector<simd::Isa> vec = vector_isas();
+  for (std::size_t t = 1; t < vec.size(); ++t) {
+    const std::vector<float> a = run(vec[0]), b = run(vec[t]);
+    for (std::int64_t k = 0; k < n; ++k)
+      EXPECT_EQ(a[k], b[k]) << simd::isa_name(vec[0]) << " vs "
+                            << simd::isa_name(vec[t]) << " " << k;
+  }
+  // Batch-position invariance on every tier: a sample's prediction alone
+  // equals its prediction inside the 77-wide block.
+  for (simd::Isa isa : test_isas()) {
+    const std::vector<float> block = run(isa);
+    simd::ScopedIsaForTests scope(isa);
+    for (std::int64_t k = 0; k < n; ++k) {
+      float xs[10];
+      for (std::int64_t i = 0; i < in_dim; ++i) xs[i] = x[i * n + k];
+      float single = 0.0f;
+      simd::mlp_tanh(&single, xs, 1, in_dim, hidden, w1.data(), b1.data(),
+                     w2.data(), b2);
+      EXPECT_EQ(single, block[k]) << simd::isa_name(isa) << " " << k;
+    }
   }
 }
 

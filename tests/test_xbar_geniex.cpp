@@ -3,9 +3,16 @@
 
 #include "common/check.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <vector>
 
 #include "common/health.h"
+#include "common/serialize.h"
+#include "common/simd.h"
+#include "tensor/ops.h"
 #include "xbar/fast_noise.h"
 #include "xbar/geniex.h"
 #include "xbar/nf.h"
@@ -222,6 +229,263 @@ TEST(Geniex, GuardRejectsInvertedEnvelope) {
   bad.rel_max = 0.0f;
   EXPECT_THROW(GeniexModel(small_config(), shared_fit().mlp, bad),
                CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the GENIEx evaluation as it stood before the simd::gemm_madd and
+// simd::mlp_tanh kernels — a scalar feature loop, one MLP forward per
+// column through the 16-column-padded gemm_accum + tanh + gemm_accum
+// composition, and the fast-noise fallback for flagged vectors.
+// The production eval_block must match it bit for bit on every tier.
+// ---------------------------------------------------------------------------
+
+/// MLP weights in MlpRegressor's serialized layout.
+struct MlpWeights {
+  std::int64_t in_dim = 0, hidden = 0;
+  Tensor w1, b1, w2, b2;
+
+  MlpRegressor to_mlp() const {
+    std::stringstream ss;
+    BinaryWriter w(ss);
+    w.write_i64(in_dim);
+    w.write_i64(hidden);
+    w1.save(w);
+    b1.save(w);
+    w2.save(w);
+    b2.save(w);
+    BinaryReader r(ss);
+    return MlpRegressor::load(r);
+  }
+};
+
+/// A surrogate-shaped MLP whose predictions mostly sit inside the default
+/// trust envelope, with a few exact-zero weights (the scalar tier skips
+/// those, and the kernels must skip exactly the same terms).
+MlpWeights oracle_weights(Rng& rng) {
+  MlpWeights m;
+  m.in_dim = kGeniexFeatureCount;
+  m.hidden = 28;
+  m.w1 = Tensor::normal({m.hidden, m.in_dim}, 0.0f, 0.4f, rng);
+  m.b1 = Tensor::normal({m.hidden}, 0.0f, 0.2f, rng);
+  m.w2 = Tensor::normal({m.hidden}, 0.0f, 0.05f, rng);
+  m.b2 = Tensor::full({1}, 0.3f);
+  m.w1.at(3, 2) = 0.0f;
+  m.w1.at(17, 9) = 0.0f;
+  m.w2[5] = 0.0f;
+  return m;
+}
+
+void oracle_predict_block(const MlpWeights& m, const float* features_t,
+                          std::int64_t n, float* out) {
+  constexpr std::int64_t kPad = 16;
+  const std::int64_t np = (n + kPad - 1) / kPad * kPad;
+  std::vector<float> fp(static_cast<std::size_t>(m.in_dim * np), 0.0f);
+  std::vector<float> hid(static_cast<std::size_t>(m.hidden * np));
+  std::vector<float> op(static_cast<std::size_t>(np), m.b2[0]);
+  for (std::int64_t i = 0; i < m.in_dim; ++i)
+    std::copy(features_t + i * n, features_t + (i + 1) * n,
+              fp.data() + i * np);
+  for (std::int64_t h = 0; h < m.hidden; ++h)
+    std::fill(hid.data() + h * np, hid.data() + (h + 1) * np, m.b1[h]);
+  simd::gemm_accum(hid.data(), m.w1.raw(), fp.data(), m.hidden, np, m.in_dim,
+                   m.in_dim, np, np);
+  for (float& h : hid) h = simd::tanh_fast(h);
+  simd::gemm_accum(op.data(), m.w2.raw(), hid.data(), 1, np, m.hidden,
+                   m.hidden, np, np);
+  std::copy(op.data(), op.data() + n, out);
+}
+
+Tensor oracle_eval(const CrossbarConfig& cfg, const MlpWeights& m,
+                   const GeniexGuardOptions& guard, const Tensor& g,
+                   const Tensor& vb, std::int64_t rows_used,
+                   std::int64_t cols_used) {
+  const std::int64_t rows = cfg.rows, cols = cfg.cols, n = vb.dim(1);
+  const float v_read = static_cast<float>(cfg.v_read);
+  const float g_on = static_cast<float>(cfg.g_on());
+  const float i_scale = static_cast<float>(cfg.i_scale());
+
+  // Programming statistics.
+  Tensor gt = transpose2d(g);
+  Tensor gtd({cols, rows}), gsum({cols}), growsum({rows});
+  double total = 0.0;
+  for (std::int64_t i = 0; i < rows; ++i) {
+    double rsum = 0.0;
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const float gij = g.at(i, j);
+      rsum += gij;
+      gsum[j] += gij;
+      gtd.at(j, i) =
+          gij * static_cast<float>(rows - 1 - i) / static_cast<float>(rows);
+    }
+    growsum[i] = static_cast<float>(rsum);
+    total += rsum;
+  }
+  const float garr = static_cast<float>(total / (cfg.g_on() * rows * cols));
+
+  Tensor vv({rows_used, n}), vr({rows_used, n});
+  for (std::int64_t i = 0; i < rows_used; ++i)
+    for (std::int64_t k = 0; k < n; ++k) {
+      vv.at(i, k) = vb.at(i, k) * vb.at(i, k);
+      vr.at(i, k) = vb.at(i, k) * growsum[i];
+    }
+  Tensor iid({cols_used, n}), e({cols_used, n}), p({cols_used, n}),
+      wd({cols_used, n});
+  for (std::int64_t j = 0; j < cols_used; ++j)
+    for (std::int64_t i = 0; i < rows_used; ++i) {
+      const float gj = gt.at(j, i);
+      const float gd = gtd.at(j, i);
+      if (gj == 0.0f && gd == 0.0f) continue;
+      for (std::int64_t k = 0; k < n; ++k) {
+        iid.at(j, k) += gj * vb.at(i, k);
+        e.at(j, k) += gj * vv.at(i, k);
+        p.at(j, k) += gj * vr.at(i, k);
+        wd.at(j, k) += gd * vb.at(i, k);
+      }
+    }
+  Tensor vbar({n}), v2bar({n}), rbar({n});
+  for (std::int64_t i = 0; i < rows_used; ++i)
+    for (std::int64_t k = 0; k < n; ++k) {
+      vbar[k] += vb.at(i, k);
+      v2bar[k] += vv.at(i, k);
+      rbar[k] += vr.at(i, k);
+    }
+  const float nv = 1.0f / (v_read * rows);
+  const float nv2 = 1.0f / (v_read * v_read * rows);
+  const float nr = 1.0f / (g_on * v_read * rows * rows);
+  for (std::int64_t k = 0; k < n; ++k) {
+    vbar[k] *= nv;
+    v2bar[k] *= nv2;
+    rbar[k] *= nr;
+  }
+
+  Tensor out({cols, n});
+  std::vector<std::uint8_t> flagged(static_cast<std::size_t>(n), 0);
+  const float rows_f = static_cast<float>(rows);
+  const float cols_f = static_cast<float>(cols);
+  std::vector<float> F(static_cast<std::size_t>(kGeniexFeatureCount * n));
+  std::vector<float> rel(static_cast<std::size_t>(n));
+  for (std::int64_t j = 0; j < cols_used; ++j) {
+    for (std::int64_t k = 0; k < n; ++k) {
+      F[0 * n + k] = iid.at(j, k) / i_scale;
+      F[1 * n + k] = gsum[j] / (g_on * rows_f);
+      F[2 * n + k] = vbar[k];
+      F[3 * n + k] = v2bar[k];
+      F[4 * n + k] = e.at(j, k) / (g_on * v_read * v_read * rows_f);
+      F[5 * n + k] = p.at(j, k) / (g_on * g_on * v_read * rows_f * rows_f);
+      F[6 * n + k] = rbar[k];
+      F[7 * n + k] = cols_f > 1 ? static_cast<float>(j) / (cols_f - 1) : 0.0f;
+      F[8 * n + k] = garr;
+      F[9 * n + k] = wd.at(j, k) / (g_on * v_read * rows_f);
+    }
+    oracle_predict_block(m, F.data(), n, rel.data());
+    for (std::int64_t k = 0; k < n; ++k) {
+      const float r = rel[static_cast<std::size_t>(k)];
+      if (guard.enabled &&
+          (!std::isfinite(r) || r < guard.rel_min || r > guard.rel_max))
+        flagged[static_cast<std::size_t>(k)] = 1;
+      const float denom = std::max(iid.at(j, k), kGeniexRelFloor * i_scale);
+      out.at(j, k) = std::clamp(iid.at(j, k) - r * denom, 0.0f, i_scale);
+    }
+  }
+  const FastNoiseModel fallback_model(cfg);
+  auto fallback = fallback_model.program(g);
+  for (std::int64_t k = 0; k < n; ++k) {
+    if (flagged[static_cast<std::size_t>(k)] == 0) continue;
+    Tensor v({rows});
+    for (std::int64_t i = 0; i < rows; ++i) v[i] = vb.at(i, k);
+    Tensor y = fallback->mvm(v);
+    for (std::int64_t j = 0; j < cols_used; ++j) out.at(j, k) = y[j];
+  }
+  return out;
+}
+
+std::vector<simd::Isa> usable_isas() {
+  std::vector<simd::Isa> isas;
+  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512,
+                        simd::Isa::Neon})
+    if (simd::isa_usable(isa)) isas.push_back(isa);
+  return isas;
+}
+
+TEST(GeniexOracle, MvmMultiActiveBitIdenticalToScalarLoopOracle) {
+  const CrossbarConfig cfg = xbar_64x64_100k();
+  Rng rng(31);
+  const MlpWeights weights = oracle_weights(rng);
+  GeniexGuardOptions tight;  // flags most vectors: covers the fallback
+  tight.rel_min = 0.25f;
+  tight.rel_max = 0.35f;
+  GeniexGuardOptions off;
+  off.enabled = false;
+  Tensor g = sample_conductances(cfg, rng);
+  std::int64_t fell_back = 0, trusted = 0;
+  for (const GeniexGuardOptions& guard : {GeniexGuardOptions{}, tight, off}) {
+    GeniexModel model(cfg, weights.to_mlp(), guard);
+    auto programmed = model.program(g);
+    for (std::int64_t n : {1, 7, 16, 17, 64, 256}) {
+      for (auto [rows_used, cols_used] :
+           {std::pair<std::int64_t, std::int64_t>{cfg.rows, cfg.cols},
+            {37, 23}}) {
+        Tensor vb({cfg.rows, n});
+        for (std::int64_t k = 0; k < n; ++k) {
+          Tensor v = sample_voltages(cfg, rng);
+          for (std::int64_t i = 0; i < rows_used; ++i) vb.at(i, k) = v[i];
+        }
+        for (simd::Isa isa : usable_isas()) {
+          simd::ScopedIsaForTests scope(isa);
+          const auto before = health_value(HealthCounter::SurrogateFallback);
+          Tensor got = programmed->mvm_multi_active(vb, rows_used, cols_used);
+          const auto dropped =
+              health_value(HealthCounter::SurrogateFallback) - before;
+          fell_back += static_cast<std::int64_t>(dropped);
+          trusted += n - static_cast<std::int64_t>(dropped);
+          Tensor want =
+              oracle_eval(cfg, weights, guard, g, vb, rows_used, cols_used);
+          ASSERT_EQ(got.shape(), want.shape());
+          std::int64_t mismatches = 0;
+          for (std::int64_t i = 0; i < got.numel(); ++i)
+            if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0)
+              ++mismatches;
+          EXPECT_EQ(mismatches, 0)
+              << "isa=" << simd::isa_name(isa) << " n=" << n
+              << " rows_used=" << rows_used << " cols_used=" << cols_used
+              << " guard=" << guard.enabled << "/" << guard.rel_min;
+        }
+      }
+    }
+  }
+  // Both the surrogate and the fallback path were compared.
+  EXPECT_GT(fell_back, 0);
+  EXPECT_GT(trusted, 0);
+}
+
+TEST(GeniexOracle, PredictBlockIsBatchInvariantAndMatchesPaddedGemm) {
+  Rng rng(32);
+  const MlpWeights weights = oracle_weights(rng);
+  const MlpRegressor mlp = weights.to_mlp();
+  const std::int64_t n = 1000;
+  std::vector<float> ft(static_cast<std::size_t>(kGeniexFeatureCount * n));
+  for (float& f : ft) f = static_cast<float>(rng.uniform(-1.5, 1.5));
+  for (simd::Isa isa : usable_isas()) {
+    simd::ScopedIsaForTests scope(isa);
+    std::vector<float> block(static_cast<std::size_t>(n));
+    std::vector<float> padded(static_cast<std::size_t>(n));
+    mlp.predict_block(ft.data(), n, block.data());
+    oracle_predict_block(weights, ft.data(), n, padded.data());
+    float sample[kGeniexFeatureCount];
+    for (std::int64_t s = 0; s < n; ++s) {
+      for (std::int64_t f = 0; f < kGeniexFeatureCount; ++f)
+        sample[f] = ft[static_cast<std::size_t>(f * n + s)];
+      float single = 0.0f;
+      mlp.predict_block(sample, 1, &single);
+      const auto i = static_cast<std::size_t>(s);
+      EXPECT_EQ(std::memcmp(&single, &block[i], sizeof(float)), 0)
+          << "isa=" << simd::isa_name(isa) << " sample " << s << ": "
+          << single << " alone vs " << block[i] << " in the block";
+      EXPECT_EQ(std::memcmp(&padded[i], &block[i], sizeof(float)), 0)
+          << "isa=" << simd::isa_name(isa) << " sample " << s << ": "
+          << padded[i] << " padded oracle vs " << block[i];
+    }
+  }
 }
 
 TEST(FastNoise, ReducesCurrentVsIdeal) {
