@@ -189,8 +189,13 @@ BENCHMARK(BM_CircuitSolverMvm)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_TiledMatmul(benchmark::State& state) {
   // A stage-2 conv GEMM: (16 x 72) weights, 36 im2col columns. The GENIEx
-  // arm (Arg 1) lands in the run manifest as bench/tiled/geniex_ms, which
-  // the perf gate holds.
+  // arm (Arg 1) runs the fused chunk route and lands in the run manifest
+  // as bench/tiled/geniex_ms. After the timed loop it runs as many
+  // float-route (ScopedIntPathForTests(false), bit-identical outputs) and
+  // fused-route matmuls alternately, call by call so host drift lands on
+  // both alike, and publishes bench/tiled/geniex_float_ms and the
+  // float/fused ratio bench/tiled/geniex_fused_speedup. The perf gate
+  // holds geniex_ms and a floor on the ratio.
   Rng rng(4);
   Tensor w = Tensor::normal({16, 72}, 0, 0.1f, rng);
   Tensor x({72, 36});
@@ -203,13 +208,28 @@ void BM_TiledMatmul(benchmark::State& state) {
     model = xbar::make_geniex("64x64_100k");
   }
   puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  const auto t0 = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = Clock::now();
   for (auto _ : state) benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  if (state.range(0) == 1 && state.iterations() > 0)
-    metrics::gauge("bench/tiled/geniex_ms")
-        .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
+  const std::chrono::duration<double> dt = Clock::now() - t0;
+  if (state.range(0) != 1 || state.iterations() == 0) return;
+  const auto iters = static_cast<double>(state.iterations());
+  metrics::gauge("bench/tiled/geniex_ms").set(dt.count() * 1e3 / iters);
+  std::chrono::duration<double> fused_s{0}, float_s{0};
+  for (benchmark::IterationCount i = 0; i < state.iterations(); ++i) {
+    const auto f0 = Clock::now();
+    benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
+    fused_s += Clock::now() - f0;
+    puma::ScopedIntPathForTests float_route(false);
+    const auto f1 = Clock::now();
+    benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
+    float_s += Clock::now() - f1;
+  }
+  metrics::gauge("bench/tiled/geniex_float_ms")
+      .set(float_s.count() * 1e3 / iters);
+  if (fused_s.count() > 0.0)
+    metrics::gauge("bench/tiled/geniex_fused_speedup")
+        .set(float_s.count() / fused_s.count());
 }
 BENCHMARK(BM_TiledMatmul)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

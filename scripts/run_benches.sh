@@ -36,7 +36,8 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # warm-start A/B (sweeps_per_matmul with streaming off/on), and the
 # red-black vs lexicographic sweep-schedule A/B, the float-vs-fused
 # tiled matmul A/B (bench/tiled/fused_speedup), and the ideal and GENIEx
-# tiled matmuls (bench/tiled/geniex_ms).
+# tiled matmuls (bench/tiled/geniex_ms, and the GENIEx fused-vs-float
+# ratio bench/tiled/geniex_fused_speedup).
 run mvm_perf "$BUILD/bench/bench_mvm_perf" \
   --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering' \
   --benchmark_min_time=0.05

@@ -241,13 +241,6 @@ void axpy_scalar(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void madd_scalar(float* y, const float* x, float alpha, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float t = alpha * x[i];
-    y[i] = y[i] + t;
-  }
-}
-
 void scale_scalar(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] = alpha * x[i];
 }
@@ -365,14 +358,91 @@ void quantize_affine_scalar(float* out, const float* x, std::int64_t n,
 }
 
 void adc_shift_add_scalar(float* acc, const float* cur, const float* baseline,
-                          std::int64_t n, float full_scale, float steps,
-                          float shift) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float clamped = std::clamp(cur[i], 0.0f, full_scale);
-    const float q = std::round(clamped / full_scale * steps) * full_scale /
-                    steps;
-    acc[i] += shift * (q - baseline[i]);
+                          std::int64_t rows, std::int64_t n, float full_scale,
+                          float steps, float shift) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* arow = acc + r * n;
+    const float* crow = cur + r * n;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float clamped = std::clamp(crow[i], 0.0f, full_scale);
+      const float q = std::round(clamped / full_scale * steps) * full_scale /
+                      steps;
+      arow[i] += shift * (q - baseline[i]);
+    }
   }
+}
+
+void geniex_inputs_scalar(float* vv, float* vr, float* sums, const float* v,
+                          const float* growsum, std::int64_t rows,
+                          std::int64_t n, float nv, float nv2, float nr) {
+  float* sv = sums;
+  float* sv2 = sums + n;
+  float* sr = sums + 2 * n;
+  std::fill(sums, sums + 3 * n, 0.0f);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float gr = growsum[i];
+    const float* src = v + i * n;
+    float* dv = vv + i * n;
+    float* dr = vr + i * n;
+    for (std::int64_t k = 0; k < n; ++k) {
+      const float x = src[k];
+      dv[k] = x * x;
+      dr[k] = x * gr;
+      sv[k] += x;
+      sv2[k] += dv[k];
+      sr[k] += dr[k];
+    }
+  }
+  for (std::int64_t k = 0; k < n; ++k) {
+    sv[k] *= nv;
+    sv2[k] *= nv2;
+    sr[k] *= nr;
+  }
+}
+
+void geniex_features_scalar(float* ft, const float* iid, const float* sums,
+                            const float* colf, std::int64_t cols,
+                            std::int64_t n, float i_scale, float d_e,
+                            float d_p, float d_w, float garr) {
+  const std::int64_t ns = cols * n;
+  for (std::int64_t j = 0; j < cols; ++j) {
+    float* F = ft + j * n;
+    const float* ji = iid + j * n;
+    for (std::int64_t k = 0; k < n; ++k) {
+      F[0 * ns + k] = ji[k] / i_scale;
+      F[4 * ns + k] = F[4 * ns + k] / d_e;
+      F[5 * ns + k] = F[5 * ns + k] / d_p;
+      F[9 * ns + k] = F[9 * ns + k] / d_w;
+      F[1 * ns + k] = colf[2 * j];
+      F[7 * ns + k] = colf[2 * j + 1];
+      F[8 * ns + k] = garr;
+      F[2 * ns + k] = sums[k];
+      F[3 * ns + k] = sums[n + k];
+      F[6 * ns + k] = sums[2 * n + k];
+    }
+  }
+}
+
+std::int64_t geniex_epilogue_scalar(float* out, std::int8_t* flags,
+                                    const float* iid, const float* rel,
+                                    std::int64_t cols, std::int64_t n,
+                                    float floor, float full_scale, bool guard,
+                                    float rel_min, float rel_max) {
+  std::fill(flags, flags + n, std::int8_t{0});
+  std::int64_t nonfinite = 0;
+  for (std::int64_t j = 0; j < cols; ++j) {
+    for (std::int64_t k = 0; k < n; ++k) {
+      const float x = iid[j * n + k];
+      const float r = rel[j * n + k];
+      if (guard && (!std::isfinite(r) || r < rel_min || r > rel_max))
+        flags[k] = 1;
+      const float denom = std::max(x, floor);
+      const float o = std::clamp(x - r * denom, 0.0f, full_scale);
+      out[j * n + k] = o;
+      if (!std::isfinite(o)) ++nonfinite;
+    }
+  }
+  return nonfinite;
 }
 
 void quantize_to_i8_scalar(std::int8_t* out, const float* x, std::int64_t n,
@@ -474,12 +544,6 @@ void axpy(float* y, const float* x, float alpha, std::int64_t n) {
   NVM_SIMD_DISPATCH(axpy, y, x, alpha, n);
 }
 
-void madd(float* y, const float* x, float alpha, std::int64_t n) {
-  static metrics::Counter& c = metrics::counter("simd/kernel/madd");
-  tally(c, 2 * u64(n));
-  NVM_SIMD_DISPATCH(madd, y, x, alpha, n);
-}
-
 void scale(float* y, const float* x, float alpha, std::int64_t n) {
   static metrics::Counter& c = metrics::counter("simd/kernel/scale");
   tally(c, u64(n));
@@ -544,12 +608,45 @@ void quantize_affine(float* out, const float* x, std::int64_t n, float scale,
 }
 
 void adc_shift_add(float* acc, const float* cur, const float* baseline,
-                   std::int64_t n, float full_scale, float steps,
-                   float shift) {
+                   std::int64_t rows, std::int64_t n, float full_scale,
+                   float steps, float shift) {
   static metrics::Counter& c = metrics::counter("simd/kernel/adc_shift_add");
-  tally(c, 8 * u64(n));
-  NVM_SIMD_DISPATCH(adc_shift_add, acc, cur, baseline, n, full_scale, steps,
-                    shift);
+  tally(c, 8 * u64(rows) * u64(n));
+  NVM_SIMD_DISPATCH(adc_shift_add, acc, cur, baseline, rows, n, full_scale,
+                    steps, shift);
+}
+
+void geniex_inputs(float* vv, float* vr, float* sums, const float* v,
+                   const float* growsum, std::int64_t rows, std::int64_t n,
+                   float nv, float nv2, float nr) {
+  static metrics::Counter& c = metrics::counter("simd/kernel/geniex_inputs");
+  // Per element: two products and three sum adds; 3 scalings per vector.
+  tally(c, 5 * u64(rows) * u64(n) + 3 * u64(n));
+  NVM_SIMD_DISPATCH(geniex_inputs, vv, vr, sums, v, growsum, rows, n, nv, nv2,
+                    nr);
+}
+
+void geniex_features(float* ft, const float* iid, const float* sums,
+                     const float* colf, std::int64_t cols, std::int64_t n,
+                     float i_scale, float d_e, float d_p, float d_w,
+                     float garr) {
+  static metrics::Counter& c =
+      metrics::counter("simd/kernel/geniex_features");
+  tally(c, 4 * u64(cols) * u64(n));  // the four divided feature rows
+  NVM_SIMD_DISPATCH(geniex_features, ft, iid, sums, colf, cols, n, i_scale,
+                    d_e, d_p, d_w, garr);
+}
+
+std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
+                             const float* iid, const float* rel,
+                             std::int64_t cols, std::int64_t n, float floor,
+                             float full_scale, bool guard, float rel_min,
+                             float rel_max) {
+  static metrics::Counter& c =
+      metrics::counter("simd/kernel/geniex_epilogue");
+  tally(c, 5 * u64(cols) * u64(n));  // max, mul, sub, two clamp compares
+  NVM_SIMD_DISPATCH(geniex_epilogue, out, flags, iid, rel, cols, n, floor,
+                    full_scale, guard, rel_min, rel_max);
 }
 
 void quantize_to_i8(std::int8_t* out, const float* x, std::int64_t n,

@@ -1,8 +1,9 @@
 // Portable SIMD micro-kernel layer.
 //
 // Every hot inner loop of the analog stack — tiled-GEMM shift-add, ideal
-// and fast-noise column evaluation, the GENIEx MLP forward, activation /
-// ADC quantization — runs over the fixed set of kernels below. Up to four
+// and fast-noise column evaluation, the GENIEx feature GEMMs, glue and MLP
+// forward, activation / ADC quantization — runs over the fixed set of
+// kernels below. Up to four
 // implementations exist per kernel: hand-written AVX2/FMA, AVX-512 and
 // NEON tiers (each compiled in its own translation unit with per-file
 // arch flags, see NVM_ENABLE_AVX2 / NVM_ENABLE_AVX512 / NVM_ENABLE_NEON)
@@ -25,6 +26,13 @@
 //   * Integer kernels (quantize_to_i8/i16, gemm_at_i8_i32acc,
 //     adc_shift_add_i32) are [exact]: integer arithmetic has no rounding,
 //     and their float epilogues mirror the scalar op sequence.
+//
+// Kernel list by contract:
+//   [exact] scale, gemm_madd, gemm_f64acc, quantize_affine, adc_shift_add,
+//           geniex_inputs, geniex_features, geniex_epilogue,
+//           quantize_to_i8, quantize_to_i16, gemm_at_i8_i32acc,
+//           adc_shift_add_i32
+//   [~ulp]  dot, axpy, gemm_accum, gemm_at_accum, gemm_bt_accum, mlp_tanh
 //
 // Reduction trees:
 //   * dot: 8 strided lanes (lane l accumulates elements l, l+8, ...)
@@ -95,10 +103,6 @@ float dot(const float* a, const float* b, std::int64_t n);
 
 /// [~ulp] y[i] += alpha * x[i] (fused in the vector tiers).
 void axpy(float* y, const float* x, float alpha, std::int64_t n);
-
-/// [exact] y[i] += alpha * x[i] with an UNfused multiply-add — matches
-/// legacy scalar accumulation loops bit-for-bit (GENIEx MLP forward).
-void madd(float* y, const float* x, float alpha, std::int64_t n);
 
 /// [exact] y[i] = alpha * x[i].
 void scale(float* y, const float* x, float alpha, std::int64_t n);
@@ -175,11 +179,57 @@ void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
 void quantize_affine(float* out, const float* x, std::int64_t n, float scale,
                      float qmax);
 
-/// [exact] acc[i] += shift * (adc(cur[i]) - baseline[i]) where adc() is
-/// the mid-tread ADC quantizer round(clamp(c,0,fs)/fs*steps)*fs/steps —
-/// the fused ADC + baseline-subtract + shift-add of the tiled GEMM.
+/// [exact] acc[r*n + i] += shift * (adc(cur[r*n + i]) - baseline[i]) over
+/// a (rows x n) block, where adc() is the mid-tread ADC quantizer
+/// round(clamp(c,0,fs)/fs*steps)*fs/steps — the fused ADC +
+/// baseline-subtract + shift-add of the tiled GEMM, one call per crossbar
+/// pass (one baseline value per input column). Ragged rows finish with a
+/// masked (AVX2/AVX-512) or staged (NEON) vector, never a scalar tail.
 void adc_shift_add(float* acc, const float* cur, const float* baseline,
-                   std::int64_t n, float full_scale, float steps, float shift);
+                   std::int64_t rows, std::int64_t n, float full_scale,
+                   float steps, float shift);
+
+// GENIEx surrogate glue ---------------------------------------------------
+// The elementwise stages around the GENIEx feature GEMMs and MLP forward
+// (xbar/geniex.cpp). All [exact]: each lane runs the scalar reference's
+// IEEE ops in the same order, ragged tails are masked (AVX2/AVX-512) or
+// staged (NEON), and per-vector sums stay sequential over rows, so every
+// tier and every batch width gives the same bits.
+
+/// [exact] Input transforms and per-vector sums of a (rows x n) voltage
+/// block v (row-major, ld n):
+///   vv[i*n + k] = v*v, vr[i*n + k] = v * growsum[i],
+///   sums[k] = (sum_i v) * nv, sums[n + k] = (sum_i vv) * nv2,
+///   sums[2n + k] = (sum_i vr) * nr,
+/// each sum a float accumulation from +0 sequential over i.
+void geniex_inputs(float* vv, float* vr, float* sums, const float* v,
+                   const float* growsum, std::int64_t rows, std::int64_t n,
+                   float nv, float nv2, float nr);
+
+/// [exact] Assembles the feature-major GENIEx feature block of `cols`
+/// columns x n vectors in place: feature f of sample (j, k) lives at
+/// ft[f*ns + j*n + k] with ns = cols*n. On entry rows 4, 5 and 9 hold the
+/// raw energy, power and wire-distance GEMM outputs; on exit
+///   row 0 = iid / i_scale, row 4 /= d_e, row 5 /= d_p, row 9 /= d_w
+///   (IEEE divides, not reciprocal multiplies),
+///   rows 1 and 7 = colf[2j] and colf[2j + 1] (per-column constants),
+///   row 8 = garr, rows 2, 3 and 6 = sums rows 0, 1 and 2 (per vector).
+void geniex_features(float* ft, const float* iid, const float* sums,
+                     const float* colf, std::int64_t cols, std::int64_t n,
+                     float i_scale, float d_e, float d_p, float d_w,
+                     float garr);
+
+/// [exact] GENIEx output epilogue over (cols x n) samples:
+///   out = std::clamp(iid - rel * std::max(iid, floor), 0, full_scale)
+/// with an unfused multiply then subtract; a NaN passes through the clamp
+/// as in std::clamp. With `guard`, flags[k] = 1 when any column's rel for
+/// vector k is non-finite or outside [rel_min, rel_max] and 0 otherwise
+/// (all 0 without guard). Returns the number of non-finite outputs.
+std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
+                             const float* iid, const float* rel,
+                             std::int64_t cols, std::int64_t n, float floor,
+                             float full_scale, bool guard, float rel_min,
+                             float rel_max);
 
 // Integer bit-slice kernels (DESIGN.md §13) -------------------------------
 // The tiled GEMM's operands are small non-negative integers (weight

@@ -6,8 +6,9 @@
 // Parity rules mirrored from simd.h: [exact] kernels use the same
 // unfused mul/add sequence as the scalar reference in simd.cpp; [~ulp]
 // kernels (dot, axpy, gemm, gemm_at, gemm_bt, mlp_tanh) use FMA in the
-// vector body. gemm_madd and mlp_tanh finish ragged columns with
-// maskload/maskstore vectors, so they have no scalar tail.
+// vector body. gemm_madd, mlp_tanh, adc_shift_add and the geniex_* glue
+// kernels finish ragged columns with maskload/maskstore vectors, so they
+// have no scalar tail.
 // Scalar tail loops in this TU are unfused like the reference (the whole
 // build carries -ffp-contract=off; FMA only appears via intrinsics).
 #include "common/simd_kernels.h"
@@ -42,6 +43,21 @@ inline __m256 round_nonneg(__m256 t) {
   const __m256 ge =
       _mm256_cmp_ps(frac, _mm256_set1_ps(0.5f), _CMP_GE_OQ);
   return _mm256_add_ps(fl, _mm256_and_ps(ge, _mm256_set1_ps(1.0f)));
+}
+
+/// Lane mask selecting the first min(lanes, 8) floats of a vector
+/// (`lanes` >= 1).
+inline __m256i tail_mask8(std::int64_t lanes) {
+  return _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(std::min<std::int64_t>(lanes, 8))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Lanes holding NaN or +-Inf: !(|x| < inf), as !std::isfinite.
+inline __m256 nonfinite8(__m256 x) {
+  const __m256 abs =
+      _mm256_and_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
+  return _mm256_cmp_ps(abs, _mm256_set1_ps(HUGE_VALF), _CMP_NLT_UQ);
 }
 
 /// tanh_fast on 8 lanes: the same polynomial op sequence, saturation
@@ -88,19 +104,6 @@ void axpy_avx2(float* y, const float* x, float alpha, std::int64_t n) {
         y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i),
                                _mm256_loadu_ps(y + i)));
   for (std::int64_t i = n8; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void madd_avx2(float* y, const float* x, float alpha, std::int64_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8) {
-    const __m256 t = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), t));
-  }
-  for (std::int64_t i = n8; i < n; ++i) {
-    const float t = alpha * x[i];
-    y[i] = y[i] + t;
-  }
 }
 
 void scale_avx2(float* y, const float* x, float alpha, std::int64_t n) {
@@ -262,30 +265,139 @@ void quantize_affine_avx2(float* out, const float* x, std::int64_t n,
 }
 
 void adc_shift_add_avx2(float* acc, const float* cur, const float* baseline,
-                        std::int64_t n, float full_scale, float steps,
-                        float shift) {
+                        std::int64_t rows, std::int64_t n, float full_scale,
+                        float steps, float shift) {
   const __m256 zero = _mm256_setzero_ps();
   const __m256 vfs = _mm256_set1_ps(full_scale);
   const __m256 vsteps = _mm256_set1_ps(steps);
   const __m256 vshift = _mm256_set1_ps(shift);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8) {
-    const __m256 clamped =
-        _mm256_min_ps(_mm256_max_ps(_mm256_loadu_ps(cur + i), zero), vfs);
-    const __m256 r =
-        round_nonneg(_mm256_mul_ps(_mm256_div_ps(clamped, vfs), vsteps));
-    const __m256 q = _mm256_div_ps(_mm256_mul_ps(r, vfs), vsteps);
-    const __m256 d = _mm256_sub_ps(q, _mm256_loadu_ps(baseline + i));
-    // Unfused mul+add to match the scalar reference bit-for-bit.
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i),
-                                            _mm256_mul_ps(vshift, d)));
+  for (std::int64_t row = 0; row < rows; ++row) {
+    float* arow = acc + row * n;
+    const float* crow = cur + row * n;
+    for (std::int64_t i = 0; i < n; i += 8) {
+      const __m256i m = tail_mask8(n - i);
+      const __m256 clamped = _mm256_min_ps(
+          _mm256_max_ps(_mm256_maskload_ps(crow + i, m), zero), vfs);
+      const __m256 r =
+          round_nonneg(_mm256_mul_ps(_mm256_div_ps(clamped, vfs), vsteps));
+      const __m256 q = _mm256_div_ps(_mm256_mul_ps(r, vfs), vsteps);
+      const __m256 d = _mm256_sub_ps(q, _mm256_maskload_ps(baseline + i, m));
+      // Unfused mul+add to match the scalar reference bit-for-bit.
+      _mm256_maskstore_ps(arow + i, m,
+                          _mm256_add_ps(_mm256_maskload_ps(arow + i, m),
+                                        _mm256_mul_ps(vshift, d)));
+    }
   }
-  for (std::int64_t i = n8; i < n; ++i) {
-    const float clamped = std::clamp(cur[i], 0.0f, full_scale);
-    const float q = std::round(clamped / full_scale * steps) * full_scale /
-                    steps;
-    acc[i] += shift * (q - baseline[i]);
+}
+
+void geniex_inputs_avx2(float* vv, float* vr, float* sums, const float* v,
+                        const float* growsum, std::int64_t rows,
+                        std::int64_t n, float nv, float nv2, float nr) {
+  // One vector of input columns at a time, its three sums held in
+  // registers across the whole (sequential) row loop.
+  for (std::int64_t k = 0; k < n; k += 8) {
+    const __m256i m = tail_mask8(n - k);
+    __m256 sv = _mm256_setzero_ps();
+    __m256 sv2 = _mm256_setzero_ps();
+    __m256 sr = _mm256_setzero_ps();
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const __m256 x = _mm256_maskload_ps(v + i * n + k, m);
+      const __m256 x2 = _mm256_mul_ps(x, x);
+      const __m256 xr = _mm256_mul_ps(x, _mm256_set1_ps(growsum[i]));
+      _mm256_maskstore_ps(vv + i * n + k, m, x2);
+      _mm256_maskstore_ps(vr + i * n + k, m, xr);
+      sv = _mm256_add_ps(sv, x);
+      sv2 = _mm256_add_ps(sv2, x2);
+      sr = _mm256_add_ps(sr, xr);
+    }
+    _mm256_maskstore_ps(sums + k, m, _mm256_mul_ps(sv, _mm256_set1_ps(nv)));
+    _mm256_maskstore_ps(sums + n + k, m,
+                        _mm256_mul_ps(sv2, _mm256_set1_ps(nv2)));
+    _mm256_maskstore_ps(sums + 2 * n + k, m,
+                        _mm256_mul_ps(sr, _mm256_set1_ps(nr)));
   }
+}
+
+void geniex_features_avx2(float* ft, const float* iid, const float* sums,
+                          const float* colf, std::int64_t cols,
+                          std::int64_t n, float i_scale, float d_e, float d_p,
+                          float d_w, float garr) {
+  const std::int64_t ns = cols * n;
+  const __m256 vis = _mm256_set1_ps(i_scale);
+  const __m256 vde = _mm256_set1_ps(d_e);
+  const __m256 vdp = _mm256_set1_ps(d_p);
+  const __m256 vdw = _mm256_set1_ps(d_w);
+  const __m256 vgarr = _mm256_set1_ps(garr);
+  constexpr std::int64_t kSumRow[3] = {2, 3, 6};  // vbar, v2bar, rbar
+  for (std::int64_t j = 0; j < cols; ++j) {
+    float* F = ft + j * n;
+    const float* ji = iid + j * n;
+    const __m256 fg = _mm256_set1_ps(colf[2 * j]);
+    const __m256 fpos = _mm256_set1_ps(colf[2 * j + 1]);
+    for (std::int64_t k = 0; k < n; k += 8) {
+      const __m256i m = tail_mask8(n - k);
+      auto div_row = [&](std::int64_t f, const float* src, __m256 d) {
+        _mm256_maskstore_ps(
+            F + f * ns + k, m,
+            _mm256_div_ps(_mm256_maskload_ps(src + k, m), d));
+      };
+      div_row(0, ji, vis);
+      div_row(4, F + 4 * ns, vde);
+      div_row(5, F + 5 * ns, vdp);
+      div_row(9, F + 9 * ns, vdw);
+      _mm256_maskstore_ps(F + 1 * ns + k, m, fg);
+      _mm256_maskstore_ps(F + 7 * ns + k, m, fpos);
+      _mm256_maskstore_ps(F + 8 * ns + k, m, vgarr);
+      for (std::int64_t s = 0; s < 3; ++s)
+        _mm256_maskstore_ps(F + kSumRow[s] * ns + k, m,
+                            _mm256_maskload_ps(sums + s * n + k, m));
+    }
+  }
+}
+
+std::int64_t geniex_epilogue_avx2(float* out, std::int8_t* flags,
+                                  const float* iid, const float* rel,
+                                  std::int64_t cols, std::int64_t n,
+                                  float floor, float full_scale, bool guard,
+                                  float rel_min, float rel_max) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 vfloor = _mm256_set1_ps(floor);
+  const __m256 vfs = _mm256_set1_ps(full_scale);
+  const __m256 vmin = _mm256_set1_ps(rel_min);
+  const __m256 vmax = _mm256_set1_ps(rel_max);
+  std::int64_t nonfinite = 0;
+  // Vector-major: one lane block of input vectors runs down all columns,
+  // so its envelope flags OR together in a mask register.
+  for (std::int64_t k = 0; k < n; k += 8) {
+    const std::int64_t lanes = std::min<std::int64_t>(8, n - k);
+    const __m256i m = tail_mask8(lanes);
+    const int live = (1 << lanes) - 1;
+    __m256 bad = _mm256_setzero_ps();
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const __m256 x = _mm256_maskload_ps(iid + j * n + k, m);
+      const __m256 r = _mm256_maskload_ps(rel + j * n + k, m);
+      if (guard)
+        bad = _mm256_or_ps(
+            bad, _mm256_or_ps(nonfinite8(r),
+                              _mm256_or_ps(_mm256_cmp_ps(r, vmin, _CMP_LT_OQ),
+                                           _mm256_cmp_ps(r, vmax,
+                                                         _CMP_GT_OQ))));
+      // std::max(x, floor): x < floor ? floor : x (a NaN x stays NaN).
+      const __m256 denom = _mm256_blendv_ps(
+          x, vfloor, _mm256_cmp_ps(x, vfloor, _CMP_LT_OQ));
+      const __m256 t = _mm256_sub_ps(x, _mm256_mul_ps(r, denom));
+      // std::clamp(t, 0, fs): t < 0 ? 0 : (fs < t ? fs : t).
+      __m256 o = _mm256_blendv_ps(t, vfs, _mm256_cmp_ps(vfs, t, _CMP_LT_OQ));
+      o = _mm256_blendv_ps(o, zero, _mm256_cmp_ps(t, zero, _CMP_LT_OQ));
+      _mm256_maskstore_ps(out + j * n + k, m, o);
+      nonfinite += __builtin_popcount(
+          static_cast<unsigned>(_mm256_movemask_ps(nonfinite8(o)) & live));
+    }
+    const int bits = _mm256_movemask_ps(bad);
+    for (std::int64_t l = 0; l < lanes; ++l)
+      flags[k + l] = static_cast<std::int8_t>((bits >> l) & 1);
+  }
+  return nonfinite;
 }
 
 namespace {
@@ -430,12 +542,6 @@ void adc_shift_add_i32_avx2(float* acc, const std::int32_t* dot,
 }
 
 namespace {
-
-/// Lane mask selecting the first `lanes` (1..8) floats of a vector.
-inline __m256i tail_mask8(std::int64_t lanes) {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
 
 /// Vector v of a V-vector block; with kTail the last vector touches only
 /// the lanes in `mask` (masked lanes load as zero and are never stored).
@@ -586,7 +692,6 @@ namespace {
 
 float dot_avx2(const float*, const float*, std::int64_t) { stub_fail(); }
 void axpy_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
-void madd_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
 void scale_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
 void gemm_avx2(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
@@ -621,7 +726,21 @@ void quantize_affine_avx2(float*, const float*, std::int64_t, float, float) {
   stub_fail();
 }
 void adc_shift_add_avx2(float*, const float*, const float*, std::int64_t,
-                        float, float, float) {
+                        std::int64_t, float, float, float) {
+  stub_fail();
+}
+void geniex_inputs_avx2(float*, float*, float*, const float*, const float*,
+                        std::int64_t, std::int64_t, float, float, float) {
+  stub_fail();
+}
+void geniex_features_avx2(float*, const float*, const float*, const float*,
+                          std::int64_t, std::int64_t, float, float, float,
+                          float, float) {
+  stub_fail();
+}
+std::int64_t geniex_epilogue_avx2(float*, std::int8_t*, const float*,
+                                  const float*, std::int64_t, std::int64_t,
+                                  float, float, bool, float, float) {
   stub_fail();
 }
 void quantize_to_i8_avx2(std::int8_t*, const float*, std::int64_t, float,

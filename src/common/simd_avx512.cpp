@@ -9,12 +9,13 @@
 // simd.cpp (elementwise IEEE ops are width-independent, so running them
 // 16 wide changes nothing); [~ulp] kernels (dot, axpy, gemm, gemm_at,
 // gemm_bt, mlp_tanh) use FMA in the vector body, and dot folds its 16
-// lanes pairwise onto the documented 8-lane tree. gemm_madd and mlp_tanh
-// finish ragged columns with masked vectors, so they have no scalar
-// tail. gemm_f64acc stays [exact]: float*float products are exact in
-// double, so fmadd_pd rounds like the reference's mul-then-add. Scalar
-// tail loops in this TU are unfused like the reference (the whole build
-// carries -ffp-contract=off; FMA only appears via intrinsics).
+// lanes pairwise onto the documented 8-lane tree. gemm_madd, mlp_tanh,
+// adc_shift_add and the geniex_* glue kernels finish ragged columns with
+// masked vectors, so they have no scalar tail. gemm_f64acc stays
+// [exact]: float*float products are exact in double, so fmadd_pd rounds
+// like the reference's mul-then-add. Scalar tail loops in this TU are
+// unfused like the reference (the whole build carries -ffp-contract=off;
+// FMA only appears via intrinsics).
 #include "common/simd_kernels.h"
 
 #ifdef NVM_SIMD_AVX512_TU
@@ -48,6 +49,18 @@ inline __m512 round_nonneg(__m512 t) {
   const __mmask16 ge =
       _mm512_cmp_ps_mask(frac, _mm512_set1_ps(0.5f), _CMP_GE_OQ);
   return _mm512_mask_add_ps(fl, ge, fl, _mm512_set1_ps(1.0f));
+}
+
+/// Lane mask for the next vector of a row with `lanes` (>= 1) floats left.
+inline __mmask16 tail16(std::int64_t lanes) {
+  return lanes >= 16 ? static_cast<__mmask16>(0xFFFF)
+                     : static_cast<__mmask16>((1u << lanes) - 1);
+}
+
+/// Lanes holding NaN or +-Inf: !(|x| < inf), as !std::isfinite.
+inline __mmask16 nonfinite16(__m512 x) {
+  return _mm512_cmp_ps_mask(_mm512_abs_ps(x), _mm512_set1_ps(HUGE_VALF),
+                            _CMP_NLT_UQ);
 }
 
 /// tanh_fast on 16 lanes: the same polynomial op sequence, saturation
@@ -96,19 +109,6 @@ void axpy_avx512(float* y, const float* x, float alpha, std::int64_t n) {
         y + i, _mm512_fmadd_ps(va, _mm512_loadu_ps(x + i),
                                _mm512_loadu_ps(y + i)));
   for (std::int64_t i = n16; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void madd_avx512(float* y, const float* x, float alpha, std::int64_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16) {
-    const __m512 t = _mm512_mul_ps(va, _mm512_loadu_ps(x + i));
-    _mm512_storeu_ps(y + i, _mm512_add_ps(_mm512_loadu_ps(y + i), t));
-  }
-  for (std::int64_t i = n16; i < n; ++i) {
-    const float t = alpha * x[i];
-    y[i] = y[i] + t;
-  }
 }
 
 void scale_avx512(float* y, const float* x, float alpha, std::int64_t n) {
@@ -264,30 +264,137 @@ void quantize_affine_avx512(float* out, const float* x, std::int64_t n,
 }
 
 void adc_shift_add_avx512(float* acc, const float* cur, const float* baseline,
-                          std::int64_t n, float full_scale, float steps,
-                          float shift) {
+                          std::int64_t rows, std::int64_t n, float full_scale,
+                          float steps, float shift) {
   const __m512 zero = _mm512_setzero_ps();
   const __m512 vfs = _mm512_set1_ps(full_scale);
   const __m512 vsteps = _mm512_set1_ps(steps);
   const __m512 vshift = _mm512_set1_ps(shift);
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16) {
-    const __m512 clamped =
-        _mm512_min_ps(_mm512_max_ps(_mm512_loadu_ps(cur + i), zero), vfs);
-    const __m512 r =
-        round_nonneg(_mm512_mul_ps(_mm512_div_ps(clamped, vfs), vsteps));
-    const __m512 q = _mm512_div_ps(_mm512_mul_ps(r, vfs), vsteps);
-    const __m512 d = _mm512_sub_ps(q, _mm512_loadu_ps(baseline + i));
-    // Unfused mul+add to match the scalar reference bit-for-bit.
-    _mm512_storeu_ps(acc + i, _mm512_add_ps(_mm512_loadu_ps(acc + i),
-                                            _mm512_mul_ps(vshift, d)));
+  for (std::int64_t row = 0; row < rows; ++row) {
+    float* arow = acc + row * n;
+    const float* crow = cur + row * n;
+    for (std::int64_t i = 0; i < n; i += 16) {
+      const __mmask16 m = tail16(n - i);
+      const __m512 clamped = _mm512_min_ps(
+          _mm512_max_ps(_mm512_maskz_loadu_ps(m, crow + i), zero), vfs);
+      const __m512 r =
+          round_nonneg(_mm512_mul_ps(_mm512_div_ps(clamped, vfs), vsteps));
+      const __m512 q = _mm512_div_ps(_mm512_mul_ps(r, vfs), vsteps);
+      const __m512 d =
+          _mm512_sub_ps(q, _mm512_maskz_loadu_ps(m, baseline + i));
+      // Unfused mul+add to match the scalar reference bit-for-bit.
+      _mm512_mask_storeu_ps(
+          arow + i, m,
+          _mm512_add_ps(_mm512_maskz_loadu_ps(m, arow + i),
+                        _mm512_mul_ps(vshift, d)));
+    }
   }
-  for (std::int64_t i = n16; i < n; ++i) {
-    const float clamped = std::clamp(cur[i], 0.0f, full_scale);
-    const float q = std::round(clamped / full_scale * steps) * full_scale /
-                    steps;
-    acc[i] += shift * (q - baseline[i]);
+}
+
+void geniex_inputs_avx512(float* vv, float* vr, float* sums, const float* v,
+                          const float* growsum, std::int64_t rows,
+                          std::int64_t n, float nv, float nv2, float nr) {
+  // One vector of input columns at a time, its three sums held in
+  // registers across the whole (sequential) row loop.
+  for (std::int64_t k = 0; k < n; k += 16) {
+    const __mmask16 m = tail16(n - k);
+    __m512 sv = _mm512_setzero_ps();
+    __m512 sv2 = _mm512_setzero_ps();
+    __m512 sr = _mm512_setzero_ps();
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const __m512 x = _mm512_maskz_loadu_ps(m, v + i * n + k);
+      const __m512 x2 = _mm512_mul_ps(x, x);
+      const __m512 xr = _mm512_mul_ps(x, _mm512_set1_ps(growsum[i]));
+      _mm512_mask_storeu_ps(vv + i * n + k, m, x2);
+      _mm512_mask_storeu_ps(vr + i * n + k, m, xr);
+      sv = _mm512_add_ps(sv, x);
+      sv2 = _mm512_add_ps(sv2, x2);
+      sr = _mm512_add_ps(sr, xr);
+    }
+    _mm512_mask_storeu_ps(sums + k, m, _mm512_mul_ps(sv, _mm512_set1_ps(nv)));
+    _mm512_mask_storeu_ps(sums + n + k, m,
+                          _mm512_mul_ps(sv2, _mm512_set1_ps(nv2)));
+    _mm512_mask_storeu_ps(sums + 2 * n + k, m,
+                          _mm512_mul_ps(sr, _mm512_set1_ps(nr)));
   }
+}
+
+void geniex_features_avx512(float* ft, const float* iid, const float* sums,
+                            const float* colf, std::int64_t cols,
+                            std::int64_t n, float i_scale, float d_e,
+                            float d_p, float d_w, float garr) {
+  const std::int64_t ns = cols * n;
+  const __m512 vis = _mm512_set1_ps(i_scale);
+  const __m512 vde = _mm512_set1_ps(d_e);
+  const __m512 vdp = _mm512_set1_ps(d_p);
+  const __m512 vdw = _mm512_set1_ps(d_w);
+  const __m512 vgarr = _mm512_set1_ps(garr);
+  constexpr std::int64_t kSumRow[3] = {2, 3, 6};  // vbar, v2bar, rbar
+  for (std::int64_t j = 0; j < cols; ++j) {
+    float* F = ft + j * n;
+    const float* ji = iid + j * n;
+    const __m512 fg = _mm512_set1_ps(colf[2 * j]);
+    const __m512 fpos = _mm512_set1_ps(colf[2 * j + 1]);
+    for (std::int64_t k = 0; k < n; k += 16) {
+      const __mmask16 m = tail16(n - k);
+      auto div_row = [&](std::int64_t f, const float* src, __m512 d) {
+        _mm512_mask_storeu_ps(
+            F + f * ns + k, m,
+            _mm512_div_ps(_mm512_maskz_loadu_ps(m, src + k), d));
+      };
+      div_row(0, ji, vis);
+      div_row(4, F + 4 * ns, vde);
+      div_row(5, F + 5 * ns, vdp);
+      div_row(9, F + 9 * ns, vdw);
+      _mm512_mask_storeu_ps(F + 1 * ns + k, m, fg);
+      _mm512_mask_storeu_ps(F + 7 * ns + k, m, fpos);
+      _mm512_mask_storeu_ps(F + 8 * ns + k, m, vgarr);
+      for (std::int64_t s = 0; s < 3; ++s)
+        _mm512_mask_storeu_ps(F + kSumRow[s] * ns + k, m,
+                              _mm512_maskz_loadu_ps(m, sums + s * n + k));
+    }
+  }
+}
+
+std::int64_t geniex_epilogue_avx512(float* out, std::int8_t* flags,
+                                    const float* iid, const float* rel,
+                                    std::int64_t cols, std::int64_t n,
+                                    float floor, float full_scale, bool guard,
+                                    float rel_min, float rel_max) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 vfloor = _mm512_set1_ps(floor);
+  const __m512 vfs = _mm512_set1_ps(full_scale);
+  const __m512 vmin = _mm512_set1_ps(rel_min);
+  const __m512 vmax = _mm512_set1_ps(rel_max);
+  std::int64_t nonfinite = 0;
+  // Vector-major: one lane block of input vectors runs down all columns,
+  // so its envelope flags OR together in a mask register.
+  for (std::int64_t k = 0; k < n; k += 16) {
+    const __mmask16 m = tail16(n - k);
+    __mmask16 bad = 0;
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const __m512 x = _mm512_maskz_loadu_ps(m, iid + j * n + k);
+      const __m512 r = _mm512_maskz_loadu_ps(m, rel + j * n + k);
+      if (guard)
+        bad |= nonfinite16(r) | _mm512_cmp_ps_mask(r, vmin, _CMP_LT_OQ) |
+               _mm512_cmp_ps_mask(r, vmax, _CMP_GT_OQ);
+      // std::max(x, floor): x < floor ? floor : x (a NaN x stays NaN).
+      const __m512 denom = _mm512_mask_blend_ps(
+          _mm512_cmp_ps_mask(x, vfloor, _CMP_LT_OQ), x, vfloor);
+      const __m512 t = _mm512_sub_ps(x, _mm512_mul_ps(r, denom));
+      // std::clamp(t, 0, fs): t < 0 ? 0 : (fs < t ? fs : t).
+      __m512 o =
+          _mm512_mask_blend_ps(_mm512_cmp_ps_mask(vfs, t, _CMP_LT_OQ), t, vfs);
+      o = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(t, zero, _CMP_LT_OQ), o,
+                               zero);
+      _mm512_mask_storeu_ps(out + j * n + k, m, o);
+      nonfinite += __builtin_popcount(
+          static_cast<unsigned>(nonfinite16(o) & m));
+    }
+    _mm_mask_storeu_epi8(flags + k, m,
+                         _mm_maskz_mov_epi8(bad & m, _mm_set1_epi8(1)));
+  }
+  return nonfinite;
 }
 
 namespace {
@@ -552,7 +659,6 @@ namespace {
 
 float dot_avx512(const float*, const float*, std::int64_t) { stub_fail(); }
 void axpy_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
-void madd_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
 void scale_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
 void gemm_avx512(float*, const float*, const float*, std::int64_t,
                  std::int64_t, std::int64_t, std::int64_t, std::int64_t,
@@ -589,7 +695,21 @@ void quantize_affine_avx512(float*, const float*, std::int64_t, float,
   stub_fail();
 }
 void adc_shift_add_avx512(float*, const float*, const float*, std::int64_t,
-                          float, float, float) {
+                          std::int64_t, float, float, float) {
+  stub_fail();
+}
+void geniex_inputs_avx512(float*, float*, float*, const float*, const float*,
+                          std::int64_t, std::int64_t, float, float, float) {
+  stub_fail();
+}
+void geniex_features_avx512(float*, const float*, const float*, const float*,
+                            std::int64_t, std::int64_t, float, float, float,
+                            float, float) {
+  stub_fail();
+}
+std::int64_t geniex_epilogue_avx512(float*, std::int8_t*, const float*,
+                                    const float*, std::int64_t, std::int64_t,
+                                    float, float, bool, float, float) {
   stub_fail();
 }
 void quantize_to_i8_avx512(std::int8_t*, const float*, std::int64_t, float,

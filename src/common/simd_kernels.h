@@ -23,7 +23,6 @@ bool neon_tu_compiled();
 #define NVM_SIMD_DECLARE_KERNELS(SUF)                                        \
   float dot_##SUF(const float* a, const float* b, std::int64_t n);           \
   void axpy_##SUF(float* y, const float* x, float alpha, std::int64_t n);    \
-  void madd_##SUF(float* y, const float* x, float alpha, std::int64_t n);    \
   void scale_##SUF(float* y, const float* x, float alpha, std::int64_t n);   \
   void gemm_##SUF(float* c, const float* a, const float* b, std::int64_t m,  \
                   std::int64_t n, std::int64_t k, std::int64_t lda,          \
@@ -49,8 +48,20 @@ bool neon_tu_compiled();
   void quantize_affine_##SUF(float* out, const float* x, std::int64_t n,     \
                              float scale, float qmax);                       \
   void adc_shift_add_##SUF(float* acc, const float* cur,                     \
-                           const float* baseline, std::int64_t n,            \
-                           float full_scale, float steps, float shift);      \
+                           const float* baseline, std::int64_t rows,         \
+                           std::int64_t n, float full_scale, float steps,    \
+                           float shift);                                     \
+  void geniex_inputs_##SUF(float* vv, float* vr, float* sums, const float* v, \
+                           const float* growsum, std::int64_t rows,          \
+                           std::int64_t n, float nv, float nv2, float nr);   \
+  void geniex_features_##SUF(float* ft, const float* iid, const float* sums, \
+                             const float* colf, std::int64_t cols,           \
+                             std::int64_t n, float i_scale, float d_e,       \
+                             float d_p, float d_w, float garr);              \
+  std::int64_t geniex_epilogue_##SUF(                                        \
+      float* out, std::int8_t* flags, const float* iid, const float* rel,    \
+      std::int64_t cols, std::int64_t n, float floor, float full_scale,      \
+      bool guard, float rel_min, float rel_max);                             \
   void quantize_to_i8_##SUF(std::int8_t* out, const float* x,                \
                             std::int64_t n, float scale, float qmax);        \
   void quantize_to_i16_##SUF(std::int16_t* out, const float* x,              \

@@ -5,10 +5,10 @@
 // Parity rules mirrored from simd.h: [exact] kernels repeat the scalar
 // reference's unfused per-element op sequence 4 lanes at a time (NEON
 // float ops are IEEE-754 compliant on AArch64); [~ulp] kernels use vfmaq
-// in the vector body; gemm_madd and mlp_tanh stage ragged columns through
-// a zero-padded vector instead of a scalar tail; dot uses two float32x4
-// accumulators so its lane layout matches the documented 8-strided-lane
-// tree exactly. vrndaq_f32
+// in the vector body; gemm_madd, mlp_tanh, adc_shift_add and the geniex_*
+// glue kernels stage ragged columns through a zero-padded vector instead
+// of a scalar tail; dot uses two float32x4 accumulators so its lane
+// layout matches the documented 8-strided-lane tree exactly. vrndaq_f32
 // rounds half away from zero, which is std::round's semantics, so the
 // quantize/ADC kernels need no floor+frac trick here. gemm_f64acc uses
 // vfmaq_f64 on exact float*float products — bit-identical to the scalar
@@ -34,6 +34,30 @@ namespace {
 inline float reduce_lanes(const float lanes[8]) {
   return ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
          ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+}
+
+/// The first `lanes` (1..4) floats at p as a vector; a ragged tail is
+/// staged through a zero-padded buffer so nothing past p[lanes-1] is read.
+inline float32x4_t load_part(const float* p, std::int64_t lanes) {
+  if (lanes == 4) return vld1q_f32(p);
+  float t[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  for (std::int64_t l = 0; l < lanes; ++l) t[l] = p[l];
+  return vld1q_f32(t);
+}
+
+inline void store_part(float* p, float32x4_t x, std::int64_t lanes) {
+  if (lanes == 4) {
+    vst1q_f32(p, x);
+    return;
+  }
+  float t[4];
+  vst1q_f32(t, x);
+  for (std::int64_t l = 0; l < lanes; ++l) p[l] = t[l];
+}
+
+/// Lanes holding NaN or +-Inf: !(|x| < inf), as !std::isfinite.
+inline uint32x4_t nonfinite4(float32x4_t x) {
+  return vmvnq_u32(vcltq_f32(vabsq_f32(x), vdupq_n_f32(HUGE_VALF)));
 }
 
 /// tanh_fast on 4 lanes: the same polynomial op sequence, saturation
@@ -78,19 +102,6 @@ void axpy_neon(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n4; i += 4)
     vst1q_f32(y + i, vfmaq_f32(vld1q_f32(y + i), va, vld1q_f32(x + i)));
   for (std::int64_t i = n4; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void madd_neon(float* y, const float* x, float alpha, std::int64_t n) {
-  const float32x4_t va = vdupq_n_f32(alpha);
-  const std::int64_t n4 = n & ~std::int64_t{3};
-  for (std::int64_t i = 0; i < n4; i += 4) {
-    const float32x4_t t = vmulq_f32(va, vld1q_f32(x + i));
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), t));
-  }
-  for (std::int64_t i = n4; i < n; ++i) {
-    const float t = alpha * x[i];
-    y[i] = y[i] + t;
-  }
 }
 
 void scale_neon(float* y, const float* x, float alpha, std::int64_t n) {
@@ -265,29 +276,135 @@ void quantize_affine_neon(float* out, const float* x, std::int64_t n,
 }
 
 void adc_shift_add_neon(float* acc, const float* cur, const float* baseline,
-                        std::int64_t n, float full_scale, float steps,
-                        float shift) {
+                        std::int64_t rows, std::int64_t n, float full_scale,
+                        float steps, float shift) {
   const float32x4_t zero = vdupq_n_f32(0.0f);
   const float32x4_t vfs = vdupq_n_f32(full_scale);
   const float32x4_t vsteps = vdupq_n_f32(steps);
   const float32x4_t vshift = vdupq_n_f32(shift);
-  const std::int64_t n4 = n & ~std::int64_t{3};
-  for (std::int64_t i = 0; i < n4; i += 4) {
-    const float32x4_t clamped =
-        vminq_f32(vmaxq_f32(vld1q_f32(cur + i), zero), vfs);
-    const float32x4_t r =
-        vrndaq_f32(vmulq_f32(vdivq_f32(clamped, vfs), vsteps));
-    const float32x4_t q = vdivq_f32(vmulq_f32(r, vfs), vsteps);
-    const float32x4_t d = vsubq_f32(q, vld1q_f32(baseline + i));
-    // Unfused mul+add to match the scalar reference bit-for-bit.
-    vst1q_f32(acc + i, vaddq_f32(vld1q_f32(acc + i), vmulq_f32(vshift, d)));
+  for (std::int64_t row = 0; row < rows; ++row) {
+    float* arow = acc + row * n;
+    const float* crow = cur + row * n;
+    for (std::int64_t i = 0; i < n; i += 4) {
+      const std::int64_t lanes = std::min<std::int64_t>(4, n - i);
+      const float32x4_t clamped =
+          vminq_f32(vmaxq_f32(load_part(crow + i, lanes), zero), vfs);
+      const float32x4_t r =
+          vrndaq_f32(vmulq_f32(vdivq_f32(clamped, vfs), vsteps));
+      const float32x4_t q = vdivq_f32(vmulq_f32(r, vfs), vsteps);
+      const float32x4_t d = vsubq_f32(q, load_part(baseline + i, lanes));
+      // Unfused mul+add to match the scalar reference bit-for-bit.
+      store_part(arow + i,
+                 vaddq_f32(load_part(arow + i, lanes), vmulq_f32(vshift, d)),
+                 lanes);
+    }
   }
-  for (std::int64_t i = n4; i < n; ++i) {
-    const float clamped = std::clamp(cur[i], 0.0f, full_scale);
-    const float q = std::round(clamped / full_scale * steps) * full_scale /
-                    steps;
-    acc[i] += shift * (q - baseline[i]);
+}
+
+void geniex_inputs_neon(float* vv, float* vr, float* sums, const float* v,
+                        const float* growsum, std::int64_t rows,
+                        std::int64_t n, float nv, float nv2, float nr) {
+  // One vector of input columns at a time, its three sums held in
+  // registers across the whole (sequential) row loop.
+  for (std::int64_t k = 0; k < n; k += 4) {
+    const std::int64_t lanes = std::min<std::int64_t>(4, n - k);
+    float32x4_t sv = vdupq_n_f32(0.0f);
+    float32x4_t sv2 = vdupq_n_f32(0.0f);
+    float32x4_t sr = vdupq_n_f32(0.0f);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const float32x4_t x = load_part(v + i * n + k, lanes);
+      const float32x4_t x2 = vmulq_f32(x, x);
+      const float32x4_t xr = vmulq_f32(x, vdupq_n_f32(growsum[i]));
+      store_part(vv + i * n + k, x2, lanes);
+      store_part(vr + i * n + k, xr, lanes);
+      sv = vaddq_f32(sv, x);
+      sv2 = vaddq_f32(sv2, x2);
+      sr = vaddq_f32(sr, xr);
+    }
+    store_part(sums + k, vmulq_f32(sv, vdupq_n_f32(nv)), lanes);
+    store_part(sums + n + k, vmulq_f32(sv2, vdupq_n_f32(nv2)), lanes);
+    store_part(sums + 2 * n + k, vmulq_f32(sr, vdupq_n_f32(nr)), lanes);
   }
+}
+
+void geniex_features_neon(float* ft, const float* iid, const float* sums,
+                          const float* colf, std::int64_t cols,
+                          std::int64_t n, float i_scale, float d_e, float d_p,
+                          float d_w, float garr) {
+  const std::int64_t ns = cols * n;
+  const float32x4_t vis = vdupq_n_f32(i_scale);
+  const float32x4_t vde = vdupq_n_f32(d_e);
+  const float32x4_t vdp = vdupq_n_f32(d_p);
+  const float32x4_t vdw = vdupq_n_f32(d_w);
+  const float32x4_t vgarr = vdupq_n_f32(garr);
+  constexpr std::int64_t kSumRow[3] = {2, 3, 6};  // vbar, v2bar, rbar
+  for (std::int64_t j = 0; j < cols; ++j) {
+    float* F = ft + j * n;
+    const float* ji = iid + j * n;
+    const float32x4_t fg = vdupq_n_f32(colf[2 * j]);
+    const float32x4_t fpos = vdupq_n_f32(colf[2 * j + 1]);
+    for (std::int64_t k = 0; k < n; k += 4) {
+      const std::int64_t lanes = std::min<std::int64_t>(4, n - k);
+      auto div_row = [&](std::int64_t f, const float* src, float32x4_t d) {
+        store_part(F + f * ns + k, vdivq_f32(load_part(src + k, lanes), d),
+                   lanes);
+      };
+      div_row(0, ji, vis);
+      div_row(4, F + 4 * ns, vde);
+      div_row(5, F + 5 * ns, vdp);
+      div_row(9, F + 9 * ns, vdw);
+      store_part(F + 1 * ns + k, fg, lanes);
+      store_part(F + 7 * ns + k, fpos, lanes);
+      store_part(F + 8 * ns + k, vgarr, lanes);
+      for (std::int64_t s = 0; s < 3; ++s)
+        store_part(F + kSumRow[s] * ns + k, load_part(sums + s * n + k, lanes),
+                   lanes);
+    }
+  }
+}
+
+std::int64_t geniex_epilogue_neon(float* out, std::int8_t* flags,
+                                  const float* iid, const float* rel,
+                                  std::int64_t cols, std::int64_t n,
+                                  float floor, float full_scale, bool guard,
+                                  float rel_min, float rel_max) {
+  const float32x4_t zero = vdupq_n_f32(0.0f);
+  const float32x4_t vfloor = vdupq_n_f32(floor);
+  const float32x4_t vfs = vdupq_n_f32(full_scale);
+  const float32x4_t vmin = vdupq_n_f32(rel_min);
+  const float32x4_t vmax = vdupq_n_f32(rel_max);
+  std::int64_t nonfinite = 0;
+  // Vector-major: one lane block of input vectors runs down all columns,
+  // so its envelope flags OR together in a mask register. Selects use
+  // compares + bsl (vmaxq/vminq would not keep std::max/clamp's NaN
+  // semantics).
+  for (std::int64_t k = 0; k < n; k += 4) {
+    const std::int64_t lanes = std::min<std::int64_t>(4, n - k);
+    uint32x4_t bad = vdupq_n_u32(0);
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const float32x4_t x = load_part(iid + j * n + k, lanes);
+      const float32x4_t r = load_part(rel + j * n + k, lanes);
+      if (guard)
+        bad = vorrq_u32(bad, vorrq_u32(nonfinite4(r),
+                                       vorrq_u32(vcltq_f32(r, vmin),
+                                                 vcgtq_f32(r, vmax))));
+      // std::max(x, floor): x < floor ? floor : x (a NaN x stays NaN).
+      const float32x4_t denom = vbslq_f32(vcltq_f32(x, vfloor), vfloor, x);
+      const float32x4_t t = vsubq_f32(x, vmulq_f32(r, denom));
+      // std::clamp(t, 0, fs): t < 0 ? 0 : (fs < t ? fs : t).
+      float32x4_t o = vbslq_f32(vcltq_f32(vfs, t), vfs, t);
+      o = vbslq_f32(vcltq_f32(t, zero), zero, o);
+      store_part(out + j * n + k, o, lanes);
+      std::uint32_t nf[4];
+      vst1q_u32(nf, nonfinite4(o));
+      for (std::int64_t l = 0; l < lanes; ++l) nonfinite += nf[l] != 0;
+    }
+    std::uint32_t b[4];
+    vst1q_u32(b, bad);
+    for (std::int64_t l = 0; l < lanes; ++l)
+      flags[k + l] = static_cast<std::int8_t>(b[l] != 0);
+  }
+  return nonfinite;
 }
 
 namespace {
@@ -415,25 +532,6 @@ void adc_shift_add_i32_neon(float* acc, const std::int32_t* dot,
 
 namespace {
 
-/// The first `lanes` (1..4) floats at p as a vector; a ragged tail is
-/// staged through a zero-padded buffer so nothing past p[lanes-1] is read.
-inline float32x4_t load_part(const float* p, std::int64_t lanes) {
-  if (lanes == 4) return vld1q_f32(p);
-  float t[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-  for (std::int64_t l = 0; l < lanes; ++l) t[l] = p[l];
-  return vld1q_f32(t);
-}
-
-inline void store_part(float* p, float32x4_t x, std::int64_t lanes) {
-  if (lanes == 4) {
-    vst1q_f32(p, x);
-    return;
-  }
-  float t[4];
-  vst1q_f32(t, x);
-  for (std::int64_t l = 0; l < lanes; ++l) p[l] = t[l];
-}
-
 /// R rows x V vectors of C held in registers across the whole k loop;
 /// every term is an unfused multiply then add, as in gemm_madd_scalar.
 /// The last vector covers `last` (1..4) lanes.
@@ -559,7 +657,6 @@ namespace {
 
 float dot_neon(const float*, const float*, std::int64_t) { stub_fail(); }
 void axpy_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
-void madd_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
 void scale_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
 void gemm_neon(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
@@ -594,7 +691,21 @@ void quantize_affine_neon(float*, const float*, std::int64_t, float, float) {
   stub_fail();
 }
 void adc_shift_add_neon(float*, const float*, const float*, std::int64_t,
-                        float, float, float) {
+                        std::int64_t, float, float, float) {
+  stub_fail();
+}
+void geniex_inputs_neon(float*, float*, float*, const float*, const float*,
+                        std::int64_t, std::int64_t, float, float, float) {
+  stub_fail();
+}
+void geniex_features_neon(float*, const float*, const float*, const float*,
+                          std::int64_t, std::int64_t, float, float, float,
+                          float, float) {
+  stub_fail();
+}
+std::int64_t geniex_epilogue_neon(float*, std::int8_t*, const float*,
+                                  const float*, std::int64_t, std::int64_t,
+                                  float, float, bool, float, float) {
   stub_fail();
 }
 void quantize_to_i8_neon(std::int8_t*, const float*, std::int64_t, float,

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -206,7 +207,8 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // the exact dot product); kIntChunks keeps the analog model but hands it
   // integer DAC codes instead of materialized voltages (bit-identical by
   // the mvm_chunks_active contract), through the slot's fused kernel when
-  // it has one. kLegacy is the float pipeline every other model runs.
+  // it has one (fast-noise, GENIEx). kLegacy is the float pipeline every
+  // other model runs (circuit solver, decorated models).
   enum class Path { kLegacy, kIntDigital, kIntChunks };
   Path path = Path::kLegacy;
   if (int_gates_ok_ && !force_legacy_route().load(std::memory_order_relaxed)) {
@@ -261,6 +263,10 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   };
   std::vector<StreamBlock> dac(
       static_cast<std::size_t>(row_tiles_ * streams));
+  // Each phase is one span on the calling thread (string-literal names),
+  // so a trace splits a matmul into DAC, crossbar passes and reduction;
+  // emplace() closes the previous phase's span.
+  std::optional<trace::Span> phase(std::in_place, "puma/tiled/dac");
   parallel_for(row_tiles_, [&](std::int64_t ti) {
     const std::int64_t k0 = ti * cfg.rows;
     const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
@@ -343,7 +349,9 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
 
   // Phase 2 — crossbar passes: every programmed tile slot of the schedule
   // is an independent task that streams its input chunks, ADC-quantizes,
-  // and shift-adds into a slot-local partial sum.
+  // and shift-adds into a slot-local partial sum (one adc_shift_add call
+  // per pass over the tile's m_used x n currents).
+  phase.emplace("puma/tiled/passes");
   std::vector<Tensor> partial(static_cast<std::size_t>(total_tile_slots()));
   static metrics::Counter& m_tile_mvms =
       metrics::counter("puma/tiled/tile_mvms");
@@ -387,8 +395,10 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
                                   adc_steps, shift);
       }
     } else if (path == Path::kIntChunks && step.kernel != nullptr) {
-      // Fused: the compiled per-cell tables replace the per-call table
-      // build; currents land in pooled scratch (no per-pass Tensor).
+      // Fused: the slot's compiled kernel (fast-noise tables, GENIEx
+      // surrogate) evaluates the integer DAC codes; currents land in
+      // pooled scratch float slot 3 (no per-pass Tensor), which kernels
+      // leave alone (FusedChunkKernel).
       m_fused_runs.add();
       std::span<float> cur = ws.floats(3, static_cast<std::size_t>(m_used * n));
       for (std::int64_t t = 0; t < streams; ++t) {
@@ -399,10 +409,8 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
         step.kernel->run(chunk_block(sb), k_used, m_used, cur.data(), ws);
         const float shift = step.shifts[static_cast<std::size_t>(t)];
         if (acc.numel() == 0) acc = Tensor({m_used, n});
-        for (std::int64_t mm = 0; mm < m_used; ++mm)
-          simd::adc_shift_add(acc.raw() + mm * n, cur.data() + mm * n,
-                              sb.baseline.data(), n, i_scale, adc_steps,
-                              shift);
+        simd::adc_shift_add(acc.raw(), cur.data(), sb.baseline.data(), m_used,
+                            n, i_scale, adc_steps, shift);
       }
     } else {
       // One stream per tile visit: chunk t+1 reuses state chunk t left
@@ -421,10 +429,8 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
                 : stream->mvm_multi_active(sb.volts, k_used, m_used);
         const float shift = step.shifts[static_cast<std::size_t>(t)];
         if (acc.numel() == 0) acc = Tensor({m_used, n});
-        for (std::int64_t mm = 0; mm < m_used; ++mm)
-          simd::adc_shift_add(acc.raw() + mm * n, currents.raw() + mm * n,
-                              sb.baseline.data(), n, i_scale, adc_steps,
-                              shift);
+        simd::adc_shift_add(acc.raw(), currents.raw(), sb.baseline.data(),
+                            m_used, n, i_scale, adc_steps, shift);
       }
     }
     if (passes != 0) m_tile_mvms.add(passes);
@@ -433,6 +439,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
 
   // Phase 3 — reduction: each output col tile owns disjoint result rows
   // and folds its slots in a fixed (row tile, polarity, slice) order.
+  phase.emplace("puma/tiled/reduce");
   const std::int64_t slices = hw_.weight_slices();
   parallel_for(col_tiles_, [&](std::int64_t tj) {
     const std::int64_t m0 = tj * cfg.cols;

@@ -32,9 +32,9 @@
 namespace nvm::puma {
 
 /// Test-only: while alive with `enabled == false`, every TiledMatrix takes
-/// the legacy float route (DESIGN.md §13) — the production route for
-/// GENIEx, the circuit solver and wrapped models, and the oracle the
-/// integer and fused routes are checked against. `true` restores the
+/// the legacy float route (DESIGN.md §13) — the production route for the
+/// circuit solver and wrapped models, and the oracle the integer and fused
+/// routes (ideal, fast-noise, GENIEx) are checked against. `true` restores the
 /// normal route selection. Restores the previous state on destruction.
 class ScopedIntPathForTests {
  public:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <vector>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -70,102 +71,124 @@ void fill_features(const CrossbarConfig& cfg, const ProgramStats& st,
   out[9] = w_j / (g_on * v_read * rows);
 }
 
+/// Per-config float constants of the evaluation core, computed once with
+/// the exact expressions (and so the exact roundings) fill_features and
+/// the per-call code always used.
+struct EvalNorms {
+  float nv, nv2, nr;             ///< vbar / v2bar / rbar sum scalings
+  float i_scale, d_e, d_p, d_w;  ///< divisors of feature rows 0, 4, 5, 9
+  float d_g;                     ///< divisor of the column-load feature
+  float rel_floor;               ///< denominator floor of the target
+
+  explicit EvalNorms(const CrossbarConfig& cfg) {
+    const std::int64_t rows = cfg.rows;
+    const float v_read = static_cast<float>(cfg.v_read);
+    const float g_on = static_cast<float>(cfg.g_on());
+    const float rows_f = static_cast<float>(cfg.rows);
+    i_scale = static_cast<float>(cfg.i_scale());
+    nv = 1.0f / (v_read * rows);
+    nv2 = 1.0f / (v_read * v_read * rows);
+    nr = 1.0f / (g_on * v_read * rows * rows);
+    d_e = g_on * v_read * v_read * rows_f;
+    d_p = g_on * g_on * v_read * rows_f * rows_f;
+    d_w = g_on * v_read * rows_f;
+    d_g = g_on * rows_f;
+    rel_floor = kGeniexRelFloor * i_scale;
+  }
+};
+
 class GeniexProgrammed final : public ProgrammedXbar {
  public:
   GeniexProgrammed(const CrossbarConfig& cfg, const MlpRegressor& mlp,
                    const GeniexGuardOptions& guard,
                    const FastNoiseModel& fallback, Tensor g)
-      : cfg_(cfg), mlp_(mlp), guard_(guard), stats_(cfg, g) {
+      : cfg_(cfg), mlp_(mlp), guard_(guard), stats_(cfg, g), norms_(cfg) {
     // The degradation target is programmed with the same conductances up
     // front, so a mid-batch fallback never re-enters program() (which
     // keeps concurrent mvm calls allocation- and race-free).
     if (guard_.enabled) fallback_xbar_ = fallback.program(g);
+    // Per-column feature constants (column load, column position).
+    const float cols_f = static_cast<float>(cfg_.cols);
+    colf_.resize(static_cast<std::size_t>(2 * cfg_.cols));
+    for (std::int64_t j = 0; j < cfg_.cols; ++j) {
+      colf_[static_cast<std::size_t>(2 * j)] = stats_.gsum[j] / norms_.d_g;
+      colf_[static_cast<std::size_t>(2 * j + 1)] =
+          cols_f > 1 ? static_cast<float>(j) / (cols_f - 1) : 0.0f;
+    }
   }
 
   Tensor mvm(const Tensor& v) override {
     Tensor vb = v.reshaped({cfg_.rows, 1});
-    Tensor out = mvm_batch(vb);
+    Tensor out = eval(vb, cfg_.rows, cfg_.cols);
     return out.reshaped({cfg_.cols});
   }
 
   Tensor mvm_batch(const Tensor& vb) override {
-    return eval_block(vb, cfg_.rows, cfg_.cols);
+    return eval(vb, cfg_.rows, cfg_.cols);
   }
 
   Tensor mvm_batch_active(const Tensor& vb, std::int64_t rows_used,
                           std::int64_t cols_used) override {
-    return eval_block(vb, rows_used, cols_used);
+    return eval(vb, rows_used, cols_used);
   }
 
   Tensor mvm_multi(const Tensor& v_block) override {
     NVM_CHECK_EQ(v_block.rank(), 2u);
     count_mvm_multi_columns(v_block.dim(1));
-    return eval_block(v_block, cfg_.rows, cfg_.cols);
+    return eval(v_block, cfg_.rows, cfg_.cols);
   }
 
   Tensor mvm_multi_active(const Tensor& v_block, std::int64_t rows_used,
                           std::int64_t cols_used) override {
     NVM_CHECK_EQ(v_block.rank(), 2u);
     count_mvm_multi_columns(v_block.dim(1));
-    return eval_block(v_block, rows_used, cols_used);
+    return eval(v_block, rows_used, cols_used);
   }
 
- private:
-  /// The blocked evaluation core behind every entry point. Runs entirely
-  /// on the calling thread. Every surrogate sample — one (column, input
-  /// vector) pair — is a pure function of its own inputs: the feature
-  /// GEMMs are gemm_madd ([exact], sequential over rows) and the MLP is
-  /// one batch-invariant mlp_tanh call over all cols_used * n samples, so
-  /// any blocking of the same inputs (including n=1 single-vector mvm)
-  /// produces bit-identical outputs.
-  Tensor eval_block(const Tensor& vb, std::int64_t rows_used,
-                    std::int64_t cols_used) {
+  std::unique_ptr<FusedChunkKernel> compile_chunk_kernel(
+      float v_unit, int max_code) const override;
+
+  std::int64_t rows() const { return cfg_.rows; }
+
+  /// The evaluation core behind every entry point and the chunk kernel.
+  /// `vb` holds the (rows_used x n) voltage block, row-major with leading
+  /// dimension n (rows beyond rows_used carry zero volts by the activity
+  /// hint contract, so they are never read); `out` receives the
+  /// (cols_used x n) column currents. Runs entirely on the calling thread
+  /// with scratch from `ws`. Every surrogate sample — one (column, input
+  /// vector) pair — is a pure function of its own inputs: the glue
+  /// kernels are [exact] elementwise ops, the feature GEMMs gemm_madd
+  /// ([exact], sequential over rows) and the MLP one batch-invariant
+  /// mlp_tanh call over all cols_used * n samples, so any blocking of the
+  /// same inputs (including n=1 single-vector mvm) gives the same bits.
+  void eval_core(const float* vb, std::int64_t n, std::int64_t rows_used,
+                 std::int64_t cols_used, float* out,
+                 simd::Workspace& ws) const {
     NVM_TRACE_SPAN("xbar/geniex/mvm_batch");
-    NVM_CHECK_EQ(vb.rank(), 2u);
-    NVM_CHECK_EQ(vb.dim(0), cfg_.rows);
     NVM_CHECK(rows_used >= 1 && rows_used <= cfg_.rows);
     NVM_CHECK(cols_used >= 1 && cols_used <= cfg_.cols);
-    const std::int64_t rows = cfg_.rows, cols = cfg_.cols, n = vb.dim(1);
+    const std::int64_t rows = cfg_.rows;
     const std::int64_t ns = cols_used * n;  // surrogate samples
-    const float v_read = static_cast<float>(cfg_.v_read);
-    const float g_on = static_cast<float>(cfg_.g_on());
-    const float i_scale = static_cast<float>(cfg_.i_scale());
-
-    // All per-call scratch lives in a per-thread workspace: one tiled
-    // matmul evaluates thousands of chunk blocks, and the reused buffers
-    // keep this path allocation-free after warm-up.
-    thread_local simd::Workspace ws;
     const auto sz = [](std::int64_t count) {
       return static_cast<std::size_t>(count);
     };
 
-    // Elementwise input transforms (rows beyond rows_used are zero volts,
-    // contributing exactly nothing to any sum below).
-    std::span<float> vv = ws.floats(0, sz(rows_used * n));
-    std::span<float> vr = ws.floats(1, sz(rows_used * n));
-    const float* pvb = vb.raw();
-    {
-      float* pvv = vv.data();
-      float* pvr = vr.data();
-      for (std::int64_t i = 0; i < rows_used; ++i) {
-        const float gr = stats_.growsum[i];
-        const float* src = pvb + i * n;
-        float* dv = pvv + i * n;
-        float* dr = pvr + i * n;
-        for (std::int64_t k = 0; k < n; ++k) {
-          dv[k] = src[k] * src[k];
-          dr[k] = src[k] * gr;
-        }
-      }
-    }
+    // Elementwise input transforms and per-vector sums. Float slot 0 is
+    // left to the chunk kernel's voltages and slot 3 to the tiled GEMM.
+    std::span<float> vv = ws.floats(1, sz(rows_used * n));
+    std::span<float> vr = ws.floats(2, sz(rows_used * n));
+    std::span<float> sums = ws.floats(6, sz(3 * n));
+    simd::geniex_inputs(vv.data(), vr.data(), sums.data(), vb,
+                        stats_.growsum.raw(), rows_used, n, norms_.nv,
+                        norms_.nv2, norms_.nr);
 
     // Feature-major block feeding the MLP: feature f of sample (j, k) at
     // ft[f * ns + j * n + k]. The energy, power and wire-distance GEMMs
-    // accumulate straight into their feature rows and are normalized in
-    // place below; the ideal current keeps its own buffer for the output
-    // formula.
-    std::span<float> ft = ws.floats(2, sz(kGeniexFeatureCount * ns));
-    std::span<float> iid = ws.floats(3, sz(ns));
+    // accumulate straight into their feature rows, which geniex_features
+    // normalizes in place; the ideal current keeps its own buffer for the
+    // output formula.
+    std::span<float> ft = ws.floats(4, sz(kGeniexFeatureCount * ns));
+    std::span<float> iid = ws.floats(5, sz(ns));
     float* fe = ft.data() + 4 * ns;
     float* fp = ft.data() + 5 * ns;
     float* fw = ft.data() + 9 * ns;
@@ -175,125 +198,75 @@ class GeniexProgrammed final : public ProgrammedXbar {
     std::fill(fw, fw + ns, 0.0f);
     const float* pgt = stats_.gt.raw();    // (cols, rows)
     const float* pgtd = stats_.gtd.raw();  // (cols, rows)
-    simd::gemm_madd(iid.data(), pgt, pvb, cols_used, n, rows_used, rows, n, n);
+    simd::gemm_madd(iid.data(), pgt, vb, cols_used, n, rows_used, rows, n, n);
     simd::gemm_madd(fe, pgt, vv.data(), cols_used, n, rows_used, rows, n, n);
     simd::gemm_madd(fp, pgt, vr.data(), cols_used, n, rows_used, rows, n, n);
-    simd::gemm_madd(fw, pgtd, pvb, cols_used, n, rows_used, rows, n, n);
+    simd::gemm_madd(fw, pgtd, vb, cols_used, n, rows_used, rows, n, n);
+    simd::geniex_features(ft.data(), iid.data(), sums.data(), colf_.data(),
+                          cols_used, n, norms_.i_scale, norms_.d_e,
+                          norms_.d_p, norms_.d_w, stats_.garr);
 
-    // Per-input-vector scalars.
-    std::span<float> vbar = ws.floats(4, sz(n));
-    std::span<float> v2bar = ws.floats(5, sz(n));
-    std::span<float> rbar = ws.floats(6, sz(n));
-    std::fill(vbar.begin(), vbar.end(), 0.0f);
-    std::fill(v2bar.begin(), v2bar.end(), 0.0f);
-    std::fill(rbar.begin(), rbar.end(), 0.0f);
-    {
-      const float* pvv = vv.data();
-      const float* pvr = vr.data();
-      for (std::int64_t i = 0; i < rows_used; ++i) {
-        const float* xb = pvb + i * n;
-        const float* xv = pvv + i * n;
-        const float* xr = pvr + i * n;
-        for (std::int64_t k = 0; k < n; ++k) {
-          vbar[static_cast<std::size_t>(k)] += xb[k];
-          v2bar[static_cast<std::size_t>(k)] += xv[k];
-          rbar[static_cast<std::size_t>(k)] += xr[k];
-        }
-      }
-      const float nv = 1.0f / (v_read * rows);
-      const float nv2 = 1.0f / (v_read * v_read * rows);
-      const float nr = 1.0f / (g_on * v_read * rows * rows);
-      for (std::int64_t k = 0; k < n; ++k) {
-        vbar[static_cast<std::size_t>(k)] *= nv;
-        v2bar[static_cast<std::size_t>(k)] *= nv2;
-        rbar[static_cast<std::size_t>(k)] *= nr;
-      }
-    }
-
-    // Remaining feature rows, normalized per sample with the same float
-    // denominators as fill_features.
-    const float rows_f = static_cast<float>(cfg_.rows);
-    const float cols_f = static_cast<float>(cfg_.cols);
-    const float d_e = g_on * v_read * v_read * rows_f;
-    const float d_p = g_on * g_on * v_read * rows_f * rows_f;
-    const float d_w = g_on * v_read * rows_f;
-    const float d_g = g_on * rows_f;
-    for (std::int64_t j = 0; j < cols_used; ++j) {
-      float* F = ft.data() + j * n;
-      const float* ji = iid.data() + j * n;
-      const float f_gsum = stats_.gsum[j] / d_g;
-      const float f_pos =
-          cols_f > 1 ? static_cast<float>(j) / (cols_f - 1) : 0.0f;
-      for (std::int64_t k = 0; k < n; ++k) {
-        F[0 * ns + k] = ji[k] / i_scale;
-        F[4 * ns + k] = F[4 * ns + k] / d_e;
-        F[5 * ns + k] = F[5 * ns + k] / d_p;
-        F[9 * ns + k] = F[9 * ns + k] / d_w;
-        F[1 * ns + k] = f_gsum;
-        F[7 * ns + k] = f_pos;
-        F[8 * ns + k] = stats_.garr;
-      }
-      std::copy(vbar.begin(), vbar.end(), F + 2 * ns);
-      std::copy(v2bar.begin(), v2bar.end(), F + 3 * ns);
-      std::copy(rbar.begin(), rbar.end(), F + 6 * ns);
-    }
     std::span<float> rel = ws.floats(7, sz(ns));
     mlp_.predict_block(ft.data(), ns, rel.data());
 
-    Tensor out({cols, n});
-    const float rel_floor = kGeniexRelFloor * i_scale;
-    std::span<std::int8_t> out_of_envelope = ws.i8s(0, sz(n));
-    std::fill(out_of_envelope.begin(), out_of_envelope.end(), 0);
-    bool any_fallback = false;
-    for (std::int64_t j = 0; j < cols_used; ++j) {
-      const float* ji = iid.data() + j * n;
-      const float* jr = rel.data() + j * n;
-      float* jo = out.raw() + j * n;
-      for (std::int64_t k = 0; k < n; ++k) {
-        const float r = jr[k];
-        if (guard_.enabled && (!std::isfinite(r) || r < guard_.rel_min ||
-                               r > guard_.rel_max)) {
-          // Out-of-envelope deviation: the surrogate is off its training
-          // distribution for this input. Its whole column set for sample k
-          // is distrusted and re-evaluated on the fallback model below.
-          out_of_envelope[static_cast<std::size_t>(k)] = 1;
-          any_fallback = true;
-        }
-        const float denom = std::max(ji[k], rel_floor);
-        // Physical clamp: column current is non-negative and bounded by
-        // the full-scale current.
-        jo[k] = std::clamp(ji[k] - r * denom, 0.0f, i_scale);
-      }
-    }
-    if (any_fallback) degrade_to_fallback(vb, out_of_envelope, cols_used, out);
-    guard_output_finite(out, "geniex");
+    // Physical clamp of I_ideal - r * max(I_ideal, floor) into
+    // [0, i_scale]; flags mark input vectors whose deviation left the
+    // trust envelope somewhere (the surrogate is off its training
+    // distribution there), re-evaluated on the fallback model below.
+    std::span<std::int8_t> flags = ws.i8s(0, sz(n));
+    const std::int64_t nonfinite = simd::geniex_epilogue(
+        out, flags.data(), iid.data(), rel.data(), cols_used, n,
+        norms_.rel_floor, norms_.i_scale, guard_.enabled, guard_.rel_min,
+        guard_.rel_max);
+    const bool fell_back = degrade_to_fallback(vb, n, rows_used, cols_used,
+                                               flags, out);
+    // The scrub scans only when a value can be non-finite, and only the
+    // written block: unused columns hold zeros, so the count (and the
+    // health accounting) equals a scan of the whole tile output.
+    if (nonfinite > 0 || fell_back)
+      guard_output_finite(out, cols_used * n, "geniex");
     static metrics::Counter& preds = metrics::counter("xbar/geniex/predictions");
     preds.add(static_cast<std::uint64_t>(ns));
-    return out;
   }
 
  private:
-  /// Replaces the output columns of every flagged sample with the
+  /// Checks the Tensor entry points' shapes and runs the core on a
+  /// per-thread workspace; output columns beyond cols_used stay zero.
+  Tensor eval(const Tensor& vb, std::int64_t rows_used,
+              std::int64_t cols_used) const {
+    NVM_CHECK_EQ(vb.rank(), 2u);
+    NVM_CHECK_EQ(vb.dim(0), cfg_.rows);
+    const std::int64_t n = vb.dim(1);
+    Tensor out({cfg_.cols, n});
+    thread_local simd::Workspace ws;
+    eval_core(vb.raw(), n, rows_used, cols_used, out.raw(), ws);
+    return out;
+  }
+
+  /// Replaces the output columns of every flagged input vector with the
   /// fast-noise model's prediction (counted + logged, never a crash).
-  void degrade_to_fallback(const Tensor& vb,
+  /// Returns whether any vector was replaced.
+  bool degrade_to_fallback(const float* vb, std::int64_t n,
+                           std::int64_t rows_used, std::int64_t cols_used,
                            std::span<const std::int8_t> flagged,
-                           std::int64_t cols_used, Tensor& out) {
-    const std::int64_t rows = cfg_.rows, n = vb.dim(1);
+                           float* out) const {
     std::uint64_t dropped = 0;
     for (std::int64_t k = 0; k < n; ++k) {
       if (flagged[static_cast<std::size_t>(k)] == 0) continue;
       ++dropped;
-      Tensor v({rows});
-      for (std::int64_t i = 0; i < rows; ++i) v[i] = vb.at(i, k);
+      Tensor v({cfg_.rows});  // rows beyond rows_used: zero volts
+      for (std::int64_t i = 0; i < rows_used; ++i) v[i] = vb[i * n + k];
       Tensor y = fallback_xbar_->mvm(v);
-      for (std::int64_t j = 0; j < cols_used; ++j) out.at(j, k) = y[j];
+      for (std::int64_t j = 0; j < cols_used; ++j) out[j * n + k] = y[j];
     }
+    if (dropped == 0) return false;
     const std::uint64_t total = bump(HealthCounter::SurrogateFallback, dropped);
     if (health_should_log(total))
       NVM_LOG(Warn) << "geniex surrogate out of envelope on " << cfg_.name
                     << " for " << dropped << " of " << n
                     << " input vector(s); fell back to fast_noise (total "
                     << total << ")";
+    return true;
   }
 
   const CrossbarConfig& cfg_;
@@ -301,7 +274,49 @@ class GeniexProgrammed final : public ProgrammedXbar {
   GeniexGuardOptions guard_;
   std::unique_ptr<ProgrammedXbar> fallback_xbar_;
   ProgramStats stats_;
+  EvalNorms norms_;
+  std::vector<float> colf_;  ///< per column: load feature, position feature
 };
+
+/// Chunk kernel of a programmed GENIEx crossbar. run() materializes the
+/// DAC voltages v_unit * float(code) — the floats materialize_chunk_volts
+/// and the float route's DAC phase build — for the used rows into
+/// workspace float slot 0, then runs the evaluation core, which writes
+/// the cols_used x n currents straight into the caller's buffer. The
+/// surrogate has no per-cell tables worth precomputing; the kernel's win
+/// is the integer DAC and skipping the per-pass Tensor round trip.
+class GeniexChunkKernel final : public FusedChunkKernel {
+ public:
+  GeniexChunkKernel(const GeniexProgrammed& xbar, float v_unit)
+      : xbar_(xbar), v_unit_(v_unit) {}
+
+  void run(const ChunkBlock& cb, std::int64_t rows_used,
+           std::int64_t cols_used, float* out,
+           simd::Workspace& ws) const override {
+    NVM_CHECK_EQ(cb.rows, xbar_.rows());
+    NVM_CHECK_EQ(cb.v_unit, v_unit_);
+    NVM_CHECK(rows_used >= 1 && rows_used <= cb.rows);
+    const std::int64_t n = cb.n;
+    if (n == 0) return;
+    count_mvm_multi_columns(n);
+    const std::int64_t cells = rows_used * n;
+    std::span<float> volts = ws.floats(0, static_cast<std::size_t>(cells));
+    for (std::int64_t i = 0; i < cells; ++i)
+      volts[static_cast<std::size_t>(i)] =
+          cb.v_unit * static_cast<float>(cb.chunk[i]);
+    xbar_.eval_core(volts.data(), n, rows_used, cols_used, out, ws);
+  }
+
+ private:
+  const GeniexProgrammed& xbar_;
+  float v_unit_;
+};
+
+std::unique_ptr<FusedChunkKernel> GeniexProgrammed::compile_chunk_kernel(
+    float v_unit, int max_code) const {
+  (void)max_code;  // any code alphabet: voltages are materialized per run
+  return std::make_unique<GeniexChunkKernel>(*this, v_unit);
+}
 
 }  // namespace
 

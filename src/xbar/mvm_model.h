@@ -40,10 +40,11 @@ struct ChunkBlock {
 
 /// A compiled, input-independent evaluation kernel for the chunk MVM of
 /// one programmed crossbar (see ProgrammedXbar::compile_chunk_kernel).
-/// Where mvm_chunks_active rebuilds its per-cell code tables on every
-/// call, a fused kernel precomputes everything that depends only on
-/// programmed state and the DAC code alphabet, leaving just the per-cell
-/// gather at run time. Contract: run() writes the same (cols_used x n)
+/// A fused kernel precomputes everything that depends only on programmed
+/// state and the DAC code alphabet (fast-noise: the per-cell code tables
+/// mvm_chunks_active rebuilds on every call, leaving just a gather) or
+/// runs the model's evaluation core on the codes with no Tensor round
+/// trip (GENIEx). Contract: run() writes the same (cols_used x n)
 /// currents mvm_chunks_active would return — bit-identical — into
 /// caller-provided scratch (row j of the tile's output at out + j*n), and
 /// performs the same metric/health accounting (count_mvm_multi_columns +
@@ -56,9 +57,12 @@ class FusedChunkKernel {
   /// Evaluates the chunk block; `cb.v_unit` must equal the v_unit the
   /// kernel was compiled for and codes must stay <= the compiled
   /// max_code. `out` must hold cols_used * n floats (fully overwritten).
-  /// `ws` provides the kernel's scratch — planned per task by the caller
-  /// instead of ad-hoc thread_local buffers (kernels use double slot 11
-  /// so they never alias the tiled-GEMM's own slots).
+  /// `ws` provides the kernel's scratch, planned per task by the caller
+  /// instead of ad-hoc thread_local buffers. Slot ownership: the caller
+  /// (puma::TiledMatrix::matmul) owns float slot 3 — its pass currents,
+  /// where `out` points — and the i32 slots of its integer routes; a
+  /// kernel may use every other slot (fast-noise takes double slot 11,
+  /// GENIEx float slots 0-2 and 4-7 and i8 slot 0) but never float slot 3.
   virtual void run(const ChunkBlock& cb, std::int64_t rows_used,
                    std::int64_t cols_used, float* out,
                    simd::Workspace& ws) const = 0;
@@ -177,9 +181,10 @@ class MvmModel {
   /// pipeline (DESIGN.md §13) without programming-model round trips.
   virtual bool is_ideal() const { return false; }
 
-  /// True when programmed crossbars of this model override
-  /// mvm_chunks_active with something faster than voltage
-  /// materialization.
+  /// True when programmed crossbars of this model evaluate integer DAC
+  /// codes faster than the float route: they override mvm_chunks_active
+  /// and/or compile_chunk_kernel, and puma::TiledMatrix then takes the
+  /// integer chunk route for them.
   virtual bool supports_chunk_mvm() const { return false; }
 };
 

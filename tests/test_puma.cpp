@@ -282,9 +282,9 @@ const xbar::GeniexFit& shared_fit() {
   return fit;
 }
 
-/// Backends x wrappers. Wrapped models and GENIEx take the legacy float
-/// route (decorators do not advertise chunk/ideal capabilities), bare
-/// fast_noise the fused chunk route, bare ideal the int-digital route —
+/// Backends x wrappers. Wrapped models take the legacy float route
+/// (decorators do not advertise chunk/ideal capabilities), bare fast_noise
+/// and GENIEx the fused chunk route, bare ideal the int-digital route —
 /// together every route of TiledMatrix::matmul is exercised.
 std::vector<std::pair<std::string, std::shared_ptr<const xbar::MvmModel>>>
 backend_matrix() {
@@ -345,39 +345,58 @@ TEST(TiledRoutes, BitIdenticalAcrossBackendsIsasAndThreads) {
   }
 }
 
-/// fast_noise runs through the fused chunk kernels built at construction;
-/// the legacy float route (ScopedIntPathForTests(false)) is its oracle and
-/// must match bit for bit — on a small tiled matrix and on the 16x128
-/// serve-shaped classifier head.
+/// fast_noise and GENIEx run through the fused chunk kernels built at
+/// construction; the legacy float route (ScopedIntPathForTests(false)) is
+/// their oracle and must match bit for bit — fast_noise on a small tiled
+/// matrix and on the 16x128 serve-shaped classifier head, GENIEx on the
+/// paper's 64x64_100k crossbar with a ragged last row tile (150 = 64 + 64
+/// + 22 rows) at the batch widths of a ResNet-20 forward.
 TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
   Rng rng(72);
-  const struct {
+  struct Case {
+    std::string tag;
+    std::shared_ptr<const xbar::MvmModel> model;
     std::int64_t m, k, n;
-    xbar::CrossbarConfig cfg;
-  } cases[] = {{20, 18, 5, test_cfg()},
-               {16, 128, 32, xbar::xbar_32x32_100k()}};
+  };
+  std::vector<Case> cases = {
+      {"fast_noise", std::make_shared<xbar::FastNoiseModel>(test_cfg()), 20,
+       18, 5},
+      {"fast_noise serve head",
+       std::make_shared<xbar::FastNoiseModel>(xbar::xbar_32x32_100k()), 16,
+       128, 32}};
+  // An untrained (Xavier-initialized) surrogate: its deviations straddle
+  // the trust envelope, so both the MLP and the fast-noise fallback feed
+  // the outputs.
+  Rng mlp_rng(74);
+  auto geniex = std::make_shared<xbar::GeniexModel>(
+      xbar::xbar_64x64_100k(),
+      xbar::MlpRegressor(xbar::kGeniexFeatureCount, 28, mlp_rng));
+  for (std::int64_t n : {1, 9, 36, 144})
+    cases.push_back({"geniex", geniex, 20, 150, n});
   metrics::Counter& fused_runs = metrics::counter("puma/tiled/fused_runs");
-  for (const auto& c : cases) {
+  for (const Case& c : cases) {
     Tensor w = Tensor::normal({c.m, c.k}, 0.0f, 0.4f, rng);
     Tensor x = uniform_input(c.k, c.n, rng);
-    TiledMatrix tiled(w, std::make_shared<xbar::FastNoiseModel>(c.cfg),
-                      HwConfig{});
+    TiledMatrix tiled(w, c.model, HwConfig{});
 
     const std::uint64_t before = fused_runs.value();
     Tensor fused = tiled.matmul(x, 0.0f);
-    EXPECT_GT(fused_runs.value(), before) << "fused path did not engage";
+    EXPECT_GT(fused_runs.value(), before)
+        << c.tag << ": fused path did not engage";
 
     Tensor ref;
     {
       ScopedIntPathForTests float_route(false);
       const std::uint64_t runs = fused_runs.value();
       ref = tiled.matmul(x, 0.0f);
-      EXPECT_EQ(fused_runs.value(), runs) << "float route ran fused kernels";
+      EXPECT_EQ(fused_runs.value(), runs)
+          << c.tag << ": float route ran fused kernels";
     }
-    ASSERT_GT(ref.abs_max(), 0.0f);
+    ASSERT_GT(ref.abs_max(), 0.0f) << c.tag;
     ASSERT_EQ(fused.numel(), ref.numel());
     for (std::int64_t i = 0; i < fused.numel(); ++i)
-      EXPECT_EQ(fused[i], ref[i]) << c.m << "x" << c.k << " i=" << i;
+      EXPECT_EQ(fused[i], ref[i])
+          << c.tag << " " << c.m << "x" << c.k << " n=" << c.n << " i=" << i;
   }
 }
 

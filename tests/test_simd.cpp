@@ -7,7 +7,10 @@
 
 #include "common/check.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -225,7 +228,7 @@ TEST(SimdKernels, AdcShiftAddMatchesUnfusedFormula) {
   for (simd::Isa isa : test_isas()) {
     simd::ScopedIsaForTests scope(isa);
     std::vector<float> acc(static_cast<std::size_t>(n), 0.25f);
-    simd::adc_shift_add(acc.data(), cur.data(), base.data(), n, fs, steps,
+    simd::adc_shift_add(acc.data(), cur.data(), base.data(), 1, n, fs, steps,
                         shift);
     for (std::int64_t i = 0; i < n; ++i) {
       const float clamped = std::clamp(cur[i], 0.0f, fs);
@@ -293,40 +296,141 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
     gwant.push_back(std::move(want));
   }
 
+  // adc_shift_add's row form over (rows x n) blocks at ragged widths: one
+  // call must equal per-row calls on every tier.
+  const std::int64_t adc_rows = 5;
+  const std::vector<std::int64_t> adc_ns = {1, 9, 15, 16, 17, 36};
+  std::vector<std::vector<float>> adc_cur, adc_base;
+  for (std::int64_t an : adc_ns) {
+    adc_cur.push_back(random_vec(adc_rows * an, rng, -0.3, 2.0));
+    adc_base.push_back(random_vec(an, rng, 0.0, 0.4));
+  }
+
+  // GENIEx glue kernels over ragged widths, with NaN / +-Inf mixed into
+  // every input and relative deviations straddling the trust envelope.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::int64_t g_rows = 6, g_cols = 5, g_feats = 10;
+  auto spiked = [&](std::int64_t count, double lo, double hi) {
+    std::vector<float> v = random_vec(count, rng, lo, hi);
+    const float specials[3] = {nan, inf, -inf};
+    for (std::int64_t i = 3; i < count; i += 13)
+      v[static_cast<std::size_t>(i)] = specials[(i / 13) % 3];
+    return v;
+  };
+  struct GlueCase {
+    std::int64_t n;
+    std::vector<float> v, growsum, ft, iid, sums, colf, rel;
+  };
+  std::vector<GlueCase> glue;
+  for (std::int64_t gn : {1, 9, 15, 16, 17, 36, 101}) {
+    GlueCase c;
+    c.n = gn;
+    c.v = spiked(g_rows * gn, 0.0, 1.2);
+    c.growsum = random_vec(g_rows, rng, 0.0, 3.0);
+    c.ft = spiked(g_feats * g_cols * gn, -2.0, 2.0);
+    c.iid = spiked(g_cols * gn, -0.1, 1.2);
+    c.sums = spiked(3 * gn, 0.0, 1.0);
+    c.colf = random_vec(2 * g_cols, rng, 0.0, 1.0);
+    c.rel = spiked(g_cols * gn, -0.6, 1.6);
+    glue.push_back(std::move(c));
+  }
+
   auto run = [&](simd::Isa isa) {
     simd::ScopedIsaForTests scope(isa);
     struct Out {
-      std::vector<float> madd, scl, quant, adc;
-      std::vector<std::vector<float>> gemm;
+      std::vector<float> scl, quant, adc;
+      std::vector<std::vector<float>> gemm, adc_rows, glue;
+      std::vector<std::vector<std::int8_t>> flags;
+      std::vector<std::int64_t> nonfinite;
     } o;
+    for (std::size_t t = 0; t < adc_ns.size(); ++t) {
+      const std::int64_t an = adc_ns[t];
+      std::vector<float> rows_form(adc_cur[t].size(), 0.5f);
+      std::vector<float> per_row = rows_form;
+      simd::adc_shift_add(rows_form.data(), adc_cur[t].data(),
+                          adc_base[t].data(), adc_rows, an, 1.7f, 255.0f,
+                          -1.25f);
+      for (std::int64_t r = 0; r < adc_rows; ++r)
+        simd::adc_shift_add(per_row.data() + r * an,
+                            adc_cur[t].data() + r * an, adc_base[t].data(), 1,
+                            an, 1.7f, 255.0f, -1.25f);
+      EXPECT_EQ(rows_form, per_row)
+          << simd::isa_name(isa) << " adc_shift_add rows form n=" << an;
+      o.adc_rows.push_back(std::move(rows_form));
+    }
+    for (const GlueCase& c : glue) {
+      const auto cells = static_cast<std::size_t>(g_rows * c.n);
+      std::vector<float> vv(cells), vr(cells);
+      std::vector<float> sums(static_cast<std::size_t>(3 * c.n));
+      simd::geniex_inputs(vv.data(), vr.data(), sums.data(), c.v.data(),
+                          c.growsum.data(), g_rows, c.n, 0.37f, 1.9f, 0.011f);
+      std::vector<float> ft = c.ft;
+      simd::geniex_features(ft.data(), c.iid.data(), c.sums.data(),
+                            c.colf.data(), g_cols, c.n, 1.3e-4f, 3.1f, 0.7f,
+                            2.9f, 0.41f);
+      o.glue.push_back(std::move(vv));
+      o.glue.push_back(std::move(vr));
+      o.glue.push_back(std::move(sums));
+      o.glue.push_back(std::move(ft));
+      for (bool guard : {true, false}) {
+        std::vector<float> out(static_cast<std::size_t>(g_cols * c.n));
+        std::vector<std::int8_t> flags(static_cast<std::size_t>(c.n), 7);
+        o.nonfinite.push_back(simd::geniex_epilogue(
+            out.data(), flags.data(), c.iid.data(), c.rel.data(), g_cols,
+            c.n, 0.02f, 1.0f, guard, -0.5f, 1.5f));
+        o.glue.push_back(std::move(out));
+        o.flags.push_back(std::move(flags));
+      }
+    }
     for (std::size_t t = 0; t < shapes.size(); ++t) {
       const GemmShape& sh = shapes[t];
       o.gemm.push_back(gc0[t]);
       simd::gemm_madd(o.gemm.back().data(), ga[t].data(), gb[t].data(), sh.m,
                       sh.n, sh.k, sh.k + 3, sh.n + 5, sh.n + 7);
     }
-    o.madd = y0;
-    simd::madd(o.madd.data(), x.data(), 1.7f, n);
     o.scl.assign(static_cast<std::size_t>(n), 0.0f);
     simd::scale(o.scl.data(), x.data(), -0.313f, n);
     o.quant.assign(static_cast<std::size_t>(n), 0.0f);
     simd::quantize_affine(o.quant.data(), x.data(), n, 2.3f, 127.0f);
     o.adc = y0;
-    simd::adc_shift_add(o.adc.data(), x.data(), y0.data(), n, 1.7f, 1023.0f,
-                        2.25f);
+    simd::adc_shift_add(o.adc.data(), x.data(), y0.data(), 1, n, 1.7f,
+                        1023.0f, 2.25f);
     return o;
   };
   auto s = run(simd::Isa::Scalar);
+  // The inputs exercise both guard outcomes and the non-finite count.
+  std::int64_t flagged = 0, trusted = 0, total_nonfinite = 0;
+  for (std::size_t t = 0; t < s.flags.size(); t += 2) {  // guard-on runs
+    flagged += std::count(s.flags[t].begin(), s.flags[t].end(), 1);
+    trusted += std::count(s.flags[t].begin(), s.flags[t].end(), 0);
+  }
+  for (std::int64_t c : s.nonfinite) total_nonfinite += c;
+  EXPECT_GT(flagged, 0);
+  EXPECT_GT(trusted, 0);
+  EXPECT_GT(total_nonfinite, 0);
   for (simd::Isa isa : vector_isas()) {
     auto v = run(isa);
     for (std::int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(s.madd[i], v.madd[i])
-          << simd::isa_name(isa) << " madd " << i;
       EXPECT_EQ(s.scl[i], v.scl[i]) << simd::isa_name(isa) << " scale " << i;
       EXPECT_EQ(s.quant[i], v.quant[i])
           << simd::isa_name(isa) << " quantize " << i;
       EXPECT_EQ(s.adc[i], v.adc[i]) << simd::isa_name(isa) << " adc " << i;
     }
+    EXPECT_EQ(s.adc_rows, v.adc_rows) << simd::isa_name(isa);
+    // Glue outputs: same bits, or NaN on both sides (payloads aside).
+    ASSERT_EQ(s.glue.size(), v.glue.size());
+    for (std::size_t t = 0; t < s.glue.size(); ++t)
+      for (std::size_t i = 0; i < s.glue[t].size(); ++i) {
+        const float a = s.glue[t][i], b = v.glue[t][i];
+        EXPECT_TRUE((std::isnan(a) && std::isnan(b)) ||
+                    std::memcmp(&a, &b, sizeof(float)) == 0)
+            << simd::isa_name(isa) << " geniex glue output " << t << " at "
+            << i << ": " << a << " vs " << b;
+      }
+    EXPECT_EQ(s.flags, v.flags) << simd::isa_name(isa) << " envelope flags";
+    EXPECT_EQ(s.nonfinite, v.nonfinite)
+        << simd::isa_name(isa) << " non-finite counts";
     // Row padding (j >= n) must come back untouched as well.
     for (std::size_t t = 0; t < shapes.size(); ++t)
       for (std::size_t i = 0; i < gwant[t].size(); ++i) {
@@ -541,7 +645,7 @@ TEST(SimdIntKernels, AdcShiftAddI32MatchesComposedFloatOps) {
       // ADC + baseline-subtract + shift-add as adc_shift_add.
       const float cur = base[i] + dot_unit * static_cast<float>(dot[i]);
       float want = 0.125f;
-      simd::adc_shift_add(&want, &cur, &base[i], 1, fs, steps, shift);
+      simd::adc_shift_add(&want, &cur, &base[i], 1, 1, fs, steps, shift);
       EXPECT_EQ(acc[i], want) << simd::isa_name(isa) << " i=" << i;
     }
   }

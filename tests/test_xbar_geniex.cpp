@@ -6,10 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/health.h"
+#include "common/metrics.h"
 #include "common/serialize.h"
 #include "common/simd.h"
 #include "tensor/ops.h"
@@ -486,6 +490,136 @@ TEST(GeniexOracle, PredictBlockIsBatchInvariantAndMatchesPaddedGemm) {
           << padded[i] << " padded oracle vs " << block[i];
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Chunk kernel: the tiled GEMM's fused route for GENIEx
+// ---------------------------------------------------------------------------
+
+/// oracle_weights plus three steering units that make the guard outcomes
+/// predictable: an all-zero input vector meets an infinite weight on the
+/// vbar feature (inf * 0 = NaN, so its deviation is NaN), and a dense
+/// vector (v2bar above 0.4) adds +3 to its deviation (outside the default
+/// envelope) while sparse vectors add 0.
+MlpWeights kernel_weights(Rng& rng) {
+  MlpWeights m = oracle_weights(rng);
+  for (std::int64_t h : {0, 1, 2}) {
+    for (std::int64_t i = 0; i < m.in_dim; ++i) m.w1.at(h, i) = 0.0f;
+    m.b1[h] = 0.0f;
+  }
+  m.w1.at(0, 2) = std::numeric_limits<float>::infinity();
+  m.w2[0] = 0.01f;
+  m.w1.at(1, 3) = 200.0f;  // tanh(200 * (v2bar - 0.4)) = +-1
+  m.b1[1] = -80.0f;
+  m.w2[1] = 1.5f;
+  m.b1[2] = 10.0f;  // tanh(10) = 1: offsets unit 1's -1.5 on sparse vectors
+  m.w2[2] = 1.5f;
+  return m;
+}
+
+TEST(GeniexChunkKernel, RunMatchesMvmMultiActiveOnEveryTierAndGuard) {
+  const CrossbarConfig cfg = xbar_64x64_100k();
+  Rng rng(33);
+  const MlpWeights weights = kernel_weights(rng);
+  GeniexGuardOptions tight;  // flags most vectors
+  tight.rel_min = 0.25f;
+  tight.rel_max = 0.35f;
+  GeniexGuardOptions off;
+  off.enabled = false;
+  const Tensor g = sample_conductances(cfg, rng);
+  const std::int64_t rows_used = 37, cols_used = 23, max_code = 7;
+  const float v_unit =
+      static_cast<float>(cfg.v_read / static_cast<double>(max_code));
+  metrics::Counter& columns = metrics::counter("xbar/mvm_multi_columns");
+  struct Deltas {
+    std::uint64_t fallback, nonfinite, columns;
+  };
+  const auto snapshot = [&] {
+    return Deltas{health_value(HealthCounter::SurrogateFallback),
+                  health_value(HealthCounter::NonFiniteOutput),
+                  columns.value()};
+  };
+  const auto since = [&](const Deltas& d0) {
+    const Deltas d1 = snapshot();
+    return Deltas{d1.fallback - d0.fallback, d1.nonfinite - d0.nonfinite,
+                  d1.columns - d0.columns};
+  };
+
+  std::uint64_t default_fallbacks = 0, unguarded_scrubs = 0;
+  for (std::int64_t n : {1, 9, 36}) {
+    // DAC codes on the used rows only; vector 0 is dense (forced fallback
+    // under the default guard), vector 1 all zero (forced NaN).
+    std::vector<std::int8_t> codes(static_cast<std::size_t>(cfg.rows * n), 0);
+    for (std::int64_t i = 0; i < rows_used; ++i)
+      for (std::int64_t k = 0; k < n; ++k) {
+        std::int8_t c = 0;
+        if (k == 0 && n > 1)
+          c = static_cast<std::int8_t>(max_code);
+        else if (k != 1 && rng.bernoulli(0.5))
+          c = static_cast<std::int8_t>(rng.uniform_index(max_code + 1));
+        codes[static_cast<std::size_t>(i * n + k)] = c;
+      }
+    std::vector<std::int8_t> row_max(static_cast<std::size_t>(cfg.rows), 0);
+    Tensor volts({cfg.rows, n});
+    for (std::int64_t i = 0; i < cfg.rows; ++i)
+      for (std::int64_t k = 0; k < n; ++k) {
+        const std::int8_t c = codes[static_cast<std::size_t>(i * n + k)];
+        row_max[static_cast<std::size_t>(i)] =
+            std::max(row_max[static_cast<std::size_t>(i)], c);
+        volts.at(i, k) = v_unit * static_cast<float>(c);
+      }
+    ChunkBlock cb;
+    cb.chunk = codes.data();
+    cb.row_max = row_max.data();
+    cb.rows = cfg.rows;
+    cb.n = n;
+    cb.v_unit = v_unit;
+
+    for (const GeniexGuardOptions& guard : {GeniexGuardOptions{}, tight, off}) {
+      GeniexModel model(cfg, weights.to_mlp(), guard);
+      ASSERT_TRUE(model.supports_chunk_mvm());
+      auto programmed = model.program(g);
+      auto kernel = programmed->compile_chunk_kernel(
+          v_unit, static_cast<int>(max_code));
+      ASSERT_NE(kernel, nullptr);
+      for (simd::Isa isa : usable_isas()) {
+        simd::ScopedIsaForTests scope(isa);
+        const Deltas w0 = snapshot();
+        Tensor want = programmed->mvm_multi_active(volts, rows_used, cols_used);
+        const Deltas dw = since(w0);
+
+        // The caller's float slot 3 (the tiled GEMM's currents) must
+        // survive the kernel untouched.
+        simd::Workspace ws;
+        std::span<float> slot3 = ws.floats(3, 64);
+        std::fill(slot3.begin(), slot3.end(), -7.0f);
+        std::vector<float> got(static_cast<std::size_t>(cols_used * n), -1.0f);
+        const Deltas g0 = snapshot();
+        kernel->run(cb, rows_used, cols_used, got.data(), ws);
+        const Deltas dg = since(g0);
+        for (float f : ws.floats(3, 64)) ASSERT_EQ(f, -7.0f);
+
+        const std::string where = std::string("isa=") + simd::isa_name(isa) +
+                                  " n=" + std::to_string(n) + " guard=" +
+                                  std::to_string(guard.enabled) + "/" +
+                                  std::to_string(guard.rel_min);
+        EXPECT_EQ(std::memcmp(got.data(), want.raw(),
+                              got.size() * sizeof(float)),
+                  0)
+            << where;
+        EXPECT_EQ(dg.fallback, dw.fallback) << where;
+        EXPECT_EQ(dg.nonfinite, dw.nonfinite) << where;
+        EXPECT_EQ(dg.columns, dw.columns) << where;
+        if (guard.enabled && guard.rel_min == GeniexGuardOptions{}.rel_min)
+          default_fallbacks += dg.fallback;
+        if (!guard.enabled) unguarded_scrubs += dg.nonfinite;
+      }
+    }
+  }
+  // The forced outcomes happened: the dense and the NaN vectors fell back
+  // under the default guard, and the NaN columns were scrubbed unguarded.
+  EXPECT_GT(default_fallbacks, 0u);
+  EXPECT_GT(unguarded_scrubs, 0u);
 }
 
 TEST(FastNoise, ReducesCurrentVsIdeal) {
