@@ -23,6 +23,8 @@
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "core/report.h"
+#include "nn/loss.h"
+#include "nn/resnet.h"
 #include "puma/tiled_mvm.h"
 #include "tensor/ops.h"
 #include "xbar/circuit_solver.h"
@@ -382,6 +384,43 @@ BENCHMARK(BM_CircuitSolverOrdering)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+// Input-only backward A/B: one fixed-seed, untrained SCIFAR10 ResNet-20
+// (widths 8/16/32, 12x12 input) on ideal engines, one Eval forward per
+// measurement, then backward() and input_grad() timed alternately so host
+// drift lands on both alike. The two return the same dx bits; the ratio
+// bench/nn/input_grad_speedup is what skipping the parameter gradients
+// (conv dW above all) saves per attack gradient, and the perf gate holds
+// a floor on it.
+void BM_InputGrad(benchmark::State& state) {
+  Rng rng(11);
+  nn::ResnetCifarSpec spec;
+  spec.blocks_per_stage = 3;
+  spec.widths = {8, 16, 32};
+  spec.num_classes = 10;
+  nn::Network net = nn::make_resnet_cifar(spec, rng);
+  Tensor x = Tensor::uniform({3, 12, 12}, 0.0f, 1.0f, rng);
+  nn::LossGrad lg = nn::cross_entropy(net.forward(x, nn::Mode::Eval), 3);
+  using Clock = std::chrono::steady_clock;
+  std::chrono::duration<double> full_s{0}, input_s{0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.forward(x, nn::Mode::Eval));
+    const auto t0 = Clock::now();
+    benchmark::DoNotOptimize(net.backward(lg.grad_logits));
+    const auto t1 = Clock::now();
+    benchmark::DoNotOptimize(net.input_grad(lg.grad_logits));
+    input_s += Clock::now() - t1;
+    full_s += t1 - t0;
+  }
+  net.zero_grads();
+  if (state.iterations() == 0 || input_s.count() <= 0.0) return;
+  const auto iters = static_cast<double>(state.iterations());
+  metrics::gauge("bench/nn/backward_ms").set(full_s.count() * 1e3 / iters);
+  metrics::gauge("bench/nn/input_grad_ms").set(input_s.count() * 1e3 / iters);
+  metrics::gauge("bench/nn/input_grad_speedup")
+      .set(full_s.count() / input_s.count());
+}
+BENCHMARK(BM_InputGrad)->Unit(benchmark::kMillisecond);
 
 void BM_FloatGemmReference(benchmark::State& state) {
   Rng rng(5);

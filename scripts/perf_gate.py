@@ -67,6 +67,13 @@ SPECS = [
     # only holds that the fused route is never slower than the float one.
     ("BENCH_mvm_perf.json", "metrics",
      "bench/tiled/geniex_fused_speedup", "min", 1.0),
+    # Input-only backward (BM_InputGrad): backward() over input_grad() on
+    # the SCIFAR10 ResNet-20, timed alternately. Skipping the parameter
+    # gradients measured 2.31-2.58x on the 4-vCPU AVX-512 host of
+    # BENCH_mvm_perf.json; a floor of 1.8 absorbs host noise and still
+    # fails if input_grad goes back to computing conv dW (ratio ~1.0).
+    ("BENCH_mvm_perf.json", "metrics",
+     "bench/nn/input_grad_speedup", "min", 1.8),
     # Serving layer (BENCH_serve.json).
     ("BENCH_serve.json", "results",
      "b32_saturation_throughput_rps", "higher", 0.35),

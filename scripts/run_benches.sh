@@ -35,11 +35,12 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # plus bench/simd/gflops from the widest ideal block), the solver
 # warm-start A/B (sweeps_per_matmul with streaming off/on), and the
 # red-black vs lexicographic sweep-schedule A/B, the float-vs-fused
-# tiled matmul A/B (bench/tiled/fused_speedup), and the ideal and GENIEx
+# tiled matmul A/B (bench/tiled/fused_speedup), the ideal and GENIEx
 # tiled matmuls (bench/tiled/geniex_ms, and the GENIEx fused-vs-float
-# ratio bench/tiled/geniex_fused_speedup).
+# ratio bench/tiled/geniex_fused_speedup), and the backward vs input-only
+# backward A/B (bench/nn/input_grad_speedup).
 run mvm_perf "$BUILD/bench/bench_mvm_perf" \
-  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering' \
+  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverOrdering|BM_InputGrad' \
   --benchmark_min_time=0.05
 # Serving layer: throughput + exact p50/p99 latency at 2 offered loads and
 # saturation, max_batch 1 vs 32; exits nonzero if batching fails to beat

@@ -15,11 +15,7 @@ Tensor NetworkAttackModel::loss_input_grad(const Tensor& x,
   Tensor out = net_->forward(x, nn::Mode::Eval);
   nn::LossGrad lg = nn::cross_entropy(out, label);
   if (loss_out != nullptr) *loss_out = lg.loss;
-  // Parameter grads accumulate too; attacks never step them, but clear to
-  // keep the network reusable for training afterwards.
-  Tensor gx = net_->backward(lg.grad_logits);
-  net_->zero_grads();
-  return gx;
+  return net_->input_grad(lg.grad_logits);
 }
 
 EnsembleAttackModel::EnsembleAttackModel(std::vector<nn::Network*> members)
@@ -45,8 +41,7 @@ Tensor EnsembleAttackModel::loss_input_grad(const Tensor& x,
     Tensor out = members_[i]->forward(x, nn::Mode::Eval);
     nn::LossGrad lg = nn::cross_entropy(out, label);
     total_loss += lg.loss;
-    Tensor gx = members_[i]->backward(lg.grad_logits);
-    members_[i]->zero_grads();
+    Tensor gx = members_[i]->input_grad(lg.grad_logits);
     if (i == 0) {
       grad = std::move(gx);
     } else {

@@ -490,6 +490,38 @@ void adc_shift_add_i32_scalar(float* acc, const std::int32_t* dot,
   }
 }
 
+bool dac_streams_i16_scalar(std::int8_t* chunk, std::int8_t* row_max,
+                            std::int32_t* colsum, const std::int16_t* src,
+                            std::int64_t rows_used, std::int64_t rows,
+                            std::int64_t n, std::int64_t streams,
+                            std::int64_t stream_bits) {
+  const int mask = (1 << stream_bits) - 1;
+  bool negative = false;
+  for (std::int64_t t = 0; t < streams; ++t) {
+    const int shift = static_cast<int>(t * stream_bits);
+    std::int8_t* ct = chunk + t * rows * n;
+    std::int8_t* mt = row_max + t * rows;
+    std::int32_t* st = colsum + t * n;
+    std::fill(st, st + n, 0);
+    for (std::int64_t r = 0; r < rows_used; ++r) {
+      const std::int16_t* s = src + r * n;
+      std::int8_t* d = ct + r * n;
+      int m = 0;
+      for (std::int64_t k = 0; k < n; ++k) {
+        negative = negative || s[k] < 0;
+        const int c = (s[k] >> shift) & mask;
+        d[k] = static_cast<std::int8_t>(c);
+        st[k] += c;
+        m = std::max(m, c);
+      }
+      mt[r] = static_cast<std::int8_t>(m);
+    }
+    std::fill(ct + rows_used * n, ct + rows * n, std::int8_t{0});
+    std::fill(mt + rows_used, mt + rows, std::int8_t{0});
+  }
+  return negative;
+}
+
 }  // namespace detail
 
 float tanh_fast(float x) {
@@ -683,6 +715,22 @@ void adc_shift_add_i32(float* acc, const std::int32_t* dot,
   tally(c, 10 * u64(n));
   NVM_SIMD_DISPATCH(adc_shift_add_i32, acc, dot, baseline, n, dot_unit,
                     full_scale, steps, shift);
+}
+
+bool dac_streams_i16(std::int8_t* chunk, std::int8_t* row_max,
+                     std::int32_t* colsum, const std::int16_t* src,
+                     std::int64_t rows_used, std::int64_t rows, std::int64_t n,
+                     std::int64_t streams, std::int64_t stream_bits) {
+  NVM_CHECK(stream_bits >= 1 && stream_bits <= 7 && streams >= 1 &&
+                (streams - 1) * stream_bits < 16 && rows_used >= 0 &&
+                rows_used <= rows && n >= 0,
+            "dac_streams_i16: streams=" << streams << " stream_bits="
+                                        << stream_bits << " rows_used="
+                                        << rows_used << " rows=" << rows);
+  static metrics::Counter& c = metrics::counter("simd/kernel/dac_streams_i16");
+  c.add();  // integer bit ops only: no flops tallied
+  NVM_SIMD_DISPATCH(dac_streams_i16, chunk, row_max, colsum, src, rows_used,
+                    rows, n, streams, stream_bits);
 }
 
 #undef NVM_SIMD_DISPATCH

@@ -24,14 +24,15 @@
 //     a few ULP of the running magnitude (tests/test_simd.cpp asserts the
 //     bound pairwise across all usable tiers).
 //   * Integer kernels (quantize_to_i8/i16, gemm_at_i8_i32acc,
-//     adc_shift_add_i32) are [exact]: integer arithmetic has no rounding,
-//     and their float epilogues mirror the scalar op sequence.
+//     adc_shift_add_i32, dac_streams_i16) are [exact]: integer arithmetic
+//     has no rounding, and their float epilogues mirror the scalar op
+//     sequence.
 //
 // Kernel list by contract:
 //   [exact] scale, gemm_madd, gemm_f64acc, quantize_affine, adc_shift_add,
 //           geniex_inputs, geniex_features, geniex_epilogue,
 //           quantize_to_i8, quantize_to_i16, gemm_at_i8_i32acc,
-//           adc_shift_add_i32
+//           adc_shift_add_i32, dac_streams_i16
 //   [~ulp]  dot, axpy, gemm_accum, gemm_at_accum, gemm_bt_accum, mlp_tanh
 //
 // Reduction trees:
@@ -268,6 +269,22 @@ void gemm_at_i8_i32acc(std::int32_t* c, const std::int8_t* a,
 void adc_shift_add_i32(float* acc, const std::int32_t* dot,
                        const float* baseline, std::int64_t n, float dot_unit,
                        float full_scale, float steps, float shift);
+
+/// [exact] Bit-slice DAC of one crossbar row tile, all input streams in
+/// one pass. `src` holds `rows_used` rows of n int16 activation codes
+/// (row-major, ld n). For every stream t in [0, streams), with
+/// c = (code >> t*stream_bits) & (2^stream_bits - 1) (arithmetic shift):
+///   chunk[(t*rows + r)*n + k] = c as int8, zero for rows_used <= r < rows;
+///   row_max[t*rows + r]       = max over k of c, zero for padded rows;
+///   colsum[t*n + k]           = sum over r of c, in int32.
+/// Returns true when any code is negative. Integer ops only, so every
+/// tier gives the same outputs, also for negative codes; ragged columns
+/// take masked (AVX-512) or staged (AVX2, NEON) vectors. Requires
+/// 1 <= stream_bits <= 7 and (streams - 1) * stream_bits < 16.
+bool dac_streams_i16(std::int8_t* chunk, std::int8_t* row_max,
+                     std::int32_t* colsum, const std::int16_t* src,
+                     std::int64_t rows_used, std::int64_t rows, std::int64_t n,
+                     std::int64_t streams, std::int64_t stream_bits);
 
 // Workspace ---------------------------------------------------------------
 

@@ -8,7 +8,8 @@
 // kernels (dot, axpy, gemm, gemm_at, gemm_bt, mlp_tanh) use FMA in the
 // vector body. gemm_madd, mlp_tanh, adc_shift_add and the geniex_* glue
 // kernels finish ragged columns with maskload/maskstore vectors, so they
-// have no scalar tail.
+// have no scalar tail; dac_streams_i16 stages its ragged int16 vector
+// through zero-padded buffers (AVX2 has no 8- or 16-bit masked moves).
 // Scalar tail loops in this TU are unfused like the reference (the whole
 // build carries -ffp-contract=off; FMA only appears via intrinsics).
 #include "common/simd_kernels.h"
@@ -543,6 +544,75 @@ void adc_shift_add_i32_avx2(float* acc, const std::int32_t* dot,
 
 namespace {
 
+/// One 16-code vector of dac_streams_i16: writes 16 chunk bytes and adds
+/// 16 column sums; `any` ORs the raw codes, `vmax` tracks the row max.
+inline void dac_block16(const std::int16_t* s, std::int8_t* d,
+                        std::int32_t* cs, __m128i cnt, __m256i vmask,
+                        __m256i& vmax, __m256i& any) {
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
+  any = _mm256_or_si256(any, v);
+  const __m256i c = _mm256_and_si256(_mm256_sra_epi16(v, cnt), vmask);
+  const __m128i c_lo = _mm256_castsi256_si128(c);
+  const __m128i c_hi = _mm256_extracti128_si256(c, 1);
+  // Chunk values are 0..127, so the saturating pack is exact.
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(d), _mm_packs_epi16(c_lo, c_hi));
+  vmax = _mm256_max_epi16(vmax, c);
+  auto* cv = reinterpret_cast<__m256i*>(cs);
+  _mm256_storeu_si256(cv, _mm256_add_epi32(_mm256_loadu_si256(cv),
+                                           _mm256_cvtepi16_epi32(c_lo)));
+  _mm256_storeu_si256(cv + 1, _mm256_add_epi32(_mm256_loadu_si256(cv + 1),
+                                               _mm256_cvtepi16_epi32(c_hi)));
+}
+
+}  // namespace
+
+bool dac_streams_i16_avx2(std::int8_t* chunk, std::int8_t* row_max,
+                          std::int32_t* colsum, const std::int16_t* src,
+                          std::int64_t rows_used, std::int64_t rows,
+                          std::int64_t n, std::int64_t streams,
+                          std::int64_t stream_bits) {
+  // 16 codes per vector; a ragged last vector is staged through
+  // zero-padded buffers (padding codes are 0: no effect on the row max).
+  const __m256i vmask =
+      _mm256_set1_epi16(static_cast<short>((1 << stream_bits) - 1));
+  const std::int64_t n16 = n & ~std::int64_t{15};
+  __m256i any = _mm256_setzero_si256();
+  for (std::int64_t t = 0; t < streams; ++t) {
+    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(t * stream_bits));
+    std::int8_t* ct = chunk + t * rows * n;
+    std::int32_t* st = colsum + t * n;
+    std::fill(st, st + n, 0);
+    for (std::int64_t r = 0; r < rows_used; ++r) {
+      const std::int16_t* s = src + r * n;
+      std::int8_t* d = ct + r * n;
+      __m256i vmax = _mm256_setzero_si256();
+      for (std::int64_t k = 0; k < n16; k += 16)
+        dac_block16(s + k, d + k, st + k, cnt, vmask, vmax, any);
+      if (n16 < n) {
+        std::int16_t s_tail[16] = {};
+        std::int8_t d_tail[16] = {};
+        std::int32_t cs_tail[16] = {};
+        std::copy(s + n16, s + n, s_tail);
+        std::copy(st + n16, st + n, cs_tail);
+        dac_block16(s_tail, d_tail, cs_tail, cnt, vmask, vmax, any);
+        std::copy(d_tail, d_tail + (n - n16), d + n16);
+        std::copy(cs_tail, cs_tail + (n - n16), st + n16);
+      }
+      alignas(32) std::int16_t lanes[16];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vmax);
+      row_max[t * rows + r] =
+          static_cast<std::int8_t>(*std::max_element(lanes, lanes + 16));
+    }
+    std::fill(ct + rows_used * n, ct + rows * n, std::int8_t{0});
+    std::fill(row_max + t * rows + rows_used, row_max + (t + 1) * rows,
+              std::int8_t{0});
+  }
+  // Odd bytes hold each int16 lane's sign bit.
+  return (_mm256_movemask_epi8(any) & 0xAAAAAAAA) != 0;
+}
+
+namespace {
+
 /// Vector v of a V-vector block; with kTail the last vector touches only
 /// the lanes in `mask` (masked lanes load as zero and are never stored).
 template <int V, bool kTail>
@@ -759,6 +829,11 @@ void gemm_at_i8_i32acc_avx2(std::int32_t*, const std::int8_t*,
 }
 void adc_shift_add_i32_avx2(float*, const std::int32_t*, const float*,
                             std::int64_t, float, float, float, float) {
+  stub_fail();
+}
+bool dac_streams_i16_avx2(std::int8_t*, std::int8_t*, std::int32_t*,
+                          const std::int16_t*, std::int64_t, std::int64_t,
+                          std::int64_t, std::int64_t, std::int64_t) {
   stub_fail();
 }
 

@@ -10,8 +10,8 @@
 // 16 wide changes nothing); [~ulp] kernels (dot, axpy, gemm, gemm_at,
 // gemm_bt, mlp_tanh) use FMA in the vector body, and dot folds its 16
 // lanes pairwise onto the documented 8-lane tree. gemm_madd, mlp_tanh,
-// adc_shift_add and the geniex_* glue kernels finish ragged columns with
-// masked vectors, so they have no scalar tail. gemm_f64acc stays
+// adc_shift_add, the geniex_* glue kernels and dac_streams_i16 finish
+// ragged columns with masked vectors, so they have no scalar tail. gemm_f64acc stays
 // [exact]: float*float products are exact in double, so fmadd_pd rounds
 // like the reference's mul-then-add. Scalar tail loops in this TU are
 // unfused like the reference (the whole build carries -ffp-contract=off;
@@ -516,6 +516,58 @@ void adc_shift_add_i32_avx512(float* acc, const std::int32_t* dot,
   }
 }
 
+bool dac_streams_i16_avx512(std::int8_t* chunk, std::int8_t* row_max,
+                            std::int32_t* colsum, const std::int16_t* src,
+                            std::int64_t rows_used, std::int64_t rows,
+                            std::int64_t n, std::int64_t streams,
+                            std::int64_t stream_bits) {
+  // 32 codes per vector; a ragged last vector takes a 32-lane mask (masked
+  // lanes load as 0, so they add nothing to the row max).
+  const __m512i vmask =
+      _mm512_set1_epi16(static_cast<short>((1 << stream_bits) - 1));
+  __m512i any = _mm512_setzero_si512();  // OR of all codes: sign = negative
+  for (std::int64_t t = 0; t < streams; ++t) {
+    const __m128i cnt = _mm_cvtsi32_si128(static_cast<int>(t * stream_bits));
+    std::int8_t* ct = chunk + t * rows * n;
+    std::int32_t* st = colsum + t * n;
+    std::fill(st, st + n, 0);
+    for (std::int64_t r = 0; r < rows_used; ++r) {
+      const std::int16_t* s = src + r * n;
+      std::int8_t* d = ct + r * n;
+      __m512i vmax = _mm512_setzero_si512();
+      for (std::int64_t k = 0; k < n; k += 32) {
+        const std::int64_t lanes = std::min<std::int64_t>(n - k, 32);
+        const auto m =
+            static_cast<__mmask32>((std::uint64_t{1} << lanes) - 1);
+        const auto lo = static_cast<__mmask16>(m);
+        const auto hi = static_cast<__mmask16>(m >> 16);
+        const __m512i v = _mm512_maskz_loadu_epi16(m, s + k);
+        any = _mm512_or_si512(any, v);
+        const __m512i c = _mm512_and_si512(_mm512_sra_epi16(v, cnt), vmask);
+        _mm256_mask_storeu_epi8(d + k, m, _mm512_cvtepi16_epi8(c));
+        vmax = _mm512_max_epi16(vmax, c);
+        _mm512_mask_storeu_epi32(
+            st + k, lo,
+            _mm512_add_epi32(_mm512_maskz_loadu_epi32(lo, st + k),
+                             _mm512_cvtepi16_epi32(_mm512_castsi512_si256(c))));
+        _mm512_mask_storeu_epi32(
+            st + k + 16, hi,
+            _mm512_add_epi32(
+                _mm512_maskz_loadu_epi32(hi, st + k + 16),
+                _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(c, 1))));
+      }
+      row_max[t * rows + r] = static_cast<std::int8_t>(_mm512_reduce_max_epi32(
+          _mm512_max_epi32(
+              _mm512_cvtepi16_epi32(_mm512_castsi512_si256(vmax)),
+              _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(vmax, 1)))));
+    }
+    std::fill(ct + rows_used * n, ct + rows * n, std::int8_t{0});
+    std::fill(row_max + t * rows + rows_used, row_max + (t + 1) * rows,
+              std::int8_t{0});
+  }
+  return _mm512_movepi16_mask(any) != 0;
+}
+
 namespace {
 
 /// Lane mask of vector v in a block of V vectors whose last one holds only
@@ -728,6 +780,11 @@ void gemm_at_i8_i32acc_avx512(std::int32_t*, const std::int8_t*,
 }
 void adc_shift_add_i32_avx512(float*, const std::int32_t*, const float*,
                               std::int64_t, float, float, float, float) {
+  stub_fail();
+}
+bool dac_streams_i16_avx512(std::int8_t*, std::int8_t*, std::int32_t*,
+                            const std::int16_t*, std::int64_t, std::int64_t,
+                            std::int64_t, std::int64_t, std::int64_t) {
   stub_fail();
 }
 

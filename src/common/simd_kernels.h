@@ -74,7 +74,12 @@ bool neon_tu_compiled();
   void adc_shift_add_i32_##SUF(float* acc, const std::int32_t* dot,          \
                                const float* baseline, std::int64_t n,        \
                                float dot_unit, float full_scale,             \
-                               float steps, float shift)
+                               float steps, float shift);                    \
+  bool dac_streams_i16_##SUF(std::int8_t* chunk, std::int8_t* row_max,       \
+                             std::int32_t* colsum, const std::int16_t* src,  \
+                             std::int64_t rows_used, std::int64_t rows,      \
+                             std::int64_t n, std::int64_t streams,           \
+                             std::int64_t stream_bits)
 
 NVM_SIMD_DECLARE_KERNELS(scalar);
 NVM_SIMD_DECLARE_KERNELS(avx2);

@@ -5,9 +5,9 @@
 // Parity rules mirrored from simd.h: [exact] kernels repeat the scalar
 // reference's unfused per-element op sequence 4 lanes at a time (NEON
 // float ops are IEEE-754 compliant on AArch64); [~ulp] kernels use vfmaq
-// in the vector body; gemm_madd, mlp_tanh, adc_shift_add and the geniex_*
-// glue kernels stage ragged columns through a zero-padded vector instead
-// of a scalar tail; dot uses two float32x4 accumulators so its lane
+// in the vector body; gemm_madd, mlp_tanh, adc_shift_add, the geniex_*
+// glue kernels and dac_streams_i16 stage ragged columns through a
+// zero-padded vector instead of a scalar tail; dot uses two float32x4 accumulators so its lane
 // layout matches the documented 8-strided-lane tree exactly. vrndaq_f32
 // rounds half away from zero, which is std::round's semantics, so the
 // quantize/ADC kernels need no floor+frac trick here. gemm_f64acc uses
@@ -532,6 +532,68 @@ void adc_shift_add_i32_neon(float* acc, const std::int32_t* dot,
 
 namespace {
 
+/// One 8-code vector of dac_streams_i16: writes 8 chunk bytes and adds 8
+/// column sums; `any` ORs the raw codes, `vmax` tracks the row max.
+/// vshlq_s16 by a negative count is an arithmetic right shift.
+inline void dac_block8(const std::int16_t* s, std::int8_t* d,
+                       std::int32_t* cs, int16x8_t nshift, int16x8_t vmask,
+                       int16x8_t& vmax, int16x8_t& any) {
+  const int16x8_t v = vld1q_s16(s);
+  any = vorrq_s16(any, v);
+  const int16x8_t c = vandq_s16(vshlq_s16(v, nshift), vmask);
+  vst1_s8(d, vmovn_s16(c));  // chunk values are 0..127
+  vmax = vmaxq_s16(vmax, c);
+  vst1q_s32(cs, vaddq_s32(vld1q_s32(cs), vmovl_s16(vget_low_s16(c))));
+  vst1q_s32(cs + 4,
+            vaddq_s32(vld1q_s32(cs + 4), vmovl_s16(vget_high_s16(c))));
+}
+
+}  // namespace
+
+bool dac_streams_i16_neon(std::int8_t* chunk, std::int8_t* row_max,
+                          std::int32_t* colsum, const std::int16_t* src,
+                          std::int64_t rows_used, std::int64_t rows,
+                          std::int64_t n, std::int64_t streams,
+                          std::int64_t stream_bits) {
+  // 8 codes per vector; a ragged last vector is staged through
+  // zero-padded buffers (padding codes are 0: no effect on the row max).
+  const int16x8_t vmask =
+      vdupq_n_s16(static_cast<std::int16_t>((1 << stream_bits) - 1));
+  const std::int64_t n8 = n & ~std::int64_t{7};
+  int16x8_t any = vdupq_n_s16(0);
+  for (std::int64_t t = 0; t < streams; ++t) {
+    const int16x8_t nshift =
+        vdupq_n_s16(static_cast<std::int16_t>(-t * stream_bits));
+    std::int8_t* ct = chunk + t * rows * n;
+    std::int32_t* st = colsum + t * n;
+    std::fill(st, st + n, 0);
+    for (std::int64_t r = 0; r < rows_used; ++r) {
+      const std::int16_t* s = src + r * n;
+      std::int8_t* d = ct + r * n;
+      int16x8_t vmax = vdupq_n_s16(0);
+      for (std::int64_t k = 0; k < n8; k += 8)
+        dac_block8(s + k, d + k, st + k, nshift, vmask, vmax, any);
+      if (n8 < n) {
+        std::int16_t s_tail[8] = {};
+        std::int8_t d_tail[8] = {};
+        std::int32_t cs_tail[8] = {};
+        std::copy(s + n8, s + n, s_tail);
+        std::copy(st + n8, st + n, cs_tail);
+        dac_block8(s_tail, d_tail, cs_tail, nshift, vmask, vmax, any);
+        std::copy(d_tail, d_tail + (n - n8), d + n8);
+        std::copy(cs_tail, cs_tail + (n - n8), st + n8);
+      }
+      row_max[t * rows + r] = static_cast<std::int8_t>(vmaxvq_s16(vmax));
+    }
+    std::fill(ct + rows_used * n, ct + rows * n, std::int8_t{0});
+    std::fill(row_max + t * rows + rows_used, row_max + (t + 1) * rows,
+              std::int8_t{0});
+  }
+  return vminvq_s16(any) < 0;
+}
+
+namespace {
+
 /// R rows x V vectors of C held in registers across the whole k loop;
 /// every term is an unfused multiply then add, as in gemm_madd_scalar.
 /// The last vector covers `last` (1..4) lanes.
@@ -724,6 +786,11 @@ void gemm_at_i8_i32acc_neon(std::int32_t*, const std::int8_t*,
 }
 void adc_shift_add_i32_neon(float*, const std::int32_t*, const float*,
                             std::int64_t, float, float, float, float) {
+  stub_fail();
+}
+bool dac_streams_i16_neon(std::int8_t*, std::int8_t*, std::int32_t*,
+                          const std::int16_t*, std::int64_t, std::int64_t,
+                          std::int64_t, std::int64_t, std::int64_t) {
   stub_fail();
 }
 

@@ -44,8 +44,8 @@ std::size_t default_size() {
 }
 
 /// Shared fork-join state for one parallel_chunks call. Lives on the
-/// submitter's stack; the submitter blocks until `remaining` drains, so
-/// worker references into it never dangle.
+/// submitter's stack; the submitter blocks until `remaining` drains under
+/// `mu`, so worker references into it never dangle.
 struct JoinContext {
   explicit JoinContext(std::int64_t chunks) : remaining(chunks) {}
 
@@ -65,10 +65,12 @@ struct JoinContext {
         if (!error) error = std::current_exception();
       }
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu);
+    // Decrement under mu: the submitter checks `remaining` while holding
+    // mu, so it cannot see zero and destroy this context until the last
+    // chunk has notified and released the lock.
+    std::lock_guard<std::mutex> lock(mu);
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
       done.notify_all();
-    }
   }
 };
 

@@ -19,7 +19,7 @@ Tensor ReLU::forward(const Tensor& x, Mode mode) {
   return apply_eval_hook(std::move(y), mode);
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
+Tensor ReLU::backprop(const Tensor& grad_out, bool /*param_grads*/) {
   NVM_CHECK(cached_mask_.numel() > 0, "backward before forward");
   NVM_CHECK(grad_out.same_shape(cached_mask_));
   Tensor dx = grad_out;

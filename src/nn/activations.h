@@ -10,7 +10,7 @@ namespace nvm::nn {
 class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::string name() const override { return "relu"; }
 
  private:

@@ -126,7 +126,7 @@ void BatchNorm2d::finish_stat_collection() {
   }
 }
 
-Tensor BatchNorm2d::backward(const Tensor& grad_out) {
+Tensor BatchNorm2d::backprop(const Tensor& grad_out, bool param_grads) {
   NVM_CHECK(last_forward_ != LastForward::None, "backward before forward");
   NVM_CHECK_EQ(grad_out.rank(), 3u);
   NVM_CHECK_EQ(grad_out.dim(0), channels_);
@@ -147,17 +147,20 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   }
 
   if (last_forward_ == LastForward::FrozenTrain) {
+    // dx is the frozen affine scale; the sums only feed gamma/beta.
     const float* xhat = cached_xhat_.raw();
     for (std::int64_t c = 0; c < channels_; ++c) {
       const float* go = g_out + c * hw;
-      const float* xh = xhat + c * hw;
-      double sum_g = 0.0, sum_gx = 0.0;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        sum_g += go[i];
-        sum_gx += static_cast<double>(go[i]) * xh[i];
+      if (param_grads) {
+        const float* xh = xhat + c * hw;
+        double sum_g = 0.0, sum_gx = 0.0;
+        for (std::int64_t i = 0; i < hw; ++i) {
+          sum_g += go[i];
+          sum_gx += static_cast<double>(go[i]) * xh[i];
+        }
+        gamma_.grad[c] += static_cast<float>(sum_gx);
+        beta_.grad[c] += static_cast<float>(sum_g);
       }
-      gamma_.grad[c] += static_cast<float>(sum_gx);
-      beta_.grad[c] += static_cast<float>(sum_g);
       const float k = gamma_.value[c] / std::sqrt(running_var_[c] + eps_);
       float* dst = g_in + c * hw;
       for (std::int64_t i = 0; i < hw; ++i) dst[i] = k * go[i];
@@ -165,7 +168,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
     return dx;
   }
 
-  // Batch-statistics backward.
+  // Batch-statistics backward: dx needs the sums whatever param_grads is.
   const float* xhat = cached_xhat_.raw();
   for (std::int64_t c = 0; c < channels_; ++c) {
     const float* go = g_out + c * hw;
@@ -175,8 +178,10 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
       sum_g += go[i];
       sum_gx += static_cast<double>(go[i]) * xh[i];
     }
-    gamma_.grad[c] += static_cast<float>(sum_gx);
-    beta_.grad[c] += static_cast<float>(sum_g);
+    if (param_grads) {
+      gamma_.grad[c] += static_cast<float>(sum_gx);
+      beta_.grad[c] += static_cast<float>(sum_g);
+    }
     const float inv_std = cached_inv_std_[c];
     const float g = gamma_.value[c];
     const float mean_g = static_cast<float>(sum_g / hw);

@@ -19,7 +19,7 @@ class BatchNorm2d final : public Layer {
                        float eps = 1e-5f);
 
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::string name() const override { return "batchnorm2d"; }
 

@@ -36,15 +36,16 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
   return apply_eval_hook(std::move(y), mode);
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+Tensor Conv2d::backprop(const Tensor& grad_out, bool param_grads) {
   NVM_CHECK(cached_cols_.numel() > 0, "backward before forward");
   Tensor g = grad_out.reshaped({out_c_, geom_.out_h() * geom_.out_w()});
   // dW = g * cols^T  (ideal arithmetic regardless of forward engine).
   // The transposed-B kernel reads cols row-wise, so no transpose2d copy
   // of the (large) im2col matrix is materialized; same for W^T below.
-  simd::gemm_bt_accum(weight_.grad.raw(), g.raw(), cached_cols_.raw(),
-                      g.dim(0), cached_cols_.dim(0), g.dim(1), g.dim(1),
-                      cached_cols_.dim(1), cached_cols_.dim(0));
+  if (param_grads)
+    simd::gemm_bt_accum(weight_.grad.raw(), g.raw(), cached_cols_.raw(),
+                        g.dim(0), cached_cols_.dim(0), g.dim(1), g.dim(1),
+                        cached_cols_.dim(1), cached_cols_.dim(0));
   // dX = fold(W^T * g).
   Tensor dcols = matmul_at(weight_.value, g);
   return col2im(dcols, geom_);

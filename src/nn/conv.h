@@ -19,7 +19,7 @@ class Conv2d final : public Layer {
          std::int64_t stride, std::int64_t pad, Rng& rng);
 
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::vector<Param*> params() override { return {&weight_}; }
   std::string name() const override { return "conv2d"; }
 

@@ -4,7 +4,8 @@
 // each layer caches whatever it needs during forward() and implements
 // backward(grad_out) -> grad_in, accumulating parameter gradients into
 // Param::grad. Chaining backward() through the first layer yields
-// d(loss)/d(input), which is what gradient-based attacks (PGD) consume.
+// d(loss)/d(input), which is what gradient-based attacks (PGD) consume;
+// they call input_grad(), the same chain minus the parameter gradients.
 //
 // Hardware-in-loop gradients (paper §III-C2) fall out of this design: when
 // a layer's MVM runs on a non-ideal crossbar engine, forward() caches the
@@ -47,7 +48,20 @@ class Layer {
 
   /// Propagates gradients; must follow a forward() in Train-compatible
   /// state. Accumulates into parameter grads and returns grad w.r.t. input.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  Tensor backward(const Tensor& grad_out) { return backprop(grad_out, true); }
+
+  /// Input-only backward, for attacks: returns the same d(loss)/d(input)
+  /// bits as backward() and leaves every Param::grad untouched, skipping
+  /// all parameter-gradient work (conv and linear dW, linear db, batch-norm
+  /// gamma/beta). Must follow a forward().
+  Tensor input_grad(const Tensor& grad_out) {
+    return backprop(grad_out, false);
+  }
+
+  /// The one backward body behind backward() and input_grad(). With
+  /// `param_grads` false it returns the same bits and writes no
+  /// Param::grad; composite layers pass the flag on to their children.
+  virtual Tensor backprop(const Tensor& grad_out, bool param_grads) = 0;
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }

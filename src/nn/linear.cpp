@@ -32,12 +32,15 @@ Tensor Linear::forward(const Tensor& x, Mode mode) {
   return apply_eval_hook(std::move(y), mode);
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+Tensor Linear::backprop(const Tensor& grad_out, bool param_grads) {
   NVM_CHECK(cached_in_.numel() > 0, "backward before forward");
   Tensor g = grad_out.reshaped({out_f_});
-  bias_.grad += g;
-  // dW = g x^T
-  weight_.grad += matmul(g.reshaped({out_f_, 1}), cached_in_.reshaped({1, in_f_}));
+  if (param_grads) {
+    bias_.grad += g;
+    // dW = g x^T
+    weight_.grad +=
+        matmul(g.reshaped({out_f_, 1}), cached_in_.reshaped({1, in_f_}));
+  }
   // dx = W^T g
   return matvec(transpose2d(weight_.value), g);
 }

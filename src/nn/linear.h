@@ -15,7 +15,7 @@ class Linear final : public Layer {
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
 
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override { return "linear"; }
 

@@ -22,6 +22,10 @@ Tensor Network::backward(const Tensor& grad_logits) {
   return root_->backward(grad_logits);
 }
 
+Tensor Network::input_grad(const Tensor& grad_logits) {
+  return root_->input_grad(grad_logits);
+}
+
 std::vector<Param*> Network::params() { return collect_params(*root_); }
 
 void Network::zero_grads() { nn::zero_grads(*root_); }

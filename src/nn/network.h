@@ -25,9 +25,15 @@ class Network {
   /// Forward pass returning logits (length == num_classes).
   Tensor forward(const Tensor& x, Mode mode);
 
-  /// Backward pass from d(loss)/d(logits); returns d(loss)/d(input).
-  /// Must follow a forward() call.
+  /// Backward pass from d(loss)/d(logits); returns d(loss)/d(input) and
+  /// accumulates every Param::grad. Must follow a forward() call.
   Tensor backward(const Tensor& grad_logits);
+
+  /// Input-only backward (Layer::input_grad): the same d(loss)/d(input)
+  /// bits as backward(), with every Param::grad left untouched and no
+  /// parameter-gradient work done. What attacks call; training keeps
+  /// backward().
+  Tensor input_grad(const Tensor& grad_logits);
 
   const std::string& arch() const { return arch_; }
   std::int64_t num_classes() const { return num_classes_; }

@@ -18,7 +18,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, Mode mode) {
   return apply_eval_hook(std::move(y), mode);
 }
 
-Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
+Tensor GlobalAvgPool::backprop(const Tensor& grad_out, bool /*param_grads*/) {
   NVM_CHECK(!cached_shape_.empty(), "backward before forward");
   const std::int64_t c = cached_shape_[0];
   const std::int64_t hw = cached_shape_[1] * cached_shape_[2];
@@ -53,7 +53,7 @@ Tensor AvgPool2d::forward(const Tensor& x, Mode mode) {
   return apply_eval_hook(std::move(y), mode);
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_out) {
+Tensor AvgPool2d::backprop(const Tensor& grad_out, bool /*param_grads*/) {
   NVM_CHECK(!cached_shape_.empty(), "backward before forward");
   const std::int64_t c = cached_shape_[0];
   const std::int64_t oh = cached_shape_[1] / k_, ow = cached_shape_[2] / k_;
@@ -77,7 +77,7 @@ Tensor Flatten::forward(const Tensor& x, Mode mode) {
   return x.reshaped({x.numel()});
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+Tensor Flatten::backprop(const Tensor& grad_out, bool /*param_grads*/) {
   NVM_CHECK(!cached_shape_.empty(), "backward before forward");
   return grad_out.reshaped(cached_shape_);
 }

@@ -9,7 +9,7 @@ namespace nvm::nn {
 class GlobalAvgPool final : public Layer {
  public:
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::string name() const override { return "global_avg_pool"; }
 
  private:
@@ -21,7 +21,7 @@ class AvgPool2d final : public Layer {
  public:
   explicit AvgPool2d(std::int64_t k);
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::string name() const override { return "avg_pool2d"; }
 
  private:
@@ -33,7 +33,7 @@ class AvgPool2d final : public Layer {
 class Flatten final : public Layer {
  public:
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::string name() const override { return "flatten"; }
 
  private:

@@ -16,10 +16,10 @@ Tensor Sequential::forward(const Tensor& x, Mode mode) {
   return y;
 }
 
-Tensor Sequential::backward(const Tensor& grad_out) {
+Tensor Sequential::backprop(const Tensor& grad_out, bool param_grads) {
   Tensor g = grad_out;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->backward(g);
+    g = (*it)->backprop(g, param_grads);
   return g;
 }
 
@@ -57,18 +57,18 @@ Tensor ResidualBlock::forward(const Tensor& x, Mode mode) {
   return relu_out_.forward(main, mode);
 }
 
-Tensor ResidualBlock::backward(const Tensor& grad_out) {
-  Tensor g = relu_out_.backward(grad_out);
+Tensor ResidualBlock::backprop(const Tensor& grad_out, bool param_grads) {
+  Tensor g = relu_out_.backprop(grad_out, param_grads);
   // g splits into the main path and the shortcut.
-  Tensor g_main = bn2_.backward(g);
-  g_main = conv2_.backward(g_main);
-  g_main = relu1_.backward(g_main);
-  g_main = bn1_.backward(g_main);
-  g_main = conv1_.backward(g_main);
+  Tensor g_main = bn2_.backprop(g, param_grads);
+  g_main = conv2_.backprop(g_main, param_grads);
+  g_main = relu1_.backprop(g_main, param_grads);
+  g_main = bn1_.backprop(g_main, param_grads);
+  g_main = conv1_.backprop(g_main, param_grads);
 
   if (projection_) {
-    Tensor g_short = bn_s_->backward(g);
-    g_short = conv_s_->backward(g_short);
+    Tensor g_short = bn_s_->backprop(g, param_grads);
+    g_short = conv_s_->backprop(g_short, param_grads);
     g_main += g_short;
   } else {
     g_main += g;

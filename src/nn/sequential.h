@@ -28,7 +28,7 @@ class Sequential : public Layer {
   void append(std::unique_ptr<Layer> layer);
 
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::vector<Layer*> children() override;
   std::string name() const override { return "sequential"; }
 
@@ -48,7 +48,7 @@ class ResidualBlock final : public Layer {
                 Rng& rng);
 
   Tensor forward(const Tensor& x, Mode mode) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backprop(const Tensor& grad_out, bool param_grads) override;
   std::vector<Layer*> children() override;
   std::string name() const override { return "residual_block"; }
 

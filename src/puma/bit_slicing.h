@@ -28,15 +28,6 @@ Tensor extract_chunk(const Tensor& values, std::int64_t index,
 float extract_chunk_into(std::span<const float> src, std::int64_t index,
                          std::int64_t chunk_bits, std::span<float> dst);
 
-/// Integer twin of extract_chunk_into for the bit-slice fast path
-/// (DESIGN.md §13): src holds int16 codes, dst receives int8 chunk values
-/// (requires chunk_bits <= 7 so chunks fit int8). Returns the maximum
-/// chunk value. Chunk values are identical to what extract_chunk_into
-/// yields on the float image of src.
-int extract_chunk_i16_into(std::span<const std::int16_t> src,
-                           std::int64_t index, std::int64_t chunk_bits,
-                           std::span<std::int8_t> dst);
-
 /// Weight of chunk `index` in the shift-add recombination: 2^(index*bits).
 float chunk_weight(std::int64_t index, std::int64_t chunk_bits);
 

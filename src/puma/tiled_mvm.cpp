@@ -154,6 +154,9 @@ TiledMatrix::TiledMatrix(const Tensor& w,
           SlotStep step;
           step.slot = slot;
           step.ti = ti;
+          step.m0 = m0;
+          step.row0 = partial_rows_;
+          partial_rows_ += m1 - m0;
           step.k_used = k1 - k0;
           step.m_used = m1 - m0;
           const float sign = (pol == 0) ? 1.0f : -1.0f;
@@ -178,10 +181,6 @@ TiledMatrix::TiledMatrix(const Tensor& w,
 }
 
 TiledMatrix::~TiledMatrix() = default;
-
-std::int64_t TiledMatrix::total_tile_slots() const {
-  return row_tiles_ * col_tiles_ * 2 * hw_.weight_slices();
-}
 
 Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   NVM_TRACE_SPAN("puma/tiled/matmul");
@@ -247,125 +246,134 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   const float adc_steps =
       static_cast<float>((std::int64_t{1} << hw_.adc_bits) - 1);
 
-  // The GEMM runs in three phases on the thread pool. Results are
-  // bit-identical for any NVM_THREADS because every parallel unit owns
-  // disjoint output and the cross-slot reduction happens in a fixed order.
-  // Scratch comes from the shared WorkspacePool.
+  // The GEMM runs in three phases with ONE pool fork-join: the DAC and
+  // the cross-slot reduction run on the calling thread, only the crossbar
+  // passes fan out. Results are bit-identical for any NVM_THREADS because
+  // every pass task owns a disjoint partial and the reduction happens in a
+  // fixed order. Scratch comes from the shared WorkspacePool; the caller's
+  // lease holds the DAC output for the whole matmul.
   //
-  // Phase 1 — DAC: per (row tile, stream) voltage blocks and g_off
-  // baselines, independent across row tiles.
+  // Phase 1 — DAC: per (row tile, stream) input chunks and g_off
+  // baselines.
   struct StreamBlock {
-    Tensor volts;                      // legacy path: (cfg.rows, n) volts
-    std::vector<std::int8_t> chunk;    // int paths: (cfg.rows, n) DAC codes
-    std::vector<std::int8_t> row_max;  // int paths: per-row max code
-    std::vector<float> baseline;       // per input vector, g_off*v_unit*Σc
-    bool active = false;               // false: chunk all-zero, skippable
+    Tensor volts;                          // legacy path: (cfg.rows, n) volts
+    const std::int8_t* chunk = nullptr;    // int paths: (cfg.rows, n) codes
+    const std::int8_t* row_max = nullptr;  // int paths: per-row max code
+    const float* baseline = nullptr;  // per input vector, g_off*v_unit*Σc
+    bool active = false;              // false: chunk all-zero, skippable
   };
-  std::vector<StreamBlock> dac(
-      static_cast<std::size_t>(row_tiles_ * streams));
+  const std::size_t blocks = static_cast<std::size_t>(row_tiles_ * streams);
+  const std::size_t cells = static_cast<std::size_t>(cfg.rows * n);
+  std::vector<StreamBlock> dac(blocks);
+  simd::WorkspacePool::Lease dac_lease =
+      simd::shared_workspace_pool().acquire();
+  simd::Workspace& dws = dac_lease.get();
+  std::span<float> baselines =
+      dws.floats(0, blocks * static_cast<std::size_t>(n));
   // Each phase is one span on the calling thread (string-literal names),
   // so a trace splits a matmul into DAC, crossbar passes and reduction;
   // emplace() closes the previous phase's span.
   std::optional<trace::Span> phase(std::in_place, "puma/tiled/dac");
-  parallel_for(row_tiles_, [&](std::int64_t ti) {
-    const std::int64_t k0 = ti * cfg.rows;
-    const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
-    const std::int64_t k_used = k1 - k0;
-    simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
-    simd::Workspace& ws = lease.get();
-    const std::size_t cells = static_cast<std::size_t>(cfg.rows * n);
-
-    if (path == Path::kLegacy) {
-      std::span<float> xblock = ws.floats(0, cells);
-      std::span<float> chunk = ws.floats(1, cells);
+  if (path == Path::kLegacy) {
+    std::span<float> xblock = dws.floats(1, cells);
+    std::span<float> chunk = dws.floats(2, cells);
+    for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
+      const std::int64_t k0 = ti * cfg.rows;
+      const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
       for (std::int64_t kk = 0; kk < k_used; ++kk) {
         const float* src = xq.raw() + (k0 + kk) * n;
         std::copy(src, src + n, xblock.data() + kk * n);
       }
       std::fill(xblock.begin() + static_cast<std::ptrdiff_t>(k_used * n),
                 xblock.end(), 0.0f);
-
       for (std::int64_t t = 0; t < streams; ++t) {
         const float cmax =
             extract_chunk_into(xblock, t, hw_.stream_bits, chunk);
         if (hw_.skip_zero_tiles && cmax == 0.0f) continue;
-        StreamBlock& sb = dac[static_cast<std::size_t>(ti * streams + t)];
+        const std::size_t b = static_cast<std::size_t>(ti * streams + t);
+        StreamBlock& sb = dac[b];
         sb.active = true;
-        sb.baseline.assign(static_cast<std::size_t>(n), 0.0f);
+        float* base = baselines.data() + b * static_cast<std::size_t>(n);
+        std::fill(base, base + n, 0.0f);
         for (std::int64_t kk = 0; kk < k_used; ++kk) {
           const float* src = chunk.data() + kk * n;
-          for (std::int64_t nn = 0; nn < n; ++nn)
-            sb.baseline[static_cast<std::size_t>(nn)] += src[nn];
+          for (std::int64_t nn = 0; nn < n; ++nn) base[nn] += src[nn];
         }
-        for (std::int64_t nn = 0; nn < n; ++nn)
-          sb.baseline[static_cast<std::size_t>(nn)] *= g_off * v_unit;
+        for (std::int64_t nn = 0; nn < n; ++nn) base[nn] *= g_off * v_unit;
+        sb.baseline = base;
         sb.volts = Tensor({cfg.rows, n});  // integer chunk -> DAC voltages
         simd::scale(sb.volts.raw(), chunk.data(), v_unit,
                     static_cast<std::int64_t>(cells));
       }
-      return;
     }
-
-    // Int paths: codes stay integer end-to-end. The float baseline is
-    // bit-identical to the legacy one — a float sum of small non-negative
-    // integers is exact, so it equals float(integer column sum).
-    std::span<std::int16_t> xblock = ws.i16s(0, cells);
-    std::copy(xq16.begin() + static_cast<std::ptrdiff_t>(k0 * n),
-              xq16.begin() + static_cast<std::ptrdiff_t>(k1 * n),
-              xblock.begin());
-    std::fill(xblock.begin() + static_cast<std::ptrdiff_t>(k_used * n),
-              xblock.end(), std::int16_t{0});
-    std::span<std::int32_t> colsum = ws.i32s(0, static_cast<std::size_t>(n));
-
-    for (std::int64_t t = 0; t < streams; ++t) {
-      StreamBlock& sb = dac[static_cast<std::size_t>(ti * streams + t)];
-      sb.chunk.resize(cells);
-      const int cmax = extract_chunk_i16_into(xblock, t, hw_.stream_bits,
-                                              sb.chunk);
-      if (hw_.skip_zero_tiles && cmax == 0) {
-        sb.chunk.clear();
-        sb.chunk.shrink_to_fit();
-        continue;
+  } else {
+    // Int paths: codes stay integer end-to-end, one dac_streams_i16 pass
+    // per row tile straight from the quantized codes. The float baseline
+    // is bit-identical to the legacy one — a float sum of small
+    // non-negative integers is exact, so it equals float(integer sum).
+    std::span<std::int8_t> chunks = dws.i8s(0, blocks * cells);
+    std::span<std::int8_t> row_maxes =
+        dws.i8s(1, blocks * static_cast<std::size_t>(cfg.rows));
+    std::span<std::int32_t> colsums =
+        dws.i32s(0, static_cast<std::size_t>(streams * n));
+    for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
+      const std::int64_t k0 = ti * cfg.rows;
+      const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
+      const std::size_t b0 = static_cast<std::size_t>(ti * streams);
+      std::int8_t* chunk = chunks.data() + b0 * cells;
+      std::int8_t* row_max =
+          row_maxes.data() + b0 * static_cast<std::size_t>(cfg.rows);
+      const std::int16_t* codes = xq16.data() + k0 * n;
+      const bool negative =
+          simd::dac_streams_i16(chunk, row_max, colsums.data(), codes, k_used,
+                                cfg.rows, n, streams, hw_.stream_bits);
+      NVM_CHECK(!negative, "negative value in bit slicing: "
+                               << *std::min_element(codes, codes + k_used * n));
+      for (std::int64_t t = 0; t < streams; ++t) {
+        const std::int8_t* rm = row_max + t * cfg.rows;
+        if (hw_.skip_zero_tiles && *std::max_element(rm, rm + cfg.rows) == 0)
+          continue;
+        StreamBlock& sb = dac[b0 + static_cast<std::size_t>(t)];
+        sb.active = true;
+        sb.chunk = chunk + static_cast<std::size_t>(t) * cells;
+        sb.row_max = rm;
+        float* base =
+            baselines.data() + (b0 + static_cast<std::size_t>(t)) *
+                                   static_cast<std::size_t>(n);
+        const std::int32_t* colsum = colsums.data() + t * n;
+        for (std::int64_t nn = 0; nn < n; ++nn)
+          base[nn] = static_cast<float>(colsum[nn]) * (g_off * v_unit);
+        sb.baseline = base;
       }
-      sb.active = true;
-      sb.row_max.assign(static_cast<std::size_t>(cfg.rows), 0);
-      std::fill(colsum.begin(), colsum.end(), 0);
-      for (std::int64_t kk = 0; kk < k_used; ++kk) {
-        const std::int8_t* src = sb.chunk.data() + kk * n;
-        std::int8_t rm = 0;
-        for (std::int64_t nn = 0; nn < n; ++nn) {
-          colsum[static_cast<std::size_t>(nn)] += src[nn];
-          rm = std::max(rm, src[nn]);
-        }
-        sb.row_max[static_cast<std::size_t>(kk)] = rm;
-      }
-      sb.baseline.assign(static_cast<std::size_t>(n), 0.0f);
-      for (std::int64_t nn = 0; nn < n; ++nn)
-        sb.baseline[static_cast<std::size_t>(nn)] =
-            static_cast<float>(colsum[static_cast<std::size_t>(nn)]) *
-            (g_off * v_unit);
     }
-  });
+  }
 
   // Phase 2 — crossbar passes: every programmed tile slot of the schedule
   // is an independent task that streams its input chunks, ADC-quantizes,
-  // and shift-adds into a slot-local partial sum (one adc_shift_add call
-  // per pass over the tile's m_used x n currents).
+  // and shift-adds into its own rows of the caller's partial buffer (one
+  // adc_shift_add call per pass over the tile's m_used x n currents). The
+  // pool's only fork-join of the matmul.
   phase.emplace("puma/tiled/passes");
-  std::vector<Tensor> partial(static_cast<std::size_t>(total_tile_slots()));
+  std::span<float> partials =
+      dws.floats(3, static_cast<std::size_t>(partial_rows_ * n));
+  std::vector<std::uint8_t> written(steps_.size(), 0);
   static metrics::Counter& m_tile_mvms =
       metrics::counter("puma/tiled/tile_mvms");
   parallel_for(static_cast<std::int64_t>(steps_.size()), [&](std::int64_t si) {
     const SlotStep& step = steps_[static_cast<std::size_t>(si)];
     const std::int64_t k_used = step.k_used, m_used = step.m_used;
-    Tensor acc;
+    float* acc = partials.data() + step.row0 * n;
     std::uint64_t passes = 0;
+    // Counts a pass; the first one zeroes the step's partial.
+    auto begin_pass = [&] {
+      if (passes++ == 0) std::fill(acc, acc + m_used * n, 0.0f);
+    };
     simd::WorkspacePool::Lease lease = simd::shared_workspace_pool().acquire();
     simd::Workspace& ws = lease.get();
     auto chunk_block = [&](const StreamBlock& sb) {
       xbar::ChunkBlock cb;
-      cb.chunk = sb.chunk.data();
-      cb.row_max = sb.row_max.data();
+      cb.chunk = sb.chunk;
+      cb.row_max = sb.row_max;
       cb.rows = cfg.rows;
       cb.n = n;
       cb.v_unit = v_unit;
@@ -383,15 +391,14 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
         const StreamBlock& sb =
             dac[static_cast<std::size_t>(step.ti * streams + t)];
         if (!sb.active) continue;
-        ++passes;
+        begin_pass();
         std::fill(dot.begin(), dot.end(), 0);
-        simd::gemm_at_i8_i32acc(dot.data(), w8.data(), sb.chunk.data(),
-                                m_used, n, k_used, m_used, n, n);
+        simd::gemm_at_i8_i32acc(dot.data(), w8.data(), sb.chunk, m_used, n,
+                                k_used, m_used, n, n);
         const float shift = step.shifts[static_cast<std::size_t>(t)];
-        if (acc.numel() == 0) acc = Tensor({m_used, n});
         for (std::int64_t mm = 0; mm < m_used; ++mm)
-          simd::adc_shift_add_i32(acc.raw() + mm * n, dot.data() + mm * n,
-                                  sb.baseline.data(), n, dot_unit, i_scale,
+          simd::adc_shift_add_i32(acc + mm * n, dot.data() + mm * n,
+                                  sb.baseline, n, dot_unit, i_scale,
                                   adc_steps, shift);
       }
     } else if (path == Path::kIntChunks && step.kernel != nullptr) {
@@ -405,12 +412,11 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
         const StreamBlock& sb =
             dac[static_cast<std::size_t>(step.ti * streams + t)];
         if (!sb.active) continue;
-        ++passes;
+        begin_pass();
         step.kernel->run(chunk_block(sb), k_used, m_used, cur.data(), ws);
         const float shift = step.shifts[static_cast<std::size_t>(t)];
-        if (acc.numel() == 0) acc = Tensor({m_used, n});
-        simd::adc_shift_add(acc.raw(), cur.data(), sb.baseline.data(), m_used,
-                            n, i_scale, adc_steps, shift);
+        simd::adc_shift_add(acc, cur.data(), sb.baseline, m_used, n,
+                            i_scale, adc_steps, shift);
       }
     } else {
       // One stream per tile visit: chunk t+1 reuses state chunk t left
@@ -422,42 +428,32 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
         const StreamBlock& sb =
             dac[static_cast<std::size_t>(step.ti * streams + t)];
         if (!sb.active) continue;
-        ++passes;
+        begin_pass();
         const Tensor currents =  // (cols, n)
             path == Path::kIntChunks
                 ? stream->mvm_chunks_active(chunk_block(sb), k_used, m_used)
                 : stream->mvm_multi_active(sb.volts, k_used, m_used);
         const float shift = step.shifts[static_cast<std::size_t>(t)];
-        if (acc.numel() == 0) acc = Tensor({m_used, n});
-        simd::adc_shift_add(acc.raw(), currents.raw(), sb.baseline.data(),
-                            m_used, n, i_scale, adc_steps, shift);
+        simd::adc_shift_add(acc, currents.raw(), sb.baseline, m_used,
+                            n, i_scale, adc_steps, shift);
       }
     }
-    if (passes != 0) m_tile_mvms.add(passes);
-    partial[step.slot] = std::move(acc);
+    if (passes == 0) return;
+    m_tile_mvms.add(passes);
+    written[static_cast<std::size_t>(si)] = 1;
   });
 
-  // Phase 3 — reduction: each output col tile owns disjoint result rows
-  // and folds its slots in a fixed (row tile, polarity, slice) order.
+  // Phase 3 — reduction on the caller: steps_ is in slot order, so for
+  // every output element the partials fold in the fixed (row tile,
+  // polarity, slice) order of its col tile.
   phase.emplace("puma/tiled/reduce");
-  const std::int64_t slices = hw_.weight_slices();
-  parallel_for(col_tiles_, [&](std::int64_t tj) {
-    const std::int64_t m0 = tj * cfg.cols;
-    const std::int64_t m_used = std::min(m_, m0 + cfg.cols) - m0;
-    for (std::int64_t ti = 0; ti < row_tiles_; ++ti)
-      for (int pol = 0; pol < 2; ++pol)
-        for (std::int64_t s = 0; s < slices; ++s) {
-          const std::size_t slot = static_cast<std::size_t>(
-              ((ti * col_tiles_ + tj) * 2 + pol) * slices + s);
-          const Tensor& acc = partial[slot];
-          if (acc.numel() == 0) continue;
-          for (std::int64_t mm = 0; mm < m_used; ++mm) {
-            const float* src = acc.raw() + mm * n;
-            float* res = result.raw() + (m0 + mm) * n;
-            for (std::int64_t nn = 0; nn < n; ++nn) res[nn] += src[nn];
-          }
-        }
-  });
+  for (std::size_t si = 0; si < steps_.size(); ++si) {
+    if (written[si] == 0) continue;
+    const SlotStep& step = steps_[si];
+    const float* src = partials.data() + step.row0 * n;
+    float* res = result.raw() + step.m0 * n;
+    for (std::int64_t i = 0; i < step.m_used * n; ++i) res[i] += src[i];
+  }
 
   // Undo integer scaling: W ~ weight_scale * Wq, X ~ s_x * Xq / (2^ib - 1).
   const float x_unit =

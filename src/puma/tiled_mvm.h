@@ -17,9 +17,10 @@
 // All crossbar evaluations flow through the injected MvmModel, so the same
 // code path runs ideal, GENIEx, fast-noise, or circuit-solver crossbars.
 //
-// matmul() fans the programmed tile slots across nvm::ThreadPool (DAC
-// precompute per row tile, one task per tile slot, fixed-order reduction
-// per output col tile), so results are bit-identical for any NVM_THREADS.
+// matmul() fans the programmed tile slots across nvm::ThreadPool in one
+// fork-join (one task per tile slot); the DAC before it and the
+// fixed-order reduction after it run on the calling thread, so results
+// are bit-identical for any NVM_THREADS.
 // This relies on the ProgrammedXbar concurrency contract (xbar/mvm_model.h).
 #pragma once
 
@@ -95,8 +96,6 @@ class TiledMatrix {
   std::int64_t cols() const { return k_; }
   /// Number of crossbar tiles actually programmed (zero tiles skipped).
   std::int64_t programmed_tiles() const { return programmed_count_; }
-  /// Total tile slots (row tiles x col tiles x 2 polarities x slices).
-  std::int64_t total_tile_slots() const;
 
  private:
   std::int64_t m_ = 0, k_ = 0;
@@ -121,6 +120,8 @@ class TiledMatrix {
   struct SlotStep {
     std::size_t slot = 0;  ///< index into tiles_ / wchunks_
     std::int64_t ti = 0;   ///< row tile (selects the DAC stream blocks)
+    std::int64_t m0 = 0;   ///< first output row (col tile origin)
+    std::int64_t row0 = 0;  ///< first row of its partial in matmul scratch
     std::int64_t k_used = 0, m_used = 0;
     std::vector<float> shifts;  ///< per stream t: sign*2^(t*sb)*slice_w/du
     /// Compiled per-tile chunk kernel; null: the slot streams through the
@@ -128,6 +129,8 @@ class TiledMatrix {
     std::unique_ptr<const xbar::FusedChunkKernel> kernel;
   };
   std::vector<SlotStep> steps_;
+  /// Sum of the steps' m_used: rows of matmul's per-step partial buffer.
+  std::int64_t partial_rows_ = 0;
 };
 
 }  // namespace nvm::puma

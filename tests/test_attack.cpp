@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "common/check.h"
 
@@ -11,7 +14,9 @@
 #include "nn/loss.h"
 #include "nn/resnet.h"
 #include "nn/trainer.h"
+#include "puma/hw_network.h"
 #include "test_util.h"
+#include "xbar/geniex.h"
 
 namespace nvm::attack {
 namespace {
@@ -244,6 +249,103 @@ TEST(NetworkModel, GradLeavesParamsClean) {
   Tensor x = Tensor::uniform({3, 8, 8}, 0, 1, rng);
   (void)model.loss_input_grad(x, 0);
   for (nn::Param* p : net.params()) EXPECT_EQ(p->grad.abs_max(), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Input-only backward: same dx bits as backward(), no parameter gradients
+// ---------------------------------------------------------------------------
+
+/// The SCIFAR10 network (ResNet-20, widths 8/16/32) at a fixed seed.
+nn::Network scifar10_resnet20(std::uint64_t seed) {
+  Rng rng(seed);
+  nn::ResnetCifarSpec spec;
+  spec.blocks_per_stage = 3;
+  spec.widths = {8, 16, 32};
+  spec.num_classes = 10;
+  return nn::make_resnet_cifar(spec, rng);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.raw(), b.raw(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+void fill_grads(nn::Network& net, float sentinel) {
+  for (nn::Param* p : net.params()) p->grad.fill(sentinel);
+}
+
+/// True when every Param::grad still holds `sentinel` everywhere.
+bool grads_hold(nn::Network& net, float sentinel) {
+  for (nn::Param* p : net.params())
+    for (std::int64_t i = 0; i < p->grad.numel(); ++i)
+      if (p->grad[i] != sentinel) return false;
+  return true;
+}
+
+/// One forward in `mode`, then input_grad() and backward() from the same
+/// cached state: input_grad must give backward()'s dx bit for bit and
+/// write no parameter gradient, while backward() does write them.
+void expect_input_grad_matches_backward(nn::Network& net, const Tensor& x,
+                                        nn::Mode mode, const char* tag) {
+  const float sentinel = 0.375f;
+  fill_grads(net, sentinel);
+  Tensor logits = net.forward(x, mode);
+  nn::LossGrad lg = nn::cross_entropy(logits, 3);
+  Tensor dx_input_only = net.input_grad(lg.grad_logits);
+  EXPECT_TRUE(grads_hold(net, sentinel)) << tag << ": input_grad wrote grads";
+  Tensor dx_full = net.backward(lg.grad_logits);
+  EXPECT_FALSE(grads_hold(net, sentinel)) << tag << ": backward wrote none";
+  ASSERT_GT(dx_full.abs_max(), 0.0f) << tag;
+  EXPECT_TRUE(same_bits(dx_input_only, dx_full)) << tag;
+}
+
+TEST(InputGrad, BitIdenticalToBackwardDigitalAndGeniex) {
+  nn::Network net = scifar10_resnet20(41);
+  Rng rng(42);
+  Tensor x = Tensor::uniform({3, 12, 12}, 0.0f, 1.0f, rng);
+  expect_input_grad_matches_backward(net, x, nn::Mode::Eval, "digital");
+
+  // Hardware-in-Loop: GENIEx forward (an untrained surrogate suffices for
+  // bit identity), ideal backward at the non-ideal activations.
+  Rng mlp_rng(43);
+  auto geniex = std::make_shared<xbar::GeniexModel>(
+      xbar::xbar_64x64_100k(),
+      xbar::MlpRegressor(xbar::kGeniexFeatureCount, 28, mlp_rng));
+  puma::HwDeployment dep(net, geniex, {});
+  expect_input_grad_matches_backward(net, x, nn::Mode::Eval, "geniex");
+}
+
+TEST(InputGrad, BitIdenticalThroughBatchNormTrainBranches) {
+  nn::Network net = scifar10_resnet20(44);
+  Rng rng(45);
+  Tensor x = Tensor::uniform({3, 12, 12}, 0.0f, 1.0f, rng);
+  expect_input_grad_matches_backward(net, x, nn::Mode::Train,
+                                     "batch statistics");
+  net.freeze_batchnorm();
+  expect_input_grad_matches_backward(net, x, nn::Mode::Train, "frozen");
+}
+
+TEST(InputGrad, AttackModelsLeaveParamGradsUntouched) {
+  nn::Network a = scifar10_resnet20(46);
+  nn::Network b = scifar10_resnet20(47);
+  Rng rng(48);
+  Tensor x = Tensor::uniform({3, 12, 12}, 0.0f, 1.0f, rng);
+  const float sentinel = -1.5f;
+  fill_grads(a, sentinel);
+  fill_grads(b, sentinel);
+
+  NetworkAttackModel single(a);
+  float loss = 0.0f;
+  Tensor g = single.loss_input_grad(x, 2, &loss);
+  EXPECT_GT(g.abs_max(), 0.0f);
+  EXPECT_TRUE(grads_hold(a, sentinel)) << "NetworkAttackModel";
+
+  EnsembleAttackModel ens({&a, &b});
+  Tensor ge = ens.loss_input_grad(x, 2, &loss);
+  EXPECT_GT(ge.abs_max(), 0.0f);
+  EXPECT_TRUE(grads_hold(a, sentinel)) << "EnsembleAttackModel member 0";
+  EXPECT_TRUE(grads_hold(b, sentinel)) << "EnsembleAttackModel member 1";
 }
 
 TEST(SurrogateEnsemble, DistillsVictimBehaviour) {

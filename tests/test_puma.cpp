@@ -400,5 +400,71 @@ TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
   }
 }
 
+/// matmul forks the pool once: the DAC and the cross-slot reduction run on
+/// the caller, so pool/chunks_run grows by exactly min(pool size,
+/// programmed slots) per matmul, and 1 and 4 threads give the same bits —
+/// on the int-digital (ideal), fused fast-noise, fused GENIEx and legacy
+/// float routes. 40 rows on 16x16 crossbars: three row tiles, the last
+/// ragged.
+TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
+  Rng rng(73);
+  Tensor w = Tensor::normal({20, 40}, 0.0f, 0.4f, rng);
+  Tensor x = uniform_input(40, 9, rng);
+  const xbar::CrossbarConfig cfg = test_cfg();
+  auto fast = std::make_shared<xbar::FastNoiseModel>(cfg);
+  struct Route {
+    std::string tag;
+    std::shared_ptr<const xbar::MvmModel> model;
+    bool float_route;
+    const char* route_counter;  // must grow once per matmul; null: none
+  };
+  const std::vector<Route> routes = {
+      {"ideal", std::make_shared<xbar::IdealXbarModel>(cfg), false,
+       "puma/tiled/matmuls_int_digital"},
+      {"fast_noise", fast, false, "puma/tiled/matmuls_int_chunks"},
+      {"geniex", std::make_shared<xbar::GeniexModel>(cfg, shared_fit().mlp),
+       false, "puma/tiled/matmuls_int_chunks"},
+      {"float route", fast, true, nullptr}};
+  metrics::Counter& chunks = metrics::counter("pool/chunks_run");
+  metrics::Counter& int_digital =
+      metrics::counter("puma/tiled/matmuls_int_digital");
+  metrics::Counter& int_chunks =
+      metrics::counter("puma/tiled/matmuls_int_chunks");
+  for (const Route& r : routes) {
+    TiledMatrix tiled(w, r.model, HwConfig{});
+    ScopedIntPathForTests route(!r.float_route);
+    const auto slots = static_cast<std::uint64_t>(tiled.programmed_tiles());
+    ASSERT_GT(slots, 4u) << r.tag;
+    Tensor ref;
+    for (std::size_t threads : {1u, 4u}) {
+      ThreadPool pool(threads);
+      ThreadPool::ScopedUse use(pool);
+      const std::uint64_t chunks0 = chunks.value();
+      const std::uint64_t int_routes0 =
+          int_digital.value() + int_chunks.value();
+      const std::uint64_t route0 =
+          r.route_counter ? metrics::counter(r.route_counter).value() : 0;
+      Tensor out = tiled.matmul(x, 0.0f);
+      EXPECT_EQ(chunks.value() - chunks0,
+                std::min<std::uint64_t>(threads, slots))
+          << r.tag << " threads=" << threads;
+      if (r.route_counter != nullptr)
+        EXPECT_EQ(metrics::counter(r.route_counter).value() - route0, 1u)
+            << r.tag;
+      else
+        EXPECT_EQ(int_digital.value() + int_chunks.value(), int_routes0)
+            << r.tag;
+      if (threads == 1) {
+        ASSERT_GT(out.abs_max(), 0.0f) << r.tag;
+        ref = out;
+        continue;
+      }
+      ASSERT_EQ(out.numel(), ref.numel());
+      for (std::int64_t i = 0; i < out.numel(); ++i)
+        EXPECT_EQ(out[i], ref[i]) << r.tag << " i=" << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nvm::puma

@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "puma/bit_slicing.h"
 #include "puma/tiled_mvm.h"
 #include "tensor/ops.h"
 #include "xbar/circuit_solver.h"
@@ -336,14 +337,52 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
     glue.push_back(std::move(c));
   }
 
+  // Bit-slice DAC of a row tile (rows_used < rows) at every stream width,
+  // over full 15-bit codes and over codes below 2^stream_bits (all upper
+  // streams zero); one case carries a negative code.
+  struct DacCase {
+    std::int64_t n, stream_bits, streams;
+    std::vector<std::int16_t> codes;
+  };
+  const std::int64_t dac_rows = 8, dac_rows_used = 5;
+  std::vector<DacCase> dac;
+  for (std::int64_t dn : {1, 9, 15, 16, 17, 36, 144})
+    for (std::int64_t sb = 1; sb <= 7; ++sb) {
+      DacCase c{dn, sb, (15 + sb - 1) / sb, {}};
+      const std::uint64_t bound =
+          dac.size() % 2 == 0 ? 32768u : (std::uint64_t{1} << sb);
+      for (std::int64_t i = 0; i < dac_rows_used * dn; ++i)
+        c.codes.push_back(static_cast<std::int16_t>(rng.uniform_index(bound)));
+      dac.push_back(std::move(c));
+    }
+  const std::size_t dac_negative_case = 23;  // n = 16, stream_bits = 3
+  dac[dac_negative_case].codes[7] = -5;
+
   auto run = [&](simd::Isa isa) {
     simd::ScopedIsaForTests scope(isa);
     struct Out {
       std::vector<float> scl, quant, adc;
       std::vector<std::vector<float>> gemm, adc_rows, glue;
-      std::vector<std::vector<std::int8_t>> flags;
+      std::vector<std::vector<std::int8_t>> flags, dac_chunk, dac_row_max;
+      std::vector<std::vector<std::int32_t>> dac_colsum;
+      std::vector<bool> dac_negative;
       std::vector<std::int64_t> nonfinite;
     } o;
+    for (const DacCase& c : dac) {
+      // Garbage-filled outputs: padded rows must come back zeroed.
+      std::vector<std::int8_t> chunk(
+          static_cast<std::size_t>(c.streams * dac_rows * c.n), 0x55);
+      std::vector<std::int8_t> row_max(
+          static_cast<std::size_t>(c.streams * dac_rows), 0x55);
+      std::vector<std::int32_t> colsum(
+          static_cast<std::size_t>(c.streams * c.n), -7);
+      o.dac_negative.push_back(simd::dac_streams_i16(
+          chunk.data(), row_max.data(), colsum.data(), c.codes.data(),
+          dac_rows_used, dac_rows, c.n, c.streams, c.stream_bits));
+      o.dac_chunk.push_back(std::move(chunk));
+      o.dac_row_max.push_back(std::move(row_max));
+      o.dac_colsum.push_back(std::move(colsum));
+    }
     for (std::size_t t = 0; t < adc_ns.size(); ++t) {
       const std::int64_t an = adc_ns[t];
       std::vector<float> rows_form(adc_cur[t].size(), 0.5f);
@@ -399,6 +438,44 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
     return o;
   };
   auto s = run(simd::Isa::Scalar);
+  // Scalar DAC: chunks are puma::extract_chunk of the float image, padded
+  // rows zero, row maxima and column sums those of the chunks; only the
+  // negative case reports a negative code. Some streams are all zero.
+  std::int64_t zero_streams = 0;
+  for (std::size_t ci = 0; ci < dac.size(); ++ci) {
+    const DacCase& c = dac[ci];
+    EXPECT_EQ(s.dac_negative[ci], ci == dac_negative_case) << "dac " << ci;
+    if (ci == dac_negative_case) continue;
+    Tensor image({dac_rows_used * c.n});
+    for (std::int64_t i = 0; i < image.numel(); ++i)
+      image[i] = static_cast<float>(c.codes[static_cast<std::size_t>(i)]);
+    for (std::int64_t t = 0; t < c.streams; ++t) {
+      const Tensor want = puma::extract_chunk(image, t, c.stream_bits);
+      const std::int8_t* chunk = s.dac_chunk[ci].data() + t * dac_rows * c.n;
+      const std::int8_t* rmax = s.dac_row_max[ci].data() + t * dac_rows;
+      const std::int32_t* csum = s.dac_colsum[ci].data() + t * c.n;
+      std::int64_t stream_max = 0;
+      for (std::int64_t r = 0; r < dac_rows; ++r) {
+        std::int64_t m = 0;
+        for (std::int64_t k = 0; k < c.n; ++k) {
+          const float v = r < dac_rows_used ? want[r * c.n + k] : 0.0f;
+          ASSERT_EQ(static_cast<float>(chunk[r * c.n + k]), v)
+              << "dac " << ci << " t=" << t << " r=" << r << " k=" << k;
+          m = std::max<std::int64_t>(m, chunk[r * c.n + k]);
+        }
+        EXPECT_EQ(rmax[r], m) << "dac " << ci << " t=" << t << " r=" << r;
+        stream_max = std::max(stream_max, m);
+      }
+      for (std::int64_t k = 0; k < c.n; ++k) {
+        std::int32_t sum = 0;
+        for (std::int64_t r = 0; r < dac_rows_used; ++r)
+          sum += chunk[r * c.n + k];
+        EXPECT_EQ(csum[k], sum) << "dac " << ci << " t=" << t << " k=" << k;
+      }
+      zero_streams += stream_max == 0;
+    }
+  }
+  EXPECT_GT(zero_streams, 0);
   // The inputs exercise both guard outcomes and the non-finite count.
   std::int64_t flagged = 0, trusted = 0, total_nonfinite = 0;
   for (std::size_t t = 0; t < s.flags.size(); t += 2) {  // guard-on runs
@@ -418,6 +495,13 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
       EXPECT_EQ(s.adc[i], v.adc[i]) << simd::isa_name(isa) << " adc " << i;
     }
     EXPECT_EQ(s.adc_rows, v.adc_rows) << simd::isa_name(isa);
+    EXPECT_EQ(s.dac_chunk, v.dac_chunk) << simd::isa_name(isa) << " dac";
+    EXPECT_EQ(s.dac_row_max, v.dac_row_max)
+        << simd::isa_name(isa) << " dac row max";
+    EXPECT_EQ(s.dac_colsum, v.dac_colsum)
+        << simd::isa_name(isa) << " dac column sums";
+    EXPECT_EQ(s.dac_negative, v.dac_negative)
+        << simd::isa_name(isa) << " dac negative report";
     // Glue outputs: same bits, or NaN on both sides (payloads aside).
     ASSERT_EQ(s.glue.size(), v.glue.size());
     for (std::size_t t = 0; t < s.glue.size(); ++t)
