@@ -287,33 +287,41 @@ BENCHMARK(BM_TiledMatmulThreads)
 // are bit-identical; the time ratio is the fusion win. Per-arm ms land in
 // the run manifest as bench/tiled/{float,fused}_ms and the ratio as
 // bench/tiled/fused_speedup — the perf gate holds the ratio >= 1.2.
+// Arg 2 runs the fused route on one column, the block a lone served
+// request costs, as bench/tiled/fused_n1_ms.
 void BM_TiledMatmulFused(benchmark::State& state) {
+  const int arm = static_cast<int>(state.range(0));
   Rng rng(10);
   Tensor w = Tensor::normal({16, 128}, 0, 0.1f, rng);
-  Tensor x({128, 32});
+  Tensor x({128, arm == 2 ? 1 : 32});
   for (auto& v : x.data())
     v = rng.bernoulli(0.5) ? 0.0f : static_cast<float>(rng.uniform(0, 1));
   auto model =
       std::make_shared<xbar::FastNoiseModel>(xbar::xbar_32x32_100k());
   puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  const bool fused = state.range(0) != 0;
-  puma::ScopedIntPathForTests route(fused);
+  puma::ScopedIntPathForTests route(arm != 0);
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   if (state.iterations() == 0) return;
   const double ms = dt.count() * 1e3 / static_cast<double>(state.iterations());
-  metrics::gauge(fused ? "bench/tiled/fused_ms" : "bench/tiled/float_ms")
-      .set(ms);
-  if (fused) {
+  static const char* const kGauge[] = {"bench/tiled/float_ms",
+                                       "bench/tiled/fused_ms",
+                                       "bench/tiled/fused_n1_ms"};
+  metrics::gauge(kGauge[arm]).set(ms);
+  if (arm == 1) {
     // Arg 0 registered first, so the float-route gauge is already set.
     const double unfused = metrics::gauge("bench/tiled/float_ms").value();
     if (ms > 0.0 && unfused > 0.0)
       metrics::gauge("bench/tiled/fused_speedup").set(unfused / ms);
   }
 }
-BENCHMARK(BM_TiledMatmulFused)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TiledMatmulFused)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // Warm-start A/B: the same circuit-solver tiled matmul with stream
 // warm-starting off (Arg 0, the pre-streaming behavior) and on (Arg 1).

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
     for (std::size_t bi = 0; bi < 2; ++bi) {
       serve::ServeOptions opt;
       opt.max_batch = batches[bi];
-      opt.flush_us = 200;
       opt.queue_capacity = n;  // admit everything: compare like with like
       serve::Server server(backend, opt);
 

@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
     opt.policy = policy;
     opt.threads_per_shard = 1;
     opt.serve.max_batch = 32;
-    opt.serve.flush_us = 200;
     opt.serve.queue_capacity = queue_cap;
     auto cluster = std::make_unique<serve::Cluster>(opt);
     // Multi-tenant residency: a second model stays resident throughout so

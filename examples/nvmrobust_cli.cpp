@@ -16,7 +16,7 @@
 //       [--chip S] [--n K] [--eps E/255] [--iters I] [--attack pgd|square|both|none]
 //       Clean + transferred-adversarial accuracy vs stuck-cell rate and
 //       conductance-drift time, with failure-handling counters per row.
-//   serve [--rate RPS] [--requests N] [--batch B] [--flush_us US] [--queue Q]
+//   serve [--rate RPS] [--requests N] [--batch B] [--queue Q]
 //       [--timeout_us US] [--model fast_noise|ideal]
 //       Stand up the micro-batching inference service over a crossbar-
 //       deployed linear classifier and drive it with deterministic
@@ -575,8 +575,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   serve::ServeOptions opt = serve::ServeOptions::from_env();
   opt.max_batch = static_cast<std::int64_t>(
       flag_or(flags, "batch", static_cast<double>(opt.max_batch)));
-  opt.flush_us = static_cast<std::int64_t>(
-      flag_or(flags, "flush_us", static_cast<double>(opt.flush_us)));
   opt.queue_capacity = static_cast<std::int64_t>(
       flag_or(flags, "queue", static_cast<double>(opt.queue_capacity)));
   opt.timeout_us = static_cast<std::int64_t>(
@@ -602,8 +600,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
       rep.queue_p50_ms, rep.mean_batch);
 
   manifest.set_note("model", model_kind);
-  manifest.set_note("serve", "max_batch=" + std::to_string(opt.max_batch) +
-                                 " flush_us=" + std::to_string(opt.flush_us));
+  manifest.set_note("serve", "max_batch=" + std::to_string(opt.max_batch));
   manifest.add_result("requests_ok", static_cast<double>(rep.ok));
   manifest.add_result("requests_shed", static_cast<double>(rep.shed));
   manifest.add_result("throughput_rps", rep.throughput_rps);
@@ -650,8 +647,6 @@ int cmd_serve_cluster(const std::map<std::string, std::string>& flags) {
       flags, "shard_threads", static_cast<double>(opt.threads_per_shard)));
   opt.serve.max_batch = static_cast<std::int64_t>(
       flag_or(flags, "batch", static_cast<double>(opt.serve.max_batch)));
-  opt.serve.flush_us = static_cast<std::int64_t>(
-      flag_or(flags, "flush_us", static_cast<double>(opt.serve.flush_us)));
   opt.serve.queue_capacity = static_cast<std::int64_t>(
       flag_or(flags, "queue", static_cast<double>(opt.serve.queue_capacity)));
   opt.serve.timeout_us = static_cast<std::int64_t>(
@@ -784,13 +779,13 @@ void usage() {
       "              --rates 0,0.01,0.05 --drift 0 --chip S --n K\n"
       "              --attack pgd|square|both|none --eps E --iters I]\n"
       "                                      accuracy vs device fault rate\n"
-      "  serve  [--rate RPS --requests N --batch B --flush_us US --queue Q\n"
+      "  serve  [--rate RPS --requests N --batch B --queue Q\n"
       "          --timeout_us US --model fast_noise|ideal]\n"
       "                                      micro-batching inference service\n"
       "                                      under open-loop Poisson traffic\n"
       "  serve_cluster [--shards N --policy round_robin|consistent_hash|\n"
       "          least_loaded --vnodes V --shard_threads T --rate RPS\n"
-      "          --requests N --batch B --flush_us US --queue Q\n"
+      "          --requests N --batch B --queue Q\n"
       "          --timeout_us US --classes C --features F --drain_race 0|1]\n"
       "                                      sharded multi-tenant serving\n"
       "                                      cluster; --drain_race 1 races\n"
@@ -802,8 +797,8 @@ void usage() {
       "                                      population-scale aging + SLA +\n"
       "                                      recalibration scheduling\n"
       "crossbar MODEL is one of: 64x64_300k, 32x32_100k, 64x64_100k\n"
-      "serve also honours NVM_SERVE_MAX_BATCH / NVM_SERVE_FLUSH_US /\n"
-      "NVM_SERVE_QUEUE_CAP / NVM_SERVE_TIMEOUT_US\n"
+      "serve also honours NVM_SERVE_MAX_BATCH / NVM_SERVE_QUEUE_CAP /\n"
+      "NVM_SERVE_TIMEOUT_US\n"
       "serve_cluster also honours NVM_CLUSTER_SHARDS / NVM_CLUSTER_POLICY /\n"
       "NVM_CLUSTER_VNODES / NVM_CLUSTER_SHARD_THREADS (flags win)\n"
       "fleet_sim also honours NVM_FLEET_CHIPS / NVM_FLEET_EPOCHS /\n"

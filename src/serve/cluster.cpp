@@ -130,7 +130,6 @@ void Cluster::add_model(ModelSpec spec) {
   // Per-model admission/batching: spec overrides on the cluster defaults.
   ServeOptions base = impl_->opt.serve;
   if (spec.max_batch >= 0) base.max_batch = spec.max_batch;
-  if (spec.flush_us >= 0) base.flush_us = spec.flush_us;
   if (spec.queue_capacity >= 0) base.queue_capacity = spec.queue_capacity;
   if (spec.timeout_us >= 0) base.timeout_us = spec.timeout_us;
 

@@ -56,7 +56,6 @@ struct ModelSpec {
   /// Per-model admission/batching overrides; negative fields inherit the
   /// cluster-wide ServeOptions defaults.
   std::int64_t max_batch = -1;
-  std::int64_t flush_us = -1;
   std::int64_t queue_capacity = -1;
   std::int64_t timeout_us = -1;
 };

@@ -142,8 +142,6 @@ ServeOptions ServeOptions::from_env() {
   ServeOptions o;
   o.max_batch =
       std::max<std::int64_t>(1, env_int("NVM_SERVE_MAX_BATCH", o.max_batch));
-  o.flush_us =
-      std::max<std::int64_t>(0, env_int("NVM_SERVE_FLUSH_US", o.flush_us));
   o.queue_capacity = std::max<std::int64_t>(
       1, env_int("NVM_SERVE_QUEUE_CAP", o.queue_capacity));
   o.timeout_us =
@@ -184,15 +182,9 @@ void Server::Impl::scheduler_loop() {
       work.wait(lock, [this] { return draining || !queue.empty(); });
       if (queue.empty()) return;  // draining and fully drained
 
-      // Micro-batch aggregation: take up to max_batch requests, but never
-      // hold the head request past its flush deadline. Draining skips the
-      // wait entirely — shutdown serves what is queued, promptly.
-      const Clock::time_point deadline =
-          queue.front()->enqueued + std::chrono::microseconds(opt.flush_us);
-      while (static_cast<std::int64_t>(queue.size()) < opt.max_batch &&
-             !draining) {
-        if (work.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
+      // Work-conserving dispatch: take whatever is queued, up to max_batch,
+      // without waiting for more. Batches form from the requests that
+      // arrive while the previous batch runs.
       const std::size_t take = std::min<std::size_t>(
           queue.size(), static_cast<std::size_t>(opt.max_batch));
       batch.reserve(take);
@@ -314,7 +306,6 @@ void Server::Impl::process_batch(
 Server::Server(BatchClassifier& backend, ServeOptions opt) : opt_(opt) {
   NVM_CHECK_GT(opt_.max_batch, 0);
   NVM_CHECK_GT(opt_.queue_capacity, 0);
-  NVM_CHECK_GE(opt_.flush_us, 0);
   NVM_CHECK_GE(opt_.timeout_us, 0);
   NVM_CHECK_GT(backend.feature_dim(), 0);
   NVM_CHECK_GT(backend.classes(), 0);
@@ -335,8 +326,10 @@ Server::Server(BatchClassifier& backend, ServeOptions opt) : opt_(opt) {
 Server::~Server() { drain(); }
 
 Server::Ticket Server::submit(Tensor features) {
-  impl_->m.requests.add();
+  // A malformed submit throws before it is counted, so every counted
+  // request still resolves to exactly one terminal counter.
   NVM_CHECK_EQ(features.numel(), impl_->backend.feature_dim());
+  impl_->m.requests.add();
   auto req = std::make_shared<detail::Request>();
   features.reshape({features.numel()});
   req->x = std::move(features);

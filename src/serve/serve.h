@@ -6,16 +6,20 @@
 // attacker would actually face). Architecture:
 //
 //   submit() ──> bounded request queue ──> scheduler thread ──> replies
-//                 (admission control:       aggregates up to
-//                  Shed when full)          NVM_SERVE_MAX_BATCH requests,
-//                                           flushes after NVM_SERVE_FLUSH_US,
-//                                           one batched logits_block() per
-//                                           micro-batch
+//                 (admission control:       takes whatever is queued, up
+//                  Shed when full)          to NVM_SERVE_MAX_BATCH, as soon
+//                                           as it is free; one batched
+//                                           logits_block() per micro-batch
+//
+// Dispatch is work-conserving: the scheduler never waits for a batch to
+// fill. A request that finds it idle rides a batch of one; batches form
+// only from requests that arrive while the previous batch runs, so under
+// bursts and saturation they fill up on their own.
 //
 // The scheduler packs queued single-sample requests into one (features, n)
 // block and evaluates it through the batched analog path (TiledMatrix::
-// matmul -> per-tile ProgrammedXbar::open_stream() -> mvm_multi_active),
-// so serving throughput inherits the PR 4 multi-RHS speedup.
+// matmul -> each tile's fused chunk kernel), so a micro-batch costs one
+// tiled matmul however many requests ride in it.
 //
 // Determinism contract: a reply depends only on the request's features,
 // never on what it was batched with — guaranteed when the backend is
@@ -24,13 +28,13 @@
 // scale (per-call dynamic scaling would couple quantization across a
 // batch) over models whose streams are stateless (ideal / fast_noise /
 // geniex; a warm-starting circuit-solver stream trades this for speed).
-// Batch composition, NVM_SERVE_MAX_BATCH, NVM_SERVE_FLUSH_US, and
-// NVM_THREADS therefore never change logits or labels — see
+// Batch composition, arrival timing, NVM_SERVE_MAX_BATCH and NVM_THREADS
+// therefore never change logits or labels — see
 // tests/test_serve.cpp and DESIGN.md §12.
 //
 // Shutdown: drain() (or the destructor) stops admission, serves everything
-// already queued (flush deadlines are ignored while draining), fulfills
-// every outstanding ticket, and joins the scheduler. No request is lost.
+// already queued, fulfills every outstanding ticket, and joins the
+// scheduler. No request is lost.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +123,6 @@ struct Reply {
 struct ServeOptions {
   /// Largest micro-batch the scheduler assembles (NVM_SERVE_MAX_BATCH).
   std::int64_t max_batch = 32;
-  /// Oldest-request deadline: a partial batch is flushed once its head
-  /// request has waited this long (NVM_SERVE_FLUSH_US). 0 flushes
-  /// immediately (batches only form while the backend is busy).
-  std::int64_t flush_us = 200;
   /// Admission bound: submits beyond this many queued requests are Shed
   /// (NVM_SERVE_QUEUE_CAP).
   std::int64_t queue_capacity = 1024;
@@ -242,8 +242,8 @@ struct TrafficReport {
 };
 
 /// Drives `server` with one open-loop run. Blocks until every submitted
-/// request has a terminal reply (the flush deadline guarantees progress
-/// without draining the server).
+/// request has a terminal reply (dispatch is work-conserving, so progress
+/// needs no drain).
 TrafficReport run_open_loop(Server& server, std::span<const Tensor> requests,
                             const TrafficOptions& opt);
 

@@ -14,11 +14,11 @@ namespace {
 
 /// Compiled chunk kernel for the fast-noise model: everything in
 /// mvm_chunks_active that does not depend on the input — the per-cell
-/// attenuation divide and the per-(cell, code) contribution tables for
-/// BOTH sinhc branches, plus the per-cell branch cutoff — is hoisted to
-/// compile time, leaving only the code gather per sample at run time.
+/// attenuation divide, the per-(cell, code) contribution tables and the
+/// per-cell sinhc branch cutoff — is hoisted to compile time, leaving one
+/// contiguous table read per (row, sample, column block) at run time.
 ///
-/// Two tables per cell are required for bit identity: the interpreter
+/// Two tables per cell can be needed for bit identity: the interpreter
 /// picks its branch per call from the row's max code (vmax = double(
 /// v_unit * float(cmax)) with its own rounding), and near the 1.2
 /// threshold the poly and exact forms differ in the last ULPs, so the
@@ -26,28 +26,40 @@ namespace {
 /// float(v_unit * float(c)) is monotone in c, so the branch condition
 /// fails first at a well-defined cutoff code per cell; at run time the
 /// row's cmax is compared against it. Table entries themselves are
-/// cmax-independent (each is a function of the code alone), and both
-/// builders below run the interpreter's exact op sequence.
+/// cmax-independent (each is a function of the code alone), and the
+/// builder runs the interpreter's exact op sequence.
+///
+/// Layout: [row][branch][code][col], columns padded to a multiple of
+/// kBlock, so one (row, branch, code) is a contiguous run of columns.
+/// A row carries its exact-branch table only when some cell's cutoff is
+/// within the code alphabet; none does at the shipped configs, where
+/// |b| * s * v_read <= 2 * 0.25 < 1.2.
 class FastNoiseFusedKernel final : public FusedChunkKernel {
  public:
   FastNoiseFusedKernel(const CrossbarConfig& cfg, const Tensor& g,
                        const std::vector<double>& growsum,
                        const std::vector<double>& col_atten, float v_unit,
                        int max_code)
-      : rows_(cfg.rows), cols_(cfg.cols), v_unit_(v_unit),
-        codes_(max_code + 1) {
+      : rows_(cfg.rows), cols_(cfg.cols),
+        stride_((cfg.cols + kBlock - 1) / kBlock * kBlock), v_unit_(v_unit),
+        codes_(max_code + 1), branch_(codes_ * stride_) {
     const double b = cfg.device_nonlin;
     const float* pgf = g.raw();
-    tabs_.resize(static_cast<std::size_t>(cols_ * rows_ * 2 * codes_));
-    cut_.resize(static_cast<std::size_t>(cols_ * rows_));
-    for (std::int64_t j = 0; j < cols_; ++j) {
-      const double r_row_base = cfg.r_source + cfg.r_wire * j;
-      const double catten = col_atten[static_cast<std::size_t>(j)];
-      for (std::int64_t i = 0; i < rows_; ++i) {
-        const double atten =
+    const auto cells = static_cast<std::size_t>(rows_ * stride_);
+    // Padding columns never take the exact branch and read zeros.
+    cut_.assign(cells, static_cast<std::int8_t>(max_code + 1));
+    mode_.assign(static_cast<std::size_t>(rows_ * codes_), kPoly);
+    row_off_.resize(static_cast<std::size_t>(rows_));
+    std::vector<double> atten(cells);
+    std::size_t size = 0;
+    for (std::int64_t i = 0; i < rows_; ++i) {
+      int lo = max_code + 1, hi = 0;  // min / max cutoff over the row
+      for (std::int64_t j = 0; j < cols_; ++j) {
+        const double r_row_base = cfg.r_source + cfg.r_wire * j;
+        const double a =
             1.0 / (1.0 + r_row_base * growsum[static_cast<std::size_t>(i)]);
-        const double gij = pgf[i * cols_ + j];
-        const double s = atten * catten;
+        atten[static_cast<std::size_t>(i * stride_ + j)] = a;
+        const double s = a * col_atten[static_cast<std::size_t>(j)];
         // Smallest cmax whose row fails the interpreter's poly condition;
         // rows with cmax below it take the polynomial branch.
         int cut = max_code + 1;
@@ -59,23 +71,43 @@ class FastNoiseFusedKernel final : public FusedChunkKernel {
             break;
           }
         }
-        cut_[static_cast<std::size_t>(j * rows_ + i)] =
+        cut_[static_cast<std::size_t>(i * stride_ + j)] =
             static_cast<std::int8_t>(cut);
-        double* poly =
-            tabs_.data() + static_cast<std::size_t>((j * rows_ + i) * 2) *
-                               static_cast<std::size_t>(codes_);
-        double* exact = poly + codes_;
-        for (int c = 0; c <= max_code; ++c) {
-          const float vf = v_unit * static_cast<float>(c);
-          const double v_eff = static_cast<double>(vf) * atten * catten;
+        lo = std::min(lo, cut);
+        hi = std::max(hi, cut);
+      }
+      // Every cell of the row agrees on the branch below lo (poly) and
+      // from hi on (exact); in between the cells disagree.
+      for (int c = lo; c <= max_code; ++c)
+        mode_[static_cast<std::size_t>(i * codes_ + c)] =
+            c >= hi ? kExact : kMixed;
+      row_off_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(size);
+      size += static_cast<std::size_t>((lo <= max_code ? 2 : 1) * branch_);
+    }
+    tabs_.assign(size, 0.0);
+    for (std::int64_t i = 0; i < rows_; ++i) {
+      double* poly = tabs_.data() + row_off_[static_cast<std::size_t>(i)];
+      double* exact = poly + branch_;
+      const bool exact_row =
+          mode_[static_cast<std::size_t>(i * codes_ + max_code)] != kPoly;
+      const double* arow = atten.data() + i * stride_;
+      const float* grow = pgf + i * cols_;
+      for (int c = 0; c <= max_code; ++c) {
+        const float vf = v_unit * static_cast<float>(c);
+        double* prun = poly + c * stride_;
+        double* erun = exact + c * stride_;
+        for (std::int64_t j = 0; j < cols_; ++j) {
+          const double v_eff = static_cast<double>(vf) * arow[j] *
+                               col_atten[static_cast<std::size_t>(j)];
+          const double gij = grow[j];
           const double x = b * v_eff;
           const double x2 = x * x;
           constexpr double c1 = 1.0 / 6.0, c2 = 1.0 / 120.0;
           constexpr double c3 = 1.0 / 5040.0, c4 = 1.0 / 362880.0;
           const double shc =
               1.0 + x2 * (c1 + x2 * (c2 + x2 * (c3 + x2 * c4)));
-          poly[c] = gij * v_eff * shc;
-          exact[c] = device_current(gij, v_eff, b);
+          prun[j] = gij * v_eff * shc;
+          if (exact_row) erun[j] = device_current(gij, v_eff, b);
         }
       }
     }
@@ -89,35 +121,67 @@ class FastNoiseFusedKernel final : public FusedChunkKernel {
     const std::int64_t n = cb.n;
     if (n == 0) return;
     count_mvm_multi_columns(n);
-    std::span<double> acc = ws.doubles(11, static_cast<std::size_t>(n));
-    for (std::int64_t j = 0; j < cols_used; ++j) {
-      const double* cells =
-          tabs_.data() + static_cast<std::size_t>(j * rows_ * 2) *
-                             static_cast<std::size_t>(codes_);
-      const std::int8_t* cut = cut_.data() + j * rows_;
-      for (std::int64_t k = 0; k < n; ++k)
-        acc[static_cast<std::size_t>(k)] = 0.0;
-      for (std::int64_t i = 0; i < rows_used; ++i) {
-        const int cmax = cb.row_max[i];
-        if (cmax == 0) continue;  // all contributions exactly +0.0
-        const double* tab = cells + (i * 2 + (cmax < cut[i] ? 0 : 1)) * codes_;
-        const std::int8_t* crow = cb.chunk + i * n;
-        for (std::int64_t k = 0; k < n; ++k)
-          acc[static_cast<std::size_t>(k)] += tab[crow[k]];
+    // Resolve each row once per call: rows with no nonzero code add
+    // exactly +0.0 and are skipped; a row whose cells all take one branch
+    // at this cmax reads that branch's table (its offset), a mixed row
+    // (-1) selects per cell against cut_.
+    std::span<std::int32_t> live =
+        ws.i32s(2, static_cast<std::size_t>(2 * rows_used));
+    std::int64_t n_live = 0;
+    for (std::int64_t i = 0; i < rows_used; ++i) {
+      const int cmax = cb.row_max[i];
+      if (cmax == 0) continue;
+      const std::int8_t mode =
+          mode_[static_cast<std::size_t>(i * codes_ + cmax)];
+      std::int32_t off = row_off_[static_cast<std::size_t>(i)];
+      if (mode == kExact) off += static_cast<std::int32_t>(branch_);
+      if (mode == kMixed) off = -1;
+      live[static_cast<std::size_t>(2 * n_live)] = static_cast<std::int32_t>(i);
+      live[static_cast<std::size_t>(2 * n_live + 1)] = off;
+      ++n_live;
+    }
+    const double* tabs = tabs_.data();
+    // Each (column, sample) adds its live rows' entries in ascending row
+    // order into a fresh +0.0, as the interpreter does.
+    for (std::int64_t k = 0; k < n; ++k) {
+      for (std::int64_t j0 = 0; j0 < cols_used; j0 += kBlock) {
+        double acc[kBlock] = {};
+        for (std::int64_t r = 0; r < n_live; ++r) {
+          const std::int64_t i = live[static_cast<std::size_t>(2 * r)];
+          const std::int32_t off = live[static_cast<std::size_t>(2 * r + 1)];
+          const std::int64_t at = cb.chunk[i * n + k] * stride_ + j0;
+          if (off >= 0) {
+            const double* t = tabs + off + at;
+            for (int jj = 0; jj < kBlock; ++jj) acc[jj] += t[jj];
+          } else {
+            const double* poly =
+                tabs + row_off_[static_cast<std::size_t>(i)] + at;
+            const double* exact = poly + branch_;
+            const std::int8_t* cut = cut_.data() + i * stride_ + j0;
+            const int cmax = cb.row_max[i];
+            for (int jj = 0; jj < kBlock; ++jj)
+              acc[jj] += cmax < cut[jj] ? poly[jj] : exact[jj];
+          }
+        }
+        const std::int64_t w = std::min<std::int64_t>(kBlock, cols_used - j0);
+        for (std::int64_t jj = 0; jj < w; ++jj)
+          out[(j0 + jj) * n + k] = static_cast<float>(acc[jj]);
       }
-      float* orow = out + j * n;
-      for (std::int64_t k = 0; k < n; ++k)
-        orow[k] = static_cast<float>(acc[static_cast<std::size_t>(k)]);
     }
     guard_output_finite(out, cols_used * n, "fast_noise");
   }
 
  private:
-  std::int64_t rows_, cols_;
+  static constexpr int kBlock = 8;  ///< columns per accumulator block
+  static constexpr std::int8_t kPoly = 0, kExact = 1, kMixed = 2;
+  std::int64_t rows_, cols_, stride_;
   float v_unit_;
   std::int64_t codes_;
-  std::vector<double> tabs_;     ///< [(j*rows + i) * 2 + branch][code]
-  std::vector<std::int8_t> cut_; ///< [j*rows + i] poly/exact cutoff cmax
+  std::int64_t branch_;       ///< doubles per (row, branch) table
+  std::vector<double> tabs_;  ///< [row][branch][code][col], row_off_ apart
+  std::vector<std::int32_t> row_off_;  ///< start of row i's poly table
+  std::vector<std::int8_t> cut_;       ///< [row][col] poly/exact cutoff
+  std::vector<std::int8_t> mode_;      ///< [row][cmax] kPoly/kExact/kMixed
 };
 
 class FastNoiseProgrammed final : public ProgrammedXbar {
@@ -168,7 +232,7 @@ class FastNoiseProgrammed final : public ProgrammedXbar {
 
   std::unique_ptr<FusedChunkKernel> compile_chunk_kernel(
       float v_unit, int max_code) const override {
-    // The table layout holds 2*(max_code+1) doubles per cell; stay within
+    // The tables hold up to 2*(max_code+1) doubles per cell; stay within
     // the interpreter's 7-bit code assumption and a sane footprint
     // (8 MiB/kernel covers 256x256 tiles at stream_bits <= 5).
     if (max_code < 1 || max_code + 1 > 32) return nullptr;

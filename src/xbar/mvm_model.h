@@ -60,9 +60,9 @@ class FusedChunkKernel {
   /// `ws` provides the kernel's scratch, planned per task by the caller
   /// instead of ad-hoc thread_local buffers. Slot ownership: the caller
   /// (puma::TiledMatrix::matmul) owns float slot 3 — its pass currents,
-  /// where `out` points — and the i32 slots of its integer routes; a
-  /// kernel may use every other slot (fast-noise takes double slot 11,
-  /// GENIEx float slots 0-2 and 4-7 and i8 slot 0) but never float slot 3.
+  /// where `out` points — and i32 slots 0-1 of its integer routes; a
+  /// kernel may use every other slot (fast-noise takes i32 slot 2 for its
+  /// live-row list, GENIEx float slots 0-2 and 4-7 and i8 slot 0).
   virtual void run(const ChunkBlock& cb, std::int64_t rows_used,
                    std::int64_t cols_used, float* out,
                    simd::Workspace& ws) const = 0;

@@ -350,7 +350,15 @@ TEST(TiledRoutes, BitIdenticalAcrossBackendsIsasAndThreads) {
 /// their oracle and must match bit for bit — fast_noise on a small tiled
 /// matrix and on the 16x128 serve-shaped classifier head, GENIEx on the
 /// paper's 64x64_100k crossbar with a ragged last row tile (150 = 64 + 64
-/// + 22 rows) at the batch widths of a ResNet-20 forward.
+/// + 22 rows) at the batch widths of a ResNet-20 forward. A strongly
+/// nonlinear fast-noise device (b = 30) on resistive row wires (3 kΩ per
+/// segment) puts |b|·s·v across sinhc's 1.2 threshold inside the DAC code
+/// alphabet at cutoff codes that spread along each row, so rows take the
+/// exact branch at high codes and cells of one row disagree at middle
+/// ones — far enough past the threshold that a per-row branch choice
+/// shows through the ADC. It runs at sample counts around the kernel's
+/// 8-column blocks with ragged cols_used (27 = 16 + 11 outputs) and
+/// rows_used (40 = 16 + 16 + 8).
 TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
   Rng rng(72);
   struct Case {
@@ -373,6 +381,12 @@ TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
       xbar::MlpRegressor(xbar::kGeniexFeatureCount, 28, mlp_rng));
   for (std::int64_t n : {1, 9, 36, 144})
     cases.push_back({"geniex", geniex, 20, 150, n});
+  xbar::CrossbarConfig sinh_cfg = test_cfg();
+  sinh_cfg.device_nonlin = 30.0;
+  sinh_cfg.r_wire = 3000.0;
+  auto sinh_fast = std::make_shared<xbar::FastNoiseModel>(sinh_cfg);
+  for (std::int64_t n : {1, 2, 7, 8, 9, 32, 33})
+    cases.push_back({"fast_noise sinh branches", sinh_fast, 27, 40, n});
   metrics::Counter& fused_runs = metrics::counter("puma/tiled/fused_runs");
   for (const Case& c : cases) {
     Tensor w = Tensor::normal({c.m, c.k}, 0.0f, 0.4f, rng);

@@ -1,8 +1,8 @@
 // nvm::serve semantics: the bit-identity determinism contract (served ==
-// serial classify for every batch/flush/thread config), shutdown drain,
-// admission control (shed / reject-after-drain), queue timeout and
-// cancellation, backend-failure replies, the deterministic Poisson arrival
-// model, and NVM_SERVE_* env plumbing.
+// serial classify for every batch/thread config), work-conserving dispatch,
+// shutdown drain, admission control (shed / reject-after-drain), queue
+// timeout and cancellation, backend-failure replies, the deterministic
+// Poisson arrival model, and NVM_SERVE_* env plumbing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -130,7 +130,6 @@ TEST(Serve, ServedLogitsBitIdenticalToSerialClassify) {
       ThreadPool pool(threads);
       serve::ServeOptions opt;
       opt.max_batch = max_batch;
-      opt.flush_us = 2000;
       opt.queue_capacity = n;
       opt.pool = &pool;
       serve::Server server(backend, opt);
@@ -157,12 +156,11 @@ TEST(Serve, ServedLogitsBitIdenticalToSerialClassify) {
 }
 
 // drain() must serve everything already admitted: no request lost, no
-// hang, even when the queue is deep and flush deadlines are far away.
+// hang, even when the queue is deep.
 TEST(Serve, DrainServesEveryAdmittedRequest) {
   GateBackend backend(4, 3, /*open=*/true);
   serve::ServeOptions opt;
   opt.max_batch = 8;
-  opt.flush_us = 1'000'000;  // 1 s: drain must not wait for this
   opt.queue_capacity = 64;
   serve::Server server(backend, opt);
 
@@ -194,7 +192,6 @@ TEST(Serve, QueueFullShedsDeterministically) {
   GateBackend backend(4, 3);
   serve::ServeOptions opt;
   opt.max_batch = 1;
-  opt.flush_us = 0;
   opt.queue_capacity = 2;
   serve::Server server(backend, opt);
 
@@ -223,7 +220,6 @@ TEST(Serve, QueuedRequestTimesOut) {
   GateBackend backend(4, 3);
   serve::ServeOptions opt;
   opt.max_batch = 1;
-  opt.flush_us = 0;
   // Far above scheduler wake-up latency on a loaded host, so `a` is
   // dispatched before it can expire (an expired `a` never enters the
   // backend and wait_for_batches would block forever).
@@ -245,7 +241,6 @@ TEST(Serve, CancelBeforeDispatchIsHonoured) {
   GateBackend backend(4, 3);
   serve::ServeOptions opt;
   opt.max_batch = 1;
-  opt.flush_us = 0;
   serve::Server server(backend, opt);
 
   auto a = server.submit(Tensor({4}));
@@ -268,7 +263,8 @@ TEST(Serve, BackendExceptionYieldsErrorReplies) {
   server.drain();
 }
 
-// Every submitted request resolves to exactly one terminal metrics counter.
+// Every submitted request resolves to exactly one terminal metrics counter;
+// a malformed submit throws before it is counted.
 TEST(Serve, TerminalCountersPartitionRequests) {
   metrics::Counter& requests = metrics::counter("serve/requests");
   metrics::Counter& served = metrics::counter("serve/served");
@@ -287,6 +283,7 @@ TEST(Serve, TerminalCountersPartitionRequests) {
   opt.queue_capacity = 32;
   serve::Server server(backend, opt);
   for (int i = 0; i < 12; ++i) (void)server.classify(Tensor({4}));
+  EXPECT_THROW((void)server.submit(Tensor({5})), std::exception);
   server.drain();
   (void)server.submit(Tensor({4}));  // -> rejected_shutdown
 
@@ -295,6 +292,36 @@ TEST(Serve, TerminalCountersPartitionRequests) {
                                  timeouts.value() + cancelled.value() +
                                  errors.value() + rejected.value();
   EXPECT_EQ(terminal - base, 13u);
+}
+
+// Work-conserving dispatch: a lone request on an idle server rides a batch
+// of one, and the requests that queue while a batch runs all ride the next
+// one, however few they are. No timing assertions: the gate fixes the
+// interleaving.
+TEST(Serve, DispatchTakesWhateverIsQueued) {
+  GateBackend backend(4, 3);
+  serve::ServeOptions opt;
+  opt.max_batch = 8;
+  serve::Server server(backend, opt);
+
+  auto a = server.submit(Tensor({4}));
+  backend.wait_for_batches(1);  // scheduler now blocked inside a's batch
+  auto b = server.submit(Tensor({4}));
+  auto c = server.submit(Tensor({4}));
+  auto d = server.submit(Tensor({4}));
+  backend.open();
+
+  EXPECT_EQ(a.get().batch_size, 1);
+  for (auto* t : {&b, &c, &d}) {
+    const serve::Reply r = t->get();
+    EXPECT_EQ(r.status, serve::ReplyStatus::Ok);
+    EXPECT_EQ(r.batch_size, 3);
+  }
+  // Idle again: a lone request is dispatched at once, alone.
+  const serve::Reply lone = server.classify(Tensor({4}));
+  EXPECT_EQ(lone.status, serve::ReplyStatus::Ok);
+  EXPECT_EQ(lone.batch_size, 1);
+  server.drain();
 }
 
 TEST(Serve, InvalidTicketReportsShutdown) {
@@ -327,7 +354,6 @@ TEST(Serve, OpenLoopTrafficServesEverythingAtModestLoad) {
   GateBackend backend(4, 3, /*open=*/true);
   serve::ServeOptions opt;
   opt.max_batch = 8;
-  opt.flush_us = 200;
   opt.queue_capacity = 256;
   serve::Server server(backend, opt);
 
@@ -351,12 +377,10 @@ TEST(Serve, OpenLoopTrafficServesEverythingAtModestLoad) {
 
 TEST(Serve, OptionsComeFromEnvironment) {
   ::setenv("NVM_SERVE_MAX_BATCH", "8", 1);
-  ::setenv("NVM_SERVE_FLUSH_US", "150", 1);
   ::setenv("NVM_SERVE_QUEUE_CAP", "7", 1);
   ::setenv("NVM_SERVE_TIMEOUT_US", "900", 1);
   serve::ServeOptions opt = serve::ServeOptions::from_env();
   EXPECT_EQ(opt.max_batch, 8);
-  EXPECT_EQ(opt.flush_us, 150);
   EXPECT_EQ(opt.queue_capacity, 7);
   EXPECT_EQ(opt.timeout_us, 900);
 
@@ -369,7 +393,6 @@ TEST(Serve, OptionsComeFromEnvironment) {
   EXPECT_EQ(opt.queue_capacity, 1);
 
   ::unsetenv("NVM_SERVE_MAX_BATCH");
-  ::unsetenv("NVM_SERVE_FLUSH_US");
   ::unsetenv("NVM_SERVE_QUEUE_CAP");
   ::unsetenv("NVM_SERVE_TIMEOUT_US");
 }

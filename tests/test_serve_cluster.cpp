@@ -149,7 +149,6 @@ TEST(ServeCluster, RoutedBitIdenticalToSerialClassifyMatrix) {
         opt.policy = policy;
         opt.threads_per_shard = threads;
         opt.serve.max_batch = 8;
-        opt.serve.flush_us = 50;
         serve::Cluster cluster(opt);
         cluster.add_model(linear_spec("ref", classes, feat, 3));
 
@@ -188,7 +187,6 @@ TEST(ServeCluster, DrainUnderConcurrentSubmitLosesNoRequest) {
   opt.shards = 2;
   opt.policy = serve::DispatchPolicy::RoundRobin;
   opt.serve.max_batch = 4;
-  opt.serve.flush_us = 0;
   serve::Cluster cluster(opt);
   cluster.add_model(linear_spec("m", classes, feat, 5));
 
@@ -241,7 +239,6 @@ TEST(ServeCluster, OverloadShedAccountingIsExact) {
   opt.shards = 1;
   opt.policy = serve::DispatchPolicy::RoundRobin;
   opt.serve.max_batch = 1;
-  opt.serve.flush_us = 0;
   opt.serve.queue_capacity = cap;
   serve::Cluster cluster(opt);
 
@@ -358,7 +355,6 @@ TEST(ServeCluster, MultiTenantResidencyAndQueueIsolation) {
   opt.shards = 1;
   opt.policy = serve::DispatchPolicy::RoundRobin;
   opt.serve.max_batch = 1;
-  opt.serve.flush_us = 0;
   serve::Cluster cluster(opt);
 
   serve::ModelSpec a = gated_spec("tenant_a", gate, feat, classes);
@@ -426,7 +422,6 @@ TEST(ServeCluster, OpenLoopTrafficPartitionsAcrossShards) {
   opt.shards = 2;
   opt.policy = serve::DispatchPolicy::RoundRobin;
   opt.serve.max_batch = 8;
-  opt.serve.flush_us = 50;
   serve::Cluster cluster(opt);
   cluster.add_model(linear_spec("m", classes, feat, 13));
 

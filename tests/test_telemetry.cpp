@@ -307,7 +307,6 @@ TEST_F(TelemetryTest, ServeRepliesCarryStageBreakdownAndBitIdentity) {
     if (events) trace::enable_events("", 1 << 12);
     serve::ServeOptions opt;
     opt.max_batch = 4;
-    opt.flush_us = 0;
     serve::Server server(backend, opt);
     std::vector<serve::Reply> replies;
     for (const Tensor& x : xs) replies.push_back(server.classify(x));
