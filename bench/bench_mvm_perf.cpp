@@ -192,12 +192,7 @@ BENCHMARK(BM_CircuitSolverMvm)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 void BM_TiledMatmul(benchmark::State& state) {
   // A stage-2 conv GEMM: (16 x 72) weights, 36 im2col columns. The GENIEx
   // arm (Arg 1) runs the fused chunk route and lands in the run manifest
-  // as bench/tiled/geniex_ms. After the timed loop it runs as many
-  // float-route (ScopedIntPathForTests(false), bit-identical outputs) and
-  // fused-route matmuls alternately, call by call so host drift lands on
-  // both alike, and publishes bench/tiled/geniex_float_ms and the
-  // float/fused ratio bench/tiled/geniex_fused_speedup. The perf gate
-  // holds geniex_ms and a floor on the ratio.
+  // as bench/tiled/geniex_ms, which the perf gate holds.
   Rng rng(4);
   Tensor w = Tensor::normal({16, 72}, 0, 0.1f, rng);
   Tensor x({72, 36});
@@ -210,28 +205,13 @@ void BM_TiledMatmul(benchmark::State& state) {
     model = xbar::make_geniex("64x64_100k");
   }
   puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
-  const std::chrono::duration<double> dt = Clock::now() - t0;
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
   if (state.range(0) != 1 || state.iterations() == 0) return;
-  const auto iters = static_cast<double>(state.iterations());
-  metrics::gauge("bench/tiled/geniex_ms").set(dt.count() * 1e3 / iters);
-  std::chrono::duration<double> fused_s{0}, float_s{0};
-  for (benchmark::IterationCount i = 0; i < state.iterations(); ++i) {
-    const auto f0 = Clock::now();
-    benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
-    fused_s += Clock::now() - f0;
-    puma::ScopedIntPathForTests float_route(false);
-    const auto f1 = Clock::now();
-    benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
-    float_s += Clock::now() - f1;
-  }
-  metrics::gauge("bench/tiled/geniex_float_ms")
-      .set(float_s.count() * 1e3 / iters);
-  if (fused_s.count() > 0.0)
-    metrics::gauge("bench/tiled/geniex_fused_speedup")
-        .set(float_s.count() / fused_s.count());
+  metrics::gauge("bench/tiled/geniex_ms")
+      .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_TiledMatmul)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -280,48 +260,31 @@ BENCHMARK(BM_TiledMatmulThreads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Fused A/B: the serve-shaped fast-noise batched matmul ((16 x 128)
-// classifier head, 32-column block) on the unfused legacy float route
-// (Arg 0, forced through ScopedIntPathForTests(false)) and on the fused
-// chunk kernels the TiledMatrix builds at construction (Arg 1). Results
-// are bit-identical; the time ratio is the fusion win. Per-arm ms land in
-// the run manifest as bench/tiled/{float,fused}_ms and the ratio as
-// bench/tiled/fused_speedup — the perf gate holds the ratio >= 1.2.
-// Arg 2 runs the fused route on one column, the block a lone served
-// request costs, as bench/tiled/fused_n1_ms.
+// The serve-shaped fast-noise matmul ((16 x 128) classifier head) on the
+// fused chunk kernels the TiledMatrix builds at construction. Arg 1 is
+// the 32-column batched block, published as bench/tiled/fused_ms; Arg 2
+// is one column, the block a lone served request costs, published as
+// bench/tiled/fused_n1_ms. The perf gate holds both.
 void BM_TiledMatmulFused(benchmark::State& state) {
-  const int arm = static_cast<int>(state.range(0));
+  const bool one_column = state.range(0) == 2;
   Rng rng(10);
   Tensor w = Tensor::normal({16, 128}, 0, 0.1f, rng);
-  Tensor x({128, arm == 2 ? 1 : 32});
+  Tensor x({128, one_column ? 1 : 32});
   for (auto& v : x.data())
     v = rng.bernoulli(0.5) ? 0.0f : static_cast<float>(rng.uniform(0, 1));
   auto model =
       std::make_shared<xbar::FastNoiseModel>(xbar::xbar_32x32_100k());
   puma::TiledMatrix tiled(w, model, puma::HwConfig{});
-  puma::ScopedIntPathForTests route(arm != 0);
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) benchmark::DoNotOptimize(tiled.matmul(x, 1.0f));
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   if (state.iterations() == 0) return;
-  const double ms = dt.count() * 1e3 / static_cast<double>(state.iterations());
-  static const char* const kGauge[] = {"bench/tiled/float_ms",
-                                       "bench/tiled/fused_ms",
-                                       "bench/tiled/fused_n1_ms"};
-  metrics::gauge(kGauge[arm]).set(ms);
-  if (arm == 1) {
-    // Arg 0 registered first, so the float-route gauge is already set.
-    const double unfused = metrics::gauge("bench/tiled/float_ms").value();
-    if (ms > 0.0 && unfused > 0.0)
-      metrics::gauge("bench/tiled/fused_speedup").set(unfused / ms);
-  }
+  metrics::gauge(one_column ? "bench/tiled/fused_n1_ms"
+                            : "bench/tiled/fused_ms")
+      .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_TiledMatmulFused)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TiledMatmulFused)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // Warm-start A/B: the same circuit-solver tiled matmul with stream
 // warm-starting off (Arg 0, the pre-streaming behavior) and on (Arg 1).
@@ -365,17 +328,12 @@ BENCHMARK(BM_SolverTiledMatmulWarmStart)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Sweep-schedule A/B: the identical solve under the red-black plane
-// schedule (Arg 0, the default) and the legacy chain-at-a-time schedule
-// (Arg 1). Sweep counts are bit-identical by construction; the time
-// difference is pure loop-nest / vectorization win, mirrored into the run
-// manifest as bench/solver/ordering_{redblack,lexicographic}_ms.
+// One 64x64 solve under the red-black plane schedule (the solver's only
+// schedule), mirrored into the run manifest as
+// bench/solver/ordering_redblack_ms, which the perf gate holds.
 void BM_CircuitSolverOrdering(benchmark::State& state) {
   const auto cfg = bench_cfg(64);
-  xbar::SolverOptions opt;
-  opt.ordering = state.range(0) == 0 ? xbar::SweepOrdering::kRedBlack
-                                     : xbar::SweepOrdering::kLexicographic;
-  xbar::CircuitSolverModel model(cfg, opt);
+  xbar::CircuitSolverModel model(cfg);
   auto programmed = model.program(bench_g(cfg));
   Tensor v = bench_v(cfg);
   const auto t0 = std::chrono::steady_clock::now();
@@ -383,15 +341,10 @@ void BM_CircuitSolverOrdering(benchmark::State& state) {
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
   if (state.iterations() > 0)
-    metrics::gauge(state.range(0) == 0
-                       ? "bench/solver/ordering_redblack_ms"
-                       : "bench/solver/ordering_lexicographic_ms")
+    metrics::gauge("bench/solver/ordering_redblack_ms")
         .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_CircuitSolverOrdering)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CircuitSolverOrdering)->Unit(benchmark::kMillisecond);
 
 // Input-only backward A/B: one fixed-seed, untrained SCIFAR10 ResNet-20
 // (widths 8/16/32, 12x12 input) on ideal engines, one Eval forward per

@@ -8,8 +8,6 @@
 // for the batching scheduler to pay for itself). Labels are cross-checked
 // across every config: the determinism contract says batch composition
 // never changes a reply.
-#include <chrono>
-
 #include "bench_util.h"
 #include "puma/tiled_mvm.h"
 #include "serve/serve.h"
@@ -95,35 +93,6 @@ int main(int argc, char** argv) {
   table.print("Micro-batching service, fast-noise " + cfg.name + " backend, " +
               std::to_string(classes) + "x" + std::to_string(feat) +
               " classifier, " + std::to_string(n) + " requests");
-
-  // Fused A/B on the serve matmul stage: the same batched logits_block the
-  // scheduler issues per micro-batch, on the unfused legacy float route
-  // (forced through ScopedIntPathForTests(false)) and on the fused chunk
-  // kernels. Bit-identical outputs; the time ratio is the fused-path
-  // overhead reduction the perf gate holds at >= 1.2x
-  // (fused_matmul_speedup).
-  {
-    Rng brng(derive_seed(1, 3));
-    Tensor xb({feat, 32});
-    for (auto& v : xb.data()) v = static_cast<float>(brng.uniform());
-    const int reps = static_cast<int>(scaled(60, 400));
-    double ms[2] = {0.0, 0.0};
-    for (int arm = 0; arm < 2; ++arm) {
-      puma::ScopedIntPathForTests route(arm == 1);
-      (void)backend.logits_block(xb);  // warm up
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < reps; ++r) (void)backend.logits_block(xb);
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      ms[arm] = dt.count() * 1e3 / reps;
-    }
-    const double fused_speedup = ms[1] > 0.0 ? ms[0] / ms[1] : 0.0;
-    std::printf("serve matmul stage: float %.3f ms, fused %.3f ms (%.2fx)\n",
-                ms[0], ms[1], fused_speedup);
-    manifest.add_result("fused_matmul_float_ms", ms[0]);
-    manifest.add_result("fused_matmul_fused_ms", ms[1]);
-    manifest.add_result("fused_matmul_speedup", fused_speedup);
-  }
 
   const double speedup = sat_rps[0] > 0.0 ? sat_rps[1] / sat_rps[0] : 0.0;
   std::printf("saturation throughput: batch1 %.0f rps, batch32 %.0f rps "

@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -73,47 +74,79 @@ namespace {
 
 using namespace nvm;
 
-/// Minimal --key value parser; flags must all take a value.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i + 1 < argc; i += 2) {
+/// Parsed --key value flags. Every lookup records its key, so once a
+/// subcommand returns, main can warn about the flags it never read (a
+/// typo or a removed flag) instead of silently running with defaults.
+class Flags {
+ public:
+  void set(const std::string& key, const std::string& value) {
+    values_[key] = value;
+  }
+
+  /// The flag's value, or null when absent; marks the key as read.
+  const std::string* find(const std::string& key) const {
+    read_.insert(key);
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  /// Given flags no lookup asked for.
+  std::vector<std::string> unread() const {
+    std::vector<std::string> keys;
+    for (const auto& kv : values_)
+      if (read_.count(kv.first) == 0) keys.push_back(kv.first);
+    return keys;
+  }
+
+ private:
+  std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
+};
+
+/// Minimal --key value parser; flags must all take a value. A trailing
+/// argument without one is ignored with a warning.
+Flags parse_flags(int argc, char** argv, int first) {
+  Flags flags;
+  int i = first;
+  for (; i + 1 < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
       std::exit(2);
     }
-    flags[argv[i] + 2] = argv[i + 1];
+    flags.set(argv[i] + 2, argv[i + 1]);
   }
+  if (i < argc)
+    std::fprintf(stderr, "warning: ignoring '%s': no value follows it\n",
+                 argv[i]);
   return flags;
 }
 
-double flag_or(const std::map<std::string, std::string>& flags,
-               const std::string& key, double fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
+double flag_or(const Flags& flags, const std::string& key, double fallback) {
+  const std::string* value = flags.find(key);
+  if (value == nullptr) return fallback;
   double v = 0.0;
   // Strict parse (strtod full-consume, ERANGE rejected): a typo like
   // "--eps 0.1x" warns and falls back instead of half-parsing or throwing
   // an uncaught std::invalid_argument out of main.
-  if (!parse_double(it->second.c_str(), &v)) {
+  if (!parse_double(value->c_str(), &v)) {
     std::fprintf(stderr,
                  "warning: --%s '%s' is not a valid number; using %g\n",
-                 key.c_str(), it->second.c_str(), fallback);
+                 key.c_str(), value->c_str(), fallback);
     return fallback;
   }
   return v;
 }
 
-std::string flag_or(const std::map<std::string, std::string>& flags,
-                    const std::string& key, const std::string& fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
+std::string flag_or(const Flags& flags, const std::string& key,
+                    const std::string& fallback) {
+  const std::string* value = flags.find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 /// Manifest for this invocation: --metrics-out wins, NVM_METRICS_OUT next,
 /// otherwise the manifest is inert.
 core::RunManifest manifest_for(const std::string& cmd,
-                               const std::map<std::string, std::string>& flags) {
+                               const Flags& flags) {
   return core::RunManifest::from_env(
       "cli/" + cmd, flag_or(flags, "metrics-out", std::string()));
 }
@@ -126,7 +159,7 @@ core::Task find_task(const std::string& name) {
   std::exit(2);
 }
 
-int cmd_nf(const std::map<std::string, std::string>& flags) {
+int cmd_nf(const Flags& flags) {
   core::RunManifest manifest = manifest_for("nf", flags);
   xbar::CrossbarConfig cfg = xbar::xbar_64x64_100k();
   cfg.rows = static_cast<std::int64_t>(flag_or(flags, "rows", 64));
@@ -173,7 +206,7 @@ int cmd_tasks() {
   return 0;
 }
 
-int cmd_eval(const std::map<std::string, std::string>& flags) {
+int cmd_eval(const Flags& flags) {
   core::RunManifest manifest = manifest_for("eval", flags);
   core::PreparedTask prepared =
       core::prepare(find_task(flag_or(flags, "task", "SCIFAR10")));
@@ -204,7 +237,7 @@ int cmd_eval(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_attack(const std::map<std::string, std::string>& flags) {
+int cmd_attack(const Flags& flags) {
   core::RunManifest manifest = manifest_for("attack", flags);
   core::PreparedTask prepared =
       core::prepare(find_task(flag_or(flags, "task", "SCIFAR10")));
@@ -271,7 +304,7 @@ std::vector<double> parse_list(const std::string& s) {
   return out;
 }
 
-int cmd_fault_sweep(const std::map<std::string, std::string>& flags) {
+int cmd_fault_sweep(const Flags& flags) {
   core::RunManifest manifest = manifest_for("fault_sweep", flags);
   core::PreparedTask prepared =
       core::prepare(find_task(flag_or(flags, "task", "SCIFAR10")));
@@ -294,8 +327,10 @@ int cmd_fault_sweep(const std::map<std::string, std::string>& flags) {
   }
 
   core::FaultSweepOptions opt;
-  if (flags.count("rates")) opt.stuck_rates = parse_list(flags.at("rates"));
-  if (flags.count("drift")) opt.drift_times = parse_list(flags.at("drift"));
+  if (const std::string* rates = flags.find("rates"))
+    opt.stuck_rates = parse_list(*rates);
+  if (const std::string* drift = flags.find("drift"))
+    opt.drift_times = parse_list(*drift);
   opt.stuck_on_fraction = flag_or(flags, "stuck_on_frac", 0.5);
   opt.dead_row_rate = flag_or(flags, "dead_rows", 0.0);
   opt.dead_col_rate = flag_or(flags, "dead_cols", 0.0);
@@ -326,23 +361,22 @@ int cmd_fault_sweep(const std::map<std::string, std::string>& flags) {
 
 /// Flag wins, then the environment variable, then the fallback — the
 /// NVM_FLEET_* variables let scripts pin a fleet config without flag soup.
-double fleet_param(const std::map<std::string, std::string>& flags,
+double fleet_param(const Flags& flags,
                    const std::string& flag, const char* env_name,
                    double fallback) {
-  auto it = flags.find(flag);
-  if (it != flags.end()) {
+  if (const std::string* value = flags.find(flag)) {
     double v = 0.0;
-    if (parse_double(it->second.c_str(), &v)) return v;
+    if (parse_double(value->c_str(), &v)) return v;
     std::fprintf(stderr,
                  "warning: --%s '%s' is not a valid number; trying %s\n",
-                 flag.c_str(), it->second.c_str(), env_name);
+                 flag.c_str(), value->c_str(), env_name);
   }
   // env_double applies the same strict-parse contract (warn + fallback on
   // e.g. NVM_FLEET_BUDGET=abc) instead of stod throwing out of main.
   return env_double(env_name, fallback);
 }
 
-int cmd_fleet_sim(const std::map<std::string, std::string>& flags) {
+int cmd_fleet_sim(const Flags& flags) {
   core::RunManifest manifest = manifest_for("fleet_sim", flags);
   core::PreparedTask prepared =
       core::prepare(find_task(flag_or(flags, "task", "SCIFAR10")));
@@ -453,7 +487,7 @@ class TiledAttackModel final : public attack::AttackModel {
 /// the circuit solver, a tiled fast-noise deployment of a tiny linear
 /// classifier, and both attack families, so a --metrics-out manifest from
 /// this command carries every layer's metrics.
-int cmd_quickstart(const std::map<std::string, std::string>& flags) {
+int cmd_quickstart(const Flags& flags) {
   core::RunManifest manifest = manifest_for("quickstart", flags);
 
   xbar::CrossbarConfig cfg = xbar::xbar_32x32_100k();
@@ -538,7 +572,7 @@ int cmd_quickstart(const std::map<std::string, std::string>& flags) {
 /// Micro-batching inference service demo: stands up nvm::serve over a
 /// crossbar-deployed linear classifier and drives it with deterministic
 /// open-loop Poisson traffic.
-int cmd_serve(const std::map<std::string, std::string>& flags) {
+int cmd_serve(const Flags& flags) {
   core::RunManifest manifest = manifest_for("serve", flags);
 
   xbar::CrossbarConfig cfg = xbar::xbar_32x32_100k();
@@ -621,7 +655,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   return rep.errors == 0 ? 0 : 1;
 }
 
-int cmd_serve_cluster(const std::map<std::string, std::string>& flags) {
+int cmd_serve_cluster(const Flags& flags) {
   core::RunManifest manifest = manifest_for("serve_cluster", flags);
 
   xbar::CrossbarConfig cfg = xbar::xbar_32x32_100k();
@@ -633,8 +667,8 @@ int cmd_serve_cluster(const std::map<std::string, std::string>& flags) {
   opt.shards = static_cast<std::int64_t>(
       flag_or(flags, "shards", static_cast<double>(opt.shards)));
   if (opt.shards < 1) opt.shards = 1;
-  if (const auto it = flags.find("policy"); it != flags.end()) {
-    if (!serve::try_parse_policy(it->second, &opt.policy)) {
+  if (const std::string* policy = flags.find("policy")) {
+    if (!serve::try_parse_policy(*policy, &opt.policy)) {
       std::fprintf(stderr,
                    "serve_cluster: --policy must be round_robin | "
                    "consistent_hash | least_loaded\n");
@@ -817,21 +851,28 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const auto flags = parse_flags(argc, argv, 2);
+  const Flags flags = parse_flags(argc, argv, 2);
   // --trace-events PATH: same effect as NVM_TRACE_EVENTS — record every
   // NVM_TRACE_SPAN as Chrome-trace B/E events and flush the timeline JSON
   // at exit (chrome://tracing / Perfetto).
-  if (const auto it = flags.find("trace-events"); it != flags.end())
-    nvm::trace::enable_events(it->second);
-  if (cmd == "quickstart") return cmd_quickstart(flags);
-  if (cmd == "nf") return cmd_nf(flags);
-  if (cmd == "tasks") return cmd_tasks();
-  if (cmd == "eval") return cmd_eval(flags);
-  if (cmd == "attack") return cmd_attack(flags);
-  if (cmd == "fault_sweep") return cmd_fault_sweep(flags);
-  if (cmd == "fleet_sim") return cmd_fleet_sim(flags);
-  if (cmd == "serve") return cmd_serve(flags);
-  if (cmd == "serve_cluster") return cmd_serve_cluster(flags);
-  usage();
-  return 2;
+  if (const std::string* path = flags.find("trace-events"))
+    nvm::trace::enable_events(*path);
+  int rc = 2;
+  if (cmd == "quickstart") rc = cmd_quickstart(flags);
+  else if (cmd == "nf") rc = cmd_nf(flags);
+  else if (cmd == "tasks") rc = cmd_tasks();
+  else if (cmd == "eval") rc = cmd_eval(flags);
+  else if (cmd == "attack") rc = cmd_attack(flags);
+  else if (cmd == "fault_sweep") rc = cmd_fault_sweep(flags);
+  else if (cmd == "fleet_sim") rc = cmd_fleet_sim(flags);
+  else if (cmd == "serve") rc = cmd_serve(flags);
+  else if (cmd == "serve_cluster") rc = cmd_serve_cluster(flags);
+  else {
+    usage();
+    return 2;
+  }
+  // Warn-and-fall-back: a flag the subcommand never read changed nothing.
+  for (const std::string& key : flags.unread())
+    std::fprintf(stderr, "warning: ignoring unused flag --%s\n", key.c_str());
+  return rc;
 }

@@ -288,6 +288,30 @@ grep -q "is not a valid number" "$STDERR_LOG" || {
 }
 echo "malformed-double handling ok: warning + fallback, exit 0"
 
+# Unknown flags (typos, removed options such as the old --flush_us) must
+# not pass silently: the run proceeds with defaults, exit status unchanged,
+# and stderr names every flag the subcommand never read. A trailing flag
+# with no value is reported too.
+echo "== tier-1: CLI unused-flag warnings =="
+STDERR_LOG=/tmp/nvmrobust_check_unusedflag.log
+if ! ./build/examples/nvmrobust_cli serve --requests 40 --flush_us 100 \
+    --batch >/dev/null 2>"$STDERR_LOG"; then
+  echo "FAIL: an unknown flag changed the CLI's exit status" >&2
+  cat "$STDERR_LOG" >&2
+  exit 1
+fi
+grep -q "warning: ignoring unused flag --flush_us" "$STDERR_LOG" || {
+  echo "FAIL: unknown --flush_us produced no warning" >&2
+  cat "$STDERR_LOG" >&2
+  exit 1
+}
+grep -q "warning: ignoring '--batch': no value follows it" "$STDERR_LOG" || {
+  echo "FAIL: dangling --batch produced no warning" >&2
+  cat "$STDERR_LOG" >&2
+  exit 1
+}
+echo "unused-flag handling ok: one warning per ignored flag, exit 0"
+
 if [[ "${1:-}" == "--skip-sanitize" ]]; then
   echo "== sanitizer pass skipped =="
   exit 0

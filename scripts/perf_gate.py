@@ -55,12 +55,13 @@ SPECS = [
      "bench/multi_rhs/multi_b128_cols_per_sec", "higher", 0.35),
     ("BENCH_mvm_perf.json", "metrics",
      "bench/solver/ordering_redblack_ms", "lower", 0.60),
-    # Fused chunk kernels: the fused route must beat the unfused float
-    # route by >= 1.2x on the batched fast-noise matmul — a structural
-    # floor, not a baseline comparison, so a landed fusion can never
-    # silently regress into a slowdown.
-    ("BENCH_mvm_perf.json", "metrics",
-     "bench/tiled/fused_speedup", "min", 1.2),
+    # Fused fast-noise matmul (BM_TiledMatmulFused/1): the serve-shaped
+    # 16x128 classifier head on a 32-column block. With the float route
+    # gone there is no in-process ratio to floor, so the fused route is
+    # held in absolute time; committed runs on the 4-vCPU host read
+    # 0.20-0.25 ms, and a 50% band absorbs host noise while catching a
+    # slot falling off its fused kernel.
+    ("BENCH_mvm_perf.json", "metrics", "bench/tiled/fused_ms", "lower", 0.50),
     # One-column fused fast-noise matmul (BM_TiledMatmulFused/2): the
     # matmul a lone served request costs. The column-contiguous table
     # layout took it from 0.054-0.058 to 0.045-0.048 ms wall on the 4-vCPU
@@ -72,14 +73,6 @@ SPECS = [
     # the fused chunk route further; a 50% band absorbs host noise and
     # still catches a return to the old evaluation loop.
     ("BENCH_mvm_perf.json", "metrics", "bench/tiled/geniex_ms", "lower", 0.50),
-    # GENIEx fused chunk route (integer DAC, no per-pass Tensor) against
-    # its own float route on the same matmul, interleaved per iteration.
-    # Both routes share the vectorized evaluation core, so on this 72 x 36
-    # shape the ratio sits near 1.06-1.09 (the DAC and the per-pass
-    # allocations are a small share of the surrogate's work); the floor
-    # only holds that the fused route is never slower than the float one.
-    ("BENCH_mvm_perf.json", "metrics",
-     "bench/tiled/geniex_fused_speedup", "min", 1.0),
     # Input-only backward (BM_InputGrad): backward() over input_grad() on
     # the SCIFAR10 ResNet-20, timed alternately. Skipping the parameter
     # gradients measured 2.31-2.58x on the 4-vCPU AVX-512 host of
@@ -91,7 +84,6 @@ SPECS = [
     ("BENCH_serve.json", "results",
      "b32_saturation_throughput_rps", "higher", 0.35),
     ("BENCH_serve.json", "results", "saturation_speedup", "higher", 0.30),
-    ("BENCH_serve.json", "results", "fused_matmul_speedup", "min", 1.2),
     # Light-load latency with batching on: dispatch is work-conserving, so
     # a lone request pays a scheduler wake-up and one one-column matmul
     # (0.11-0.19 ms on the 4-vCPU host). Holding partial batches for a

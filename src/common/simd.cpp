@@ -237,14 +237,6 @@ float dot_scalar(const float* a, const float* b, std::int64_t n) {
          ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
 }
 
-void axpy_scalar(float* y, const float* x, float alpha, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void scale_scalar(float* y, const float* x, float alpha, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] = alpha * x[i];
-}
-
 void gemm_scalar(float* c, const float* a, const float* b, std::int64_t m,
                  std::int64_t n, std::int64_t k, std::int64_t lda,
                  std::int64_t ldb, std::int64_t ldc) {
@@ -349,14 +341,6 @@ void gemm_f64acc_scalar(float* out, const float* a, const float* v,
   }
 }
 
-void quantize_affine_scalar(float* out, const float* x, std::int64_t n,
-                            float scale, float qmax) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = std::round(clipped / scale * qmax);
-  }
-}
-
 void adc_shift_add_scalar(float* acc, const float* cur, const float* baseline,
                           std::int64_t rows, std::int64_t n, float full_scale,
                           float steps, float shift) {
@@ -443,14 +427,6 @@ std::int64_t geniex_epilogue_scalar(float* out, std::int8_t* flags,
     }
   }
   return nonfinite;
-}
-
-void quantize_to_i8_scalar(std::int8_t* out, const float* x, std::int64_t n,
-                           float scale, float qmax) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = static_cast<std::int8_t>(std::round(clipped / scale * qmax));
-  }
 }
 
 void quantize_to_i16_scalar(std::int16_t* out, const float* x, std::int64_t n,
@@ -570,18 +546,6 @@ float dot(const float* a, const float* b, std::int64_t n) {
   NVM_SIMD_DISPATCH(dot, a, b, n);
 }
 
-void axpy(float* y, const float* x, float alpha, std::int64_t n) {
-  static metrics::Counter& c = metrics::counter("simd/kernel/axpy");
-  tally(c, 2 * u64(n));
-  NVM_SIMD_DISPATCH(axpy, y, x, alpha, n);
-}
-
-void scale(float* y, const float* x, float alpha, std::int64_t n) {
-  static metrics::Counter& c = metrics::counter("simd/kernel/scale");
-  tally(c, u64(n));
-  NVM_SIMD_DISPATCH(scale, y, x, alpha, n);
-}
-
 void gemm_accum(float* c, const float* a, const float* b, std::int64_t m,
                 std::int64_t n, std::int64_t k, std::int64_t lda,
                 std::int64_t ldb, std::int64_t ldc) {
@@ -632,13 +596,6 @@ void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
   NVM_SIMD_DISPATCH(gemm_f64acc, out, a, v, m, n, k, lda, ldv, ldo);
 }
 
-void quantize_affine(float* out, const float* x, std::int64_t n, float scale,
-                     float qmax) {
-  static metrics::Counter& c = metrics::counter("simd/kernel/quantize");
-  tally(c, 4 * u64(n));
-  NVM_SIMD_DISPATCH(quantize_affine, out, x, n, scale, qmax);
-}
-
 void adc_shift_add(float* acc, const float* cur, const float* baseline,
                    std::int64_t rows, std::int64_t n, float full_scale,
                    float steps, float shift) {
@@ -679,14 +636,6 @@ std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
   tally(c, 5 * u64(cols) * u64(n));  // max, mul, sub, two clamp compares
   NVM_SIMD_DISPATCH(geniex_epilogue, out, flags, iid, rel, cols, n, floor,
                     full_scale, guard, rel_min, rel_max);
-}
-
-void quantize_to_i8(std::int8_t* out, const float* x, std::int64_t n,
-                    float scale, float qmax) {
-  NVM_CHECK(qmax > 0.0f && qmax <= 127.0f, "i8 qmax=" << qmax);
-  static metrics::Counter& c = metrics::counter("simd/kernel/quantize_i8");
-  tally(c, 4 * u64(n));
-  NVM_SIMD_DISPATCH(quantize_to_i8, out, x, n, scale, qmax);
 }
 
 void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,

@@ -23,17 +23,16 @@
 //     mul+add in the scalar fallback; per element they differ by at most
 //     a few ULP of the running magnitude (tests/test_simd.cpp asserts the
 //     bound pairwise across all usable tiers).
-//   * Integer kernels (quantize_to_i8/i16, gemm_at_i8_i32acc,
+//   * Integer kernels (quantize_to_i16, gemm_at_i8_i32acc,
 //     adc_shift_add_i32, dac_streams_i16) are [exact]: integer arithmetic
 //     has no rounding, and their float epilogues mirror the scalar op
 //     sequence.
 //
 // Kernel list by contract:
-//   [exact] scale, gemm_madd, gemm_f64acc, quantize_affine, adc_shift_add,
-//           geniex_inputs, geniex_features, geniex_epilogue,
-//           quantize_to_i8, quantize_to_i16, gemm_at_i8_i32acc,
-//           adc_shift_add_i32, dac_streams_i16
-//   [~ulp]  dot, axpy, gemm_accum, gemm_at_accum, gemm_bt_accum, mlp_tanh
+//   [exact] gemm_madd, gemm_f64acc, adc_shift_add, geniex_inputs,
+//           geniex_features, geniex_epilogue, quantize_to_i16,
+//           gemm_at_i8_i32acc, adc_shift_add_i32, dac_streams_i16
+//   [~ulp]  dot, gemm_accum, gemm_at_accum, gemm_bt_accum, mlp_tanh
 //
 // Reduction trees:
 //   * dot: 8 strided lanes (lane l accumulates elements l, l+8, ...)
@@ -102,12 +101,6 @@ class ScopedIsaForTests {
 /// [~ulp] Dot product with the fixed 8-lane reduction tree.
 float dot(const float* a, const float* b, std::int64_t n);
 
-/// [~ulp] y[i] += alpha * x[i] (fused in the vector tiers).
-void axpy(float* y, const float* x, float alpha, std::int64_t n);
-
-/// [exact] y[i] = alpha * x[i].
-void scale(float* y, const float* x, float alpha, std::int64_t n);
-
 /// Scalar rational fast-tanh (xbar::fast_tanh forwards here); max abs
 /// error vs std::tanh ~2e-3. The vector tiers of mlp_tanh evaluate the
 /// same op sequence per lane, so it is exact across tiers.
@@ -172,13 +165,7 @@ void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
                  std::int64_t n, std::int64_t k, std::int64_t lda,
                  std::int64_t ldv, std::int64_t ldo);
 
-// Quantize / clamp kernels ------------------------------------------------
-
-/// [exact] out[i] = round(clamp(x[i], 0, scale) / scale * qmax), with
-/// round-half-away-from-zero semantics identical to std::round for the
-/// non-negative domain (puma::quantize_activations).
-void quantize_affine(float* out, const float* x, std::int64_t n, float scale,
-                     float qmax);
+// ADC kernel --------------------------------------------------------------
 
 /// [exact] acc[r*n + i] += shift * (adc(cur[r*n + i]) - baseline[i]) over
 /// a (rows x n) block, where adc() is the mid-tread ADC quantizer
@@ -240,13 +227,10 @@ std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
 // inputs as long as every dot product stays below 2^24 (float adds of
 // integers are exact there) — tests/test_simd.cpp pins that equivalence.
 
-/// [exact] out[i] = int8(round(clamp(x[i], 0, scale) / scale * qmax)) —
-/// the i8 twin of quantize_affine. Requires 0 < qmax <= 127.
-void quantize_to_i8(std::int8_t* out, const float* x, std::int64_t n,
-                    float scale, float qmax);
-
-/// [exact] out[i] = int16(round(clamp(x[i], 0, scale) / scale * qmax)) —
-/// the i16 twin of quantize_affine. Requires 0 < qmax <= 32767.
+/// [exact] out[i] = int16(round(clamp(x[i], 0, scale) / scale * qmax)),
+/// with round-half-away-from-zero semantics identical to std::round for
+/// the non-negative domain (puma::quantize_activations_i16). Requires
+/// 0 < qmax <= 32767.
 void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,
                      float scale, float qmax);
 

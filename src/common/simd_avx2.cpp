@@ -5,7 +5,7 @@
 //
 // Parity rules mirrored from simd.h: [exact] kernels use the same
 // unfused mul/add sequence as the scalar reference in simd.cpp; [~ulp]
-// kernels (dot, axpy, gemm, gemm_at, gemm_bt, mlp_tanh) use FMA in the
+// kernels (dot, gemm, gemm_at, gemm_bt, mlp_tanh) use FMA in the
 // vector body. gemm_madd, mlp_tanh, adc_shift_add and the geniex_* glue
 // kernels finish ragged columns with maskload/maskstore vectors, so they
 // have no scalar tail; dac_streams_i16 stages its ragged int16 vector
@@ -95,24 +95,6 @@ float dot_avx2(const float* a, const float* b, std::int64_t n) {
   _mm256_store_ps(lanes, acc);
   for (std::int64_t i = n8; i < n; ++i) lanes[i & 7] += a[i] * b[i];
   return reduce_lanes(lanes);
-}
-
-void axpy_avx2(float* y, const float* x, float alpha, std::int64_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8)
-    _mm256_storeu_ps(
-        y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i),
-                               _mm256_loadu_ps(y + i)));
-  for (std::int64_t i = n8; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void scale_avx2(float* y, const float* x, float alpha, std::int64_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8)
-    _mm256_storeu_ps(y + i, _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
-  for (std::int64_t i = n8; i < n; ++i) y[i] = alpha * x[i];
 }
 
 namespace {
@@ -244,24 +226,6 @@ void gemm_f64acc_avx2(float* out, const float* a, const float* v,
                static_cast<double>(v[kk * ldv + j]);
       out[i * ldo + j] = static_cast<float>(acc);
     }
-  }
-}
-
-void quantize_affine_avx2(float* out, const float* x, std::int64_t n,
-                          float scale, float qmax) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 vs = _mm256_set1_ps(scale);
-  const __m256 vq = _mm256_set1_ps(qmax);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8) {
-    const __m256 clipped =
-        _mm256_min_ps(_mm256_max_ps(_mm256_loadu_ps(x + i), zero), vs);
-    const __m256 t = _mm256_mul_ps(_mm256_div_ps(clipped, vs), vq);
-    _mm256_storeu_ps(out + i, round_nonneg(t));
-  }
-  for (std::int64_t i = n8; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = std::round(clipped / scale * qmax);
   }
 }
 
@@ -414,24 +378,6 @@ inline __m256i quantize_codes8(const float* x, __m256 vs, __m256 vq) {
 }
 
 }  // namespace
-
-void quantize_to_i8_avx2(std::int8_t* out, const float* x, std::int64_t n,
-                         float scale, float qmax) {
-  const __m256 vs = _mm256_set1_ps(scale);
-  const __m256 vq = _mm256_set1_ps(qmax);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  alignas(32) std::int32_t tmp[8];
-  for (std::int64_t i = 0; i < n8; i += 8) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp),
-                       quantize_codes8(x + i, vs, vq));
-    for (int l = 0; l < 8; ++l)
-      out[i + l] = static_cast<std::int8_t>(tmp[l]);
-  }
-  for (std::int64_t i = n8; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = static_cast<std::int8_t>(std::round(clipped / scale * qmax));
-  }
-}
 
 void quantize_to_i16_avx2(std::int16_t* out, const float* x, std::int64_t n,
                           float scale, float qmax) {
@@ -761,8 +707,6 @@ namespace {
 }  // namespace
 
 float dot_avx2(const float*, const float*, std::int64_t) { stub_fail(); }
-void axpy_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
-void scale_avx2(float*, const float*, float, std::int64_t) { stub_fail(); }
 void gemm_avx2(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
   stub_fail();
@@ -792,9 +736,6 @@ void gemm_f64acc_avx2(float*, const float*, const float*, std::int64_t,
                       std::int64_t) {
   stub_fail();
 }
-void quantize_affine_avx2(float*, const float*, std::int64_t, float, float) {
-  stub_fail();
-}
 void adc_shift_add_avx2(float*, const float*, const float*, std::int64_t,
                         std::int64_t, float, float, float) {
   stub_fail();
@@ -811,10 +752,6 @@ void geniex_features_avx2(float*, const float*, const float*, const float*,
 std::int64_t geniex_epilogue_avx2(float*, std::int8_t*, const float*,
                                   const float*, std::int64_t, std::int64_t,
                                   float, float, bool, float, float) {
-  stub_fail();
-}
-void quantize_to_i8_avx2(std::int8_t*, const float*, std::int64_t, float,
-                         float) {
   stub_fail();
 }
 void quantize_to_i16_avx2(std::int16_t*, const float*, std::int64_t, float,

@@ -7,7 +7,7 @@
 // Parity rules mirrored from simd.h: [exact] kernels use the same
 // unfused mul/add sequence per element as the scalar reference in
 // simd.cpp (elementwise IEEE ops are width-independent, so running them
-// 16 wide changes nothing); [~ulp] kernels (dot, axpy, gemm, gemm_at,
+// 16 wide changes nothing); [~ulp] kernels (dot, gemm, gemm_at,
 // gemm_bt, mlp_tanh) use FMA in the vector body, and dot folds its 16
 // lanes pairwise onto the documented 8-lane tree. gemm_madd, mlp_tanh,
 // adc_shift_add, the geniex_* glue kernels and dac_streams_i16 finish
@@ -99,24 +99,6 @@ float dot_avx512(const float* a, const float* b, std::int64_t n) {
   for (int l = 0; l < 8; ++l) lanes[l] = l16[l] + l16[l + 8];
   for (std::int64_t i = n16; i < n; ++i) lanes[i & 7] += a[i] * b[i];
   return reduce_lanes(lanes);
-}
-
-void axpy_avx512(float* y, const float* x, float alpha, std::int64_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16)
-    _mm512_storeu_ps(
-        y + i, _mm512_fmadd_ps(va, _mm512_loadu_ps(x + i),
-                               _mm512_loadu_ps(y + i)));
-  for (std::int64_t i = n16; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void scale_avx512(float* y, const float* x, float alpha, std::int64_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16)
-    _mm512_storeu_ps(y + i, _mm512_mul_ps(va, _mm512_loadu_ps(x + i)));
-  for (std::int64_t i = n16; i < n; ++i) y[i] = alpha * x[i];
 }
 
 namespace {
@@ -242,24 +224,6 @@ void gemm_f64acc_avx512(float* out, const float* a, const float* v,
                static_cast<double>(v[kk * ldv + j]);
       out[i * ldo + j] = static_cast<float>(acc);
     }
-  }
-}
-
-void quantize_affine_avx512(float* out, const float* x, std::int64_t n,
-                            float scale, float qmax) {
-  const __m512 zero = _mm512_setzero_ps();
-  const __m512 vs = _mm512_set1_ps(scale);
-  const __m512 vq = _mm512_set1_ps(qmax);
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16) {
-    const __m512 clipped =
-        _mm512_min_ps(_mm512_max_ps(_mm512_loadu_ps(x + i), zero), vs);
-    const __m512 t = _mm512_mul_ps(_mm512_div_ps(clipped, vs), vq);
-    _mm512_storeu_ps(out + i, round_nonneg(t));
-  }
-  for (std::int64_t i = n16; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = std::round(clipped / scale * qmax);
   }
 }
 
@@ -409,20 +373,6 @@ inline __m512i quantize_codes16(const float* x, __m512 vs, __m512 vq) {
 }
 
 }  // namespace
-
-void quantize_to_i8_avx512(std::int8_t* out, const float* x, std::int64_t n,
-                           float scale, float qmax) {
-  const __m512 vs = _mm512_set1_ps(scale);
-  const __m512 vq = _mm512_set1_ps(qmax);
-  const std::int64_t n16 = n & ~std::int64_t{15};
-  for (std::int64_t i = 0; i < n16; i += 16)
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm512_cvtepi32_epi8(quantize_codes16(x + i, vs, vq)));
-  for (std::int64_t i = n16; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = static_cast<std::int8_t>(std::round(clipped / scale * qmax));
-  }
-}
 
 void quantize_to_i16_avx512(std::int16_t* out, const float* x, std::int64_t n,
                             float scale, float qmax) {
@@ -710,8 +660,6 @@ namespace {
 }  // namespace
 
 float dot_avx512(const float*, const float*, std::int64_t) { stub_fail(); }
-void axpy_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
-void scale_avx512(float*, const float*, float, std::int64_t) { stub_fail(); }
 void gemm_avx512(float*, const float*, const float*, std::int64_t,
                  std::int64_t, std::int64_t, std::int64_t, std::int64_t,
                  std::int64_t) {
@@ -742,10 +690,6 @@ void mlp_tanh_avx512(float*, const float*, std::int64_t, std::int64_t,
                      float) {
   stub_fail();
 }
-void quantize_affine_avx512(float*, const float*, std::int64_t, float,
-                            float) {
-  stub_fail();
-}
 void adc_shift_add_avx512(float*, const float*, const float*, std::int64_t,
                           std::int64_t, float, float, float) {
   stub_fail();
@@ -762,10 +706,6 @@ void geniex_features_avx512(float*, const float*, const float*, const float*,
 std::int64_t geniex_epilogue_avx512(float*, std::int8_t*, const float*,
                                     const float*, std::int64_t, std::int64_t,
                                     float, float, bool, float, float) {
-  stub_fail();
-}
-void quantize_to_i8_avx512(std::int8_t*, const float*, std::int64_t, float,
-                           float) {
   stub_fail();
 }
 void quantize_to_i16_avx512(std::int16_t*, const float*, std::int64_t, float,

@@ -22,8 +22,6 @@ bool neon_tu_compiled();
 // stamped out below for scalar, avx2, avx512, and neon.
 #define NVM_SIMD_DECLARE_KERNELS(SUF)                                        \
   float dot_##SUF(const float* a, const float* b, std::int64_t n);           \
-  void axpy_##SUF(float* y, const float* x, float alpha, std::int64_t n);    \
-  void scale_##SUF(float* y, const float* x, float alpha, std::int64_t n);   \
   void gemm_##SUF(float* c, const float* a, const float* b, std::int64_t m,  \
                   std::int64_t n, std::int64_t k, std::int64_t lda,          \
                   std::int64_t ldb, std::int64_t ldc);                       \
@@ -45,8 +43,6 @@ bool neon_tu_compiled();
                          std::int64_t m, std::int64_t n, std::int64_t k,     \
                          std::int64_t lda, std::int64_t ldv,                 \
                          std::int64_t ldo);                                  \
-  void quantize_affine_##SUF(float* out, const float* x, std::int64_t n,     \
-                             float scale, float qmax);                       \
   void adc_shift_add_##SUF(float* acc, const float* cur,                     \
                            const float* baseline, std::int64_t rows,         \
                            std::int64_t n, float full_scale, float steps,    \
@@ -62,8 +58,6 @@ bool neon_tu_compiled();
       float* out, std::int8_t* flags, const float* iid, const float* rel,    \
       std::int64_t cols, std::int64_t n, float floor, float full_scale,      \
       bool guard, float rel_min, float rel_max);                             \
-  void quantize_to_i8_##SUF(std::int8_t* out, const float* x,                \
-                            std::int64_t n, float scale, float qmax);        \
   void quantize_to_i16_##SUF(std::int16_t* out, const float* x,              \
                              std::int64_t n, float scale, float qmax);       \
   void gemm_at_i8_i32acc_##SUF(std::int32_t* c, const std::int8_t* a,        \

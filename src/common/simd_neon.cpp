@@ -96,22 +96,6 @@ float dot_neon(const float* a, const float* b, std::int64_t n) {
   return reduce_lanes(lanes);
 }
 
-void axpy_neon(float* y, const float* x, float alpha, std::int64_t n) {
-  const float32x4_t va = vdupq_n_f32(alpha);
-  const std::int64_t n4 = n & ~std::int64_t{3};
-  for (std::int64_t i = 0; i < n4; i += 4)
-    vst1q_f32(y + i, vfmaq_f32(vld1q_f32(y + i), va, vld1q_f32(x + i)));
-  for (std::int64_t i = n4; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void scale_neon(float* y, const float* x, float alpha, std::int64_t n) {
-  const float32x4_t va = vdupq_n_f32(alpha);
-  const std::int64_t n4 = n & ~std::int64_t{3};
-  for (std::int64_t i = 0; i < n4; i += 4)
-    vst1q_f32(y + i, vmulq_f32(va, vld1q_f32(x + i)));
-  for (std::int64_t i = n4; i < n; ++i) y[i] = alpha * x[i];
-}
-
 namespace {
 
 /// One output row of C += A*B style accumulation: crow[j] accumulates
@@ -253,25 +237,6 @@ void gemm_f64acc_neon(float* out, const float* a, const float* v,
                static_cast<double>(v[kk * ldv + j]);
       out[i * ldo + j] = static_cast<float>(acc);
     }
-  }
-}
-
-void quantize_affine_neon(float* out, const float* x, std::int64_t n,
-                          float scale, float qmax) {
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  const float32x4_t vs = vdupq_n_f32(scale);
-  const float32x4_t vq = vdupq_n_f32(qmax);
-  const std::int64_t n4 = n & ~std::int64_t{3};
-  for (std::int64_t i = 0; i < n4; i += 4) {
-    const float32x4_t clipped =
-        vminq_f32(vmaxq_f32(vld1q_f32(x + i), zero), vs);
-    const float32x4_t t = vmulq_f32(vdivq_f32(clipped, vs), vq);
-    // vrndaq = round half away from zero == std::round.
-    vst1q_f32(out + i, vrndaq_f32(t));
-  }
-  for (std::int64_t i = n4; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = std::round(clipped / scale * qmax);
   }
 }
 
@@ -419,22 +384,6 @@ inline int32x4_t quantize_codes4(const float* x, float32x4_t vs,
 }
 
 }  // namespace
-
-void quantize_to_i8_neon(std::int8_t* out, const float* x, std::int64_t n,
-                         float scale, float qmax) {
-  const float32x4_t vs = vdupq_n_f32(scale);
-  const float32x4_t vq = vdupq_n_f32(qmax);
-  const std::int64_t n8 = n & ~std::int64_t{7};
-  for (std::int64_t i = 0; i < n8; i += 8) {
-    const int16x4_t lo = vmovn_s32(quantize_codes4(x + i, vs, vq));
-    const int16x4_t hi = vmovn_s32(quantize_codes4(x + i + 4, vs, vq));
-    vst1_s8(out + i, vmovn_s16(vcombine_s16(lo, hi)));
-  }
-  for (std::int64_t i = n8; i < n; ++i) {
-    const float clipped = std::clamp(x[i], 0.0f, scale);
-    out[i] = static_cast<std::int8_t>(std::round(clipped / scale * qmax));
-  }
-}
 
 void quantize_to_i16_neon(std::int16_t* out, const float* x, std::int64_t n,
                           float scale, float qmax) {
@@ -718,8 +667,6 @@ namespace {
 }  // namespace
 
 float dot_neon(const float*, const float*, std::int64_t) { stub_fail(); }
-void axpy_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
-void scale_neon(float*, const float*, float, std::int64_t) { stub_fail(); }
 void gemm_neon(float*, const float*, const float*, std::int64_t, std::int64_t,
                std::int64_t, std::int64_t, std::int64_t, std::int64_t) {
   stub_fail();
@@ -749,9 +696,6 @@ void gemm_f64acc_neon(float*, const float*, const float*, std::int64_t,
                       std::int64_t) {
   stub_fail();
 }
-void quantize_affine_neon(float*, const float*, std::int64_t, float, float) {
-  stub_fail();
-}
 void adc_shift_add_neon(float*, const float*, const float*, std::int64_t,
                         std::int64_t, float, float, float) {
   stub_fail();
@@ -768,10 +712,6 @@ void geniex_features_neon(float*, const float*, const float*, const float*,
 std::int64_t geniex_epilogue_neon(float*, std::int8_t*, const float*,
                                   const float*, std::int64_t, std::int64_t,
                                   float, float, bool, float, float) {
-  stub_fail();
-}
-void quantize_to_i8_neon(std::int8_t*, const float*, std::int64_t, float,
-                         float) {
   stub_fail();
 }
 void quantize_to_i16_neon(std::int16_t*, const float*, std::int64_t, float,

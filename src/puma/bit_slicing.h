@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -21,12 +19,6 @@ std::int64_t slice_count(std::int64_t value_bits, std::int64_t chunk_bits);
 /// of `chunk_bits` bits from every non-negative integer-valued element.
 Tensor extract_chunk(const Tensor& values, std::int64_t index,
                      std::int64_t chunk_bits);
-
-/// Allocation-free extract_chunk into caller scratch: dst must have
-/// src.size() elements. Returns the maximum chunk value, so callers can
-/// skip all-zero chunks without a second pass.
-float extract_chunk_into(std::span<const float> src, std::int64_t index,
-                         std::int64_t chunk_bits, std::span<float> dst);
 
 /// Weight of chunk `index` in the shift-add recombination: 2^(index*bits).
 float chunk_weight(std::int64_t index, std::int64_t chunk_bits);

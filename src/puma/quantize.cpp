@@ -23,16 +23,6 @@ QuantizedWeights quantize_weights(const Tensor& w, std::int64_t bits) {
   return out;
 }
 
-Tensor quantize_activations(const Tensor& x, float scale, std::int64_t bits) {
-  NVM_CHECK(bits >= 1 && bits <= 16, "activation bits=" << bits);
-  NVM_CHECK_GT(scale, 0.0f);
-  const float qmax = static_cast<float>((std::int64_t{1} << bits) - 1);
-  Tensor out(x.shape());
-  simd::quantize_affine(out.raw(), x.raw(), static_cast<std::int64_t>(x.numel()),
-                        scale, qmax);
-  return out;
-}
-
 std::vector<std::int16_t> quantize_activations_i16(const Tensor& x,
                                                    float scale,
                                                    std::int64_t bits) {

@@ -20,11 +20,8 @@ QuantizedWeights quantize_weights(const Tensor& w, std::int64_t bits);
 
 /// Unsigned quantization of a non-negative activation tensor against a
 /// fixed scale (the calibrated per-layer maximum): values are clipped to
-/// [0, scale] and mapped to integers [0, 2^bits - 1].
-Tensor quantize_activations(const Tensor& x, float scale, std::int64_t bits);
-
-/// Int16 twin of quantize_activations for the bit-slice fast path
-/// (DESIGN.md §13): identical codes, stored as int16 (requires
+/// [0, scale] and mapped to integer codes round(x / scale * (2^bits - 1)),
+/// stored as int16 for the bit-slice DAC (DESIGN.md §13; requires
 /// bits <= 15). Returned vector has x.numel() entries in x's row-major
 /// order.
 std::vector<std::int16_t> quantize_activations_i16(const Tensor& x,

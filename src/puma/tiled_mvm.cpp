@@ -1,7 +1,6 @@
 #include "puma/tiled_mvm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -18,24 +17,6 @@
 #include "puma/quantize.h"
 
 namespace nvm::puma {
-
-namespace {
-
-/// Set by ScopedIntPathForTests(false): every matmul takes the legacy
-/// float route.
-std::atomic<bool>& force_legacy_route() {
-  static std::atomic<bool> v{false};
-  return v;
-}
-
-}  // namespace
-
-ScopedIntPathForTests::ScopedIntPathForTests(bool enabled)
-    : prev_(force_legacy_route().exchange(!enabled)) {}
-
-ScopedIntPathForTests::~ScopedIntPathForTests() {
-  force_legacy_route().store(prev_);
-}
 
 std::int64_t HwConfig::weight_slices() const {
   return slice_count(weight_bits - 1, slice_bits);
@@ -76,35 +57,39 @@ TiledMatrix::TiledMatrix(const Tensor& w,
       (cfg.g_on() - cfg.g_off()) /
       static_cast<double>((std::int64_t{1} << hw_.slice_bits) - 1));
 
-  // Integer bit-slice path eligibility (DESIGN.md §13): chunk values must
-  // fit int8 (weight slices and DAC codes), activation codes must fit
-  // int16, and every per-tile integer dot product must stay below 2^24 so
-  // its float image is exact (that bound is what makes the int kernels
-  // bit-identical twins of the float ones).
-  {
-    const std::int64_t smax = (std::int64_t{1} << hw_.slice_bits) - 1;
-    const std::int64_t tmax = (std::int64_t{1} << hw_.stream_bits) - 1;
-    int_gates_ok_ = hw_.slice_bits <= 7 && hw_.stream_bits <= 7 &&
-                    hw_.input_bits <= 15 &&
-                    cfg.rows * smax * tmax < (std::int64_t{1} << 24);
-  }
+  // Integer bit-slice gates (DESIGN.md §13): chunk values must fit int8
+  // (weight slices and DAC codes), activation codes must fit int16, and
+  // every per-tile integer dot product must stay below 2^24, where float
+  // arithmetic on integers is exact (so the digital route's int GEMM and
+  // the float baselines equal their float-image counterparts).
+  const std::int64_t smax = (std::int64_t{1} << hw_.slice_bits) - 1;
+  const std::int64_t tmax = (std::int64_t{1} << hw_.stream_bits) - 1;
+  NVM_CHECK(hw_.slice_bits <= 7,
+            "slice_bits " << hw_.slice_bits << " exceeds the int8 gate (7)");
+  NVM_CHECK(hw_.stream_bits <= 7,
+            "stream_bits " << hw_.stream_bits << " exceeds the int8 gate (7)");
+  NVM_CHECK(hw_.input_bits <= 15,
+            "input_bits " << hw_.input_bits << " exceeds the int16 gate (15)");
+  NVM_CHECK(cfg.rows * smax * tmax < (std::int64_t{1} << 24),
+            "tile dot bound rows*(2^slice_bits-1)*(2^stream_bits-1) = "
+                << cfg.rows << "*" << smax << "*" << tmax
+                << " reaches 2^24 (slice_bits " << hw_.slice_bits
+                << ", stream_bits " << hw_.stream_bits << ")");
 
   tiles_.resize(
       static_cast<std::size_t>(row_tiles_ * col_tiles_ * 2 * slices));
-  if (int_gates_ok_ && model_->is_ideal()) wchunks_.resize(tiles_.size());
+  if (model_->is_ideal()) wchunks_.resize(tiles_.size());
 
   // Fused slot schedule (DESIGN.md §13), built alongside programming: one
-  // step per programmed slot with its per-stream ADC shift factors. Chunk
-  // kernels only pay off where the int chunk route is reachable: the
-  // bit-width gates hold and the model is not ideal (the digital route
-  // outranks chunks and never consults the tiles).
+  // step per programmed slot with its per-stream ADC shift factors. Every
+  // non-ideal tile is asked for a chunk kernel (the ideal route is fully
+  // digital and never consults the tiles); a null kernel keeps the slot
+  // on the stream path.
   const std::int64_t streams = hw_.input_streams();
   const float v_unit = static_cast<float>(
       cfg.v_read /
       static_cast<double>((std::int64_t{1} << hw_.stream_bits) - 1));
   const float dot_unit = v_unit * g_unit;
-  const bool fuse = int_gates_ok_ && wchunks_.empty() &&
-                    model_->supports_chunk_mvm();
   const int max_code =
       static_cast<int>((std::int64_t{1} << hw_.stream_bits) - 1);
   std::int64_t fused = 0;
@@ -164,7 +149,7 @@ TiledMatrix::TiledMatrix(const Tensor& w,
           for (std::int64_t t = 0; t < streams; ++t)
             step.shifts.push_back(sign * chunk_weight(t, hw_.stream_bits) *
                                   slice_w / dot_unit);
-          if (fuse) {
+          if (wchunks_.empty()) {
             step.kernel = tiles_[slot]->compile_chunk_kernel(v_unit, max_code);
             if (step.kernel != nullptr) ++fused;
           }
@@ -201,34 +186,22 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
 
   const auto& cfg = model_->config();
 
-  // Route selection (DESIGN.md §13): kIntDigital computes the whole
-  // evaluation with int8 GEMMs (ideal models only — their analog step IS
-  // the exact dot product); kIntChunks keeps the analog model but hands it
-  // integer DAC codes instead of materialized voltages (bit-identical by
-  // the mvm_chunks_active contract), through the slot's fused kernel when
-  // it has one (fast-noise, GENIEx). kLegacy is the float pipeline every
-  // other model runs (circuit solver, decorated models).
-  enum class Path { kLegacy, kIntDigital, kIntChunks };
-  Path path = Path::kLegacy;
-  if (int_gates_ok_ && !force_legacy_route().load(std::memory_order_relaxed)) {
-    if (!wchunks_.empty())
-      path = Path::kIntDigital;
-    else if (model_->supports_chunk_mvm())
-      path = Path::kIntChunks;
-  }
+  // Route selection (DESIGN.md §13): ideal models take the int-digital
+  // route, which computes the whole evaluation with int8 GEMMs (their
+  // analog step IS the exact dot product); every other model takes the
+  // int-chunk route, which hands the analog model integer DAC codes
+  // (bit-identical to the materialized voltages by the mvm_chunks_active
+  // contract) through the slot's fused kernel when it has one and through
+  // the tile's stream otherwise.
+  const bool digital = !wchunks_.empty();
   static metrics::Counter& m_int_digital =
       metrics::counter("puma/tiled/matmuls_int_digital");
   static metrics::Counter& m_int_chunks =
       metrics::counter("puma/tiled/matmuls_int_chunks");
-  if (path == Path::kIntDigital) m_int_digital.add();
-  if (path == Path::kIntChunks) m_int_chunks.add();
+  (digital ? m_int_digital : m_int_chunks).add();
 
-  Tensor xq;                       // legacy float activation codes
-  std::vector<std::int16_t> xq16;  // int-path activation codes
-  if (path == Path::kLegacy)
-    xq = quantize_activations(x, s_x, hw_.input_bits);
-  else
-    xq16 = quantize_activations_i16(x, s_x, hw_.input_bits);
+  const std::vector<std::int16_t> xq16 =
+      quantize_activations_i16(x, s_x, hw_.input_bits);
 
   const std::int64_t streams = hw_.input_streams();
   const float v_unit = static_cast<float>(
@@ -253,12 +226,11 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // fixed order. Scratch comes from the shared WorkspacePool; the caller's
   // lease holds the DAC output for the whole matmul.
   //
-  // Phase 1 — DAC: per (row tile, stream) input chunks and g_off
+  // Phase 1 — DAC: per (row tile, stream) integer input chunks and g_off
   // baselines.
   struct StreamBlock {
-    Tensor volts;                          // legacy path: (cfg.rows, n) volts
-    const std::int8_t* chunk = nullptr;    // int paths: (cfg.rows, n) codes
-    const std::int8_t* row_max = nullptr;  // int paths: per-row max code
+    const std::int8_t* chunk = nullptr;    // (cfg.rows, n) codes
+    const std::int8_t* row_max = nullptr;  // per-row max code
     const float* baseline = nullptr;  // per input vector, g_off*v_unit*Σc
     bool active = false;              // false: chunk all-zero, skippable
   };
@@ -274,77 +246,41 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // so a trace splits a matmul into DAC, crossbar passes and reduction;
   // emplace() closes the previous phase's span.
   std::optional<trace::Span> phase(std::in_place, "puma/tiled/dac");
-  if (path == Path::kLegacy) {
-    std::span<float> xblock = dws.floats(1, cells);
-    std::span<float> chunk = dws.floats(2, cells);
-    for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
-      const std::int64_t k0 = ti * cfg.rows;
-      const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
-      for (std::int64_t kk = 0; kk < k_used; ++kk) {
-        const float* src = xq.raw() + (k0 + kk) * n;
-        std::copy(src, src + n, xblock.data() + kk * n);
-      }
-      std::fill(xblock.begin() + static_cast<std::ptrdiff_t>(k_used * n),
-                xblock.end(), 0.0f);
-      for (std::int64_t t = 0; t < streams; ++t) {
-        const float cmax =
-            extract_chunk_into(xblock, t, hw_.stream_bits, chunk);
-        if (hw_.skip_zero_tiles && cmax == 0.0f) continue;
-        const std::size_t b = static_cast<std::size_t>(ti * streams + t);
-        StreamBlock& sb = dac[b];
-        sb.active = true;
-        float* base = baselines.data() + b * static_cast<std::size_t>(n);
-        std::fill(base, base + n, 0.0f);
-        for (std::int64_t kk = 0; kk < k_used; ++kk) {
-          const float* src = chunk.data() + kk * n;
-          for (std::int64_t nn = 0; nn < n; ++nn) base[nn] += src[nn];
-        }
-        for (std::int64_t nn = 0; nn < n; ++nn) base[nn] *= g_off * v_unit;
-        sb.baseline = base;
-        sb.volts = Tensor({cfg.rows, n});  // integer chunk -> DAC voltages
-        simd::scale(sb.volts.raw(), chunk.data(), v_unit,
-                    static_cast<std::int64_t>(cells));
-      }
-    }
-  } else {
-    // Int paths: codes stay integer end-to-end, one dac_streams_i16 pass
-    // per row tile straight from the quantized codes. The float baseline
-    // is bit-identical to the legacy one — a float sum of small
-    // non-negative integers is exact, so it equals float(integer sum).
-    std::span<std::int8_t> chunks = dws.i8s(0, blocks * cells);
-    std::span<std::int8_t> row_maxes =
-        dws.i8s(1, blocks * static_cast<std::size_t>(cfg.rows));
-    std::span<std::int32_t> colsums =
-        dws.i32s(0, static_cast<std::size_t>(streams * n));
-    for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
-      const std::int64_t k0 = ti * cfg.rows;
-      const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
-      const std::size_t b0 = static_cast<std::size_t>(ti * streams);
-      std::int8_t* chunk = chunks.data() + b0 * cells;
-      std::int8_t* row_max =
-          row_maxes.data() + b0 * static_cast<std::size_t>(cfg.rows);
-      const std::int16_t* codes = xq16.data() + k0 * n;
-      const bool negative =
-          simd::dac_streams_i16(chunk, row_max, colsums.data(), codes, k_used,
-                                cfg.rows, n, streams, hw_.stream_bits);
-      NVM_CHECK(!negative, "negative value in bit slicing: "
-                               << *std::min_element(codes, codes + k_used * n));
-      for (std::int64_t t = 0; t < streams; ++t) {
-        const std::int8_t* rm = row_max + t * cfg.rows;
-        if (hw_.skip_zero_tiles && *std::max_element(rm, rm + cfg.rows) == 0)
-          continue;
-        StreamBlock& sb = dac[b0 + static_cast<std::size_t>(t)];
-        sb.active = true;
-        sb.chunk = chunk + static_cast<std::size_t>(t) * cells;
-        sb.row_max = rm;
-        float* base =
-            baselines.data() + (b0 + static_cast<std::size_t>(t)) *
-                                   static_cast<std::size_t>(n);
-        const std::int32_t* colsum = colsums.data() + t * n;
-        for (std::int64_t nn = 0; nn < n; ++nn)
-          base[nn] = static_cast<float>(colsum[nn]) * (g_off * v_unit);
-        sb.baseline = base;
-      }
+  // Codes stay integer end-to-end, one dac_streams_i16 pass per row tile
+  // straight from the quantized codes. The float baseline float(Σc) is
+  // exact: the column sums stay far below 2^24.
+  std::span<std::int8_t> chunks = dws.i8s(0, blocks * cells);
+  std::span<std::int8_t> row_maxes =
+      dws.i8s(1, blocks * static_cast<std::size_t>(cfg.rows));
+  std::span<std::int32_t> colsums =
+      dws.i32s(0, static_cast<std::size_t>(streams * n));
+  for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
+    const std::int64_t k0 = ti * cfg.rows;
+    const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
+    const std::size_t b0 = static_cast<std::size_t>(ti * streams);
+    std::int8_t* chunk = chunks.data() + b0 * cells;
+    std::int8_t* row_max =
+        row_maxes.data() + b0 * static_cast<std::size_t>(cfg.rows);
+    const std::int16_t* codes = xq16.data() + k0 * n;
+    const bool negative =
+        simd::dac_streams_i16(chunk, row_max, colsums.data(), codes, k_used,
+                              cfg.rows, n, streams, hw_.stream_bits);
+    NVM_CHECK(!negative, "negative value in bit slicing: "
+                             << *std::min_element(codes, codes + k_used * n));
+    for (std::int64_t t = 0; t < streams; ++t) {
+      const std::int8_t* rm = row_max + t * cfg.rows;
+      if (hw_.skip_zero_tiles && *std::max_element(rm, rm + cfg.rows) == 0)
+        continue;
+      StreamBlock& sb = dac[b0 + static_cast<std::size_t>(t)];
+      sb.active = true;
+      sb.chunk = chunk + static_cast<std::size_t>(t) * cells;
+      sb.row_max = rm;
+      float* base = baselines.data() + (b0 + static_cast<std::size_t>(t)) *
+                                           static_cast<std::size_t>(n);
+      const std::int32_t* colsum = colsums.data() + t * n;
+      for (std::int64_t nn = 0; nn < n; ++nn)
+        base[nn] = static_cast<float>(colsum[nn]) * (g_off * v_unit);
+      sb.baseline = base;
     }
   }
 
@@ -380,7 +316,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
       return cb;
     };
 
-    if (path == Path::kIntDigital) {
+    if (digital) {
       // Fully digital: the ideal tile's analog output IS the dot product,
       // so compute it in int8/int32 and feed the integer ADC epilogue. The
       // model tiles are not consulted.
@@ -401,7 +337,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
                                   sb.baseline, n, dot_unit, i_scale,
                                   adc_steps, shift);
       }
-    } else if (path == Path::kIntChunks && step.kernel != nullptr) {
+    } else if (step.kernel != nullptr) {
       // Fused: the slot's compiled kernel (fast-noise tables, GENIEx
       // surrogate) evaluates the integer DAC codes; currents land in
       // pooled scratch float slot 3 (no per-pass Tensor), which kernels
@@ -430,9 +366,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
         if (!sb.active) continue;
         begin_pass();
         const Tensor currents =  // (cols, n)
-            path == Path::kIntChunks
-                ? stream->mvm_chunks_active(chunk_block(sb), k_used, m_used)
-                : stream->mvm_multi_active(sb.volts, k_used, m_used);
+            stream->mvm_chunks_active(chunk_block(sb), k_used, m_used);
         const float shift = step.shifts[static_cast<std::size_t>(t)];
         simd::adc_shift_add(acc, currents.raw(), sb.baseline, m_used,
                             n, i_scale, adc_steps, shift);

@@ -15,7 +15,12 @@
 // everything back into a float result approximating W * X.
 //
 // All crossbar evaluations flow through the injected MvmModel, so the same
-// code path runs ideal, GENIEx, fast-noise, or circuit-solver crossbars.
+// integer bit-slice pipeline runs ideal, GENIEx, fast-noise, or
+// circuit-solver crossbars (and any wrapper around them); only the tile
+// evaluation differs (DESIGN.md §13). Bit widths must fit the integer
+// kernels: slice_bits <= 7, stream_bits <= 7, input_bits <= 15 and
+// rows * (2^slice_bits - 1) * (2^stream_bits - 1) < 2^24; the constructor
+// rejects anything else.
 //
 // matmul() fans the programmed tile slots across nvm::ThreadPool in one
 // fork-join (one task per tile slot); the DAC before it and the
@@ -31,22 +36,6 @@
 #include "xbar/mvm_model.h"
 
 namespace nvm::puma {
-
-/// Test-only: while alive with `enabled == false`, every TiledMatrix takes
-/// the legacy float route (DESIGN.md §13) — the production route for the
-/// circuit solver and wrapped models, and the oracle the integer and fused
-/// routes (ideal, fast-noise, GENIEx) are checked against. `true` restores the
-/// normal route selection. Restores the previous state on destruction.
-class ScopedIntPathForTests {
- public:
-  explicit ScopedIntPathForTests(bool enabled);
-  ~ScopedIntPathForTests();
-  ScopedIntPathForTests(const ScopedIntPathForTests&) = delete;
-  ScopedIntPathForTests& operator=(const ScopedIntPathForTests&) = delete;
-
- private:
-  bool prev_;
-};
 
 struct HwConfig {
   std::int64_t weight_bits = 7;  ///< signed; magnitude = weight_bits - 1
@@ -81,6 +70,8 @@ struct HwConfig {
 class TiledMatrix {
  public:
   /// Programs `w` (M x K) onto tiles of `model`'s crossbar geometry.
+  /// Throws CheckError when `hw`'s bit widths are outside the integer
+  /// gates (see the file comment).
   TiledMatrix(const Tensor& w, std::shared_ptr<const xbar::MvmModel> model,
               HwConfig hw);
   ~TiledMatrix();
@@ -106,12 +97,8 @@ class TiledMatrix {
   // tiles_[((ti * col_tiles + tj) * 2 + pol) * slices + s]; null = skipped.
   std::vector<std::unique_ptr<xbar::ProgrammedXbar>> tiles_;
   std::int64_t programmed_count_ = 0;
-  /// Bit widths fit the integer kernels: slice_bits <= 7,
-  /// stream_bits <= 7, input_bits <= 15, per-tile dot counts < 2^24.
-  bool int_gates_ok_ = false;
-  /// Per-slot int8 weight chunks, stored only for ideal models with
-  /// int_gates_ok_ (the fully-digital int path); same indexing and skip
-  /// pattern as tiles_.
+  /// Per-slot int8 weight chunks, stored only for ideal models (the
+  /// fully-digital int path); same indexing and skip pattern as tiles_.
   std::vector<std::vector<std::int8_t>> wchunks_;
 
   /// Fused slot schedule (DESIGN.md §13): one entry per PROGRAMMED tile
@@ -125,7 +112,7 @@ class TiledMatrix {
     std::int64_t k_used = 0, m_used = 0;
     std::vector<float> shifts;  ///< per stream t: sign*2^(t*sb)*slice_w/du
     /// Compiled per-tile chunk kernel; null: the slot streams through the
-    /// model's mvm_chunks_active / mvm_multi_active.
+    /// tile's open_stream()->mvm_chunks_active.
     std::unique_ptr<const xbar::FusedChunkKernel> kernel;
   };
   std::vector<SlotStep> steps_;

@@ -16,36 +16,19 @@ namespace nvm::xbar {
 
 namespace {
 
-/// Thomas algorithm for a tridiagonal system. diag/rhs are overwritten.
-/// `off` is the (constant) off-diagonal entry (-gw here, passed positive
-/// and applied with its sign internally for clarity at the call sites).
-void solve_tridiagonal(std::vector<double>& diag, std::vector<double>& rhs,
-                       double off, std::vector<double>& out) {
-  const std::size_t n = diag.size();
-  // Forward elimination: eliminate the sub-diagonal (-off).
-  for (std::size_t k = 1; k < n; ++k) {
-    const double m = -off / diag[k - 1];
-    diag[k] -= m * -off;
-    rhs[k] -= m * rhs[k - 1];
-  }
-  out[n - 1] = rhs[n - 1] / diag[n - 1];
-  for (std::size_t k = n - 1; k-- > 0;)
-    out[k] = (rhs[k] + off * out[k + 1]) / diag[k];
-}
-
 /// Reusable relinearization/solve scratch. Every solve fully overwrites
 /// each array before reading it, so reuse across solves (and across
 /// crossbars of different sizes) cannot leak state between calls. One
 /// instance lives per thread (see tls_workspace), which makes concurrent
 /// mvm() calls on the same SolverProgrammed allocation-free and race-free.
 struct SolverWorkspace {
-  std::vector<double> geff;            // secant conductances
-  std::vector<double> vr, vc;          // row/column node voltages
-  std::vector<double> diag, rhs, sol;  // per-chain tridiagonal scratch
-  // Batched (red-black) scratch: all chains of one plane eliminated in
-  // lockstep. Row plane uses the transposed layout [j*rows + i] so the
-  // inner loop over chains i is contiguous; the column plane's natural
-  // layout [i*cols + j] already has contiguous chains j.
+  std::vector<double> geff;    // secant conductances
+  std::vector<double> vr, vc;  // row/column node voltages
+  std::vector<double> rowsum;  // coarse start: per-row conductance sums
+  // Red-black scratch: all chains of one plane eliminated in lockstep.
+  // Row plane uses the transposed layout [j*rows + i] so the inner loop
+  // over chains i is contiguous; the column plane's natural layout
+  // [i*cols + j] already has contiguous chains j.
   std::vector<double> diagb, rhsb, solb;
 };
 
@@ -118,14 +101,14 @@ Tensor solve_nodal_once(const CrossbarConfig& cfg, const SolverOptions& opt,
         metrics::counter("solver/coarse_starts");
     m_coarse.add();
     constexpr std::int64_t kBlock = 8;
-    ws.diag.resize(static_cast<std::size_t>(rows));  // per-row g sums
+    ws.rowsum.resize(static_cast<std::size_t>(rows));
     for (std::int64_t i = 0; i < rows; ++i) {
       double s = 0.0;
       for (std::int64_t j = 0; j < cols; ++j) s += g[idx(i, j)];
-      ws.diag[static_cast<std::size_t>(i)] = s;
+      ws.rowsum[static_cast<std::size_t>(i)] = s;
     }
     for (std::int64_t i = 0; i < rows; ++i) {
-      const double growsum = ws.diag[static_cast<std::size_t>(i)];
+      const double growsum = ws.rowsum[static_cast<std::size_t>(i)];
       for (std::int64_t j0 = 0; j0 < cols; j0 += kBlock) {
         const std::int64_t j1 = std::min(cols, j0 + kBlock);
         const double jc = 0.5 * static_cast<double>(j0 + j1 - 1);
@@ -154,7 +137,6 @@ Tensor solve_nodal_once(const CrossbarConfig& cfg, const SolverOptions& opt,
     std::fill(ws.vc.begin(), ws.vc.end(), 0.0);
   }
 
-  const bool batched = opt.ordering == SweepOrdering::kRedBlack;
   // Outer-iteration damping. omega == 1.0 takes each plane's exact line
   // solve (the historical update, kept bit-identical); omega < 1 blends
   // v += omega * (solve - v), which slows but stabilizes the sweep on
@@ -170,194 +152,143 @@ Tensor solve_nodal_once(const CrossbarConfig& cfg, const SolverOptions& opt,
       ws.geff[k] = device_secant_conductance(g[k], ws.vr[k] - ws.vc[k], b);
 
     double max_delta = 0.0;
-    if (batched) {
-      // Red plane — all row chains in lockstep. Unknowns vr[i][*] with vc
-      // held fixed; chains i are independent, so the Thomas elimination
-      // runs with j as the recurrence index and i as the contiguous inner
-      // loop (transposed scratch [j*rows + i]). Each chain performs the
-      // exact op sequence of solve_tridiagonal, so results are
-      // bit-identical to the lexicographic schedule.
-      ws.diagb.resize(cells);
-      ws.rhsb.resize(cells);
-      ws.solb.resize(cells);
-      double* diagb = ws.diagb.data();
-      double* rhsb = ws.rhsb.data();
-      double* solb = ws.solb.data();
+    // Red plane — all row chains in lockstep. Unknowns vr[i][*] with vc
+    // held fixed; chains i are independent, so the Thomas elimination
+    // runs with j as the recurrence index and i as the contiguous inner
+    // loop (transposed scratch [j*rows + i]). Each chain performs the
+    // exact op sequence of a chain-at-a-time Thomas solve, so results are
+    // bit-identical to the lexicographic schedule (kept as the oracle in
+    // tests/test_xbar_solver.cpp).
+    ws.diagb.resize(cells);
+    ws.rhsb.resize(cells);
+    ws.solb.resize(cells);
+    double* diagb = ws.diagb.data();
+    double* rhsb = ws.rhsb.data();
+    double* solb = ws.solb.data();
+    for (std::int64_t i = 0; i < rows; ++i) {
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const std::size_t k = idx(i, j);
+        double d = ws.geff[k];
+        double r = ws.geff[k] * ws.vc[k];
+        if (j == 0) {
+          d += gs;
+          r += gs * v[i];
+        }
+        if (j > 0) d += gw;
+        if (j + 1 < cols) d += gw;
+        const std::size_t kt = static_cast<std::size_t>(j * rows + i);
+        diagb[kt] = d;
+        rhsb[kt] = r;
+      }
+    }
+    for (std::int64_t j = 1; j < cols; ++j) {
+      double* dp = diagb + j * rows;
+      double* rp = rhsb + j * rows;
+      const double* dm = diagb + (j - 1) * rows;
+      const double* rm = rhsb + (j - 1) * rows;
       for (std::int64_t i = 0; i < rows; ++i) {
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::size_t k = idx(i, j);
-          double d = ws.geff[k];
-          double r = ws.geff[k] * ws.vc[k];
-          if (j == 0) {
-            d += gs;
-            r += gs * v[i];
-          }
-          if (j > 0) d += gw;
-          if (j + 1 < cols) d += gw;
-          const std::size_t kt = static_cast<std::size_t>(j * rows + i);
-          diagb[kt] = d;
-          rhsb[kt] = r;
-        }
+        const double m = -gw / dm[i];
+        dp[i] -= m * -gw;
+        rp[i] -= m * rm[i];
       }
-      for (std::int64_t j = 1; j < cols; ++j) {
-        double* dp = diagb + j * rows;
-        double* rp = rhsb + j * rows;
-        const double* dm = diagb + (j - 1) * rows;
-        const double* rm = rhsb + (j - 1) * rows;
-        for (std::int64_t i = 0; i < rows; ++i) {
-          const double m = -gw / dm[i];
-          dp[i] -= m * -gw;
-          rp[i] -= m * rm[i];
-        }
-      }
-      {
-        const double* dp = diagb + (cols - 1) * rows;
-        const double* rp = rhsb + (cols - 1) * rows;
-        double* sp = solb + (cols - 1) * rows;
-        for (std::int64_t i = 0; i < rows; ++i) sp[i] = rp[i] / dp[i];
-      }
-      for (std::int64_t j = cols - 1; j-- > 0;) {
-        const double* dp = diagb + j * rows;
-        const double* rp = rhsb + j * rows;
-        const double* sn = solb + (j + 1) * rows;
-        double* sp = solb + j * rows;
-        for (std::int64_t i = 0; i < rows; ++i)
-          sp[i] = (rp[i] + gw * sn[i]) / dp[i];
-      }
+    }
+    {
+      const double* dp = diagb + (cols - 1) * rows;
+      const double* rp = rhsb + (cols - 1) * rows;
+      double* sp = solb + (cols - 1) * rows;
+      for (std::int64_t i = 0; i < rows; ++i) sp[i] = rp[i] / dp[i];
+    }
+    for (std::int64_t j = cols - 1; j-- > 0;) {
+      const double* dp = diagb + j * rows;
+      const double* rp = rhsb + j * rows;
+      const double* sn = solb + (j + 1) * rows;
+      double* sp = solb + j * rows;
       for (std::int64_t i = 0; i < rows; ++i)
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::size_t k = idx(i, j);
-          const double s = solb[static_cast<std::size_t>(j * rows + i)];
-          ws.vr[k] = omega == 1.0 ? s : ws.vr[k] + omega * (s - ws.vr[k]);
-        }
+        sp[i] = (rp[i] + gw * sn[i]) / dp[i];
+    }
+    for (std::int64_t i = 0; i < rows; ++i)
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const std::size_t k = idx(i, j);
+        const double s = solb[static_cast<std::size_t>(j * rows + i)];
+        ws.vr[k] = omega == 1.0 ? s : ws.vr[k] + omega * (s - ws.vr[k]);
+      }
 
-      // Black plane — all column chains in lockstep. Unknowns vc[*][j]
-      // with vr held fixed; the natural [i*cols + j] layout already has
-      // the chain index j contiguous. Back-substitution writes vc in
-      // place (row i+1 is final before row i needs it), folding the
-      // convergence check into the update loop — no separate residual
-      // pass.
-      for (std::int64_t i = 0; i < rows; ++i) {
-        double* dp = diagb + i * cols;
-        double* rp = rhsb + i * cols;
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::size_t k = idx(i, j);
-          double d = ws.geff[k];
-          if (i > 0) d += gw;
-          if (i + 1 < rows) d += gw;
-          else d += gk;  // bottom node ties to ground through the sink
-          dp[j] = d;
-          rp[j] = ws.geff[k] * ws.vr[k];
-        }
+    // Black plane — all column chains in lockstep. Unknowns vc[*][j]
+    // with vr held fixed; the natural [i*cols + j] layout already has
+    // the chain index j contiguous. Back-substitution writes vc in
+    // place (row i+1 is final before row i needs it), folding the
+    // convergence check into the update loop — no separate residual
+    // pass.
+    for (std::int64_t i = 0; i < rows; ++i) {
+      double* dp = diagb + i * cols;
+      double* rp = rhsb + i * cols;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const std::size_t k = idx(i, j);
+        double d = ws.geff[k];
+        if (i > 0) d += gw;
+        if (i + 1 < rows) d += gw;
+        else d += gk;  // bottom node ties to ground through the sink
+        dp[j] = d;
+        rp[j] = ws.geff[k] * ws.vr[k];
       }
-      for (std::int64_t i = 1; i < rows; ++i) {
-        double* dp = diagb + i * cols;
-        double* rp = rhsb + i * cols;
-        const double* dm = diagb + (i - 1) * cols;
-        const double* rm = rhsb + (i - 1) * cols;
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const double m = -gw / dm[j];
-          dp[j] -= m * -gw;
-          rp[j] -= m * rm[j];
-        }
+    }
+    for (std::int64_t i = 1; i < rows; ++i) {
+      double* dp = diagb + i * cols;
+      double* rp = rhsb + i * cols;
+      const double* dm = diagb + (i - 1) * cols;
+      const double* rm = rhsb + (i - 1) * cols;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const double m = -gw / dm[j];
+        dp[j] -= m * -gw;
+        rp[j] -= m * rm[j];
       }
-      if (omega == 1.0) {
-        const std::size_t off = idx(rows - 1, 0);
-        const double* dp = diagb + off;
-        const double* rp = rhsb + off;
-        double* vcp = ws.vc.data() + off;
+    }
+    if (omega == 1.0) {
+      const std::size_t off = idx(rows - 1, 0);
+      const double* dp = diagb + off;
+      const double* rp = rhsb + off;
+      double* vcp = ws.vc.data() + off;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const double s = rp[j] / dp[j];
+        max_delta = std::max(max_delta, std::abs(s - vcp[j]));
+        vcp[j] = s;
+      }
+      for (std::int64_t i = rows - 1; i-- > 0;) {
+        const double* dp2 = diagb + i * cols;
+        const double* rp2 = rhsb + i * cols;
+        const double* vn = ws.vc.data() + (i + 1) * cols;
+        double* vcp2 = ws.vc.data() + i * cols;
         for (std::int64_t j = 0; j < cols; ++j) {
-          const double s = rp[j] / dp[j];
-          max_delta = std::max(max_delta, std::abs(s - vcp[j]));
-          vcp[j] = s;
-        }
-        for (std::int64_t i = rows - 1; i-- > 0;) {
-          const double* dp2 = diagb + i * cols;
-          const double* rp2 = rhsb + i * cols;
-          const double* vn = ws.vc.data() + (i + 1) * cols;
-          double* vcp2 = ws.vc.data() + i * cols;
-          for (std::int64_t j = 0; j < cols; ++j) {
-            const double s = (rp2[j] + gw * vn[j]) / dp2[j];
-            max_delta = std::max(max_delta, std::abs(s - vcp2[j]));
-            vcp2[j] = s;
-          }
-        }
-      } else {
-        // Damped update: the Thomas recurrence at row i must read the
-        // EXACT solution of row i+1, not the blended iterate, so the
-        // back-substitution runs in solb and only the final blend
-        // touches vc. max_delta stays the distance to the exact plane
-        // solve (not the omega-scaled step), so damping cannot fake
-        // convergence.
-        {
-          const std::size_t off = idx(rows - 1, 0);
-          const double* dp = diagb + off;
-          const double* rp = rhsb + off;
-          double* sp = solb + off;
-          for (std::int64_t j = 0; j < cols; ++j) sp[j] = rp[j] / dp[j];
-        }
-        for (std::int64_t i = rows - 1; i-- > 0;) {
-          const double* dp = diagb + i * cols;
-          const double* rp = rhsb + i * cols;
-          const double* sn = solb + (i + 1) * cols;
-          double* sp = solb + i * cols;
-          for (std::int64_t j = 0; j < cols; ++j)
-            sp[j] = (rp[j] + gw * sn[j]) / dp[j];
-        }
-        for (std::size_t k = 0; k < cells; ++k) {
-          max_delta = std::max(max_delta, std::abs(solb[k] - ws.vc[k]));
-          ws.vc[k] += omega * (solb[k] - ws.vc[k]);
+          const double s = (rp2[j] + gw * vn[j]) / dp2[j];
+          max_delta = std::max(max_delta, std::abs(s - vcp2[j]));
+          vcp2[j] = s;
         }
       }
     } else {
-      // Row chains: unknowns vr[i][*]; vc held fixed.
-      ws.diag.assign(static_cast<std::size_t>(cols), 0.0);
-      ws.rhs.assign(static_cast<std::size_t>(cols), 0.0);
-      ws.sol.assign(static_cast<std::size_t>(cols), 0.0);
-      for (std::int64_t i = 0; i < rows; ++i) {
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::size_t k = idx(i, j);
-          double d = ws.geff[k];
-          double r = ws.geff[k] * ws.vc[k];
-          if (j == 0) {
-            d += gs;
-            r += gs * v[i];
-          }
-          if (j > 0) d += gw;
-          if (j + 1 < cols) d += gw;
-          ws.diag[static_cast<std::size_t>(j)] = d;
-          ws.rhs[static_cast<std::size_t>(j)] = r;
-        }
-        solve_tridiagonal(ws.diag, ws.rhs, gw, ws.sol);
-        for (std::int64_t j = 0; j < cols; ++j) {
-          const std::size_t k = idx(i, j);
-          const double s = ws.sol[static_cast<std::size_t>(j)];
-          ws.vr[k] = omega == 1.0 ? s : ws.vr[k] + omega * (s - ws.vr[k]);
-        }
+      // Damped update: the Thomas recurrence at row i must read the
+      // EXACT solution of row i+1, not the blended iterate, so the
+      // back-substitution runs in solb and only the final blend
+      // touches vc. max_delta stays the distance to the exact plane
+      // solve (not the omega-scaled step), so damping cannot fake
+      // convergence.
+      {
+        const std::size_t off = idx(rows - 1, 0);
+        const double* dp = diagb + off;
+        const double* rp = rhsb + off;
+        double* sp = solb + off;
+        for (std::int64_t j = 0; j < cols; ++j) sp[j] = rp[j] / dp[j];
       }
-
-      // Column chains: unknowns vc[*][j]; vr held fixed.
-      ws.diag.assign(static_cast<std::size_t>(rows), 0.0);
-      ws.rhs.assign(static_cast<std::size_t>(rows), 0.0);
-      ws.sol.assign(static_cast<std::size_t>(rows), 0.0);
-      for (std::int64_t j = 0; j < cols; ++j) {
-        for (std::int64_t i = 0; i < rows; ++i) {
-          const std::size_t k = idx(i, j);
-          double d = ws.geff[k];
-          double r = ws.geff[k] * ws.vr[k];
-          if (i > 0) d += gw;
-          if (i + 1 < rows) d += gw;
-          else d += gk;  // bottom node ties to ground through the sink
-          ws.diag[static_cast<std::size_t>(i)] = d;
-          ws.rhs[static_cast<std::size_t>(i)] = r;
-        }
-        solve_tridiagonal(ws.diag, ws.rhs, gw, ws.sol);
-        for (std::int64_t i = 0; i < rows; ++i) {
-          const std::size_t k = idx(i, j);
-          const double s = ws.sol[static_cast<std::size_t>(i)];
-          max_delta = std::max(max_delta, std::abs(s - ws.vc[k]));
-          ws.vc[k] = omega == 1.0 ? s : ws.vc[k] + omega * (s - ws.vc[k]);
-        }
+      for (std::int64_t i = rows - 1; i-- > 0;) {
+        const double* dp = diagb + i * cols;
+        const double* rp = rhsb + i * cols;
+        const double* sn = solb + (i + 1) * cols;
+        double* sp = solb + i * cols;
+        for (std::int64_t j = 0; j < cols; ++j)
+          sp[j] = (rp[j] + gw * sn[j]) / dp[j];
+      }
+      for (std::size_t k = 0; k < cells; ++k) {
+        max_delta = std::max(max_delta, std::abs(solb[k] - ws.vc[k]));
+        ws.vc[k] += omega * (solb[k] - ws.vc[k]);
       }
     }
 

@@ -19,6 +19,13 @@
 // opposite side held fixed. The stiff wire coupling (g_wire >> g_device)
 // lives inside the direct solves, so the outer loop converges at the weak
 // device/wire coupling rate — a handful of sweeps even for 64x64 arrays.
+// Sweeps run a red-black plane schedule: the row chains form one
+// independent plane ("red") and the column chains the other ("black"), so
+// each half-sweep runs ALL of its chains' Thomas recurrences in lockstep
+// with the chain index as the contiguous inner loop. Within a plane the
+// chains do not couple, so the iterates are bit-identical to solving one
+// chain at a time (tests/test_xbar_solver.cpp keeps that schedule as the
+// oracle); only the loop nest order differs.
 //
 // Output: I_j = current into the column-j sink resistor.
 #pragma once
@@ -26,21 +33,6 @@
 #include "xbar/mvm_model.h"
 
 namespace nvm::xbar {
-
-/// Update schedule for the block line relaxation.
-enum class SweepOrdering {
-  /// Red-black plane schedule: the row chains form one independent plane
-  /// ("red") and the column chains the other ("black"), so each half-sweep
-  /// runs ALL of its chains' Thomas recurrences in lockstep with the chain
-  /// index as the contiguous inner loop — the elimination vectorizes
-  /// across chains. Within a plane the chains do not couple, so the
-  /// iterates (and results) are bit-identical to kLexicographic; only the
-  /// loop nest order changes.
-  kRedBlack,
-  /// Legacy chain-at-a-time schedule (rows then columns, one tridiagonal
-  /// solve at a time). Kept for A/B benchmarking.
-  kLexicographic,
-};
 
 struct SolverOptions {
   /// Convergence threshold on node-voltage movement, relative to v_read.
@@ -54,8 +46,6 @@ struct SolverOptions {
   /// entry points (mvm / mvm_multi) are unaffected. False restores
   /// stateless streams for A/B comparisons.
   bool warm_start_streams = true;
-  /// Half-sweep schedule; kRedBlack is bit-identical and faster.
-  SweepOrdering ordering = SweepOrdering::kRedBlack;
   /// Seed cold solves (no warm-start seed available) with a coarse-grid
   /// analytic guess instead of the flat broadcast: per-row IR-drop
   /// attenuation averaged over coarse column blocks for the row plane,

@@ -259,10 +259,11 @@ class FastNoiseProgrammed final : public ProgrammedXbar {
     // cell's contribution is one of <= row_max+1 doubles: precompute them
     // per (cell, code) and gather. Every table entry is produced by the
     // exact op sequence the voltage path runs per sample (v = v_unit *
-    // float(code) as simd::scale computes it, then v*atten, *col_atten,
-    // the same sinhc branch), and the branch choice keys off the same
-    // vmax (v_unit*row_max is the row's max voltage by monotonicity), so
-    // this is bit-identical to mvm_multi_active on materialized volts.
+    // float(code) as the materialized block holds it, then v*atten,
+    // *col_atten, the same sinhc branch), and the branch choice keys off
+    // the same vmax (v_unit*row_max is the row's max voltage by
+    // monotonicity), so this is bit-identical to mvm_multi_active on
+    // materialized volts.
     double tab[129];
     for (std::int64_t j = 0; j < cols_used; ++j) {
       const double r_row_base = cfg_.r_source + cfg_.r_wire * j;

@@ -127,11 +127,6 @@ class GeniexProgrammed final : public ProgrammedXbar {
     return eval(vb, cfg_.rows, cfg_.cols);
   }
 
-  Tensor mvm_batch_active(const Tensor& vb, std::int64_t rows_used,
-                          std::int64_t cols_used) override {
-    return eval(vb, rows_used, cols_used);
-  }
-
   Tensor mvm_multi(const Tensor& v_block) override {
     NVM_CHECK_EQ(v_block.rank(), 2u);
     count_mvm_multi_columns(v_block.dim(1));
@@ -280,7 +275,7 @@ class GeniexProgrammed final : public ProgrammedXbar {
 
 /// Chunk kernel of a programmed GENIEx crossbar. run() materializes the
 /// DAC voltages v_unit * float(code) — the floats materialize_chunk_volts
-/// and the float route's DAC phase build — for the used rows into
+/// builds — for the used rows into
 /// workspace float slot 0, then runs the evaluation core, which writes
 /// the cols_used x n currents straight into the caller's buffer. The
 /// surrogate has no per-cell tables worth precomputing; the kernel's win

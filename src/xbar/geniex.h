@@ -76,9 +76,6 @@ class GeniexModel final : public MvmModel {
   std::unique_ptr<ProgrammedXbar> program(const Tensor& g) const override;
   const CrossbarConfig& config() const override { return cfg_; }
   std::string name() const override { return "geniex"; }
-  /// Programmed GENIEx crossbars compile a chunk kernel that evaluates the
-  /// surrogate straight from integer DAC codes (DESIGN.md §13).
-  bool supports_chunk_mvm() const override { return true; }
 
   const MlpRegressor& mlp() const { return mlp_; }
 

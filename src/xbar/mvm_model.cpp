@@ -12,14 +12,6 @@
 
 namespace nvm::xbar {
 
-Tensor ProgrammedXbar::mvm_batch_active(const Tensor& v_batch,
-                                        std::int64_t rows_used,
-                                        std::int64_t cols_used) {
-  (void)rows_used;
-  (void)cols_used;
-  return mvm_batch(v_batch);
-}
-
 void count_mvm_multi_columns(std::int64_t n) {
   static metrics::Counter& columns =
       metrics::counter("xbar/mvm_multi_columns");
@@ -52,10 +44,9 @@ Tensor ProgrammedXbar::mvm_multi_active(const Tensor& v_block,
 
 namespace {
 
-/// Materializes the float voltage block a ChunkBlock stands for, with the
-/// exact op the DAC phase uses (one float multiply per code, as
-/// simd::scale performs it) so chunk-driven and voltage-driven paths stay
-/// bit-identical.
+/// Materializes the float voltage block a ChunkBlock stands for: one float
+/// multiply v_unit * float(code) per cell, the voltages every chunk-driven
+/// model must reproduce bit for bit.
 Tensor materialize_chunk_volts(const ChunkBlock& cb) {
   Tensor volts({cb.rows, cb.n});
   float* pv = volts.raw();
@@ -201,25 +192,6 @@ class IdealProgrammed final : public ProgrammedXbar {
     // reduction adds only +0.0 terms and the result stays bit-identical.
     simd::gemm_f64acc(out.raw(), gt_.raw(), v_block.raw(), cols_used, n,
                       rows_used, gt_.dim(1), n, n);
-    return out;
-  }
-  Tensor mvm_batch_active(const Tensor& v_batch, std::int64_t rows_used,
-                          std::int64_t cols_used) override {
-    NVM_CHECK_EQ(v_batch.dim(0), gt_.dim(1));
-    const std::int64_t rows = gt_.dim(1), n = v_batch.dim(1);
-    Tensor out({gt_.dim(0), n});
-    const float* pg = gt_.raw();
-    const float* pv = v_batch.raw();
-    for (std::int64_t j = 0; j < cols_used; ++j) {
-      float* oj = out.raw() + j * n;
-      const float* grow = pg + j * rows;
-      for (std::int64_t i = 0; i < rows_used; ++i) {
-        const float g = grow[i];
-        if (g == 0.0f) continue;
-        const float* vi = pv + i * n;
-        for (std::int64_t k = 0; k < n; ++k) oj[k] += g * vi[k];
-      }
-    }
     return out;
   }
 

@@ -71,7 +71,7 @@ class FusedChunkKernel {
 /// A conductance matrix resident on a (model of a) crossbar.
 ///
 /// Thread-safety contract: after program() returns, a ProgrammedXbar is
-/// immutable — mvm()/mvm_batch()/mvm_batch_active()/mvm_multi*() must be
+/// immutable — mvm()/mvm_batch()/mvm_multi*()/mvm_chunks_active() must be
 /// safe to call concurrently on the same object. The parallel execution
 /// layer relies on this in two places: the default mvm_batch() fans input
 /// vectors across the thread pool, and puma::TiledMatrix::matmul evaluates
@@ -91,17 +91,6 @@ class ProgrammedXbar {
   /// nvm::parallel_for; results are bit-identical for any thread count.
   virtual Tensor mvm_batch(const Tensor& v_batch);
 
-  /// Batched MVM with an activity hint for partially-used tiles: rows
-  /// beyond `rows_used` are guaranteed to carry zero volts and columns
-  /// beyond `cols_used` will never be read (their outputs may be left
-  /// zero). Models may exploit this to skip arithmetic whose contribution
-  /// is exactly zero; the physics (column loading by unused g_off devices)
-  /// is unchanged because programmed state already includes them.
-  /// Default ignores the hint.
-  virtual Tensor mvm_batch_active(const Tensor& v_batch,
-                                  std::int64_t rows_used,
-                                  std::int64_t cols_used);
-
   /// Multi-RHS MVM evaluated on the CALLING thread: v_block is (rows, n)
   /// -> (cols, n). Contract: bit-identical to evaluating mvm() per column
   /// (the blocked overrides vectorize across columns while keeping each
@@ -110,8 +99,13 @@ class ProgrammedXbar {
   /// touches the thread pool. Default loops mvm().
   virtual Tensor mvm_multi(const Tensor& v_block);
 
-  /// mvm_multi with the same activity hint semantics as
-  /// mvm_batch_active(). Default ignores the hint.
+  /// mvm_multi with an activity hint for partially-used tiles: rows
+  /// beyond `rows_used` are guaranteed to carry zero volts and columns
+  /// beyond `cols_used` will never be read (their outputs may be left
+  /// zero). Models may exploit this to skip arithmetic whose contribution
+  /// is exactly zero; the physics (column loading by unused g_off devices)
+  /// is unchanged because programmed state already includes them.
+  /// Default ignores the hint.
   virtual Tensor mvm_multi_active(const Tensor& v_block,
                                   std::int64_t rows_used,
                                   std::int64_t cols_used);
@@ -127,10 +121,13 @@ class ProgrammedXbar {
 
   /// Compiles a fused, input-independent kernel for mvm_chunks_active
   /// with DAC step `v_unit` and codes in [0, max_code] (puma::TiledMatrix
-  /// calls this once per tile at construction). Returns nullptr when
-  /// the model has no profitable fused form (the default) — callers fall
-  /// back to the stream path. Non-null kernels are bit-identical to
-  /// mvm_chunks_active by the FusedChunkKernel contract.
+  /// asks every tile of a non-ideal model once at construction). Returns
+  /// nullptr when the model has no profitable fused form (the default) —
+  /// callers fall back to the stream path. Non-null kernels are
+  /// bit-identical to mvm_chunks_active by the FusedChunkKernel contract.
+  /// Wrappers that rewrite conductances before programming their base
+  /// model (FaultModel, VariationModel) hand out the base model's xbar,
+  /// so they inherit its kernel.
   virtual std::unique_ptr<FusedChunkKernel> compile_chunk_kernel(
       float v_unit, int max_code) const;
 
@@ -177,15 +174,9 @@ class MvmModel {
 
   /// True when this model's MVM is the exact digital dot product (no
   /// analog non-ideality beyond conductance mapping). The tiled GEMM uses
-  /// this to route the whole evaluation through the integer bit-slice
-  /// pipeline (DESIGN.md §13) without programming-model round trips.
+  /// this to compute the whole evaluation with integer GEMMs
+  /// (DESIGN.md §13) without consulting the programmed tiles.
   virtual bool is_ideal() const { return false; }
-
-  /// True when programmed crossbars of this model evaluate integer DAC
-  /// codes faster than the float route: they override mvm_chunks_active
-  /// and/or compile_chunk_kernel, and puma::TiledMatrix then takes the
-  /// integer chunk route for them.
-  virtual bool supports_chunk_mvm() const { return false; }
 };
 
 /// Validates shape and conductance range of a matrix to be programmed.

@@ -18,6 +18,8 @@
 #include "puma/engine.h"
 #include "puma/quantize.h"
 #include "tensor/ops.h"
+#include "tiled_reference.h"
+#include "xbar/circuit_solver.h"
 #include "xbar/fast_noise.h"
 #include "xbar/fault.h"
 #include "xbar/geniex.h"
@@ -47,10 +49,11 @@ TEST(QuantizeWeights, ZeroTensorHandled) {
 
 TEST(QuantizeActivations, ClipsAndScales) {
   Tensor x({4}, {-0.1f, 0.0f, 0.5f, 2.0f});
-  Tensor q = quantize_activations(x, 1.0f, 4);
-  EXPECT_EQ(q[0], 0.0f);    // negative clipped
-  EXPECT_EQ(q[2], 8.0f);    // 0.5 * 15 = 7.5 -> 8
-  EXPECT_EQ(q[3], 15.0f);   // above-scale clipped to max
+  std::vector<std::int16_t> q = quantize_activations_i16(x, 1.0f, 4);
+  ASSERT_EQ(q.size(), 4u);
+  EXPECT_EQ(q[0], 0);    // negative clipped
+  EXPECT_EQ(q[2], 8);    // 0.5 * 15 = 7.5 -> 8
+  EXPECT_EQ(q[3], 15);   // above-scale clipped to max
 }
 
 TEST(AdcQuantize, IdempotentAndMonotone) {
@@ -195,6 +198,38 @@ TEST(Tiled, SliceBitsMustFitDeviceLevels) {
   EXPECT_THROW(TiledMatrix(w, model, hw), CheckError);
 }
 
+/// The integer pipeline is the only route, so bit widths outside its gates
+/// (int8 chunks, int16 activation codes, per-tile dot counts below 2^24)
+/// must fail at construction instead of computing something else.
+TEST(Tiled, OutOfGateBitWidthsRejectedAtConstruction) {
+  Rng rng(11);
+  Tensor w = Tensor::normal({2, 2}, 0, 1, rng);
+  auto model = std::make_shared<xbar::IdealXbarModel>(test_cfg());
+  HwConfig wide_stream;
+  wide_stream.stream_bits = 8;
+  EXPECT_THROW(TiledMatrix(w, model, wide_stream), CheckError);
+  HwConfig wide_input;
+  wide_input.input_bits = 16;
+  EXPECT_THROW(TiledMatrix(w, model, wide_input), CheckError);
+
+  // 7-bit slices and streams: 127 * 127 = 16129 per row, so 1040 rows
+  // stay below 2^24 and 1041 rows reach it.
+  HwConfig wide;
+  wide.weight_bits = 8;
+  wide.slice_bits = 7;
+  wide.stream_bits = 7;
+  xbar::CrossbarConfig cfg = test_cfg();
+  cfg.levels = 128;
+  cfg.cols = 2;
+  cfg.rows = 1040;
+  EXPECT_NO_THROW(
+      TiledMatrix(w, std::make_shared<xbar::IdealXbarModel>(cfg), wide));
+  cfg.rows = 1041;
+  EXPECT_THROW(
+      TiledMatrix(w, std::make_shared<xbar::IdealXbarModel>(cfg), wide),
+      CheckError);
+}
+
 TEST(HwConfig, SliceAndStreamCounts) {
   HwConfig hw;
   hw.weight_bits = 7;
@@ -260,7 +295,8 @@ TEST(Engine, GainTrimCompensatesFastNoiseLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Route identity: every backend x ISA x thread count, and fused vs float
+// Route identity: every backend x ISA x thread count against the
+// reference tiled GEMM (tests/tiled_reference.h)
 // ---------------------------------------------------------------------------
 
 std::vector<simd::Isa> usable_isas() {
@@ -282,16 +318,19 @@ const xbar::GeniexFit& shared_fit() {
   return fit;
 }
 
-/// Backends x wrappers. Wrapped models take the legacy float route
-/// (decorators do not advertise chunk/ideal capabilities), bare fast_noise
-/// and GENIEx the fused chunk route, bare ideal the int-digital route —
-/// together every route of TiledMatrix::matmul is exercised.
+/// Backends x wrappers. Bare ideal takes the int-digital route; every
+/// other model the int-chunk route — fast_noise, GENIEx and the wrappers
+/// around fast_noise through fused kernels (a wrapper programs its base
+/// model's xbar, so it inherits the kernel), the circuit solver and the
+/// wrappers around ideal and the solver through the tile's stream.
+/// Together every route of TiledMatrix::matmul is exercised.
 std::vector<std::pair<std::string, std::shared_ptr<const xbar::MvmModel>>>
 backend_matrix() {
   const xbar::CrossbarConfig cfg = test_cfg();
   auto ideal = std::make_shared<xbar::IdealXbarModel>(cfg);
   auto fast = std::make_shared<xbar::FastNoiseModel>(cfg);
   auto geniex = std::make_shared<xbar::GeniexModel>(cfg, shared_fit().mlp);
+  auto solver = std::make_shared<xbar::CircuitSolverModel>(cfg);
   xbar::FaultOptions fo;
   fo.stuck_on_rate = 0.05;
   fo.stuck_off_rate = 0.05;
@@ -300,10 +339,16 @@ backend_matrix() {
       {"ideal", ideal},
       {"fast_noise", fast},
       {"geniex", geniex},
+      {"circuit_solver", solver},
       {"fault(fast_noise)", std::make_shared<xbar::FaultModel>(fast, fo)},
       {"variation(fast_noise)",
        std::make_shared<xbar::VariationModel>(fast, vo)},
       {"fault(ideal)", std::make_shared<xbar::FaultModel>(ideal, fo)},
+      {"variation(ideal)", std::make_shared<xbar::VariationModel>(ideal, vo)},
+      {"fault(circuit_solver)",
+       std::make_shared<xbar::FaultModel>(solver, fo)},
+      {"variation(circuit_solver)",
+       std::make_shared<xbar::VariationModel>(solver, vo)},
   };
 }
 
@@ -314,6 +359,11 @@ Tensor uniform_input(std::int64_t k, std::int64_t n, Rng& rng) {
   return x;
 }
 
+/// Every backend matches the reference tiled GEMM bit for bit on every
+/// usable ISA tier at 1 and 4 threads. Bare ideal takes the int-digital
+/// route, whose exact integer dot products differ from the analog double
+/// accumulation by at most one ADC step; its own scalar single-thread run
+/// is the bit-exact reference across tiers and thread counts.
 TEST(TiledRoutes, BitIdenticalAcrossBackendsIsasAndThreads) {
   Rng rng(71);
   Tensor w = Tensor::normal({20, 18}, 0.0f, 0.4f, rng);
@@ -326,7 +376,16 @@ TEST(TiledRoutes, BitIdenticalAcrossBackendsIsasAndThreads) {
       simd::ScopedIsaForTests scope(simd::Isa::Scalar);
       ThreadPool serial(1);
       ThreadPool::ScopedUse use(serial);
-      ref = tiled.matmul(x, 0.0f);
+      const Tensor oracle =
+          testutil::reference_tiled_matmul(w, model, HwConfig{}, x);
+      if (model->is_ideal()) {
+        ref = tiled.matmul(x, 0.0f);
+        const float tol = 1e-3f * oracle.abs_max() + 1e-6f;
+        for (std::int64_t i = 0; i < ref.numel(); ++i)
+          EXPECT_NEAR(ref[i], oracle[i], tol) << tag << " i=" << i;
+      } else {
+        ref = oracle;
+      }
     }
     ASSERT_GT(ref.abs_max(), 0.0f) << tag;
     for (simd::Isa isa : usable_isas()) {
@@ -346,8 +405,10 @@ TEST(TiledRoutes, BitIdenticalAcrossBackendsIsasAndThreads) {
 }
 
 /// fast_noise and GENIEx run through the fused chunk kernels built at
-/// construction; the legacy float route (ScopedIntPathForTests(false)) is
-/// their oracle and must match bit for bit — fast_noise on a small tiled
+/// construction, and so does a fault wrapper around fast_noise (it
+/// programs the base model's xbar); the reference tiled GEMM, which drives
+/// the tiles' float-voltage mvm_multi_active, is their oracle and must
+/// match bit for bit — fast_noise on a small tiled
 /// matrix and on the 16x128 serve-shaped classifier head, GENIEx on the
 /// paper's 64x64_100k crossbar with a ragged last row tile (150 = 64 + 64
 /// + 22 rows) at the batch widths of a ResNet-20 forward. A strongly
@@ -372,6 +433,13 @@ TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
       {"fast_noise serve head",
        std::make_shared<xbar::FastNoiseModel>(xbar::xbar_32x32_100k()), 16,
        128, 32}};
+  xbar::FaultOptions fo;
+  fo.stuck_on_rate = 0.05;
+  fo.stuck_off_rate = 0.05;
+  cases.push_back({"fault(fast_noise)",
+                   std::make_shared<xbar::FaultModel>(
+                       std::make_shared<xbar::FastNoiseModel>(test_cfg()), fo),
+                   20, 18, 5});
   // An untrained (Xavier-initialized) surrogate: its deviations straddle
   // the trust envelope, so both the MLP and the fast-noise fallback feed
   // the outputs.
@@ -398,14 +466,11 @@ TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
     EXPECT_GT(fused_runs.value(), before)
         << c.tag << ": fused path did not engage";
 
-    Tensor ref;
-    {
-      ScopedIntPathForTests float_route(false);
-      const std::uint64_t runs = fused_runs.value();
-      ref = tiled.matmul(x, 0.0f);
-      EXPECT_EQ(fused_runs.value(), runs)
-          << c.tag << ": float route ran fused kernels";
-    }
+    const std::uint64_t runs = fused_runs.value();
+    const Tensor ref =
+        testutil::reference_tiled_matmul(w, c.model, HwConfig{}, x);
+    EXPECT_EQ(fused_runs.value(), runs)
+        << c.tag << ": reference GEMM ran fused kernels";
     ASSERT_GT(ref.abs_max(), 0.0f) << c.tag;
     ASSERT_EQ(fused.numel(), ref.numel());
     for (std::int64_t i = 0; i < fused.numel(); ++i)
@@ -417,9 +482,9 @@ TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
 /// matmul forks the pool once: the DAC and the cross-slot reduction run on
 /// the caller, so pool/chunks_run grows by exactly min(pool size,
 /// programmed slots) per matmul, and 1 and 4 threads give the same bits —
-/// on the int-digital (ideal), fused fast-noise, fused GENIEx and legacy
-/// float routes. 40 rows on 16x16 crossbars: three row tiles, the last
-/// ragged.
+/// on the int-digital (ideal), fused fast-noise, fused GENIEx and stream
+/// (circuit solver) routes. 40 rows on 16x16 crossbars: three row tiles,
+/// the last ragged.
 TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
   Rng rng(73);
   Tensor w = Tensor::normal({20, 40}, 0.0f, 0.4f, rng);
@@ -429,24 +494,21 @@ TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
   struct Route {
     std::string tag;
     std::shared_ptr<const xbar::MvmModel> model;
-    bool float_route;
-    const char* route_counter;  // must grow once per matmul; null: none
+    bool fused;                 // runs the slots' fused kernels
+    const char* route_counter;  // must grow once per matmul
   };
   const std::vector<Route> routes = {
       {"ideal", std::make_shared<xbar::IdealXbarModel>(cfg), false,
        "puma/tiled/matmuls_int_digital"},
-      {"fast_noise", fast, false, "puma/tiled/matmuls_int_chunks"},
+      {"fast_noise", fast, true, "puma/tiled/matmuls_int_chunks"},
       {"geniex", std::make_shared<xbar::GeniexModel>(cfg, shared_fit().mlp),
-       false, "puma/tiled/matmuls_int_chunks"},
-      {"float route", fast, true, nullptr}};
+       true, "puma/tiled/matmuls_int_chunks"},
+      {"stream route", std::make_shared<xbar::CircuitSolverModel>(cfg), false,
+       "puma/tiled/matmuls_int_chunks"}};
   metrics::Counter& chunks = metrics::counter("pool/chunks_run");
-  metrics::Counter& int_digital =
-      metrics::counter("puma/tiled/matmuls_int_digital");
-  metrics::Counter& int_chunks =
-      metrics::counter("puma/tiled/matmuls_int_chunks");
+  metrics::Counter& fused_runs = metrics::counter("puma/tiled/fused_runs");
   for (const Route& r : routes) {
     TiledMatrix tiled(w, r.model, HwConfig{});
-    ScopedIntPathForTests route(!r.float_route);
     const auto slots = static_cast<std::uint64_t>(tiled.programmed_tiles());
     ASSERT_GT(slots, 4u) << r.tag;
     Tensor ref;
@@ -454,20 +516,15 @@ TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
       ThreadPool pool(threads);
       ThreadPool::ScopedUse use(pool);
       const std::uint64_t chunks0 = chunks.value();
-      const std::uint64_t int_routes0 =
-          int_digital.value() + int_chunks.value();
-      const std::uint64_t route0 =
-          r.route_counter ? metrics::counter(r.route_counter).value() : 0;
+      const std::uint64_t fused0 = fused_runs.value();
+      const std::uint64_t route0 = metrics::counter(r.route_counter).value();
       Tensor out = tiled.matmul(x, 0.0f);
       EXPECT_EQ(chunks.value() - chunks0,
                 std::min<std::uint64_t>(threads, slots))
           << r.tag << " threads=" << threads;
-      if (r.route_counter != nullptr)
-        EXPECT_EQ(metrics::counter(r.route_counter).value() - route0, 1u)
-            << r.tag;
-      else
-        EXPECT_EQ(int_digital.value() + int_chunks.value(), int_routes0)
-            << r.tag;
+      EXPECT_EQ(metrics::counter(r.route_counter).value() - route0, 1u)
+          << r.tag;
+      EXPECT_EQ(fused_runs.value() > fused0, r.fused) << r.tag;
       if (threads == 1) {
         ASSERT_GT(out.abs_max(), 0.0f) << r.tag;
         ref = out;

@@ -21,6 +21,7 @@
 #include "puma/bit_slicing.h"
 #include "puma/tiled_mvm.h"
 #include "tensor/ops.h"
+#include "tiled_reference.h"
 #include "xbar/circuit_solver.h"
 #include "xbar/fast_noise.h"
 #include "xbar/fault.h"
@@ -188,6 +189,8 @@ TEST(SimdKernels, TransposedGemmVariantsMatchExplicitTranspose) {
     EXPECT_NEAR(bt[i], bt_ref[i], 1e-5) << i;
 }
 
+/// quantize_to_i16 is the affine activation quantizer
+/// round(clamp(x, 0, scale) / scale * qmax) on every tier.
 TEST(SimdKernels, QuantizeAffineMatchesScalarFormula) {
   Rng rng(15);
   const std::int64_t n = 37;
@@ -195,11 +198,12 @@ TEST(SimdKernels, QuantizeAffineMatchesScalarFormula) {
   const float scale = 0.9f, qmax = 63.0f;
   for (simd::Isa isa : test_isas()) {
     simd::ScopedIsaForTests scope(isa);
-    std::vector<float> out(static_cast<std::size_t>(n));
-    simd::quantize_affine(out.data(), x.data(), n, scale, qmax);
+    std::vector<std::int16_t> out(static_cast<std::size_t>(n));
+    simd::quantize_to_i16(out.data(), x.data(), n, scale, qmax);
     for (std::int64_t i = 0; i < n; ++i) {
       const float clipped = std::clamp(x[i], 0.0f, scale);
-      EXPECT_EQ(out[i], std::round(clipped / scale * qmax))
+      EXPECT_EQ(static_cast<float>(out[i]),
+                std::round(clipped / scale * qmax))
           << "isa=" << simd::isa_name(isa) << " x=" << x[i];
     }
   }
@@ -212,11 +216,11 @@ TEST(SimdKernels, QuantizeAffineRoundsTiesAwayFromZero) {
   std::vector<float> x{0.5f, 1.5f, 2.5f, 3.5f, 4.5f, 5.5f, 6.5f, 7.5f, 8.0f};
   for (simd::Isa isa : test_isas()) {
     simd::ScopedIsaForTests scope(isa);
-    std::vector<float> out(x.size());
-    simd::quantize_affine(out.data(), x.data(),
+    std::vector<std::int16_t> out(x.size());
+    simd::quantize_to_i16(out.data(), x.data(),
                           static_cast<std::int64_t>(x.size()), 8.0f, 8.0f);
     for (std::size_t i = 0; i < x.size(); ++i)
-      EXPECT_EQ(out[i], std::round(x[i])) << "x=" << x[i];
+      EXPECT_EQ(static_cast<float>(out[i]), std::round(x[i])) << "x=" << x[i];
   }
 }
 
@@ -361,7 +365,8 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
   auto run = [&](simd::Isa isa) {
     simd::ScopedIsaForTests scope(isa);
     struct Out {
-      std::vector<float> scl, quant, adc;
+      std::vector<float> adc;
+      std::vector<std::int16_t> quant;
       std::vector<std::vector<float>> gemm, adc_rows, glue;
       std::vector<std::vector<std::int8_t>> flags, dac_chunk, dac_row_max;
       std::vector<std::vector<std::int32_t>> dac_colsum;
@@ -428,10 +433,8 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
       simd::gemm_madd(o.gemm.back().data(), ga[t].data(), gb[t].data(), sh.m,
                       sh.n, sh.k, sh.k + 3, sh.n + 5, sh.n + 7);
     }
-    o.scl.assign(static_cast<std::size_t>(n), 0.0f);
-    simd::scale(o.scl.data(), x.data(), -0.313f, n);
-    o.quant.assign(static_cast<std::size_t>(n), 0.0f);
-    simd::quantize_affine(o.quant.data(), x.data(), n, 2.3f, 127.0f);
+    o.quant.assign(static_cast<std::size_t>(n), 0);
+    simd::quantize_to_i16(o.quant.data(), x.data(), n, 2.3f, 127.0f);
     o.adc = y0;
     simd::adc_shift_add(o.adc.data(), x.data(), y0.data(), 1, n, 1.7f,
                         1023.0f, 2.25f);
@@ -489,7 +492,6 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
   for (simd::Isa isa : vector_isas()) {
     auto v = run(isa);
     for (std::int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(s.scl[i], v.scl[i]) << simd::isa_name(isa) << " scale " << i;
       EXPECT_EQ(s.quant[i], v.quant[i])
           << simd::isa_name(isa) << " quantize " << i;
       EXPECT_EQ(s.adc[i], v.adc[i]) << simd::isa_name(isa) << " adc " << i;
@@ -559,26 +561,17 @@ TEST(SimdParity, UlpKernelsWithinDocumentedBound) {
                        std::numeric_limits<float>::epsilon() * abs_sum;
 
   float dot_s;
-  std::vector<float> axpy_s = b;
   {
     simd::ScopedIsaForTests scope(simd::Isa::Scalar);
     dot_s = simd::dot(a.data(), b.data(), n);
-    simd::axpy(axpy_s.data(), a.data(), 0.77f, n);
   }
   for (simd::Isa isa : vector_isas()) {
     float dot_v;
-    std::vector<float> axpy_v = b;
     {
       simd::ScopedIsaForTests scope(isa);
       dot_v = simd::dot(a.data(), b.data(), n);
-      simd::axpy(axpy_v.data(), a.data(), 0.77f, n);
     }
     EXPECT_NEAR(dot_s, dot_v, bound) << simd::isa_name(isa);
-    for (std::int64_t i = 0; i < n; ++i)
-      EXPECT_NEAR(axpy_s[i], axpy_v[i],
-                  2.0 * std::numeric_limits<float>::epsilon() *
-                      (std::abs(axpy_s[i]) + std::abs(0.77f * a[i])))
-          << simd::isa_name(isa) << " " << i;
   }
 }
 
@@ -650,8 +643,8 @@ TEST(SimdParity, MlpTanhVectorTiersIdenticalScalarWithinBound) {
 // Integer bit-slice kernels (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-/// quantize_to_i8/i16 must produce exactly the codes quantize_affine
-/// produces (as floats), on every tier.
+/// quantize_to_i16 must produce exactly the codes of the scalar affine
+/// quantizer round(clamp(x, 0, scale) / scale * qmax), on every tier.
 TEST(SimdIntKernels, QuantizeIntTwinsMatchQuantizeAffineBitExact) {
   Rng rng(61);
   const std::int64_t n = 103;  // odd: vector body + tail
@@ -663,14 +656,8 @@ TEST(SimdIntKernels, QuantizeIntTwinsMatchQuantizeAffineBitExact) {
     for (const float qmax : {127.0f, 63.0f, 32767.0f, 8.0f}) {
       const float scale = 1.5f;
       std::vector<float> ref(static_cast<std::size_t>(n));
-      simd::quantize_affine(ref.data(), x.data(), n, scale, qmax);
-      if (qmax <= 127.0f) {
-        std::vector<std::int8_t> q8(static_cast<std::size_t>(n));
-        simd::quantize_to_i8(q8.data(), x.data(), n, scale, qmax);
-        for (std::int64_t i = 0; i < n; ++i)
-          EXPECT_EQ(static_cast<float>(q8[i]), ref[i])
-              << simd::isa_name(isa) << " qmax=" << qmax << " i=" << i;
-      }
+      for (std::int64_t i = 0; i < n; ++i)
+        ref[i] = std::round(std::clamp(x[i], 0.0f, scale) / scale * qmax);
       std::vector<std::int16_t> q16(static_cast<std::size_t>(n));
       simd::quantize_to_i16(q16.data(), x.data(), n, scale, qmax);
       for (std::int64_t i = 0; i < n; ++i)
@@ -929,12 +916,13 @@ TEST(TiledMatmul, DeterministicAcrossThreadCountsAndIsas) {
 }
 
 // ---------------------------------------------------------------------------
-// Integer bit-slice pipeline vs the legacy float pipeline
+// Integer bit-slice pipeline vs the reference tiled GEMM
+// (tests/tiled_reference.h), which evaluates materialized float voltages
 // ---------------------------------------------------------------------------
 
 /// fast_noise: the chunk-gather int path evaluates the SAME float
-/// operations per distinct chunk code as the legacy per-element loop
-/// (DESIGN.md §13), so routing through it must not move a single bit.
+/// operations per distinct chunk code as the per-element voltage loop
+/// (DESIGN.md §13), so it must match the reference GEMM bit for bit.
 TEST(IntPath, FastNoiseIntChunksBitIdenticalToLegacyFloat) {
   Rng rng(71);
   const auto cfg = tiny_config(16);
@@ -947,17 +935,11 @@ TEST(IntPath, FastNoiseIntChunksBitIdenticalToLegacyFloat) {
   metrics::Counter& chunk_mms =
       metrics::counter("puma/tiled/matmuls_int_chunks");
 
-  Tensor legacy, routed;
-  {
-    puma::ScopedIntPathForTests off(false);
-    legacy = tiled.matmul(x, 0.0f);
-  }
-  {
-    puma::ScopedIntPathForTests on(true);
-    const std::uint64_t before = chunk_mms.value();
-    routed = tiled.matmul(x, 0.0f);
-    EXPECT_GT(chunk_mms.value(), before) << "int chunk path did not engage";
-  }
+  const Tensor legacy =
+      testutil::reference_tiled_matmul(w, model, puma::HwConfig{}, x);
+  const std::uint64_t before = chunk_mms.value();
+  const Tensor routed = tiled.matmul(x, 0.0f);
+  EXPECT_GT(chunk_mms.value(), before) << "int chunk path did not engage";
   ASSERT_EQ(legacy.numel(), routed.numel());
   for (std::int64_t i = 0; i < legacy.numel(); ++i)
     EXPECT_EQ(routed[i], legacy[i]) << i;
@@ -980,17 +962,11 @@ TEST(IntPath, IdealIntDigitalMatchesLegacyWithinAdcRounding) {
   metrics::Counter& digital_mms =
       metrics::counter("puma/tiled/matmuls_int_digital");
 
-  Tensor legacy, digital;
-  {
-    puma::ScopedIntPathForTests off(false);
-    legacy = tiled.matmul(x, 0.0f);
-  }
-  {
-    puma::ScopedIntPathForTests on(true);
-    const std::uint64_t before = digital_mms.value();
-    digital = tiled.matmul(x, 0.0f);
-    EXPECT_GT(digital_mms.value(), before) << "int digital path not engaged";
-  }
+  const Tensor legacy =
+      testutil::reference_tiled_matmul(w, model, puma::HwConfig{}, x);
+  const std::uint64_t before = digital_mms.value();
+  const Tensor digital = tiled.matmul(x, 0.0f);
+  EXPECT_GT(digital_mms.value(), before) << "int digital path not engaged";
   ASSERT_EQ(legacy.numel(), digital.numel());
   ASSERT_GT(legacy.abs_max(), 0.0f);
   const float tol = 1e-3f * legacy.abs_max() + 1e-6f;
@@ -999,8 +975,7 @@ TEST(IntPath, IdealIntDigitalMatchesLegacyWithinAdcRounding) {
 }
 
 /// Both int routes must themselves be deterministic across ISA tiers and
-/// thread counts (the existing TiledMatmul cross-product runs with the
-/// int path live by default; this pins the gate explicitly on).
+/// thread counts.
 TEST(IntPath, IntRoutesDeterministicAcrossIsasAndThreads) {
   Rng rng(73);
   const auto cfg = tiny_config(16);
@@ -1008,7 +983,6 @@ TEST(IntPath, IntRoutesDeterministicAcrossIsasAndThreads) {
   Tensor x({18, 5});
   for (std::int64_t i = 0; i < x.numel(); ++i)
     x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
-  puma::ScopedIntPathForTests on(true);
   for (const bool fast_noise : {false, true}) {
     std::shared_ptr<const xbar::MvmModel> model;
     if (fast_noise)
@@ -1044,8 +1018,8 @@ TEST(IntPath, IntRoutesDeterministicAcrossIsasAndThreads) {
 /// route computes exact integer dot products and would silently erase the
 /// fault rewrite (stuck cells, dead lines, drift) the wrapper applies to
 /// the programmed conductances; FaultModel(ideal) is only "ideal" in name.
-/// Pinned as bit-identity across the int-path gate and every ISA tier,
-/// plus the route counter staying flat.
+/// Pinned as bit-identity with the reference GEMM on every ISA tier, plus
+/// the route counter staying flat.
 TEST(IntPath, FaultWrappedIdealNeverTakesDigitalRoute) {
   Rng rng(74);
   const auto cfg = tiny_config(16);
@@ -1060,27 +1034,19 @@ TEST(IntPath, FaultWrappedIdealNeverTakesDigitalRoute) {
   metrics::Counter& digital_mms =
       metrics::counter("puma/tiled/matmuls_int_digital");
 
-  Tensor ref;
-  {
-    puma::ScopedIntPathForTests off(false);
-    simd::ScopedIsaForTests scope(simd::Isa::Scalar);
-    ref = tiled.matmul(x, 0.0f);
-  }
+  const Tensor ref =
+      testutil::reference_tiled_matmul(w, model, puma::HwConfig{}, x);
   ASSERT_GT(ref.abs_max(), 0.0f);
-  for (const bool int_path : {false, true}) {
-    puma::ScopedIntPathForTests gate(int_path);
-    for (simd::Isa isa : test_isas()) {
-      simd::ScopedIsaForTests scope(isa);
-      const std::uint64_t before = digital_mms.value();
-      Tensor out = tiled.matmul(x, 0.0f);
-      EXPECT_EQ(digital_mms.value(), before)
-          << "digital route engaged for fault-wrapped model (int_path="
-          << int_path << " isa=" << simd::isa_name(isa) << ")";
-      for (std::int64_t i = 0; i < out.numel(); ++i)
-        EXPECT_EQ(out[i], ref[i]) << "int_path=" << int_path
-                                  << " isa=" << simd::isa_name(isa)
-                                  << " i=" << i;
-    }
+  for (simd::Isa isa : test_isas()) {
+    simd::ScopedIsaForTests scope(isa);
+    const std::uint64_t before = digital_mms.value();
+    Tensor out = tiled.matmul(x, 0.0f);
+    EXPECT_EQ(digital_mms.value(), before)
+        << "digital route engaged for fault-wrapped model (isa="
+        << simd::isa_name(isa) << ")";
+    for (std::int64_t i = 0; i < out.numel(); ++i)
+      EXPECT_EQ(out[i], ref[i]) << "isa=" << simd::isa_name(isa)
+                                << " i=" << i;
   }
 }
 

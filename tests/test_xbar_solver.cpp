@@ -5,12 +5,14 @@
 
 #include "common/check.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/health.h"
 #include "common/metrics.h"
 #include "xbar/circuit_solver.h"
+#include "xbar/device.h"
 #include "xbar/geniex.h"
 
 namespace nvm::xbar {
@@ -256,24 +258,19 @@ TEST(Solver, RetryOutputMatchesExplicitDampedColdSolve) {
 }
 
 TEST(Solver, UnderRelaxationConvergesToSameFixedPoint) {
-  // Damping slows the outer iteration but must land on the same solution,
-  // on both sweep schedules.
+  // Damping slows the outer iteration but must land on the same solution.
   CrossbarConfig cfg = tiny_config(8);
   Rng rng(15);
   Tensor g = sample_conductances(cfg, rng);
   Tensor v = sample_voltages(cfg, rng);
   Tensor ref = solve_crossbar(cfg, {}, g, v);
-  for (const SweepOrdering ordering :
-       {SweepOrdering::kRedBlack, SweepOrdering::kLexicographic}) {
-    SolverOptions damped;
-    damped.ordering = ordering;
-    damped.relaxation = 0.6;
-    SolveStats stats;
-    Tensor out = solve_crossbar(cfg, damped, g, v, &stats);
-    EXPECT_TRUE(stats.ok());
-    for (std::int64_t j = 0; j < cfg.cols; ++j)
-      EXPECT_NEAR(out[j], ref[j], 1e-5f * cfg.i_scale()) << "col " << j;
-  }
+  SolverOptions damped;
+  damped.relaxation = 0.6;
+  SolveStats stats;
+  Tensor out = solve_crossbar(cfg, damped, g, v, &stats);
+  EXPECT_TRUE(stats.ok());
+  for (std::int64_t j = 0; j < cfg.cols; ++j)
+    EXPECT_NEAR(out[j], ref[j], 1e-5f * cfg.i_scale()) << "col " << j;
 }
 
 TEST(Solver, RelaxationValidatesRange) {
@@ -336,25 +333,126 @@ TEST(Solver, SuperpositionHoldsForLinearDevices) {
     EXPECT_NEAR(lhs[j], rhs[j], 1e-6f * std::abs(rhs[j]) + 1e-13f);
 }
 
+/// Oracle for the red-black plane schedule: flat-start block line
+/// relaxation that solves one wire chain at a time — every row chain (vc
+/// held fixed), then every column chain (vr held fixed) — each as a
+/// tridiagonal Thomas solve with the production sweep's per-entry op
+/// sequence. Undamped (relaxation 1) only.
+struct LexicographicSolve {
+  Tensor out;
+  int sweeps_used = 0;
+  double last_delta = 0.0;
+};
+
+LexicographicSolve lexicographic_solve(const CrossbarConfig& cfg,
+                                       const SolverOptions& opt,
+                                       const Tensor& g, const Tensor& v) {
+  const std::int64_t rows = cfg.rows, cols = cfg.cols;
+  const double gs = 1.0 / cfg.r_source;
+  const double gk = 1.0 / cfg.r_sink;
+  const double gw = 1.0 / cfg.r_wire;
+  const auto idx = [cols](std::int64_t i, std::int64_t j) {
+    return static_cast<std::size_t>(i * cols + j);
+  };
+  const std::size_t cells = static_cast<std::size_t>(rows * cols);
+  const std::vector<double> gd(g.data().begin(), g.data().end());
+  std::vector<double> geff(cells), vr(cells), vc(cells, 0.0);
+  for (std::int64_t i = 0; i < rows; ++i)
+    for (std::int64_t j = 0; j < cols; ++j) vr[idx(i, j)] = v[i];
+  // Thomas algorithm with constant off-diagonal -gw; diag/rhs overwritten.
+  const auto thomas = [gw](std::vector<double>& diag, std::vector<double>& rhs,
+                           std::vector<double>& sol) {
+    const std::size_t n = diag.size();
+    for (std::size_t k = 1; k < n; ++k) {
+      const double m = -gw / diag[k - 1];
+      diag[k] -= m * -gw;
+      rhs[k] -= m * rhs[k - 1];
+    }
+    sol[n - 1] = rhs[n - 1] / diag[n - 1];
+    for (std::size_t k = n - 1; k-- > 0;)
+      sol[k] = (rhs[k] + gw * sol[k + 1]) / diag[k];
+  };
+
+  LexicographicSolve res;
+  int sweep = 0;
+  for (; sweep < opt.max_sweeps; ++sweep) {
+    for (std::size_t k = 0; k < cells; ++k)
+      geff[k] = device_secant_conductance(gd[k], vr[k] - vc[k],
+                                          cfg.device_nonlin);
+    double max_delta = 0.0;
+    std::vector<double> diag(static_cast<std::size_t>(cols));
+    std::vector<double> rhs(diag.size()), sol(diag.size());
+    for (std::int64_t i = 0; i < rows; ++i) {
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const std::size_t k = idx(i, j);
+        double d = geff[k];
+        double r = geff[k] * vc[k];
+        if (j == 0) {
+          d += gs;
+          r += gs * v[i];
+        }
+        if (j > 0) d += gw;
+        if (j + 1 < cols) d += gw;
+        diag[static_cast<std::size_t>(j)] = d;
+        rhs[static_cast<std::size_t>(j)] = r;
+      }
+      thomas(diag, rhs, sol);
+      for (std::int64_t j = 0; j < cols; ++j)
+        vr[idx(i, j)] = sol[static_cast<std::size_t>(j)];
+    }
+    diag.assign(static_cast<std::size_t>(rows), 0.0);
+    rhs.assign(diag.size(), 0.0);
+    sol.assign(diag.size(), 0.0);
+    for (std::int64_t j = 0; j < cols; ++j) {
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const std::size_t k = idx(i, j);
+        double d = geff[k];
+        if (i > 0) d += gw;
+        if (i + 1 < rows) d += gw;
+        else d += gk;
+        diag[static_cast<std::size_t>(i)] = d;
+        rhs[static_cast<std::size_t>(i)] = geff[k] * vr[k];
+      }
+      thomas(diag, rhs, sol);
+      for (std::int64_t i = 0; i < rows; ++i) {
+        const double s = sol[static_cast<std::size_t>(i)];
+        max_delta = std::max(max_delta, std::abs(s - vc[idx(i, j)]));
+        vc[idx(i, j)] = s;
+      }
+    }
+    res.last_delta = max_delta;
+    if (!std::isfinite(max_delta) ||
+        max_delta < opt.tol * cfg.v_read + 1e-15) {
+      ++sweep;
+      break;
+    }
+  }
+  res.sweeps_used = sweep;
+  res.out = Tensor({cols});
+  for (std::int64_t j = 0; j < cols; ++j)
+    res.out[j] = static_cast<float>(vc[idx(rows - 1, j)] * gk);
+  return res;
+}
+
 TEST(Solver, RedBlackBitIdenticalToLexicographic) {
   // The red-black plane schedule only reorders independent chain solves
   // within each half-sweep, so every iterate — and therefore the output
-  // currents AND the sweep count — must match the legacy chain-at-a-time
-  // schedule exactly.
+  // currents, the sweep count and the final movement — must match the
+  // chain-at-a-time oracle exactly (both from the flat start).
   for (const std::int64_t n : {3, 8, 16}) {
     CrossbarConfig cfg = tiny_config(n);
     Rng rng(20 + n);
     Tensor g = sample_conductances(cfg, rng);
     Tensor v = sample_voltages(cfg, rng);
-    SolverOptions rb, lex;
-    rb.ordering = SweepOrdering::kRedBlack;
-    lex.ordering = SweepOrdering::kLexicographic;
-    SolveStats srb, slex;
+    SolverOptions rb;
+    rb.coarse_start = false;
+    SolveStats srb;
     Tensor a = solve_crossbar(cfg, rb, g, v, &srb);
-    Tensor b = solve_crossbar(cfg, lex, g, v, &slex);
-    EXPECT_EQ(srb.sweeps_used, slex.sweeps_used) << "n=" << n;
-    EXPECT_EQ(srb.last_delta, slex.last_delta) << "n=" << n;
-    EXPECT_EQ(max_abs_diff(a, b), 0.0f) << "n=" << n;
+    const LexicographicSolve lex = lexicographic_solve(cfg, rb, g, v);
+    EXPECT_TRUE(srb.ok()) << "n=" << n;
+    EXPECT_EQ(srb.sweeps_used, lex.sweeps_used) << "n=" << n;
+    EXPECT_EQ(srb.last_delta, lex.last_delta) << "n=" << n;
+    EXPECT_EQ(max_abs_diff(a, lex.out), 0.0f) << "n=" << n;
   }
 }
 
@@ -381,14 +479,13 @@ TEST(Solver, CoarseStartSavesSweepsAndStaysWithinTolerance) {
 
 TEST(Solver, ConvergenceRegressionAcrossScheduleOptions) {
   // Regression rail for the sweep counts the perf work relies on: the
-  // default options (red-black + coarse start) must not regress past the
-  // legacy schedule's cost on the benchmark-sized preset.
+  // default options (coarse start) must not regress past the flat-start
+  // cost on the benchmark-sized preset.
   CrossbarConfig cfg = xbar_64x64_100k();
   Rng rng(22);
   Tensor g = sample_conductances(cfg, rng);
   Tensor v = sample_voltages(cfg, rng);
   SolverOptions legacy;
-  legacy.ordering = SweepOrdering::kLexicographic;
   legacy.coarse_start = false;
   SolveStats sdef, sleg;
   (void)solve_crossbar(cfg, {}, g, v, &sdef);
