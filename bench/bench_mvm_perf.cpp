@@ -180,14 +180,40 @@ void BM_IdealMvmMulti(benchmark::State& state) {
 }
 BENCHMARK(BM_IdealMvmMulti)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
 
+// One solve under the red-black plane schedule (the solver's only
+// schedule). The 64x64 arm is mirrored into the run manifest as
+// bench/solver/ordering_redblack_ms, which the perf gate holds.
 void BM_CircuitSolverMvm(benchmark::State& state) {
   const auto cfg = bench_cfg(state.range(0));
   xbar::CircuitSolverModel model(cfg);
   auto programmed = model.program(bench_g(cfg));
   Tensor v = bench_v(cfg);
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) benchmark::DoNotOptimize(programmed->mvm(v));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.range(0) == 64 && state.iterations() > 0)
+    metrics::gauge("bench/solver/ordering_redblack_ms")
+        .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_CircuitSolverMvm)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
+
+// The full GENIEx surrogate fit for the 64x64_100k crossbar with default
+// options: 320 circuit solves fanned out across the pool, then the MLP
+// training. Published as bench/xbar/geniex_fit_ms, which the perf gate
+// holds.
+void BM_GeniexFit(benchmark::State& state) {
+  const xbar::CrossbarConfig cfg = xbar::xbar_64x64_100k();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(xbar::GeniexModel::fit(cfg, {}));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() > 0)
+    metrics::gauge("bench/xbar/geniex_fit_ms")
+        .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_GeniexFit)->Unit(benchmark::kMillisecond);
 
 void BM_TiledMatmul(benchmark::State& state) {
   // A stage-2 conv GEMM: (16 x 72) weights, 36 im2col columns. The GENIEx
@@ -327,24 +353,6 @@ BENCHMARK(BM_SolverTiledMatmulWarmStart)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-// One 64x64 solve under the red-black plane schedule (the solver's only
-// schedule), mirrored into the run manifest as
-// bench/solver/ordering_redblack_ms, which the perf gate holds.
-void BM_CircuitSolverOrdering(benchmark::State& state) {
-  const auto cfg = bench_cfg(64);
-  xbar::CircuitSolverModel model(cfg);
-  auto programmed = model.program(bench_g(cfg));
-  Tensor v = bench_v(cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) benchmark::DoNotOptimize(programmed->mvm(v));
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  if (state.iterations() > 0)
-    metrics::gauge("bench/solver/ordering_redblack_ms")
-        .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_CircuitSolverOrdering)->Unit(benchmark::kMillisecond);
 
 // Input-only backward A/B: one fixed-seed, untrained SCIFAR10 ResNet-20
 // (widths 8/16/32, 12x12 input) on ideal engines, one Eval forward per

@@ -24,7 +24,9 @@ int main() {
   core::PreparedTask prepared = core::prepare(core::task_scifar10());
   std::printf("task %s (%s): clean accuracy %.2f%% on ideal hardware\n",
               prepared.task.name.c_str(), prepared.network.arch().c_str(),
-              prepared.clean_test_accuracy);
+              nn::evaluate_accuracy(prepared.network,
+                                    prepared.dataset.test_images,
+                                    prepared.dataset.test_labels));
 
   const std::int64_t n_eval = 64;
   auto images = prepared.eval_images(n_eval);

@@ -73,6 +73,11 @@ SPECS = [
     # the fused chunk route further; a 50% band absorbs host noise and
     # still catches a return to the old evaluation loop.
     ("BENCH_mvm_perf.json", "metrics", "bench/tiled/geniex_ms", "lower", 0.50),
+    # GENIEx surrogate fit (BM_GeniexFit): 320 circuit solves plus the MLP
+    # training, which runs as minibatch simd::gemm_madd calls; a 50% band
+    # absorbs host noise and still catches a return to the per-sample
+    # training loop (about three times the fit time).
+    ("BENCH_mvm_perf.json", "metrics", "bench/xbar/geniex_fit_ms", "lower", 0.50),
     # Input-only backward (BM_InputGrad): backward() over input_grad() on
     # the SCIFAR10 ResNet-20, timed alternately. Skipping the parameter
     # gradients measured 2.31-2.58x on the 4-vCPU AVX-512 host of

@@ -161,12 +161,7 @@ PreparedTask prepare(const Task& task) {
     NVM_LOG(Info) << task.name << " trained in " << watch.seconds() << "s";
   }
 
-  PreparedTask out{task, std::move(ds), std::move(net)};
-  out.clean_test_accuracy = nn::evaluate_accuracy(
-      out.network, out.dataset.test_images, out.dataset.test_labels);
-  NVM_LOG(Info) << task.name << " clean test accuracy "
-                << out.clean_test_accuracy << "%";
-  return out;
+  return PreparedTask{task, std::move(ds), std::move(net)};
 }
 
 }  // namespace nvm::core

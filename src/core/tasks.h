@@ -54,7 +54,6 @@ struct PreparedTask {
   Task task;
   data::Dataset dataset;
   nn::Network network;
-  float clean_test_accuracy = 0.0f;
 
   /// Functionally-identical copy of the trained network (fresh layer
   /// objects, same weights), via a serialize roundtrip. Replica fan-outs
@@ -71,6 +70,8 @@ struct PreparedTask {
 };
 
 /// Generates the dataset and trains (or cache-loads) the target network.
+/// It evaluates nothing: callers that want the clean test accuracy run
+/// nn::evaluate_accuracy over dataset.test_images themselves.
 PreparedTask prepare(const Task& task);
 
 }  // namespace nvm::core

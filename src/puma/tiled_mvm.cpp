@@ -254,6 +254,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
       dws.i8s(1, blocks * static_cast<std::size_t>(cfg.rows));
   std::span<std::int32_t> colsums =
       dws.i32s(0, static_cast<std::size_t>(streams * n));
+  bool any_active = false;
   for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
     const std::int64_t k0 = ti * cfg.rows;
     const std::int64_t k_used = std::min(k_, k0 + cfg.rows) - k0;
@@ -273,6 +274,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
         continue;
       StreamBlock& sb = dac[b0 + static_cast<std::size_t>(t)];
       sb.active = true;
+      any_active = true;
       sb.chunk = chunk + static_cast<std::size_t>(t) * cells;
       sb.row_max = rm;
       float* base = baselines.data() + (b0 + static_cast<std::size_t>(t)) *
@@ -288,14 +290,18 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // is an independent task that streams its input chunks, ADC-quantizes,
   // and shift-adds into its own rows of the caller's partial buffer (one
   // adc_shift_add call per pass over the tile's m_used x n currents). The
-  // pool's only fork-join of the matmul.
+  // pool's only fork-join of the matmul, skipped when no stream block is
+  // live (an all-zero input under skip_zero_tiles): every slot would
+  // return without a pass, so the result stays zero.
   phase.emplace("puma/tiled/passes");
   std::span<float> partials =
       dws.floats(3, static_cast<std::size_t>(partial_rows_ * n));
   std::vector<std::uint8_t> written(steps_.size(), 0);
   static metrics::Counter& m_tile_mvms =
       metrics::counter("puma/tiled/tile_mvms");
-  parallel_for(static_cast<std::int64_t>(steps_.size()), [&](std::int64_t si) {
+  const std::int64_t tasks =
+      any_active ? static_cast<std::int64_t>(steps_.size()) : 0;
+  parallel_for(tasks, [&](std::int64_t si) {
     const SlotStep& step = steps_[static_cast<std::size_t>(si)];
     const std::int64_t k_used = step.k_used, m_used = step.m_used;
     float* acc = partials.data() + step.row0 * n;

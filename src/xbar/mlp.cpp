@@ -64,8 +64,23 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
   NVM_CHECK_EQ(x.rank(), 2u);
   NVM_CHECK_EQ(x.dim(1), in_dim_);
   NVM_CHECK_EQ(x.dim(0), y.numel());
+  NVM_CHECK_GT(opt.batch, 0);
   const std::int64_t n = x.dim(0);
   NVM_CHECK_GT(n, 0);
+  const std::int64_t d = in_dim_, hd = hidden_;
+
+  // Each minibatch is a handful of [exact] simd::gemm_madd calls (unfused
+  // multiply then add, sequential over k) plus elementwise loops, in an
+  // op order that reproduces the per-sample scalar loop bit for bit
+  // (DESIGN.md §11): every sum over inputs, hidden units or samples runs
+  // sequentially in the order that loop used. w1 is held hidden-
+  // contiguous (D x H) while training so X.W1^T and the weight gradient
+  // X^T.dh both read and write contiguous rows; Adam is elementwise, so
+  // the layout does not touch its arithmetic.
+  Tensor w1t({d, hd});
+  for (std::int64_t h = 0; h < hd; ++h)
+    for (std::int64_t i = 0; i < d; ++i)
+      w1t.raw()[i * hd + h] = w1_.raw()[h * d + i];
 
   Rng rng(opt.seed);
   // Adam state.
@@ -73,7 +88,7 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
     Tensor m, v;
     explicit AdamState(const Shape& s) : m(Tensor::zeros(s)), v(Tensor::zeros(s)) {}
   };
-  Tensor* params[4] = {&w1_, &b1_, &w2_, &b2_};
+  Tensor* params[4] = {&w1t, &b1_, &w2_, &b2_};
   std::vector<AdamState> adam;
   for (Tensor* p : params) adam.emplace_back(p->shape());
   const float beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
@@ -82,9 +97,16 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
   std::vector<std::int64_t> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
 
-  Tensor gw1(w1_.shape()), gb1(b1_.shape()), gw2(w2_.shape()), gb2(b2_.shape());
-  std::vector<float> hidden_pre(static_cast<std::size_t>(hidden_));
-  std::vector<float> hidden_act(static_cast<std::size_t>(hidden_));
+  Tensor gw1t(w1t.shape()), gb1(b1_.shape()), gw2(w2_.shape()),
+      gb2(b2_.shape());
+  // Minibatch scratch, sized for the widest batch: rows in shuffled order
+  // as X (B x D) and X^T (D x B), hidden activations (B x H, overwritten
+  // in place by dh), outputs and errors (B), and a row of ones for gb1.
+  const std::size_t bmax = static_cast<std::size_t>(std::min(n, opt.batch));
+  const std::size_t ud = static_cast<std::size_t>(d);
+  const std::size_t uh = static_cast<std::size_t>(hd);
+  std::vector<float> xb(bmax * ud), xt(bmax * ud), act(bmax * uh);
+  std::vector<float> out(bmax), err(bmax), ones(bmax, 1.0f);
 
   float last_epoch_mse = 0.0f;
   for (std::int64_t epoch = 0; epoch < opt.epochs; ++epoch) {
@@ -92,40 +114,48 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
     double se = 0.0;
     for (std::int64_t start = 0; start < n; start += opt.batch) {
       const std::int64_t stop = std::min(n, start + opt.batch);
-      gw1.fill(0);
-      gb1.fill(0);
+      const std::int64_t b = stop - start;
+      for (std::int64_t s = 0; s < b; ++s) {
+        const float* fx =
+            x.raw() + order[static_cast<std::size_t>(start + s)] * d;
+        std::copy(fx, fx + d, xb.data() + s * d);
+        for (std::int64_t i = 0; i < d; ++i) xt[i * b + s] = fx[i];
+      }
+      // Forward: act = tanh_fast(b1 + X.W1^T), out = b2 + act.w2.
+      for (std::int64_t s = 0; s < b; ++s)
+        std::copy(b1_.raw(), b1_.raw() + hd, act.data() + s * hd);
+      simd::gemm_madd(act.data(), xb.data(), w1t.raw(), b, hd, d, d, hd, hd);
+      for (std::size_t j = 0; j < static_cast<std::size_t>(b * hd); ++j)
+        act[j] = fast_tanh(act[j]);
+      std::fill(out.begin(), out.begin() + b, b2_[0]);
+      simd::gemm_madd(out.data(), act.data(), w2_.raw(), b, 1, hd, hd, 1, 1);
+      // Backward (d/dout of 0.5*err^2 = err), gradients summed over the
+      // minibatch in sample order.
+      gb2[0] = 0.0f;
+      for (std::int64_t s = 0; s < b; ++s) {
+        const std::int64_t row = order[static_cast<std::size_t>(start + s)];
+        err[s] = out[s] - y.raw()[row];
+        se += static_cast<double>(err[s]) * err[s];
+        gb2[0] += err[s];
+      }
       gw2.fill(0);
-      gb2.fill(0);
-      for (std::int64_t s = start; s < stop; ++s) {
-        const std::int64_t row = order[static_cast<std::size_t>(s)];
-        const float* fx = x.raw() + row * in_dim_;
-        // Forward.
-        float out = b2_[0];
-        for (std::int64_t h = 0; h < hidden_; ++h) {
-          float acc = b1_[h];
-          const float* wrow = w1_.raw() + h * in_dim_;
-          for (std::int64_t i = 0; i < in_dim_; ++i) acc += wrow[i] * fx[i];
-          hidden_pre[static_cast<std::size_t>(h)] = acc;
-          hidden_act[static_cast<std::size_t>(h)] = fast_tanh(acc);
-          out += w2_[h] * hidden_act[static_cast<std::size_t>(h)];
-        }
-        const float err = out - y[row];
-        se += static_cast<double>(err) * err;
-        // Backward (d/dout of 0.5*err^2 = err).
-        gb2[0] += err;
-        for (std::int64_t h = 0; h < hidden_; ++h) {
-          const float a = hidden_act[static_cast<std::size_t>(h)];
-          gw2[h] += err * a;
-          const float dh = err * w2_[h] * (1.0f - a * a);
-          gb1[h] += dh;
-          float* grow = gw1.raw() + h * in_dim_;
-          for (std::int64_t i = 0; i < in_dim_; ++i) grow[i] += dh * fx[i];
+      simd::gemm_madd(gw2.raw(), err.data(), act.data(), 1, hd, b, b, hd, hd);
+      const float* w2 = w2_.raw();
+      for (std::int64_t s = 0; s < b; ++s) {
+        float* as = act.data() + s * hd;
+        for (std::int64_t h = 0; h < hd; ++h) {
+          const float a = as[h];
+          as[h] = err[s] * w2[h] * (1.0f - a * a);  // dh
         }
       }
+      gb1.fill(0);
+      simd::gemm_madd(gb1.raw(), ones.data(), act.data(), 1, hd, b, b, hd, hd);
+      gw1t.fill(0);
+      simd::gemm_madd(gw1t.raw(), xt.data(), act.data(), d, hd, b, b, hd, hd);
       // Adam step.
       ++t;
-      const float count = static_cast<float>(stop - start);
-      Tensor* grads[4] = {&gw1, &gb1, &gw2, &gb2};
+      const float count = static_cast<float>(b);
+      Tensor* grads[4] = {&gw1t, &gb1, &gw2, &gb2};
       const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
       const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
       for (int pi = 0; pi < 4; ++pi) {
@@ -145,6 +175,9 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
     }
     last_epoch_mse = static_cast<float>(se / n);
   }
+  for (std::int64_t h = 0; h < hd; ++h)
+    for (std::int64_t i = 0; i < d; ++i)
+      w1_.raw()[h * d + i] = w1t.raw()[i * hd + h];
   return last_epoch_mse;
 }
 

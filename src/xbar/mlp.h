@@ -61,7 +61,9 @@ class MlpRegressor {
                      float* out) const;
 
   /// Adam training on MSE. `x` is (n, in_dim), `y` is (n). Returns final
-  /// epoch mean squared error.
+  /// epoch mean squared error. Each minibatch runs as [exact]
+  /// simd::gemm_madd calls on the calling thread, so the trained weights
+  /// and the MSE are the same bits on every tier and thread count.
   float train(const Tensor& x, const Tensor& y, const MlpTrainOptions& opt);
 
   /// Mean squared error over a dataset.

@@ -354,8 +354,7 @@ core::PreparedTask& prepared() {
                                         spec.widths = {4, 8, 8};
                                         spec.num_classes = 2;
                                         return nn::make_resnet_cifar(spec, r);
-                                      }(),
-                                      0.0f};
+                                      }()};
     pt->task.name = "FLEET_TOY";
     // clone_network rebuilds from the task's recipe; it must match the
     // toy network, not SCIFAR10's ResNet-20.
@@ -373,8 +372,6 @@ core::PreparedTask& prepared() {
                                    pt->dataset.test_labels, 32, rng);
     nn::train(pt->network, pt->dataset.train_images, pt->dataset.train_labels,
               testutil::toy_train_config());
-    pt->clean_test_accuracy = nn::evaluate_accuracy(
-        pt->network, pt->dataset.test_images, pt->dataset.test_labels);
     return pt;
   }();
   return *p;

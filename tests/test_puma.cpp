@@ -6,6 +6,7 @@
 #include "common/check.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -534,6 +535,33 @@ TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
       for (std::int64_t i = 0; i < out.numel(); ++i)
         EXPECT_EQ(out[i], ref[i]) << r.tag << " i=" << i;
     }
+  }
+}
+
+/// An all-zero input at a fixed input scale (so matmul does not return
+/// before the DAC) leaves every stream block empty under skip_zero_tiles:
+/// matmul matches the reference tiled GEMM bit for bit without forking
+/// the pool, on every route.
+TEST(TiledRoutes, AllZeroInputSkipsTheForkJoin) {
+  Rng rng(75);
+  Tensor w = Tensor::normal({20, 40}, 0.0f, 0.4f, rng);
+  const Tensor x({40, 9});
+  metrics::Counter& chunks = metrics::counter("pool/chunks_run");
+  ThreadPool pool(4);
+  ThreadPool::ScopedUse use(pool);
+  for (auto& [tag, model] : backend_matrix()) {
+    TiledMatrix tiled(w, model, HwConfig{});
+    ASSERT_GT(tiled.programmed_tiles(), 1) << tag;
+    const Tensor ref =
+        testutil::reference_tiled_matmul(w, model, HwConfig{}, x, 1.0f);
+    const std::uint64_t chunks0 = chunks.value();
+    const Tensor out = tiled.matmul(x, 1.0f);
+    EXPECT_EQ(chunks.value(), chunks0) << tag;
+    ASSERT_EQ(out.numel(), ref.numel()) << tag;
+    EXPECT_EQ(std::memcmp(out.raw(), ref.raw(),
+                          static_cast<std::size_t>(out.numel()) * sizeof(float)),
+              0)
+        << tag;
   }
 }
 

@@ -104,8 +104,9 @@ TEST(Fault, FaultSetGrowsMonotonicallyWithRate) {
   FaultModel chip_high(base, high);
   ASSERT_EQ(chip_low.map().cell.size(), chip_high.map().cell.size());
   for (std::size_t k = 0; k < chip_low.map().cell.size(); ++k)
-    if (chip_low.map().cell[k] == CellFault::StuckOn)
+    if (chip_low.map().cell[k] == CellFault::StuckOn) {
       EXPECT_EQ(chip_high.map().cell[k], CellFault::StuckOn) << "cell " << k;
+    }
   EXPECT_GE(chip_high.map().stuck_on_cells, chip_low.map().stuck_on_cells);
 }
 
@@ -126,8 +127,9 @@ TEST(Fault, DeadLinesDisconnectWholeRowsAndColumns) {
   for (std::int64_t i = 0; i < cfg.rows; ++i)
     for (std::int64_t j = 0; j < cfg.cols; ++j)
       if (chip.map().dead_row[static_cast<std::size_t>(i)] ||
-          chip.map().dead_col[static_cast<std::size_t>(j)])
+          chip.map().dead_col[static_cast<std::size_t>(j)]) {
         EXPECT_FLOAT_EQ(out.at(i, j), g_off) << "(" << i << "," << j << ")";
+      }
 }
 
 TEST(Fault, DriftDecaysMonotonicallyTowardGOff) {
@@ -197,8 +199,9 @@ TEST(Fault, StuckCellsSurviveVariationOnTop) {
   for (std::int64_t i = 0; i < cfg.rows; ++i)
     for (std::int64_t j = 0; j < cfg.cols; ++j) {
       const auto k = static_cast<std::size_t>(i * cfg.cols + j);
-      if (faulty->map().cell[k] == CellFault::StuckOn)
+      if (faulty->map().cell[k] == CellFault::StuckOn) {
         EXPECT_FLOAT_EQ(rewritten.at(i, j), static_cast<float>(cfg.g_on()));
+      }
     }
 }
 

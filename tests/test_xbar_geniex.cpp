@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "common/metrics.h"
 #include "common/serialize.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "tensor/ops.h"
 #include "xbar/fast_noise.h"
 #include "xbar/geniex.h"
@@ -619,6 +621,191 @@ TEST(GeniexChunkKernel, RunMatchesMvmMultiActiveOnEveryTierAndGuard) {
   // under the default guard, and the NaN columns were scrubbed unguarded.
   EXPECT_GT(default_fallbacks, 0u);
   EXPECT_GT(unguarded_scrubs, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: MlpRegressor::train as it stood before the minibatch gemm_madd
+// formulation — one scalar forward and backward per sample, gradients
+// accumulated sample by sample, then an elementwise Adam step. The
+// production train must reproduce its weights and returned MSE bit for
+// bit on every tier and thread count.
+// ---------------------------------------------------------------------------
+
+MlpWeights weights_of(const MlpRegressor& mlp) {
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  mlp.save(w);
+  BinaryReader r(ss);
+  MlpWeights m;
+  m.in_dim = r.read_i64();
+  m.hidden = r.read_i64();
+  m.w1 = Tensor::load(r);
+  m.b1 = Tensor::load(r);
+  m.w2 = Tensor::load(r);
+  m.b2 = Tensor::load(r);
+  return m;
+}
+
+std::string saved_bytes(const MlpRegressor& mlp) {
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  mlp.save(w);
+  return ss.str();
+}
+
+float reference_mlp_train(MlpWeights& m, const Tensor& x, const Tensor& y,
+                          const MlpTrainOptions& opt) {
+  const std::int64_t n = x.dim(0), in_dim = m.in_dim, hidden = m.hidden;
+  Rng rng(opt.seed);
+  Tensor* params[4] = {&m.w1, &m.b1, &m.w2, &m.b2};
+  std::vector<Tensor> adam_m, adam_v;
+  for (Tensor* p : params) {
+    adam_m.push_back(Tensor::zeros(p->shape()));
+    adam_v.push_back(Tensor::zeros(p->shape()));
+  }
+  const float beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+  std::int64_t t = 0;
+  std::vector<std::int64_t> order(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
+  Tensor gw1(m.w1.shape()), gb1(m.b1.shape()), gw2(m.w2.shape()),
+      gb2(m.b2.shape());
+  std::vector<float> act(static_cast<std::size_t>(hidden));
+  float last_epoch_mse = 0.0f;
+  for (std::int64_t epoch = 0; epoch < opt.epochs; ++epoch) {
+    rng.shuffle(order);
+    double se = 0.0;
+    for (std::int64_t start = 0; start < n; start += opt.batch) {
+      const std::int64_t stop = std::min(n, start + opt.batch);
+      gw1.fill(0);
+      gb1.fill(0);
+      gw2.fill(0);
+      gb2.fill(0);
+      for (std::int64_t s = start; s < stop; ++s) {
+        const std::int64_t row = order[static_cast<std::size_t>(s)];
+        const float* fx = x.raw() + row * in_dim;
+        float out = m.b2[0];
+        for (std::int64_t h = 0; h < hidden; ++h) {
+          float acc = m.b1[h];
+          const float* wrow = m.w1.raw() + h * in_dim;
+          for (std::int64_t i = 0; i < in_dim; ++i) acc += wrow[i] * fx[i];
+          act[static_cast<std::size_t>(h)] = simd::tanh_fast(acc);
+          out += m.w2[h] * act[static_cast<std::size_t>(h)];
+        }
+        const float err = out - y[row];
+        se += static_cast<double>(err) * err;
+        gb2[0] += err;
+        for (std::int64_t h = 0; h < hidden; ++h) {
+          const float a = act[static_cast<std::size_t>(h)];
+          gw2[h] += err * a;
+          const float dh = err * m.w2[h] * (1.0f - a * a);
+          gb1[h] += dh;
+          float* grow = gw1.raw() + h * in_dim;
+          for (std::int64_t i = 0; i < in_dim; ++i) grow[i] += dh * fx[i];
+        }
+      }
+      ++t;
+      const float count = static_cast<float>(stop - start);
+      Tensor* grads[4] = {&gw1, &gb1, &gw2, &gb2};
+      const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
+      const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
+      for (std::size_t pi = 0; pi < 4; ++pi) {
+        float* pv = params[pi]->raw();
+        const float* pg = grads[pi]->raw();
+        float* pm = adam_m[pi].raw();
+        float* pvv = adam_v[pi].raw();
+        for (std::int64_t j = 0; j < params[pi]->numel(); ++j) {
+          const float g = pg[j] / count;
+          pm[j] = beta1 * pm[j] + (1 - beta1) * g;
+          pvv[j] = beta2 * pvv[j] + (1 - beta2) * g * g;
+          const float mhat = pm[j] / bc1;
+          const float vhat = pvv[j] / bc2;
+          pv[j] -= opt.lr * mhat / (std::sqrt(vhat) + eps);
+        }
+      }
+    }
+    last_epoch_mse = static_cast<float>(se / n);
+  }
+  return last_epoch_mse;
+}
+
+/// Shapes of the GENIEx surrogate (10 features, 28 hidden) and smaller
+/// ones, default and odd batch widths; 205 samples leave a ragged last
+/// minibatch at both widths, and 5 samples are one minibatch narrower
+/// than either.
+TEST(MlpTrainOracle, MinibatchGemmTrainingBitIdenticalToPerSampleLoop) {
+  std::int64_t compared = 0;
+  for (std::int64_t in_dim : {10, 3}) {
+    for (std::int64_t hidden : {28, 13, 5}) {
+      for (std::int64_t batch : {64, 7}) {
+        for (std::int64_t n : {205, 5}) {
+          Rng rng(static_cast<std::uint64_t>(100 * in_dim + hidden));
+          Tensor x = Tensor::normal({n, in_dim}, 0.0f, 1.0f, rng);
+          Tensor y = Tensor::normal({n}, 0.0f, 0.5f, rng);
+          const MlpRegressor init(in_dim, hidden, rng);
+          MlpTrainOptions opt;
+          opt.epochs = 3;
+          opt.batch = batch;
+          opt.seed = static_cast<std::uint64_t>(batch + n);
+          MlpWeights ref = weights_of(init);
+          const float ref_mse = reference_mlp_train(ref, x, y, opt);
+          const std::string want = saved_bytes(ref.to_mlp());
+          for (simd::Isa isa : usable_isas()) {
+            simd::ScopedIsaForTests scope(isa);
+            for (std::size_t threads : {1u, 4u}) {
+              ThreadPool pool(threads);
+              ThreadPool::ScopedUse use(pool);
+              MlpRegressor mlp = init;
+              const float mse = mlp.train(x, y, opt);
+              const std::string where =
+                  std::string("isa=") + simd::isa_name(isa) +
+                  " threads=" + std::to_string(threads) +
+                  " in=" + std::to_string(in_dim) +
+                  " hidden=" + std::to_string(hidden) +
+                  " batch=" + std::to_string(batch) +
+                  " n=" + std::to_string(n);
+              EXPECT_EQ(std::memcmp(&mse, &ref_mse, sizeof(float)), 0)
+                  << where << " mse " << mse << " vs " << ref_mse;
+              EXPECT_TRUE(saved_bytes(mlp) == want) << where;
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
+}
+
+/// A whole small GENIEx fit trains to the same weights and the same
+/// training MSE on every tier. Its validation MSE comes from predict,
+/// whose mlp_tanh kernel is [~ulp]: equal across the vector tiers, within
+/// a few ULP of the scalar tier's.
+TEST(MlpTrainOracle, GeniexFitSameOnEveryTier) {
+  GeniexTrainOptions opt;
+  opt.solver_samples = 24;
+  opt.mlp.epochs = 4;
+  std::optional<GeniexFit> first;
+  std::string first_bytes;
+  std::optional<float> vector_val_mse;
+  for (simd::Isa isa : usable_isas()) {
+    simd::ScopedIsaForTests scope(isa);
+    GeniexFit fit = GeniexModel::fit(small_config(), opt);
+    const std::string bytes = saved_bytes(fit.mlp);
+    if (isa != simd::Isa::Scalar) {
+      if (!vector_val_mse.has_value()) vector_val_mse = fit.val_mse;
+      EXPECT_EQ(fit.val_mse, *vector_val_mse) << simd::isa_name(isa);
+    }
+    if (!first.has_value()) {
+      first_bytes = bytes;
+      first.emplace(std::move(fit));
+      continue;
+    }
+    EXPECT_EQ(fit.train_mse, first->train_mse) << simd::isa_name(isa);
+    EXPECT_TRUE(bytes == first_bytes) << simd::isa_name(isa);
+    EXPECT_NEAR(fit.val_mse, first->val_mse, 1e-5f * first->val_mse)
+        << simd::isa_name(isa);
+  }
+  ASSERT_TRUE(first.has_value());
 }
 
 TEST(FastNoise, ReducesCurrentVsIdeal) {
