@@ -241,6 +241,27 @@ void BM_TiledMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_TiledMatmul)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// Deploying the stage-3 conv GEMM of the SCIFAR10 ResNet-20 ((64 x 576)
+// weights: 9 row tiles x 2 polarities x 2 slices = 36 slots) onto GENIEx
+// 64x64_100k tiles: quantize, slice, program every slot and compile its
+// chunk kernel. Published as bench/tiled/program_ms, which the perf gate
+// holds.
+void BM_TiledProgram(benchmark::State& state) {
+  Rng rng(11);
+  Tensor w = Tensor::normal({64, 576}, 0, 0.1f, rng);
+  std::shared_ptr<const xbar::MvmModel> model =
+      xbar::make_geniex("64x64_100k");
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(puma::TiledMatrix(w, model, puma::HwConfig{}));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() > 0)
+    metrics::gauge("bench/tiled/program_ms")
+        .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TiledProgram)->Unit(benchmark::kMillisecond);
+
 void BM_CircuitSolverBatchThreads(benchmark::State& state) {
   // One programmed crossbar, 16 independent input vectors: the default
   // mvm_batch fans columns across the pool (GENIEx sample generation and

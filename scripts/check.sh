@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge check: tier-1 build + tests, then the same suite under
 # ASan+UBSan (catches the memory/UB class of failures the fault-injection
-# and failure-handling paths are designed to survive).
+# and failure-handling paths are designed to survive) and the pool-sharing
+# suites under ThreadSanitizer.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 set -euo pipefail
@@ -337,6 +338,16 @@ if command -v python3 >/dev/null 2>&1; then
   echo "== sanitizer: fleet lifetime smoke under ASan+UBSan =="
   fleet_smoke_always ./build-asan/examples/nvmrobust_cli /tmp/nvmrobust_check_fleet_asan.json
 fi
+
+# ThreadSanitizer leg over the suites that share state across the pool:
+# the pool itself, the tiled GEMM and the concurrent tile programming at
+# construction, deployments, dataset synthesis and the GENIEx fit and
+# training.
+echo "== sanitizer: TSan build + pool-sharing ctest subset =="
+cmake --preset tsan >/dev/null
+cmake --build --preset tsan -j "$JOBS"
+ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+  -R 'ThreadPool|Tiled|Puma|Data|Geniex|Mlp'
 
 # Trace-event export under ASan: exercises the per-thread ring buffers and
 # the atexit flush (the lifetime-bug hotspot), then validates the emitted

@@ -65,7 +65,8 @@ SPECS = [
     # One-column fused fast-noise matmul (BM_TiledMatmulFused/2): the
     # matmul a lone served request costs. The column-contiguous table
     # layout took it from 0.054-0.058 to 0.045-0.048 ms wall on the 4-vCPU
-    # host (pool fork-join included); a 50% band absorbs host noise and
+    # host, and running it inline below the matmul's fan-out floor (no
+    # pool fork-join) to 0.017-0.023 ms; a 50% band absorbs host noise and
     # catches step changes on the light-load serve path.
     ("BENCH_mvm_perf.json", "metrics", "bench/tiled/fused_n1_ms", "lower", 0.50),
     # GENIEx tiled matmul (BM_TiledMatmul/1): simd::gemm_madd + one
@@ -78,6 +79,13 @@ SPECS = [
     # absorbs host noise and still catches a return to the per-sample
     # training loop (about three times the fit time).
     ("BENCH_mvm_perf.json", "metrics", "bench/xbar/geniex_fit_ms", "lower", 0.50),
+    # Deployment of the stage-3 conv GEMM onto GENIEx tiles
+    # (BM_TiledProgram: 64x576 weights, 36 slots on 64x64_100k): the
+    # slots are sliced, programmed and their chunk kernels compiled in one
+    # pool fork-join, 2.6-3.5 ms on the 4-vCPU host against 8.4-13.2 ms
+    # one slot at a time; a 50% band absorbs host noise and still catches
+    # a return to serial programming.
+    ("BENCH_mvm_perf.json", "metrics", "bench/tiled/program_ms", "lower", 0.50),
     # Input-only backward (BM_InputGrad): backward() over input_grad() on
     # the SCIFAR10 ResNet-20, timed alternately. Skipping the parameter
     # gradients measured 2.31-2.58x on the 4-vCPU AVX-512 host of

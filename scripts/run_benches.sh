@@ -35,13 +35,14 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # plus bench/simd/gflops from the widest ideal block), the solver
 # warm-start A/B (sweeps_per_matmul with streaming off/on), the 64x64
 # red-black solve time (bench/solver/ordering_redblack_ms), the 64x64_100k
-# GENIEx surrogate fit (bench/xbar/geniex_fit_ms), the fused fast-noise
+# GENIEx surrogate fit (bench/xbar/geniex_fit_ms), the stage-3 conv
+# deployment onto GENIEx tiles (bench/tiled/program_ms), the fused fast-noise
 # tiled matmul at 32 columns and at one (bench/tiled/fused_ms,
 # bench/tiled/fused_n1_ms), the ideal and GENIEx tiled matmuls
 # (bench/tiled/geniex_ms), and the backward vs input-only backward A/B
 # (bench/nn/input_grad_speedup).
 run mvm_perf "$BUILD/bench/bench_mvm_perf" \
-  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverMvm/64|BM_GeniexFit|BM_InputGrad' \
+  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverMvm/64|BM_GeniexFit|BM_TiledProgram|BM_InputGrad' \
   --benchmark_min_time=0.05
 # Serving layer: throughput + exact p50/p99 latency at 2 offered loads and
 # saturation, max_batch 1 vs 32; exits nonzero if batching fails to beat

@@ -317,6 +317,46 @@ void mlp_tanh_scalar(float* out, const float* x, std::int64_t n,
   }
 }
 
+void tanh_fast_block_scalar(float* y, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = tanh_fast(x[i]);
+}
+
+void gemv_madd_scalar(float* y, const float* a, const float* x,
+                      std::int64_t m, std::int64_t k, std::int64_t lda) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * lda;
+    float acc = y[i];
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float t = arow[kk] * x[kk];
+      acc = acc + t;
+    }
+    y[i] = acc;
+  }
+}
+
+void tanh_backprop_scalar(float* a, const float* err, const float* w2,
+                          std::int64_t m, std::int64_t h) {
+  for (std::int64_t s = 0; s < m; ++s) {
+    float* row = a + s * h;
+    for (std::int64_t j = 0; j < h; ++j) {
+      const float x = row[j];
+      row[j] = err[s] * w2[j] * (1.0f - x * x);
+    }
+  }
+}
+
+void adam_step_scalar(float* p, float* m, float* v, const float* g,
+                      std::int64_t n, const AdamStep& c) {
+  for (std::int64_t j = 0; j < n; ++j) {
+    const float gj = g[j] / c.count;
+    m[j] = c.beta1 * m[j] + (1.0f - c.beta1) * gj;
+    v[j] = c.beta2 * v[j] + (1.0f - c.beta2) * gj * gj;
+    const float mhat = m[j] / c.bc1;
+    const float vhat = v[j] / c.bc2;
+    p[j] = p[j] - c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  }
+}
+
 void gemm_f64acc_scalar(float* out, const float* a, const float* v,
                         std::int64_t m, std::int64_t n, std::int64_t k,
                         std::int64_t lda, std::int64_t ldv, std::int64_t ldo) {
@@ -636,6 +676,35 @@ std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
   tally(c, 5 * u64(cols) * u64(n));  // max, mul, sub, two clamp compares
   NVM_SIMD_DISPATCH(geniex_epilogue, out, flags, iid, rel, cols, n, floor,
                     full_scale, guard, rel_min, rel_max);
+}
+
+void tanh_fast_block(float* y, const float* x, std::int64_t n) {
+  static metrics::Counter& c = metrics::counter("simd/kernel/tanh_fast_block");
+  tally(c, 14 * u64(n));  // the rational tanh's multiplies, adds, divide
+  NVM_SIMD_DISPATCH(tanh_fast_block, y, x, n);
+}
+
+void gemv_madd(float* y, const float* a, const float* x, std::int64_t m,
+               std::int64_t k, std::int64_t lda) {
+  NVM_CHECK(lda >= 0 && lda < (std::int64_t{1} << 31) / 16,
+            "gemv_madd lda=" << lda);
+  static metrics::Counter& c = metrics::counter("simd/kernel/gemv_madd");
+  tally(c, 2 * u64(m) * u64(k));
+  NVM_SIMD_DISPATCH(gemv_madd, y, a, x, m, k, lda);
+}
+
+void tanh_backprop(float* a, const float* err, const float* w2,
+                   std::int64_t m, std::int64_t h) {
+  static metrics::Counter& c = metrics::counter("simd/kernel/tanh_backprop");
+  tally(c, 4 * u64(m) * u64(h));
+  NVM_SIMD_DISPATCH(tanh_backprop, a, err, w2, m, h);
+}
+
+void adam_step(float* p, float* m, float* v, const float* g, std::int64_t n,
+               const AdamStep& c) {
+  static metrics::Counter& calls = metrics::counter("simd/kernel/adam_step");
+  tally(calls, 14 * u64(n));
+  NVM_SIMD_DISPATCH(adam_step, p, m, v, g, n, c);
 }
 
 void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,

@@ -30,7 +30,8 @@
 //
 // Kernel list by contract:
 //   [exact] gemm_madd, gemm_f64acc, adc_shift_add, geniex_inputs,
-//           geniex_features, geniex_epilogue, quantize_to_i16,
+//           geniex_features, geniex_epilogue, tanh_fast_block, gemv_madd,
+//           tanh_backprop, adam_step, quantize_to_i16,
 //           gemm_at_i8_i32acc, adc_shift_add_i32, dac_streams_i16
 //   [~ulp]  dot, gemm_accum, gemm_at_accum, gemm_bt_accum, mlp_tanh
 //
@@ -101,9 +102,11 @@ class ScopedIsaForTests {
 /// [~ulp] Dot product with the fixed 8-lane reduction tree.
 float dot(const float* a, const float* b, std::int64_t n);
 
-/// Scalar rational fast-tanh (xbar::fast_tanh forwards here); max abs
-/// error vs std::tanh ~2e-3. The vector tiers of mlp_tanh evaluate the
-/// same op sequence per lane, so it is exact across tiers.
+/// Scalar rational fast-tanh of the GENIEx MLP, ~10x faster than
+/// std::tanh; max abs error vs std::tanh ~2e-3, absorbed by the fit since
+/// training and inference both use it. The vector tiers of mlp_tanh and
+/// tanh_fast_block evaluate the same op sequence per lane, so it is exact
+/// across tiers.
 float tanh_fast(float x);
 
 /// [~ulp] Batched forward of a one-hidden-layer tanh MLP over `n` samples
@@ -218,6 +221,52 @@ std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
                              std::int64_t cols, std::int64_t n, float floor,
                              float full_scale, bool guard, float rel_min,
                              float rel_max);
+
+// Surrogate training -----------------------------------------------------
+// The elementwise stages and the per-sample output sum of the GENIEx MLP
+// training step around its gemm_madd calls (xbar::MlpRegressor::train).
+// All [exact]: each lane runs the scalar reference's IEEE ops in the same
+// order and ragged tails are masked (AVX2/AVX-512) or staged (NEON), so
+// the trained weights are the same bits on every tier.
+
+/// [exact] y[i] = tanh_fast(x[i]) for i in [0, n); y may alias x. The
+/// vector tiers run mlp_tanh's lane tanh (the scalar op sequence, with
+/// the +-4.97 saturation applied per lane), so +-inf saturate to +-1 and
+/// NaN stays NaN as in tanh_fast.
+void tanh_fast_block(float* y, const float* x, std::int64_t n);
+
+/// [exact] y[i] = y[i] + sum_k a[i*lda + k] * x[k] for i in [0, m), an
+/// unfused multiply then add per term, sequential over k: gemm_madd's op
+/// sequence at n = 1, vectorized across rows (gathered AVX2/AVX-512
+/// lanes, staged NEON lanes) instead of across columns. Requires
+/// lda * 16 < 2^31.
+void gemv_madd(float* y, const float* a, const float* x, std::int64_t m,
+               std::int64_t k, std::int64_t lda);
+
+/// [exact] Back-propagates an output error through a tanh hidden layer,
+/// in place over the (m x h) row-major activations a:
+///   a[s*h + j] = (err[s] * w2[j]) * (1 - a[s*h + j] * a[s*h + j]).
+void tanh_backprop(float* a, const float* err, const float* w2,
+                   std::int64_t m, std::int64_t h);
+
+/// Coefficients of one Adam step (see adam_step); beta1, beta2 and eps
+/// default to the usual Adam constants.
+struct AdamStep {
+  float count = 1.0f;  ///< minibatch size the gradient sums divide by
+  float beta1 = 0.9f, beta2 = 0.999f;
+  float bc1 = 1.0f, bc2 = 1.0f;  ///< bias corrections 1 - beta^t
+  float lr = 1e-3f, eps = 1e-8f;
+};
+
+/// [exact] One Adam update of n parameters p with moments m, v from the
+/// gradient sums g, per element in this op order:
+///   gj = g / count
+///   m  = beta1 * m + (1 - beta1) * gj
+///   v  = beta2 * v + ((1 - beta2) * gj) * gj
+///   p  = p - (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+/// with IEEE divides and a correctly rounded sqrt.
+void adam_step(float* p, float* m, float* v, const float* g, std::int64_t n,
+               const AdamStep& c);
 
 // Integer bit-slice kernels (DESIGN.md §13) -------------------------------
 // The tiled GEMM's operands are small non-negative integers (weight

@@ -6,9 +6,10 @@
 // Parity rules mirrored from simd.h: [exact] kernels use the same
 // unfused mul/add sequence as the scalar reference in simd.cpp; [~ulp]
 // kernels (dot, gemm, gemm_at, gemm_bt, mlp_tanh) use FMA in the
-// vector body. gemm_madd, mlp_tanh, adc_shift_add and the geniex_* glue
-// kernels finish ragged columns with maskload/maskstore vectors, so they
-// have no scalar tail; dac_streams_i16 stages its ragged int16 vector
+// vector body. gemm_madd, mlp_tanh, adc_shift_add, the geniex_* glue
+// kernels and the training kernels finish ragged columns with
+// maskload/maskstore vectors (gemv_madd masked gathers), so they have no
+// scalar tail; dac_streams_i16 stages its ragged int16 vector
 // through zero-padded buffers (AVX2 has no 8- or 16-bit masked moves).
 // Scalar tail loops in this TU are unfused like the reference (the whole
 // build carries -ffp-contract=off; FMA only appears via intrinsics).
@@ -689,6 +690,103 @@ void mlp_tanh_avx2(float* out, const float* x, std::int64_t n,
                         tail_mask8(n - s));
 }
 
+void tanh_fast_block_avx2(float* y, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; i += 8) {
+    const __m256i m = tail_mask8(n - i);
+    _mm256_maskstore_ps(y + i, m, tanh8(_mm256_maskload_ps(x + i, m)));
+  }
+}
+
+namespace {
+
+/// V vectors of 8 rows each (with kTail the last one holding only the
+/// rows in `mask`), their rows gathered at stride lda per k step; every
+/// term is an unfused multiply then add, as in gemv_madd_scalar.
+template <int V, bool kTail>
+inline void gemv_block8(float* y, const float* a, const float* x,
+                        std::int64_t k, std::int64_t lda, __m256i rows,
+                        __m256i mask) {
+  const __m256 all = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+  __m256 acc[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) acc[v] = load8<V, kTail>(y + 8 * v, v, mask);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const __m256 xk = _mm256_set1_ps(x[kk]);
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      const __m256 lanes =
+          kTail && v == V - 1 ? _mm256_castsi256_ps(mask) : all;
+      const __m256 av = _mm256_mask_i32gather_ps(
+          _mm256_setzero_ps(), a + 8 * v * lda + kk, rows, lanes, 4);
+      acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(av, xk));
+    }
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) store8<V, kTail>(y + 8 * v, v, mask, acc[v]);
+}
+
+}  // namespace
+
+void gemv_madd_avx2(float* y, const float* a, const float* x, std::int64_t m,
+                    std::int64_t k, std::int64_t lda) {
+  const __m256i rows =
+      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(static_cast<int>(lda)));
+  const __m256i all = _mm256_set1_epi32(-1);
+  std::int64_t i = 0;
+  for (; i + 32 <= m; i += 32)
+    gemv_block8<4, false>(y + i, a + i * lda, x, k, lda, rows, all);
+  for (; i + 8 <= m; i += 8)
+    gemv_block8<1, false>(y + i, a + i * lda, x, k, lda, rows, all);
+  if (i < m)
+    gemv_block8<1, true>(y + i, a + i * lda, x, k, lda, rows,
+                         tail_mask8(m - i));
+}
+
+void tanh_backprop_avx2(float* a, const float* err, const float* w2,
+                        std::int64_t m, std::int64_t h) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  for (std::int64_t s = 0; s < m; ++s) {
+    float* row = a + s * h;
+    const __m256 e = _mm256_set1_ps(err[s]);
+    for (std::int64_t j = 0; j < h; j += 8) {
+      const __m256i mk = tail_mask8(h - j);
+      const __m256 x = _mm256_maskload_ps(row + j, mk);
+      const __m256 ew = _mm256_mul_ps(e, _mm256_maskload_ps(w2 + j, mk));
+      _mm256_maskstore_ps(
+          row + j, mk,
+          _mm256_mul_ps(ew, _mm256_sub_ps(one, _mm256_mul_ps(x, x))));
+    }
+  }
+}
+
+void adam_step_avx2(float* p, float* m, float* v, const float* g,
+                    std::int64_t n, const AdamStep& c) {
+  const __m256 count = _mm256_set1_ps(c.count);
+  const __m256 b1 = _mm256_set1_ps(c.beta1), b2 = _mm256_set1_ps(c.beta2);
+  const __m256 ob1 = _mm256_set1_ps(1.0f - c.beta1);
+  const __m256 ob2 = _mm256_set1_ps(1.0f - c.beta2);
+  const __m256 bc1 = _mm256_set1_ps(c.bc1), bc2 = _mm256_set1_ps(c.bc2);
+  const __m256 lr = _mm256_set1_ps(c.lr), eps = _mm256_set1_ps(c.eps);
+  for (std::int64_t j = 0; j < n; j += 8) {
+    const __m256i mk = tail_mask8(n - j);
+    const __m256 gj = _mm256_div_ps(_mm256_maskload_ps(g + j, mk), count);
+    const __m256 mj =
+        _mm256_add_ps(_mm256_mul_ps(b1, _mm256_maskload_ps(m + j, mk)),
+                      _mm256_mul_ps(ob1, gj));
+    const __m256 vj = _mm256_add_ps(
+        _mm256_mul_ps(b2, _mm256_maskload_ps(v + j, mk)),
+        _mm256_mul_ps(_mm256_mul_ps(ob2, gj), gj));
+    const __m256 step = _mm256_div_ps(
+        _mm256_mul_ps(lr, _mm256_div_ps(mj, bc1)),
+        _mm256_add_ps(_mm256_sqrt_ps(_mm256_div_ps(vj, bc2)), eps));
+    _mm256_maskstore_ps(m + j, mk, mj);
+    _mm256_maskstore_ps(v + j, mk, vj);
+    _mm256_maskstore_ps(
+        p + j, mk, _mm256_sub_ps(_mm256_maskload_ps(p + j, mk), step));
+  }
+}
+
 }  // namespace nvm::simd::detail
 
 #else  // !NVM_SIMD_AVX2_TU — linker stubs, unreachable behind the dispatch.
@@ -752,6 +850,21 @@ void geniex_features_avx2(float*, const float*, const float*, const float*,
 std::int64_t geniex_epilogue_avx2(float*, std::int8_t*, const float*,
                                   const float*, std::int64_t, std::int64_t,
                                   float, float, bool, float, float) {
+  stub_fail();
+}
+void tanh_fast_block_avx2(float*, const float*, std::int64_t) {
+  stub_fail();
+}
+void gemv_madd_avx2(float*, const float*, const float*, std::int64_t,
+                    std::int64_t, std::int64_t) {
+  stub_fail();
+}
+void tanh_backprop_avx2(float*, const float*, const float*, std::int64_t,
+                        std::int64_t) {
+  stub_fail();
+}
+void adam_step_avx2(float*, float*, float*, const float*, std::int64_t,
+                    const AdamStep&) {
   stub_fail();
 }
 void quantize_to_i16_avx2(std::int16_t*, const float*, std::int64_t, float,

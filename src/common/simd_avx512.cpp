@@ -10,8 +10,9 @@
 // 16 wide changes nothing); [~ulp] kernels (dot, gemm, gemm_at,
 // gemm_bt, mlp_tanh) use FMA in the vector body, and dot folds its 16
 // lanes pairwise onto the documented 8-lane tree. gemm_madd, mlp_tanh,
-// adc_shift_add, the geniex_* glue kernels and dac_streams_i16 finish
-// ragged columns with masked vectors, so they have no scalar tail. gemm_f64acc stays
+// adc_shift_add, the geniex_* glue kernels, the training kernels and
+// dac_streams_i16 finish ragged columns with masked vectors (gemv_madd
+// with masked gathers), so they have no scalar tail. gemm_f64acc stays
 // [exact]: float*float products are exact in double, so fmadd_pd rounds
 // like the reference's mul-then-add. Scalar tail loops in this TU are
 // unfused like the reference (the whole build carries -ffp-contract=off;
@@ -642,6 +643,101 @@ void mlp_tanh_avx512(float* out, const float* x, std::int64_t n,
                    static_cast<__mmask16>((1u << (n - s)) - 1));
 }
 
+void tanh_fast_block_avx512(float* y, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; i += 16) {
+    const __mmask16 m = tail16(n - i);
+    _mm512_mask_storeu_ps(y + i, m, tanh16(_mm512_maskz_loadu_ps(m, x + i)));
+  }
+}
+
+namespace {
+
+/// V vectors of 16 rows each (the last one holding only the rows in
+/// `last`), their rows gathered at stride lda per k step; every term is
+/// an unfused multiply then add, as in gemv_madd_scalar.
+template <int V>
+inline void gemv_block16(float* y, const float* a, const float* x,
+                         std::int64_t k, std::int64_t lda, __m512i rows,
+                         __mmask16 last) {
+  __m512 acc[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v)
+    acc[v] = _mm512_maskz_loadu_ps(lanes16<V>(v, last), y + 16 * v);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const __m512 xk = _mm512_set1_ps(x[kk]);
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      const __m512 av = _mm512_mask_i32gather_ps(
+          _mm512_setzero_ps(), lanes16<V>(v, last), rows,
+          a + 16 * v * lda + kk, 4);
+      acc[v] = _mm512_add_ps(acc[v], _mm512_mul_ps(av, xk));
+    }
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v)
+    _mm512_mask_storeu_ps(y + 16 * v, lanes16<V>(v, last), acc[v]);
+}
+
+}  // namespace
+
+void gemv_madd_avx512(float* y, const float* a, const float* x,
+                      std::int64_t m, std::int64_t k, std::int64_t lda) {
+  const __m512i rows = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(lda)));
+  std::int64_t i = 0;
+  for (; i + 64 <= m; i += 64)
+    gemv_block16<4>(y + i, a + i * lda, x, k, lda, rows, 0xFFFF);
+  for (; i + 16 <= m; i += 16)
+    gemv_block16<1>(y + i, a + i * lda, x, k, lda, rows, 0xFFFF);
+  if (i < m)
+    gemv_block16<1>(y + i, a + i * lda, x, k, lda, rows, tail16(m - i));
+}
+
+void tanh_backprop_avx512(float* a, const float* err, const float* w2,
+                          std::int64_t m, std::int64_t h) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  for (std::int64_t s = 0; s < m; ++s) {
+    float* row = a + s * h;
+    const __m512 e = _mm512_set1_ps(err[s]);
+    for (std::int64_t j = 0; j < h; j += 16) {
+      const __mmask16 mk = tail16(h - j);
+      const __m512 x = _mm512_maskz_loadu_ps(mk, row + j);
+      const __m512 ew = _mm512_mul_ps(e, _mm512_maskz_loadu_ps(mk, w2 + j));
+      _mm512_mask_storeu_ps(
+          row + j, mk,
+          _mm512_mul_ps(ew, _mm512_sub_ps(one, _mm512_mul_ps(x, x))));
+    }
+  }
+}
+
+void adam_step_avx512(float* p, float* m, float* v, const float* g,
+                      std::int64_t n, const AdamStep& c) {
+  const __m512 count = _mm512_set1_ps(c.count);
+  const __m512 b1 = _mm512_set1_ps(c.beta1), b2 = _mm512_set1_ps(c.beta2);
+  const __m512 ob1 = _mm512_set1_ps(1.0f - c.beta1);
+  const __m512 ob2 = _mm512_set1_ps(1.0f - c.beta2);
+  const __m512 bc1 = _mm512_set1_ps(c.bc1), bc2 = _mm512_set1_ps(c.bc2);
+  const __m512 lr = _mm512_set1_ps(c.lr), eps = _mm512_set1_ps(c.eps);
+  for (std::int64_t j = 0; j < n; j += 16) {
+    const __mmask16 mk = tail16(n - j);
+    const __m512 gj = _mm512_div_ps(_mm512_maskz_loadu_ps(mk, g + j), count);
+    const __m512 mj =
+        _mm512_add_ps(_mm512_mul_ps(b1, _mm512_maskz_loadu_ps(mk, m + j)),
+                      _mm512_mul_ps(ob1, gj));
+    const __m512 vj = _mm512_add_ps(
+        _mm512_mul_ps(b2, _mm512_maskz_loadu_ps(mk, v + j)),
+        _mm512_mul_ps(_mm512_mul_ps(ob2, gj), gj));
+    const __m512 step = _mm512_div_ps(
+        _mm512_mul_ps(lr, _mm512_div_ps(mj, bc1)),
+        _mm512_add_ps(_mm512_maskz_sqrt_ps(mk, _mm512_div_ps(vj, bc2)), eps));
+    _mm512_mask_storeu_ps(m + j, mk, mj);
+    _mm512_mask_storeu_ps(v + j, mk, vj);
+    _mm512_mask_storeu_ps(
+        p + j, mk, _mm512_sub_ps(_mm512_maskz_loadu_ps(mk, p + j), step));
+  }
+}
+
 }  // namespace nvm::simd::detail
 
 #else  // !NVM_SIMD_AVX512_TU — linker stubs, unreachable behind dispatch.
@@ -706,6 +802,21 @@ void geniex_features_avx512(float*, const float*, const float*, const float*,
 std::int64_t geniex_epilogue_avx512(float*, std::int8_t*, const float*,
                                     const float*, std::int64_t, std::int64_t,
                                     float, float, bool, float, float) {
+  stub_fail();
+}
+void tanh_fast_block_avx512(float*, const float*, std::int64_t) {
+  stub_fail();
+}
+void gemv_madd_avx512(float*, const float*, const float*, std::int64_t,
+                      std::int64_t, std::int64_t) {
+  stub_fail();
+}
+void tanh_backprop_avx512(float*, const float*, const float*, std::int64_t,
+                          std::int64_t) {
+  stub_fail();
+}
+void adam_step_avx512(float*, float*, float*, const float*, std::int64_t,
+                      const AdamStep&) {
   stub_fail();
 }
 void quantize_to_i16_avx512(std::int16_t*, const float*, std::int64_t, float,

@@ -11,6 +11,10 @@
 
 #include <cstdint>
 
+namespace nvm::simd {
+struct AdamStep;
+}
+
 namespace nvm::simd::detail {
 
 /// True when the corresponding TU was built with real vector kernels.
@@ -58,6 +62,13 @@ bool neon_tu_compiled();
       float* out, std::int8_t* flags, const float* iid, const float* rel,    \
       std::int64_t cols, std::int64_t n, float floor, float full_scale,      \
       bool guard, float rel_min, float rel_max);                             \
+  void tanh_fast_block_##SUF(float* y, const float* x, std::int64_t n);      \
+  void gemv_madd_##SUF(float* y, const float* a, const float* x,             \
+                       std::int64_t m, std::int64_t k, std::int64_t lda);    \
+  void tanh_backprop_##SUF(float* a, const float* err, const float* w2,      \
+                           std::int64_t m, std::int64_t h);                  \
+  void adam_step_##SUF(float* p, float* m, float* v, const float* g,         \
+                       std::int64_t n, const AdamStep& c);                   \
   void quantize_to_i16_##SUF(std::int16_t* out, const float* x,              \
                              std::int64_t n, float scale, float qmax);       \
   void gemm_at_i8_i32acc_##SUF(std::int32_t* c, const std::int8_t* a,        \

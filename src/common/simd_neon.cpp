@@ -6,7 +6,8 @@
 // reference's unfused per-element op sequence 4 lanes at a time (NEON
 // float ops are IEEE-754 compliant on AArch64); [~ulp] kernels use vfmaq
 // in the vector body; gemm_madd, mlp_tanh, adc_shift_add, the geniex_*
-// glue kernels and dac_streams_i16 stage ragged columns through a
+// glue kernels, the training kernels and dac_streams_i16 stage ragged
+// columns (gemv_madd also its strided rows) through a
 // zero-padded vector instead of a scalar tail; dot uses two float32x4 accumulators so its lane
 // layout matches the documented 8-strided-lane tree exactly. vrndaq_f32
 // rounds half away from zero, which is std::round's semantics, so the
@@ -648,6 +649,100 @@ void mlp_tanh_neon(float* out, const float* x, std::int64_t n,
                   std::min<std::int64_t>(4, n - s));
 }
 
+void tanh_fast_block_neon(float* y, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; i += 4) {
+    const std::int64_t lanes = std::min<std::int64_t>(4, n - i);
+    store_part(y + i, tanh4(load_part(x + i, lanes)), lanes);
+  }
+}
+
+namespace {
+
+/// a[l * lda] for the first `lanes` (1..4) rows l, staged into a
+/// zero-padded vector (NEON has no gather).
+inline float32x4_t load_rows(const float* a, std::int64_t lda,
+                             std::int64_t lanes) {
+  float t[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  for (std::int64_t l = 0; l < lanes; ++l) t[l] = a[l * lda];
+  return vld1q_f32(t);
+}
+
+/// V vectors of 4 rows each (the last one covering `last` rows); every
+/// term is an unfused multiply then add, as in gemv_madd_scalar.
+template <int V>
+inline void gemv_block4(float* y, const float* a, const float* x,
+                        std::int64_t k, std::int64_t lda, std::int64_t last) {
+  float32x4_t acc[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v)
+    acc[v] = load_part(y + 4 * v, v == V - 1 ? last : 4);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float32x4_t xk = vdupq_n_f32(x[kk]);
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v)
+      acc[v] = vaddq_f32(
+          acc[v], vmulq_f32(load_rows(a + 4 * v * lda + kk, lda,
+                                      v == V - 1 ? last : 4),
+                            xk));
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v)
+    store_part(y + 4 * v, acc[v], v == V - 1 ? last : 4);
+}
+
+}  // namespace
+
+void gemv_madd_neon(float* y, const float* a, const float* x, std::int64_t m,
+                    std::int64_t k, std::int64_t lda) {
+  constexpr int kV = 4;
+  std::int64_t i = 0;
+  for (; i + 4 * kV <= m; i += 4 * kV)
+    gemv_block4<kV>(y + i, a + i * lda, x, k, lda, 4);
+  for (; i < m; i += 4)
+    gemv_block4<1>(y + i, a + i * lda, x, k, lda,
+                   std::min<std::int64_t>(4, m - i));
+}
+
+void tanh_backprop_neon(float* a, const float* err, const float* w2,
+                        std::int64_t m, std::int64_t h) {
+  const float32x4_t one = vdupq_n_f32(1.0f);
+  for (std::int64_t s = 0; s < m; ++s) {
+    float* row = a + s * h;
+    const float32x4_t e = vdupq_n_f32(err[s]);
+    for (std::int64_t j = 0; j < h; j += 4) {
+      const std::int64_t lanes = std::min<std::int64_t>(4, h - j);
+      const float32x4_t x = load_part(row + j, lanes);
+      const float32x4_t ew = vmulq_f32(e, load_part(w2 + j, lanes));
+      store_part(row + j, vmulq_f32(ew, vsubq_f32(one, vmulq_f32(x, x))),
+                 lanes);
+    }
+  }
+}
+
+void adam_step_neon(float* p, float* m, float* v, const float* g,
+                    std::int64_t n, const AdamStep& c) {
+  const float32x4_t count = vdupq_n_f32(c.count);
+  const float32x4_t b1 = vdupq_n_f32(c.beta1), b2 = vdupq_n_f32(c.beta2);
+  const float32x4_t ob1 = vdupq_n_f32(1.0f - c.beta1);
+  const float32x4_t ob2 = vdupq_n_f32(1.0f - c.beta2);
+  const float32x4_t bc1 = vdupq_n_f32(c.bc1), bc2 = vdupq_n_f32(c.bc2);
+  const float32x4_t lr = vdupq_n_f32(c.lr), eps = vdupq_n_f32(c.eps);
+  for (std::int64_t j = 0; j < n; j += 4) {
+    const std::int64_t lanes = std::min<std::int64_t>(4, n - j);
+    const float32x4_t gj = vdivq_f32(load_part(g + j, lanes), count);
+    const float32x4_t mj = vaddq_f32(vmulq_f32(b1, load_part(m + j, lanes)),
+                                     vmulq_f32(ob1, gj));
+    const float32x4_t vj = vaddq_f32(vmulq_f32(b2, load_part(v + j, lanes)),
+                                     vmulq_f32(vmulq_f32(ob2, gj), gj));
+    const float32x4_t step =
+        vdivq_f32(vmulq_f32(lr, vdivq_f32(mj, bc1)),
+                  vaddq_f32(vsqrtq_f32(vdivq_f32(vj, bc2)), eps));
+    store_part(m + j, mj, lanes);
+    store_part(v + j, vj, lanes);
+    store_part(p + j, vsubq_f32(load_part(p + j, lanes), step), lanes);
+  }
+}
+
 }  // namespace nvm::simd::detail
 
 #else  // !NVM_SIMD_NEON_TU or not AArch64 — stubs, unreachable via dispatch.
@@ -712,6 +807,21 @@ void geniex_features_neon(float*, const float*, const float*, const float*,
 std::int64_t geniex_epilogue_neon(float*, std::int8_t*, const float*,
                                   const float*, std::int64_t, std::int64_t,
                                   float, float, bool, float, float) {
+  stub_fail();
+}
+void tanh_fast_block_neon(float*, const float*, std::int64_t) {
+  stub_fail();
+}
+void gemv_madd_neon(float*, const float*, const float*, std::int64_t,
+                    std::int64_t, std::int64_t) {
+  stub_fail();
+}
+void tanh_backprop_neon(float*, const float*, const float*, std::int64_t,
+                        std::int64_t) {
+  stub_fail();
+}
+void adam_step_neon(float*, float*, float*, const float*, std::int64_t,
+                    const AdamStep&) {
   stub_fail();
 }
 void quantize_to_i16_neon(std::int16_t*, const float*, std::int64_t, float,

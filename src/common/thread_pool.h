@@ -1,9 +1,12 @@
 // Fixed-size thread pool with a blocking parallel_for primitive.
 //
 // This is the single parallel-execution substrate for the whole library:
-// tiled crossbar GEMMs, per-column batched MVMs, GENIEx training-sample
-// generation, and per-sample evaluation / attack crafting all fan out
-// through it. Design constraints, in order:
+// tiled crossbar GEMMs (above a work floor), tile programming and chunk-
+// kernel compilation when a TiledMatrix is built, per-column batched
+// MVMs, GENIEx training-sample generation, synthetic dataset generation,
+// and per-sample evaluation / attack crafting all fan out through it.
+// GENIEx MLP training does not: a minibatch step is cheaper than a
+// fork-join. Design constraints, in order:
 //
 //   * Determinism. parallel_for / parallel_chunks decompose work
 //     independently of the pool size, and callers only submit index-wise

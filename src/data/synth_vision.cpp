@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace nvm::data {
 
@@ -133,18 +134,26 @@ Dataset make_synth_vision(const DatasetSpec& spec) {
   Dataset ds;
   ds.spec = spec;
   // Balanced classes, interleaved; instance indices partition train/test.
-  for (std::int64_t i = 0; i < spec.train_count; ++i) {
-    const std::int64_t label = i % spec.classes;
-    ds.train_images.push_back(
-        synth_image(spec, label, static_cast<std::uint64_t>(i)));
-    ds.train_labels.push_back(label);
-  }
-  for (std::int64_t i = 0; i < spec.test_count; ++i) {
-    const std::int64_t label = i % spec.classes;
-    ds.test_images.push_back(synth_image(
-        spec, label, 0x7E570000ULL + static_cast<std::uint64_t>(i)));
-    ds.test_labels.push_back(label);
-  }
+  // synth_image draws only from its own (label, index) stream, so every
+  // image is independent: they fill pre-sized slots from the pool and the
+  // dataset is the same for any NVM_THREADS.
+  const std::int64_t train = std::max<std::int64_t>(0, spec.train_count);
+  const std::int64_t test = std::max<std::int64_t>(0, spec.test_count);
+  ds.train_images.resize(static_cast<std::size_t>(train));
+  ds.train_labels.resize(static_cast<std::size_t>(train));
+  ds.test_images.resize(static_cast<std::size_t>(test));
+  ds.test_labels.resize(static_cast<std::size_t>(test));
+  parallel_for(train + test, [&](std::int64_t i) {
+    const bool is_train = i < train;
+    const std::int64_t j = is_train ? i : i - train;
+    const std::int64_t label = j % spec.classes;
+    const std::uint64_t index =
+        (is_train ? 0 : 0x7E570000ULL) + static_cast<std::uint64_t>(j);
+    const auto slot = static_cast<std::size_t>(j);
+    (is_train ? ds.train_images : ds.test_images)[slot] =
+        synth_image(spec, label, index);
+    (is_train ? ds.train_labels : ds.test_labels)[slot] = label;
+  });
   return ds;
 }
 

@@ -42,7 +42,9 @@ struct Dataset {
   std::vector<std::int64_t> test_labels;
 };
 
-/// Generates the full dataset deterministically from spec.seed.
+/// Generates the full dataset deterministically from spec.seed. Images
+/// are synthesized on the current nvm::ThreadPool; the dataset is the
+/// same for any thread count.
 Dataset make_synth_vision(const DatasetSpec& spec);
 
 /// Generates a single image of class `label` with instance stream `index`

@@ -18,6 +18,20 @@
 
 namespace nvm::puma {
 
+namespace {
+
+/// Fan-out floor of TiledMatrix::matmul's crossbar passes, in tile-row
+/// columns (programmed slots x input columns x crossbar rows). Set from a
+/// 1- vs 4-thread sweep on a 4-vCPU AVX-512 host: the 16x128 fast-noise
+/// serve head on 32x32 tiles (16 slots) ran n = 1 (512) in 0.019 ms
+/// inline against 0.039 ms fanned out, and n = 4 (2048) in 0.074 against
+/// 0.063 ms; a 64x288 fast-noise matmul on 64x64 tiles (20 slots) ran
+/// n = 1 (1280) in 0.135 against 0.070 ms. Every GENIEx ResNet-20 conv
+/// layer of the 12x12 tasks sits at 2304 or more.
+constexpr std::int64_t kMinFanOutWork = 1024;
+
+}  // namespace
+
 std::int64_t HwConfig::weight_slices() const {
   return slice_count(weight_bits - 1, slice_bits);
 }
@@ -80,87 +94,108 @@ TiledMatrix::TiledMatrix(const Tensor& w,
       static_cast<std::size_t>(row_tiles_ * col_tiles_ * 2 * slices));
   if (model_->is_ideal()) wchunks_.resize(tiles_.size());
 
-  // Fused slot schedule (DESIGN.md §13), built alongside programming: one
-  // step per programmed slot with its per-stream ADC shift factors. Every
-  // non-ideal tile is asked for a chunk kernel (the ideal route is fully
-  // digital and never consults the tiles); a null kernel keeps the slot
-  // on the stream path.
-  const std::int64_t streams = hw_.input_streams();
+  // Every slot (row tile, col tile, polarity, slice) is one pool task: it
+  // slices its weight magnitudes, skips an all-zero slice under
+  // skip_zero_tiles, maps the rest onto a full (rows x cols) crossbar
+  // (unused cells stay at g_off and are cancelled by baseline
+  // subtraction; their inputs are zero-padded anyway), programs it and,
+  // for non-ideal models, compiles its chunk kernel — the ideal route is
+  // fully digital and never consults the tiles, so it keeps the slice as
+  // int8 instead. A null kernel keeps the slot on the stream path. Each
+  // task writes only its own slot, and program() / compile_chunk_kernel()
+  // are pure const calls (the MvmModel contract), so the tiles are the
+  // same for any NVM_THREADS.
   const float v_unit = static_cast<float>(
       cfg.v_read /
       static_cast<double>((std::int64_t{1} << hw_.stream_bits) - 1));
-  const float dot_unit = v_unit * g_unit;
   const int max_code =
       static_cast<int>((std::int64_t{1} << hw_.stream_bits) - 1);
-  std::int64_t fused = 0;
-  for (std::int64_t ti = 0; ti < row_tiles_; ++ti) {
-    const std::int64_t k0 = ti * cfg.rows;
-    const std::int64_t k1 = std::min(k_, k0 + cfg.rows);
-    for (std::int64_t tj = 0; tj < col_tiles_; ++tj) {
-      const std::int64_t m0 = tj * cfg.cols;
-      const std::int64_t m1 = std::min(m_, m0 + cfg.cols);
-      for (int pol = 0; pol < 2; ++pol) {
-        // Polarity 0 = positive weights, 1 = negative magnitudes.
-        Tensor mag({k1 - k0, m1 - m0});
-        bool any = false;
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          for (std::int64_t mm = m0; mm < m1; ++mm) {
-            const float q = qw.q.at(mm, kk);
-            const float v = (pol == 0) ? std::max(q, 0.0f) : std::max(-q, 0.0f);
-            mag.at(kk - k0, mm - m0) = v;
-            any = any || v != 0.0f;
-          }
-        }
-        for (std::int64_t s = 0; s < slices; ++s) {
-          const std::size_t slot = static_cast<std::size_t>(
-              ((ti * col_tiles_ + tj) * 2 + pol) * slices + s);
-          if (hw_.skip_zero_tiles && !any) continue;  // whole polarity empty
-          Tensor chunk = extract_chunk(mag, s, hw_.slice_bits);
-          if (hw_.skip_zero_tiles && chunk.abs_max() == 0.0f) continue;
-          // Map to conductances on a full (rows x cols) crossbar; unused
-          // cells stay at g_off and are cancelled by baseline subtraction
-          // (their inputs are zero-padded anyway).
-          Tensor g = Tensor::full({cfg.rows, cfg.cols}, g_off);
-          for (std::int64_t kk = 0; kk < k1 - k0; ++kk)
-            for (std::int64_t mm = 0; mm < m1 - m0; ++mm)
-              g.at(kk, mm) = g_off + g_unit * chunk.at(kk, mm);
-          tiles_[slot] = model_->program(g);
-          ++programmed_count_;
-          if (!wchunks_.empty()) {
-            // Same chunk values as the programmed conductances, kept as
-            // int8 for the fully-digital int path.
-            std::vector<std::int8_t>& w8 = wchunks_[slot];
-            w8.resize(static_cast<std::size_t>((k1 - k0) * (m1 - m0)));
-            for (std::int64_t kk = 0; kk < k1 - k0; ++kk)
-              for (std::int64_t mm = 0; mm < m1 - m0; ++mm)
-                w8[static_cast<std::size_t>(kk * (m1 - m0) + mm)] =
-                    static_cast<std::int8_t>(chunk.at(kk, mm));
-          }
-          SlotStep step;
-          step.slot = slot;
-          step.ti = ti;
-          step.m0 = m0;
-          step.row0 = partial_rows_;
-          partial_rows_ += m1 - m0;
-          step.k_used = k1 - k0;
-          step.m_used = m1 - m0;
-          const float sign = (pol == 0) ? 1.0f : -1.0f;
-          const float slice_w = chunk_weight(s, hw_.slice_bits);
-          for (std::int64_t t = 0; t < streams; ++t)
-            step.shifts.push_back(sign * chunk_weight(t, hw_.stream_bits) *
-                                  slice_w / dot_unit);
-          if (wchunks_.empty()) {
-            step.kernel = tiles_[slot]->compile_chunk_kernel(v_unit, max_code);
-            if (step.kernel != nullptr) ++fused;
-          }
-          steps_.push_back(std::move(step));
-        }
+  struct SlotPos {
+    std::int64_t ti, k0, k_used, m0, m_used, s;
+    int pol;
+  };
+  const auto slot_pos = [&](std::size_t slot) {
+    const auto i = static_cast<std::int64_t>(slot);
+    const std::int64_t tile = i / (2 * slices);  // ti * col_tiles_ + tj
+    SlotPos p;
+    p.ti = tile / col_tiles_;
+    p.k0 = p.ti * cfg.rows;
+    p.k_used = std::min(k_, p.k0 + cfg.rows) - p.k0;
+    p.m0 = (tile % col_tiles_) * cfg.cols;
+    p.m_used = std::min(m_, p.m0 + cfg.cols) - p.m0;
+    p.pol = static_cast<int>((i / slices) % 2);
+    p.s = i % slices;
+    return p;
+  };
+  std::vector<std::unique_ptr<const xbar::FusedChunkKernel>> kernels(
+      tiles_.size());
+  parallel_for(static_cast<std::int64_t>(tiles_.size()), [&](std::int64_t i) {
+    const auto slot = static_cast<std::size_t>(i);
+    const SlotPos p = slot_pos(slot);
+    // Polarity 0 = positive weights, 1 = negative magnitudes.
+    Tensor mag({p.k_used, p.m_used});
+    bool any = false;
+    for (std::int64_t kk = 0; kk < p.k_used; ++kk) {
+      float* mrow = mag.raw() + kk * p.m_used;
+      for (std::int64_t mm = 0; mm < p.m_used; ++mm) {
+        const float q = qw.q.raw()[(p.m0 + mm) * k_ + p.k0 + kk];
+        const float v = (p.pol == 0) ? std::max(q, 0.0f) : std::max(-q, 0.0f);
+        mrow[mm] = v;
+        any = any || v != 0.0f;
       }
     }
+    if (hw_.skip_zero_tiles && !any) return;  // whole polarity empty
+    const Tensor chunk = extract_chunk(mag, p.s, hw_.slice_bits);
+    if (hw_.skip_zero_tiles && chunk.abs_max() == 0.0f) return;
+    Tensor g = Tensor::full({cfg.rows, cfg.cols}, g_off);
+    for (std::int64_t kk = 0; kk < p.k_used; ++kk)
+      for (std::int64_t mm = 0; mm < p.m_used; ++mm)
+        g.raw()[kk * cfg.cols + mm] =
+            g_off + g_unit * chunk.raw()[kk * p.m_used + mm];
+    tiles_[slot] = model_->program(g);
+    if (!wchunks_.empty()) {
+      // Same chunk values as the programmed conductances, kept as int8
+      // for the fully-digital int path.
+      std::vector<std::int8_t>& w8 = wchunks_[slot];
+      w8.resize(static_cast<std::size_t>(chunk.numel()));
+      for (std::int64_t j = 0; j < chunk.numel(); ++j)
+        w8[static_cast<std::size_t>(j)] =
+            static_cast<std::int8_t>(chunk.raw()[j]);
+    } else {
+      kernels[slot] = tiles_[slot]->compile_chunk_kernel(v_unit, max_code);
+    }
+  });
+
+  // Fused slot schedule (DESIGN.md §13), built in slot order on the
+  // caller: one step per programmed slot with its used tile bounds and
+  // per-stream ADC shift factors.
+  const std::int64_t streams = hw_.input_streams();
+  const float dot_unit = v_unit * g_unit;
+  for (std::size_t slot = 0; slot < tiles_.size(); ++slot) {
+    if (tiles_[slot] == nullptr) continue;
+    const SlotPos p = slot_pos(slot);
+    SlotStep step;
+    step.slot = slot;
+    step.ti = p.ti;
+    step.m0 = p.m0;
+    step.row0 = partial_rows_;
+    partial_rows_ += p.m_used;
+    step.k_used = p.k_used;
+    step.m_used = p.m_used;
+    const float sign = (p.pol == 0) ? 1.0f : -1.0f;
+    const float slice_w = chunk_weight(p.s, hw_.slice_bits);
+    for (std::int64_t t = 0; t < streams; ++t)
+      step.shifts.push_back(sign * chunk_weight(t, hw_.stream_bits) *
+                            slice_w / dot_unit);
+    step.kernel = std::move(kernels[slot]);
+    steps_.push_back(std::move(step));
   }
+  const auto fused = std::count_if(
+      steps_.begin(), steps_.end(),
+      [](const SlotStep& step) { return step.kernel != nullptr; });
   static metrics::Counter& programmed =
       metrics::counter("puma/tiled/tiles_programmed");
-  programmed.add(static_cast<std::uint64_t>(programmed_count_));
+  programmed.add(static_cast<std::uint64_t>(steps_.size()));
   static metrics::Counter& m_fused = metrics::counter("puma/tiled/fused_slots");
   m_fused.add(static_cast<std::uint64_t>(fused));
 }
@@ -290,9 +325,10 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
   // is an independent task that streams its input chunks, ADC-quantizes,
   // and shift-adds into its own rows of the caller's partial buffer (one
   // adc_shift_add call per pass over the tile's m_used x n currents). The
-  // pool's only fork-join of the matmul, skipped when no stream block is
-  // live (an all-zero input under skip_zero_tiles): every slot would
-  // return without a pass, so the result stays zero.
+  // matmul's only fork-join, skipped when no stream block is live (an
+  // all-zero input under skip_zero_tiles: every slot would return without
+  // a pass, so the result stays zero) and when the work is below
+  // kMinFanOutWork.
   phase.emplace("puma/tiled/passes");
   std::span<float> partials =
       dws.floats(3, static_cast<std::size_t>(partial_rows_ * n));
@@ -301,7 +337,7 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
       metrics::counter("puma/tiled/tile_mvms");
   const std::int64_t tasks =
       any_active ? static_cast<std::int64_t>(steps_.size()) : 0;
-  parallel_for(tasks, [&](std::int64_t si) {
+  auto pass = [&](std::int64_t si) {
     const SlotStep& step = steps_[static_cast<std::size_t>(si)];
     const std::int64_t k_used = step.k_used, m_used = step.m_used;
     float* acc = partials.data() + step.row0 * n;
@@ -381,7 +417,16 @@ Tensor TiledMatrix::matmul(const Tensor& x, float input_scale) const {
     if (passes == 0) return;
     m_tile_mvms.add(passes);
     written[static_cast<std::size_t>(si)] = 1;
-  });
+  };
+  // The fan-out follows the work, never the pool size: below
+  // kMinFanOutWork tile-row columns (slots x n x rows) a fork-join costs
+  // more than the passes it spreads, so they run inline in slot order.
+  // Either way every pass writes its own partial, so the bits are equal.
+  if (tasks * n * cfg.rows >= kMinFanOutWork) {
+    parallel_for(tasks, pass);
+  } else {
+    for (std::int64_t si = 0; si < tasks; ++si) pass(si);
+  }
 
   // Phase 3 — reduction on the caller: steps_ is in slot order, so for
   // every output element the partials fold in the fixed (row tile,

@@ -22,9 +22,13 @@
 // rows * (2^slice_bits - 1) * (2^stream_bits - 1) < 2^24; the constructor
 // rejects anything else.
 //
-// matmul() fans the programmed tile slots across nvm::ThreadPool in one
-// fork-join (one task per tile slot); the DAC before it and the
-// fixed-order reduction after it run on the calling thread, so results
+// The constructor programs the tile slots and compiles their chunk
+// kernels in one nvm::ThreadPool fork-join (one task per slot); this
+// relies on MvmModel::program() being a pure const call. matmul() fans
+// the programmed tile slots across the pool in one fork-join once the
+// work (slots x input columns x crossbar rows) reaches a measured floor,
+// and runs smaller ones inline; the DAC before the passes and the
+// fixed-order reduction after them run on the calling thread, so results
 // are bit-identical for any NVM_THREADS.
 // This relies on the ProgrammedXbar concurrency contract (xbar/mvm_model.h).
 #pragma once
@@ -69,9 +73,9 @@ struct HwConfig {
 /// A weight matrix resident on crossbar tiles.
 class TiledMatrix {
  public:
-  /// Programs `w` (M x K) onto tiles of `model`'s crossbar geometry.
-  /// Throws CheckError when `hw`'s bit widths are outside the integer
-  /// gates (see the file comment).
+  /// Programs `w` (M x K) onto tiles of `model`'s crossbar geometry, the
+  /// slots on the current nvm::ThreadPool. Throws CheckError when `hw`'s
+  /// bit widths are outside the integer gates (see the file comment).
   TiledMatrix(const Tensor& w, std::shared_ptr<const xbar::MvmModel> model,
               HwConfig hw);
   ~TiledMatrix();
@@ -86,7 +90,9 @@ class TiledMatrix {
   std::int64_t rows() const { return m_; }
   std::int64_t cols() const { return k_; }
   /// Number of crossbar tiles actually programmed (zero tiles skipped).
-  std::int64_t programmed_tiles() const { return programmed_count_; }
+  std::int64_t programmed_tiles() const {
+    return static_cast<std::int64_t>(steps_.size());
+  }
 
  private:
   std::int64_t m_ = 0, k_ = 0;
@@ -96,7 +102,6 @@ class TiledMatrix {
   std::shared_ptr<const xbar::MvmModel> model_;
   // tiles_[((ti * col_tiles + tj) * 2 + pol) * slices + s]; null = skipped.
   std::vector<std::unique_ptr<xbar::ProgrammedXbar>> tiles_;
-  std::int64_t programmed_count_ = 0;
   /// Per-slot int8 weight chunks, stored only for ideal models (the
   /// fully-digital int path); same indexing and skip pattern as tiles_.
   std::vector<std::vector<std::int8_t>> wchunks_;

@@ -9,8 +9,6 @@
 
 namespace nvm::xbar {
 
-float fast_tanh(float x) { return simd::tanh_fast(x); }
-
 MlpRegressor::MlpRegressor(std::int64_t in_dim, std::int64_t hidden, Rng& rng)
     : in_dim_(in_dim),
       hidden_(hidden),
@@ -70,13 +68,15 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
   const std::int64_t d = in_dim_, hd = hidden_;
 
   // Each minibatch is a handful of [exact] simd::gemm_madd calls (unfused
-  // multiply then add, sequential over k) plus elementwise loops, in an
+  // multiply then add, sequential over k) plus the [exact] training
+  // kernels (tanh_fast_block, gemv_madd, tanh_backprop, adam_step), in an
   // op order that reproduces the per-sample scalar loop bit for bit
   // (DESIGN.md §11): every sum over inputs, hidden units or samples runs
-  // sequentially in the order that loop used. w1 is held hidden-
-  // contiguous (D x H) while training so X.W1^T and the weight gradient
-  // X^T.dh both read and write contiguous rows; Adam is elementwise, so
-  // the layout does not touch its arithmetic.
+  // sequentially in the order that loop used. A step takes ~20 us, below
+  // the cost of a pool fork-join, so it stays on the calling thread. w1
+  // is held hidden-contiguous (D x H) while training so X.W1^T and the
+  // weight gradient X^T.dh both read and write contiguous rows; Adam is
+  // elementwise, so the layout does not touch its arithmetic.
   Tensor w1t({d, hd});
   for (std::int64_t h = 0; h < hd; ++h)
     for (std::int64_t i = 0; i < d; ++i)
@@ -91,7 +91,8 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
   Tensor* params[4] = {&w1t, &b1_, &w2_, &b2_};
   std::vector<AdamState> adam;
   for (Tensor* p : params) adam.emplace_back(p->shape());
-  const float beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+  simd::AdamStep step;  // beta1 0.9, beta2 0.999, eps 1e-8
+  step.lr = opt.lr;
   std::int64_t t = 0;
 
   std::vector<std::int64_t> order(static_cast<std::size_t>(n));
@@ -125,10 +126,9 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
       for (std::int64_t s = 0; s < b; ++s)
         std::copy(b1_.raw(), b1_.raw() + hd, act.data() + s * hd);
       simd::gemm_madd(act.data(), xb.data(), w1t.raw(), b, hd, d, d, hd, hd);
-      for (std::size_t j = 0; j < static_cast<std::size_t>(b * hd); ++j)
-        act[j] = fast_tanh(act[j]);
+      simd::tanh_fast_block(act.data(), act.data(), b * hd);
       std::fill(out.begin(), out.begin() + b, b2_[0]);
-      simd::gemm_madd(out.data(), act.data(), w2_.raw(), b, 1, hd, hd, 1, 1);
+      simd::gemv_madd(out.data(), act.data(), w2_.raw(), b, hd, hd);
       // Backward (d/dout of 0.5*err^2 = err), gradients summed over the
       // minibatch in sample order.
       gb2[0] = 0.0f;
@@ -140,37 +140,21 @@ float MlpRegressor::train(const Tensor& x, const Tensor& y,
       }
       gw2.fill(0);
       simd::gemm_madd(gw2.raw(), err.data(), act.data(), 1, hd, b, b, hd, hd);
-      const float* w2 = w2_.raw();
-      for (std::int64_t s = 0; s < b; ++s) {
-        float* as = act.data() + s * hd;
-        for (std::int64_t h = 0; h < hd; ++h) {
-          const float a = as[h];
-          as[h] = err[s] * w2[h] * (1.0f - a * a);  // dh
-        }
-      }
+      simd::tanh_backprop(act.data(), err.data(), w2_.raw(), b, hd);  // dh
       gb1.fill(0);
       simd::gemm_madd(gb1.raw(), ones.data(), act.data(), 1, hd, b, b, hd, hd);
       gw1t.fill(0);
       simd::gemm_madd(gw1t.raw(), xt.data(), act.data(), d, hd, b, b, hd, hd);
       // Adam step.
       ++t;
-      const float count = static_cast<float>(b);
+      step.count = static_cast<float>(b);
+      step.bc1 = 1.0f - std::pow(step.beta1, static_cast<float>(t));
+      step.bc2 = 1.0f - std::pow(step.beta2, static_cast<float>(t));
       Tensor* grads[4] = {&gw1t, &gb1, &gw2, &gb2};
-      const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
-      const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
       for (int pi = 0; pi < 4; ++pi) {
-        auto pv = params[pi]->data();
-        auto pg = grads[pi]->data();
-        auto pm = adam[static_cast<std::size_t>(pi)].m.data();
-        auto pvv = adam[static_cast<std::size_t>(pi)].v.data();
-        for (std::size_t j = 0; j < pv.size(); ++j) {
-          const float g = pg[j] / count;
-          pm[j] = beta1 * pm[j] + (1 - beta1) * g;
-          pvv[j] = beta2 * pvv[j] + (1 - beta2) * g * g;
-          const float mhat = pm[j] / bc1;
-          const float vhat = pvv[j] / bc2;
-          pv[j] -= opt.lr * mhat / (std::sqrt(vhat) + eps);
-        }
+        AdamState& st = adam[static_cast<std::size_t>(pi)];
+        simd::adam_step(params[pi]->raw(), st.m.raw(), st.v.raw(),
+                        grads[pi]->raw(), params[pi]->numel(), step);
       }
     }
     last_epoch_mse = static_cast<float>(se / n);

@@ -18,11 +18,6 @@
 
 namespace nvm::xbar {
 
-/// Rational tanh approximation, max abs error ~2e-3, ~10x faster than
-/// std::tanh. The network is trained with the same function, so the
-/// approximation error is absorbed by the fit.
-float fast_tanh(float x);
-
 struct MlpTrainOptions {
   std::int64_t epochs = 40;
   std::int64_t batch = 64;
@@ -62,8 +57,9 @@ class MlpRegressor {
 
   /// Adam training on MSE. `x` is (n, in_dim), `y` is (n). Returns final
   /// epoch mean squared error. Each minibatch runs as [exact]
-  /// simd::gemm_madd calls on the calling thread, so the trained weights
-  /// and the MSE are the same bits on every tier and thread count.
+  /// simd::gemm_madd calls and [exact] training kernels on the calling
+  /// thread, so the trained weights and the MSE are the same bits on every
+  /// tier and thread count.
   float train(const Tensor& x, const Tensor& y, const MlpTrainOptions& opt);
 
   /// Mean squared error over a dataset.

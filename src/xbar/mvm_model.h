@@ -161,12 +161,22 @@ class XbarStream {
 };
 
 /// Factory for programmed crossbars of one electrical configuration.
+///
+/// Concurrency contract: program() is a pure const function — its result
+/// depends only on `g` and the model's immutable state, and it is safe to
+/// call concurrently on the same model. puma::TiledMatrix relies on this
+/// to program all tile slots of a weight matrix in one pool fork-join.
+/// Models that draw per-cell randomness take it from fixed chip seeds,
+/// never from a stream that advances per call: VariationModel splits one
+/// stream per device from its chip seed on every call, and FaultModel
+/// draws its fault map once in the constructor, so both wrappers comply.
 class MvmModel {
  public:
   virtual ~MvmModel() = default;
 
   /// Programs `g` onto a crossbar; g must be (rows, cols) within config
-  /// conductance bounds (validated).
+  /// conductance bounds (validated). Pure and thread-safe (see the class
+  /// comment).
   virtual std::unique_ptr<ProgrammedXbar> program(const Tensor& g) const = 0;
 
   virtual const CrossbarConfig& config() const = 0;

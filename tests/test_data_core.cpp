@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 
 #include <map>
 
+#include "common/thread_pool.h"
 #include "core/evaluator.h"
 #include "core/report.h"
 #include "core/tasks.h"
@@ -31,6 +33,38 @@ TEST(SynthVision, DeterministicForSeed) {
   ASSERT_EQ(a.train_images.size(), b.train_images.size());
   for (std::size_t i = 0; i < a.train_images.size(); ++i)
     EXPECT_EQ(max_abs_diff(a.train_images[i], b.train_images[i]), 0.0f);
+}
+
+/// Images are synthesized on the pool: a 1-thread and a 4-thread pool
+/// both give exactly the images and labels of a serial synth_image loop
+/// over the train and test index streams.
+TEST(SynthVision, SameBitsForAnyThreadCount) {
+  const data::DatasetSpec spec = small_spec();
+  for (std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    ThreadPool::ScopedUse use(pool);
+    const data::Dataset ds = data::make_synth_vision(spec);
+    ASSERT_EQ(ds.train_images.size(),
+              static_cast<std::size_t>(spec.train_count));
+    ASSERT_EQ(ds.test_images.size(), static_cast<std::size_t>(spec.test_count));
+    for (std::int64_t i = 0; i < spec.train_count + spec.test_count; ++i) {
+      const bool train = i < spec.train_count;
+      const std::int64_t j = train ? i : i - spec.train_count;
+      const std::int64_t label = j % spec.classes;
+      const Tensor want = data::synth_image(
+          spec, label,
+          (train ? 0 : 0x7E570000ULL) + static_cast<std::uint64_t>(j));
+      const auto slot = static_cast<std::size_t>(j);
+      const Tensor& got = (train ? ds.train_images : ds.test_images)[slot];
+      EXPECT_EQ((train ? ds.train_labels : ds.test_labels)[slot], label);
+      ASSERT_EQ(got.numel(), want.numel());
+      EXPECT_EQ(std::memcmp(got.raw(), want.raw(),
+                            static_cast<std::size_t>(want.numel()) *
+                                sizeof(float)),
+                0)
+          << "threads=" << threads << (train ? " train " : " test ") << j;
+    }
+  }
 }
 
 TEST(SynthVision, DifferentSeedsDiffer) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -405,6 +406,52 @@ TEST(TiledRoutes, BitIdenticalAcrossBackendsIsasAndThreads) {
   }
 }
 
+/// Construction programs the tile slots and compiles their kernels on the
+/// pool: a TiledMatrix built under a 1-thread and under a 4-thread pool
+/// programs the same tiles (puma/tiled/tiles_programmed), fuses the same
+/// slots (puma/tiled/fused_slots) and computes the same bits, for every
+/// backend and wrapper. Both are evaluated on one serial pool, so only
+/// the construction differs.
+TEST(TiledRoutes, ConstructionSameForAnyThreadCount) {
+  Rng rng(76);
+  Tensor w = Tensor::normal({20, 40}, 0.0f, 0.4f, rng);
+  Tensor x = uniform_input(40, 9, rng);
+  metrics::Counter& programmed =
+      metrics::counter("puma/tiled/tiles_programmed");
+  metrics::Counter& fused = metrics::counter("puma/tiled/fused_slots");
+  ThreadPool serial(1);
+  for (auto& [tag, model] : backend_matrix()) {
+    std::vector<std::uint64_t> programmed_by, fused_by;
+    std::vector<Tensor> outs;
+    for (std::size_t threads : {1u, 4u}) {
+      const std::uint64_t p0 = programmed.value(), f0 = fused.value();
+      std::optional<TiledMatrix> tiled;
+      {
+        ThreadPool pool(threads);
+        ThreadPool::ScopedUse use(pool);
+        tiled.emplace(w, model, HwConfig{});
+      }
+      programmed_by.push_back(programmed.value() - p0);
+      fused_by.push_back(fused.value() - f0);
+      EXPECT_EQ(programmed_by.back(),
+                static_cast<std::uint64_t>(tiled->programmed_tiles()))
+          << tag;
+      ThreadPool::ScopedUse use(serial);
+      outs.push_back(tiled->matmul(x, 0.0f));
+    }
+    EXPECT_GT(programmed_by[0], 4u) << tag;
+    EXPECT_EQ(programmed_by[0], programmed_by[1]) << tag;
+    EXPECT_EQ(fused_by[0], fused_by[1]) << tag;
+    ASSERT_GT(outs[0].abs_max(), 0.0f) << tag;
+    ASSERT_EQ(outs[0].numel(), outs[1].numel()) << tag;
+    EXPECT_EQ(std::memcmp(outs[0].raw(), outs[1].raw(),
+                          static_cast<std::size_t>(outs[0].numel()) *
+                              sizeof(float)),
+              0)
+        << tag;
+  }
+}
+
 /// fast_noise and GENIEx run through the fused chunk kernels built at
 /// construction, and so does a fault wrapper around fast_noise (it
 /// programs the base model's xbar); the reference tiled GEMM, which drives
@@ -535,6 +582,43 @@ TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
       for (std::int64_t i = 0; i < out.numel(); ++i)
         EXPECT_EQ(out[i], ref[i]) << r.tag << " i=" << i;
     }
+  }
+}
+
+/// The fan-out follows the work: a one-column matmul of the 16x128 serve
+/// head (16 slots x 1 column x 32 rows, below the floor) runs its passes
+/// inline under a 4-thread pool, a 32-column one forks the pool once, and
+/// both match the serial run bit for bit.
+TEST(TiledRoutes, OneColumnMatmulRunsInline) {
+  Rng rng(77);
+  Tensor w = Tensor::normal({16, 128}, 0.0f, 0.1f, rng);
+  auto model = std::make_shared<xbar::FastNoiseModel>(xbar::xbar_32x32_100k());
+  TiledMatrix tiled(w, model, HwConfig{});
+  const auto slots = static_cast<std::uint64_t>(tiled.programmed_tiles());
+  ASSERT_GT(slots, 4u);
+  metrics::Counter& chunks = metrics::counter("pool/chunks_run");
+  for (std::int64_t n : {1, 32}) {
+    Tensor x = uniform_input(128, n, rng);
+    Tensor ref;
+    {
+      ThreadPool serial(1);
+      ThreadPool::ScopedUse use(serial);
+      ref = tiled.matmul(x, 0.0f);
+    }
+    ThreadPool pool(4);
+    ThreadPool::ScopedUse use(pool);
+    const std::uint64_t chunks0 = chunks.value();
+    const Tensor out = tiled.matmul(x, 0.0f);
+    EXPECT_EQ(chunks.value() - chunks0,
+              n == 1 ? 0u : std::min<std::uint64_t>(4, slots))
+        << "n=" << n;
+    ASSERT_GT(ref.abs_max(), 0.0f) << "n=" << n;
+    ASSERT_EQ(out.numel(), ref.numel());
+    EXPECT_EQ(std::memcmp(out.raw(), ref.raw(),
+                          static_cast<std::size_t>(out.numel()) *
+                              sizeof(float)),
+              0)
+        << "n=" << n;
   }
 }
 

@@ -341,6 +341,52 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
     glue.push_back(std::move(c));
   }
 
+  // Surrogate-training kernels over ragged widths. The tanh inputs sit on
+  // and next to the +-4.97 saturation points and include +-inf and NaN;
+  // gemv_madd runs ragged row counts with a padded leading dimension;
+  // tanh_backprop ragged hidden widths; adam_step ragged parameter counts
+  // with zero and negative gradient sums.
+  struct TrainCase {
+    std::int64_t n;
+    std::vector<float> x, a, err, w, p, m, v, g;
+  };
+  std::vector<TrainCase> train;
+  const float sat = 4.97f;
+  const float edges[] = {sat,
+                         -sat,
+                         std::nextafter(sat, 0.0f),
+                         std::nextafter(sat, 10.0f),
+                         std::nextafter(-sat, 0.0f),
+                         std::nextafter(-sat, -10.0f),
+                         inf,
+                         -inf,
+                         nan,
+                         0.0f,
+                         -0.0f};
+  for (std::int64_t tn : {1, 9, 15, 16, 17, 36, 101}) {
+    TrainCase c;
+    c.n = tn;
+    c.x = random_vec(tn, rng, -6.0, 6.0);
+    for (std::size_t i = 0; i < c.x.size(); i += 2)
+      c.x[i] = edges[(i / 2) % (sizeof(edges) / sizeof(edges[0]))];
+    c.a = random_vec(tn * (tn + 3), rng, -1.0, 1.0);  // (tn x tn), ld tn + 3
+    // tn + 3 entries: the (3 x tn) and (tn x 3) tanh_backprop blocks read
+    // err and w2 up to max(tn, 3).
+    c.err = random_vec(tn + 3, rng, -0.5, 0.5);
+    c.w = random_vec(tn + 3, rng, -1.0, 1.0);
+    c.p = random_vec(tn, rng, -1.0, 1.0);
+    c.m = random_vec(tn, rng, -0.01, 0.01);
+    c.v = random_vec(tn, rng, 0.0, 0.01);
+    c.g = random_vec(tn, rng, -2.0, 2.0);
+    c.g[0] = 0.0f;
+    train.push_back(std::move(c));
+  }
+  simd::AdamStep adam;
+  adam.count = 7.0f;
+  adam.bc1 = 1.0f - std::pow(adam.beta1, 3.0f);
+  adam.bc2 = 1.0f - std::pow(adam.beta2, 3.0f);
+  adam.lr = 3e-3f;
+
   // Bit-slice DAC of a row tile (rows_used < rows) at every stream width,
   // over full 15-bit codes and over codes below 2^stream_bits (all upper
   // streams zero); one case carries a negative code.
@@ -367,7 +413,7 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
     struct Out {
       std::vector<float> adc;
       std::vector<std::int16_t> quant;
-      std::vector<std::vector<float>> gemm, adc_rows, glue;
+      std::vector<std::vector<float>> gemm, adc_rows, glue, train;
       std::vector<std::vector<std::int8_t>> flags, dac_chunk, dac_row_max;
       std::vector<std::vector<std::int32_t>> dac_colsum;
       std::vector<bool> dac_negative;
@@ -426,6 +472,28 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
         o.glue.push_back(std::move(out));
         o.flags.push_back(std::move(flags));
       }
+    }
+    for (const TrainCase& c : train) {
+      const std::int64_t tn = c.n;
+      std::vector<float> y(c.x.size(), 7.0f);
+      simd::tanh_fast_block(y.data(), c.x.data(), tn);
+      std::vector<float> in_place = c.x;
+      simd::tanh_fast_block(in_place.data(), in_place.data(), tn);
+      EXPECT_EQ(
+          std::memcmp(y.data(), in_place.data(), y.size() * sizeof(float)),
+          0)
+          << simd::isa_name(isa) << " tanh_fast_block in place n=" << tn;
+      std::vector<float> gy = c.err;
+      simd::gemv_madd(gy.data(), c.a.data(), c.w.data(), tn, tn, tn + 3);
+      // tanh_backprop over (tn x 3) and (3 x tn) blocks of a.
+      std::vector<float> dh_rows(c.a.begin(), c.a.begin() + 3 * tn);
+      simd::tanh_backprop(dh_rows.data(), c.err.data(), c.w.data(), 3, tn);
+      std::vector<float> dh_cols(c.a.begin(), c.a.begin() + 3 * tn);
+      simd::tanh_backprop(dh_cols.data(), c.err.data(), c.w.data(), tn, 3);
+      std::vector<float> p = c.p, m = c.m, v = c.v;
+      simd::adam_step(p.data(), m.data(), v.data(), c.g.data(), tn, adam);
+      for (auto* out : {&y, &gy, &dh_rows, &dh_cols, &p, &m, &v})
+        o.train.push_back(std::move(*out));
     }
     for (std::size_t t = 0; t < shapes.size(); ++t) {
       const GemmShape& sh = shapes[t];
@@ -489,6 +557,51 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
   EXPECT_GT(flagged, 0);
   EXPECT_GT(trusted, 0);
   EXPECT_GT(total_nonfinite, 0);
+  // Scalar training kernels: the per-element reference expressions.
+  auto same = [](float a, float b) {
+    return (std::isnan(a) && std::isnan(b)) ||
+           std::memcmp(&a, &b, sizeof(float)) == 0;
+  };
+  for (std::size_t ci = 0; ci < train.size(); ++ci) {
+    const TrainCase& c = train[ci];
+    const std::int64_t tn = c.n;
+    const std::vector<float>* got = &s.train[7 * ci];
+    for (std::int64_t i = 0; i < tn; ++i) {
+      EXPECT_TRUE(same(got[0][i], simd::tanh_fast(c.x[i])))
+          << "tanh_fast_block x=" << c.x[i];
+      float acc = c.err[i];
+      for (std::int64_t k = 0; k < tn; ++k) {
+        const float t = c.a[i * (tn + 3) + k] * c.w[k];
+        acc = acc + t;
+      }
+      EXPECT_TRUE(same(got[1][i], acc)) << "gemv_madd n=" << tn << " i=" << i;
+      const float gj = c.g[i] / adam.count;
+      const float mj = adam.beta1 * c.m[i] + (1 - adam.beta1) * gj;
+      const float vj = adam.beta2 * c.v[i] + (1 - adam.beta2) * gj * gj;
+      const float pj = c.p[i] - adam.lr * (mj / adam.bc1) /
+                                    (std::sqrt(vj / adam.bc2) + adam.eps);
+      EXPECT_TRUE(same(got[4][i], pj) && same(got[5][i], mj) &&
+                  same(got[6][i], vj))
+          << "adam_step n=" << tn << " i=" << i;
+    }
+    for (std::int64_t r = 0; r < 3; ++r)
+      for (std::int64_t j = 0; j < tn; ++j) {
+        const float a = c.a[r * tn + j];
+        EXPECT_TRUE(
+            same(got[2][r * tn + j], c.err[r] * c.w[j] * (1.0f - a * a)))
+            << "tanh_backprop rows n=" << tn;
+        const float b = c.a[j * 3 + r];
+        EXPECT_TRUE(same(got[3][j * 3 + r], c.err[j] * c.w[r] * (1.0f - b * b)))
+            << "tanh_backprop cols n=" << tn;
+      }
+  }
+  // n = 15: just past +-4.97 and +-inf saturate, NaN stays NaN.
+  const std::vector<float>& tanh15 = s.train[14];
+  EXPECT_EQ(tanh15[6], 1.0f);
+  EXPECT_EQ(tanh15[10], -1.0f);
+  EXPECT_EQ(tanh15[12], 1.0f);
+  EXPECT_EQ(tanh15[14], -1.0f);
+  EXPECT_TRUE(std::isnan(s.train[28][16]));  // n = 17: x[16] is NaN
   for (simd::Isa isa : vector_isas()) {
     auto v = run(isa);
     for (std::int64_t i = 0; i < n; ++i) {
@@ -515,6 +628,17 @@ TEST(SimdParity, ExactKernelsBitIdenticalAcrossIsas) {
             << i << ": " << a << " vs " << b;
       }
     EXPECT_EQ(s.flags, v.flags) << simd::isa_name(isa) << " envelope flags";
+    // Training kernels: same bits, or NaN on both sides.
+    ASSERT_EQ(s.train.size(), v.train.size());
+    for (std::size_t t = 0; t < s.train.size(); ++t)
+      for (std::size_t i = 0; i < s.train[t].size(); ++i) {
+        const float a = s.train[t][i], b = v.train[t][i];
+        EXPECT_TRUE((std::isnan(a) && std::isnan(b)) ||
+                    std::memcmp(&a, &b, sizeof(float)) == 0)
+            << simd::isa_name(isa) << " training kernel output " << t
+            << " (case " << t / 7 << ", kernel " << t % 7 << ") at " << i
+            << ": " << a << " vs " << b;
+      }
     EXPECT_EQ(s.nonfinite, v.nonfinite)
         << simd::isa_name(isa) << " non-finite counts";
     // Row padding (j >= n) must come back untouched as well.

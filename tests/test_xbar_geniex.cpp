@@ -46,9 +46,9 @@ const GeniexFit& shared_fit() {
 
 TEST(FastTanh, CloseToStdTanh) {
   for (float x = -6.0f; x <= 6.0f; x += 0.13f)
-    EXPECT_NEAR(fast_tanh(x), std::tanh(x), 3e-3f) << "x=" << x;
-  EXPECT_EQ(fast_tanh(10.0f), 1.0f);
-  EXPECT_EQ(fast_tanh(-10.0f), -1.0f);
+    EXPECT_NEAR(simd::tanh_fast(x), std::tanh(x), 3e-3f) << "x=" << x;
+  EXPECT_EQ(simd::tanh_fast(10.0f), 1.0f);
+  EXPECT_EQ(simd::tanh_fast(-10.0f), -1.0f);
 }
 
 TEST(Mlp, LearnsQuadratic) {
