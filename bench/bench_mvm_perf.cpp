@@ -262,6 +262,26 @@ void BM_TiledProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_TiledProgram)->Unit(benchmark::kMillisecond);
 
+// One fork-join of 4 near-empty items on a 4-thread pool: what a parallel
+// region costs beyond its work, paid once per fanned-out tiled matmul.
+// Published as bench/pool/fork_join_us, which the perf gate holds.
+void BM_ForkJoin(benchmark::State& state) {
+  ThreadPool pool(4);
+  std::vector<std::int64_t> out(4, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    pool.parallel_for(4, [&](std::int64_t i) { ++out[i]; });
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() > 0)
+    metrics::gauge("bench/pool/fork_join_us")
+        .set(dt.count() * 1e6 / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ForkJoin)->Unit(benchmark::kMicrosecond);
+
 void BM_CircuitSolverBatchThreads(benchmark::State& state) {
   // One programmed crossbar, 16 independent input vectors: the default
   // mvm_batch fans columns across the pool (GENIEx sample generation and

@@ -341,13 +341,14 @@ fi
 
 # ThreadSanitizer leg over the suites that share state across the pool:
 # the pool itself, the tiled GEMM and the concurrent tile programming at
-# construction, deployments, dataset synthesis and the GENIEx fit and
-# training.
+# construction, deployments, dataset synthesis, the GENIEx fit and
+# training, and serving (servers whose scheduler threads submit to a
+# shared pool).
 echo "== sanitizer: TSan build + pool-sharing ctest subset =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|Tiled|Puma|Data|Geniex|Mlp'
+  -R 'ThreadPool|Tiled|Puma|Data|Geniex|Mlp|Serve'
 
 # Trace-event export under ASan: exercises the per-thread ring buffers and
 # the atexit flush (the lifetime-bug hotspot), then validates the emitted

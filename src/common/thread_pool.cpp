@@ -1,9 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <exception>
+#include <utility>
 
 #include "common/check.h"
 #include "common/env.h"
@@ -16,151 +14,153 @@ namespace {
 thread_local int t_parallel_depth = 0;
 thread_local ThreadPool* t_override_pool = nullptr;
 
-/// Chunks executed through parallel_chunks (inline, submitter, or worker).
-metrics::Counter& pool_chunks_run() {
-  static metrics::Counter& c = metrics::counter("pool/chunks_run");
-  return c;
-}
+/// How long an idle thread polls for a new job (a worker) or the job's
+/// last item (the submitter) before it sleeps; see DESIGN.md §8's sweep.
+constexpr std::chrono::microseconds kSpinBudget{100};
 
-/// Enqueue -> start latency of queued chunks (ns); the submitter's own
-/// chunk and inline/serial execution never wait and are not observed.
-metrics::Histogram& pool_queue_wait() {
-  static metrics::Histogram& h = metrics::histogram("pool/queue_wait_ns");
-  return h;
-}
-
-/// Marks the current thread as executing inside a parallel region for the
-/// guard's lifetime, so nested parallel calls degrade to inline loops.
-struct RegionGuard {
-  RegionGuard() { ++t_parallel_depth; }
-  ~RegionGuard() { --t_parallel_depth; }
-};
+/// The work word's low half counts unclaimed items of the pooled job.
+constexpr std::uint64_t kMaxItems = 0xffffffffu;
 
 std::size_t default_size() {
-  const std::int64_t hw =
-      std::max(1u, std::thread::hardware_concurrency());
-  const std::int64_t n = env_int("NVM_THREADS", hw);
-  return static_cast<std::size_t>(std::max<std::int64_t>(1, n));
+  const std::int64_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<std::size_t>(
+      std::max<std::int64_t>(1, env_int("NVM_THREADS", hw)));
 }
 
-/// Shared fork-join state for one parallel_chunks call. Lives on the
-/// submitter's stack; the submitter blocks until `remaining` drains under
-/// `mu`, so worker references into it never dangle.
-struct JoinContext {
-  explicit JoinContext(std::int64_t chunks) : remaining(chunks) {}
-
-  std::atomic<std::int64_t> remaining;
-  std::mutex mu;
-  std::condition_variable done;
-  std::exception_ptr error;  // first exception wins; guarded by mu
-
-  void run(const ThreadPool::ChunkFn& fn, std::int64_t chunk,
-           std::int64_t begin, std::int64_t end) {
-    {
-      RegionGuard guard;
-      try {
-        fn(chunk, begin, end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-      }
-    }
-    // Decrement under mu: the submitter checks `remaining` while holding
-    // mu, so it cannot see zero and destroy this context until the last
-    // chunk has notified and released the lock.
-    std::lock_guard<std::mutex> lock(mu);
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      done.notify_all();
-  }
-};
+/// floor(c * n / items), widened so c * n cannot overflow int64.
+std::int64_t chunk_begin(std::int64_t n, std::int64_t items, std::int64_t c) {
+  return static_cast<std::int64_t>(static_cast<__int128>(c) * n / items);
+}
 
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads)
     : size_(threads == 0 ? default_size() : threads) {
-  // The submitter executes one chunk itself, so size_ - 1 workers suffice
-  // for size_ concurrent chunks; size 1 is fully inline and thread-free.
-  workers_.reserve(size_ - 1);
   for (std::size_t i = 0; i + 1 < size_; ++i)
     workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
+  stop_.store(true);
+  wake();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
+// Polls `ready` for kSpinBudget, then sleeps until it holds. The sleeper
+// counts itself in sleepers_ under mu_ before testing `ready` again; the
+// state change behind `ready` and wake()'s read of sleepers_ are seq_cst,
+// so either the waker sees the sleeper or the sleeper sees the change.
+template <class Ready>
+void ThreadPool::await(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (unsigned i = 1; !ready(); ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+    if (i % 64 != 0 || std::chrono::steady_clock::now() < deadline) continue;
+    std::unique_lock<std::mutex> lock(mu_);
+    sleepers_.fetch_add(1);
+    cv_.wait(lock, ready);
+    sleepers_.fetch_sub(1);
+    return;
   }
+}
+
+void ThreadPool::wake() {
+  if (sleepers_.load() == 0) return;
+  { std::lock_guard<std::mutex> lock(mu_); }
+  cv_.notify_all();
+}
+
+void ThreadPool::worker_loop() {
+  for (std::uint64_t seen = 0;;) {  // epoch of the last job looked at
+    await([&] { return (work_.load() >> 32) != seen || stop_.load(); });
+    if (stop_.load()) return;
+    seen = work_.load() >> 32;
+    claim_items(seen, true);
+  }
+}
+
+// Claims and runs items of job `epoch` until none is left unclaimed. A
+// successful compare-and-swap proves the job is in flight, and the
+// claimed item keeps it so until done_ counts the item: every read of the
+// job's fields sits in that window.
+void ThreadPool::claim_items(std::uint64_t epoch, bool worker) {
+  // Publish -> start of a worker's first item of the job (ns).
+  static metrics::Histogram& queue_wait =
+      metrics::histogram("pool/queue_wait_ns");
+  bool first = worker;
+  std::uint64_t w = work_.load(std::memory_order_acquire);
+  while ((w >> 32) == epoch && (w & kMaxItems) != 0) {
+    if (!work_.compare_exchange_weak(w, w - 1, std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
+      continue;
+    const std::int64_t items = items_;
+    const std::int64_t c = items - static_cast<std::int64_t>(w & kMaxItems);
+    if (std::exchange(first, false))
+      queue_wait.observe(std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - published_)
+                             .count());
+    ++t_parallel_depth;  // nested parallel calls from fn run inline
+    try {
+      (*fn_)(c, chunk_begin(n_, items, c), chunk_begin(n_, items, c + 1));
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
+    }
+    --t_parallel_depth;
+    // Only a worker can finish the job while the submitter sleeps.
+    if (done_.fetch_add(1) + 1 == items && worker) wake();
+    w = work_.load(std::memory_order_acquire);
+  }
+}
+
+void ThreadPool::run(std::int64_t n, std::int64_t items, const ChunkFn& fn) {
+  // Items run (inline or pooled), and jobs published to the workers.
+  static metrics::Counter& chunks_run = metrics::counter("pool/chunks_run");
+  static metrics::Counter& forks = metrics::counter("pool/forks");
+  if (items == 1 || static_cast<std::uint64_t>(items) > kMaxItems ||
+      size_ == 1 || in_parallel_region() ||
+      busy_.exchange(true, std::memory_order_acquire)) {
+    // Serial: same decomposition, same order, no threads.
+    for (std::int64_t c = 0; c < items; ++c)
+      fn(c, chunk_begin(n, items, c), chunk_begin(n, items, c + 1));
+    chunks_run.add(static_cast<std::uint64_t>(items));
+    return;
+  }
+  fn_ = &fn;
+  n_ = n;
+  items_ = items;
+  published_ = std::chrono::steady_clock::now();
+  done_.store(0, std::memory_order_relaxed);
+  const std::uint64_t epoch = ((work_.load() >> 32) + 1) & kMaxItems;
+  work_.store(epoch << 32 | static_cast<std::uint64_t>(items));
+  wake();
+  forks.add();
+  chunks_run.add(static_cast<std::uint64_t>(items));
+  claim_items(epoch, false);
+  await([&] { return done_.load() == items; });
+  std::exception_ptr error = std::exchange(error_, nullptr);
+  busy_.store(false, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_chunks(std::int64_t n, std::int64_t max_chunks,
                                  const ChunkFn& fn) {
   if (n <= 0) return;
   NVM_CHECK_GT(max_chunks, 0);
-  const std::int64_t chunks = std::min(max_chunks, n);
-  const auto chunk_begin = [n, chunks](std::int64_t c) {
-    // floor(c * n / chunks), widened so the product can't overflow int64
-    // for huge n (c <= chunks <= n <= 2^63-1). Boundaries are unchanged
-    // for every input the narrow formula handled.
-    return static_cast<std::int64_t>(static_cast<__int128>(c) * n / chunks);
-  };
-
-  if (chunks == 1 || size_ == 1 || in_parallel_region()) {
-    // Serial path — same decomposition, same order, zero threading.
-    for (std::int64_t c = 0; c < chunks; ++c)
-      fn(c, chunk_begin(c), chunk_begin(c + 1));
-    pool_chunks_run().add(static_cast<std::uint64_t>(chunks));
-    return;
-  }
-
-  JoinContext ctx(chunks);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::int64_t c = 1; c < chunks; ++c)
-      queue_.emplace_back([&ctx, &fn, c, b = chunk_begin(c),
-                           e = chunk_begin(c + 1),
-                           queued = std::chrono::steady_clock::now()] {
-        pool_queue_wait().observe(static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - queued)
-                .count()));
-        ctx.run(fn, c, b, e);
-      });
-  }
-  cv_.notify_all();
-  pool_chunks_run().add(static_cast<std::uint64_t>(chunks));
-
-  // The submitter is one of the size_ execution contexts: run chunk 0 here.
-  ctx.run(fn, 0, chunk_begin(0), chunk_begin(1));
-
-  std::unique_lock<std::mutex> lock(ctx.mu);
-  ctx.done.wait(lock, [&ctx] {
-    return ctx.remaining.load(std::memory_order_acquire) == 0;
-  });
-  if (ctx.error) std::rethrow_exception(ctx.error);
+  run(n, std::min(max_chunks, n), fn);
 }
 
 void ThreadPool::parallel_for(std::int64_t n,
                               const std::function<void(std::int64_t)>& fn) {
-  parallel_chunks(n, static_cast<std::int64_t>(size_),
-                  [&fn](std::int64_t, std::int64_t begin, std::int64_t end) {
-                    for (std::int64_t i = begin; i < end; ++i) fn(i);
-                  });
+  if (n <= 0) return;
+  run(n, std::min(n, static_cast<std::int64_t>(kMaxItems)),
+      [&fn](std::int64_t, std::int64_t begin, std::int64_t end) {
+        for (std::int64_t i = begin; i < end; ++i) fn(i);
+      });
 }
 
 ThreadPool& ThreadPool::global() {

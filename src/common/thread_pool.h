@@ -1,34 +1,26 @@
-// Fixed-size thread pool with a blocking parallel_for primitive.
+// Fixed-size fork-join pool: the library's one parallel substrate. Tiled
+// crossbar GEMMs (above a work floor), TiledMatrix construction, batched
+// MVM columns, GENIEx sample generation, synthetic datasets, and
+// per-sample evaluation / attack crafting fan out through it.
 //
-// This is the single parallel-execution substrate for the whole library:
-// tiled crossbar GEMMs (above a work floor), tile programming and chunk-
-// kernel compilation when a TiledMatrix is built, per-column batched
-// MVMs, GENIEx training-sample generation, synthetic dataset generation,
-// and per-sample evaluation / attack crafting all fan out through it.
-// GENIEx MLP training does not: a minibatch step is cheaper than a
-// fork-join. Design constraints, in order:
+//   * Determinism: parallel_chunks' decomposition ignores the pool size and
+//     parallel_for work is index-wise independent, so results are
+//     bit-identical for any NVM_THREADS, including 1.
+//   * One job in flight, claimed item by item from one atomic word that
+//     packs the job's epoch with its unclaimed-item count (thread_pool.cpp
+//     says why a late thread never reads a newer job). A second concurrent
+//     submitter, like any nested call, runs its job inline.
+//   * Idle threads spin for a short budget, then sleep.
 //
-//   * Determinism. parallel_for / parallel_chunks decompose work
-//     independently of the pool size, and callers only submit index-wise
-//     independent work (or reduce partials in a fixed order), so results
-//     are bit-identical for any NVM_THREADS value, including 1.
-//   * No work stealing, no task futures. One blocking fork-join primitive
-//     keeps the concurrency surface small enough to reason about (and to
-//     run cleanly under -fsanitize=thread).
-//   * Nested calls never deadlock: a parallel_for issued from inside a
-//     pool task runs inline (serially) on the current thread.
-//
-// The pool size is NVM_THREADS when set (via env_int), otherwise
-// std::thread::hardware_concurrency(). Size 1 spawns no worker threads
-// and executes everything inline on the caller — the serial baseline.
-//
-// A pool of size S runs S-1 dedicated workers; the submitting thread
-// executes the first chunk itself, so S chunks make progress at once.
+// Size: NVM_THREADS when set, else hardware_concurrency(); S-1 workers
+// beside the submitter. Size 1 starts no threads — the serial baseline.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -51,11 +43,10 @@ class ThreadPool {
 
   std::size_t size() const { return size_; }
 
-  /// Runs fn(i) for every i in [0, n), blocking until all complete. The
-  /// first exception thrown by any invocation is rethrown here after every
-  /// chunk has finished; the throwing chunk abandons its remaining indices
-  /// while other chunks run to completion. Indices are processed in
-  /// contiguous blocks; fn must be safe to call concurrently for distinct i.
+  /// Runs fn(i) for every i in [0, n), blocking until all complete. Each
+  /// index goes to whichever thread is free, so fn must be safe to call
+  /// concurrently for distinct i. The first exception is rethrown once the
+  /// region ends; pooled, every other index still runs.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t)>& fn);
 
@@ -63,27 +54,23 @@ class ThreadPool {
   /// runs fn(chunk, begin, end) for each, blocking until all complete.
   /// The decomposition depends only on (n, max_chunks) — never on the pool
   /// size — so chunk-indexed state (e.g. per-worker model replicas) sees
-  /// the same partition under any NVM_THREADS. At most one invocation per
-  /// chunk index runs at a time.
+  /// the same partition under any NVM_THREADS; one thread runs a chunk.
   void parallel_chunks(std::int64_t n, std::int64_t max_chunks,
                        const ChunkFn& fn);
 
-  /// Process-wide pool, sized by NVM_THREADS (default
-  /// hardware_concurrency). Constructed on first use.
+  /// Process-wide default-sized pool, constructed on first use.
   static ThreadPool& global();
 
   /// The pool free nvm::parallel_for routes through: the innermost active
   /// ScopedUse override on this thread, else global().
   static ThreadPool& current();
 
-  /// True while the calling thread is executing inside a parallel region
-  /// (pool worker or submitter running its own chunk). Nested parallel
-  /// calls in this state run inline.
+  /// True while the calling thread runs an item of a parallel region;
+  /// parallel calls made in this state run inline.
   static bool in_parallel_region();
 
   /// Routes nvm::parallel_for / parallel_chunks on this thread through
-  /// `pool` for the scope's lifetime (tests and benchmarks comparing
-  /// thread counts; normal code uses the global pool).
+  /// `pool` for the scope's lifetime (tests, benchmarks, serve::Server).
   class ScopedUse {
    public:
     explicit ScopedUse(ThreadPool& pool);
@@ -96,14 +83,25 @@ class ThreadPool {
   };
 
  private:
+  void run(std::int64_t n, std::int64_t items, const ChunkFn& fn);
+  void claim_items(std::uint64_t epoch, bool worker);
+  template <class Ready>
+  void await(Ready ready);
+  void wake();
   void worker_loop();
-
   std::size_t size_ = 1;
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  // The job in flight: set under busy_ before work_, read under a claim.
+  const ChunkFn* fn_ = nullptr;
+  std::int64_t n_ = 0, items_ = 0;
+  std::chrono::steady_clock::time_point published_;
+  std::exception_ptr error_;            // first exception; set under mu_
+  std::atomic<std::uint64_t> work_{0};  // (epoch << 32) | unclaimed items
+  std::atomic<std::int64_t> done_{0};   // finished items of the job
+  std::atomic<bool> busy_{false}, stop_{false};
+  std::atomic<int> sleepers_{0};  // threads in cv_.wait; changed under mu_
   std::mutex mu_;
   std::condition_variable cv_;
-  bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: workers use every member
 };
 
 /// Convenience wrappers over ThreadPool::current().

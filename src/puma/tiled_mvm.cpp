@@ -22,13 +22,15 @@ namespace {
 
 /// Fan-out floor of TiledMatrix::matmul's crossbar passes, in tile-row
 /// columns (programmed slots x input columns x crossbar rows). Set from a
-/// 1- vs 4-thread sweep on a 4-vCPU AVX-512 host: the 16x128 fast-noise
-/// serve head on 32x32 tiles (16 slots) ran n = 1 (512) in 0.019 ms
-/// inline against 0.039 ms fanned out, and n = 4 (2048) in 0.074 against
-/// 0.063 ms; a 64x288 fast-noise matmul on 64x64 tiles (20 slots) ran
-/// n = 1 (1280) in 0.135 against 0.070 ms. Every GENIEx ResNet-20 conv
-/// layer of the 12x12 tasks sits at 2304 or more.
-constexpr std::int64_t kMinFanOutWork = 1024;
+/// 1- vs 4-thread sweep (best of 5 x 400 matmuls) on a 4-vCPU AVX-512
+/// host: the 16x128 fast-noise serve head on 32x32 tiles (16 slots) ran
+/// n = 1 (512) in 0.016 ms inline against 0.028 ms fanned out and n = 2
+/// (1024) in 0.025 against 0.027; a 16x144 GENIEx matmul on 64x64 tiles
+/// (12 slots) ran n = 1 (768) in 0.077 against 0.046 ms; the 16x72 GENIEx
+/// matmul of BM_TiledMatmul/1 (8 slots, n = 36) in 0.260 against 0.115.
+/// Every GENIEx ResNet-20 conv layer of the 12x12 tasks sits at 2304 or
+/// more.
+constexpr std::int64_t kMinFanOutWork = 768;
 
 }  // namespace
 

@@ -528,11 +528,12 @@ TEST(TiledRoutes, FusedKernelsEngageAndMatchFloatRoute) {
 }
 
 /// matmul forks the pool once: the DAC and the cross-slot reduction run on
-/// the caller, so pool/chunks_run grows by exactly min(pool size,
-/// programmed slots) per matmul, and 1 and 4 threads give the same bits —
-/// on the int-digital (ideal), fused fast-noise, fused GENIEx and stream
-/// (circuit solver) routes. 40 rows on 16x16 crossbars: three row tiles,
-/// the last ragged.
+/// the caller, so pool/forks grows by exactly one per matmul on a pooled
+/// run (none on one thread), pool/chunks_run by one item per programmed
+/// slot, and 1, 2, 3 and 4 threads give the same bits — on the
+/// int-digital (ideal), fused fast-noise, fused GENIEx and stream (circuit
+/// solver) routes. 40 rows on 16x16 crossbars: three row tiles, the last
+/// ragged.
 TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
   Rng rng(73);
   Tensor w = Tensor::normal({20, 40}, 0.0f, 0.4f, rng);
@@ -554,21 +555,24 @@ TEST(TiledRoutes, OneForkJoinPerMatmulOnEveryRoute) {
       {"stream route", std::make_shared<xbar::CircuitSolverModel>(cfg), false,
        "puma/tiled/matmuls_int_chunks"}};
   metrics::Counter& chunks = metrics::counter("pool/chunks_run");
+  metrics::Counter& forks = metrics::counter("pool/forks");
   metrics::Counter& fused_runs = metrics::counter("puma/tiled/fused_runs");
   for (const Route& r : routes) {
     TiledMatrix tiled(w, r.model, HwConfig{});
     const auto slots = static_cast<std::uint64_t>(tiled.programmed_tiles());
     ASSERT_GT(slots, 4u) << r.tag;
     Tensor ref;
-    for (std::size_t threads : {1u, 4u}) {
+    for (std::size_t threads : {1u, 2u, 3u, 4u}) {
       ThreadPool pool(threads);
       ThreadPool::ScopedUse use(pool);
       const std::uint64_t chunks0 = chunks.value();
+      const std::uint64_t forks0 = forks.value();
       const std::uint64_t fused0 = fused_runs.value();
       const std::uint64_t route0 = metrics::counter(r.route_counter).value();
       Tensor out = tiled.matmul(x, 0.0f);
-      EXPECT_EQ(chunks.value() - chunks0,
-                std::min<std::uint64_t>(threads, slots))
+      EXPECT_EQ(forks.value() - forks0, threads == 1 ? 0u : 1u)
+          << r.tag << " threads=" << threads;
+      EXPECT_EQ(chunks.value() - chunks0, slots)
           << r.tag << " threads=" << threads;
       EXPECT_EQ(metrics::counter(r.route_counter).value() - route0, 1u)
           << r.tag;
@@ -597,6 +601,7 @@ TEST(TiledRoutes, OneColumnMatmulRunsInline) {
   const auto slots = static_cast<std::uint64_t>(tiled.programmed_tiles());
   ASSERT_GT(slots, 4u);
   metrics::Counter& chunks = metrics::counter("pool/chunks_run");
+  metrics::Counter& forks = metrics::counter("pool/forks");
   for (std::int64_t n : {1, 32}) {
     Tensor x = uniform_input(128, n, rng);
     Tensor ref;
@@ -608,10 +613,10 @@ TEST(TiledRoutes, OneColumnMatmulRunsInline) {
     ThreadPool pool(4);
     ThreadPool::ScopedUse use(pool);
     const std::uint64_t chunks0 = chunks.value();
+    const std::uint64_t forks0 = forks.value();
     const Tensor out = tiled.matmul(x, 0.0f);
-    EXPECT_EQ(chunks.value() - chunks0,
-              n == 1 ? 0u : std::min<std::uint64_t>(4, slots))
-        << "n=" << n;
+    EXPECT_EQ(forks.value() - forks0, n == 1 ? 0u : 1u) << "n=" << n;
+    EXPECT_EQ(chunks.value() - chunks0, n == 1 ? 0u : slots) << "n=" << n;
     ASSERT_GT(ref.abs_max(), 0.0f) << "n=" << n;
     ASSERT_EQ(out.numel(), ref.numel());
     EXPECT_EQ(std::memcmp(out.raw(), ref.raw(),

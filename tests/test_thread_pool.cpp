@@ -1,10 +1,12 @@
 // ThreadPool semantics: completion, exception propagation, nesting,
-// pool-size-independent decomposition, and serial degeneration.
+// pool-size-independent decomposition, serial degeneration, concurrent
+// submitters, and the spin-then-sleep worker lifecycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -41,10 +43,9 @@ TEST(ThreadPool, PropagatesFirstException) {
                           ++completed;
                         }),
       std::runtime_error);
-  // The throwing chunk abandons its remaining indices; every other chunk
-  // (at least 3 of 4 x 16 indices) still completed before the rethrow.
-  EXPECT_GE(completed.load(), 48);
-  EXPECT_LT(completed.load(), 64);
+  // Indices are claimed one at a time, so the throw abandons only index
+  // 37: every other index still completed before the rethrow.
+  EXPECT_EQ(completed.load(), 63);
 }
 
 TEST(ThreadPool, ExceptionPropagatesFromSerialPoolToo) {
@@ -191,16 +192,128 @@ TEST(ThreadPool, ManyRoundsStayConsistent) {
 }
 
 TEST(ThreadPool, JoinNeverReturnsBeforeTheLastChunkLetsGo) {
-  // The join state lives on the submitter's stack, so parallel_for may
-  // return only once the last chunk has finished touching it. Many tiny
-  // regions make the submitter's own chunk finish at the same moment as
-  // the workers'; under -fsanitize=thread an early return shows up as a
-  // race on the destroyed join mutex.
+  // parallel_for may return, and the next region reuse the pool's job
+  // slot, only once the last item has finished touching the job. Many
+  // tiny regions make the submitter's own items finish at the same moment
+  // as the workers'; under -fsanitize=thread an early return shows up as a
+  // race on the job's fields or on the caller's function object.
   ThreadPool pool(4);
   std::atomic<std::int64_t> calls{0};
   for (int round = 0; round < 20000; ++round)
     pool.parallel_for(4, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls.load(), 4 * 20000);
+}
+
+/// Spins until `ready` holds or `limit` passes; returns whether it held.
+template <class Ready>
+bool wait_for(Ready ready, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, ConcurrentSubmittersEachRunEveryIndexOnce) {
+  // Several serve::Servers sharing ServeOptions::pool submit from their
+  // own scheduler threads: four 4-thread parallel_fors on one pool, issued
+  // at once from four threads, round after round. One job is in flight at
+  // a time; the others run inline, and every index runs exactly once.
+  ThreadPool pool(4);
+  constexpr std::int64_t kN = 257;
+  constexpr int kSubmitters = 4, kRounds = 300;
+  std::vector<std::vector<int>> hits(kSubmitters,
+                                     std::vector<int>(kN * kRounds, 0));
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t)
+    submitters.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round)
+        pool.parallel_for(kN, [&](std::int64_t i) {
+          ++hits[static_cast<std::size_t>(t)]
+                [static_cast<std::size_t>(round * kN + i)];
+        });
+    });
+  for (auto& th : submitters) th.join();
+  for (int t = 0; t < kSubmitters; ++t)
+    EXPECT_EQ(std::count(hits[static_cast<std::size_t>(t)].begin(),
+                         hits[static_cast<std::size_t>(t)].end(), 1),
+              kN * kRounds)
+        << "submitter " << t;
+}
+
+TEST(ThreadPool, ParallelForHandsIndicesToWhicheverThreadIsFree) {
+  // Index 0 holds its thread until every other index has run. Under a
+  // fixed contiguous split its thread would also own index 1 and the wait
+  // could never end; claimed one at a time, the other threads run all 7.
+  ThreadPool pool(4);
+  std::atomic<int> others{0};
+  std::atomic<bool> saw_all{false};
+  pool.parallel_for(8, [&](std::int64_t i) {
+    if (i == 0) {
+      saw_all = wait_for([&] { return others.load() == 7; },
+                         std::chrono::milliseconds(10000));
+    } else {
+      ++others;
+    }
+  });
+  EXPECT_TRUE(saw_all.load());
+}
+
+TEST(ThreadPool, JobAfterWorkersSleptStillCompletes) {
+  // After a region the workers spin for a short budget, then sleep. A job
+  // published long after that must wake every one of them: each of 4
+  // items waits until 4 threads hold an item at once, which a lost
+  // wake-up would never let happen.
+  ThreadPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    std::atomic<int> arrived{0}, met{0};
+    pool.parallel_for(4, [&](std::int64_t) {
+      ++arrived;
+      if (wait_for([&] { return arrived.load() == 4; },
+                   std::chrono::milliseconds(10000)))
+        ++met;
+    });
+    EXPECT_EQ(met.load(), 4) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, WorkerThrowPropagatesAndPoolStaysUsable) {
+  // The items of a 4-thread pool meet (as above), so workers run three of
+  // them; those throw. The first throw reaches the submitter, and the
+  // pool then runs further regions normally.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  EXPECT_THROW(pool.parallel_for(4,
+                                 [&](std::int64_t) {
+                                   ++arrived;
+                                   wait_for([&] { return arrived.load() == 4; },
+                                            std::chrono::milliseconds(10000));
+                                   if (std::this_thread::get_id() != caller)
+                                     throw std::runtime_error("worker");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(arrived.load(), 4);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<int> hits(100, 0);
+    pool.parallel_for(100, [&](std::int64_t i) { ++hits[i]; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 100);
+  }
+}
+
+TEST(ThreadPool, DestroyingASpinningPoolReturnsPromptly) {
+  // Right after a region the workers are still spinning; the destructor
+  // must stop them at once, not after a sleep they never start.
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(4);
+    std::atomic<int> calls{0};
+    pool.parallel_for(4, [&](std::int64_t) { ++calls; });
+    EXPECT_EQ(calls.load(), 4);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 }  // namespace
