@@ -10,8 +10,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -149,22 +152,117 @@ TEST(SimdKernels, DotIsDeterministicPerIsa) {
   }
 }
 
+/// One [~ulp] GEMM variant on padded operands: C(m x n, ldc = n + 7) +=
+/// A * B, A^T * B or A * B^T, with A and B stored as each variant reads
+/// them (leading dimensions padded past the logical width). `run` calls
+/// the kernel on the active tier; `ref` / `abs` give the double-precision
+/// sum and the sum of absolute terms per output element.
+struct GemmCase {
+  enum Kind { kAccum, kAt, kBt } kind;
+  std::int64_t m, n, k, lda, ldb, ldc;
+  std::vector<float> a, b, c0;
+
+  GemmCase(Kind kd, std::int64_t m_, std::int64_t n_, std::int64_t k_,
+           Rng& rng)
+      : kind(kd), m(m_), n(n_), k(k_), ldc(n_ + 7) {
+    lda = kind == kAt ? m + 2 : k + 3;
+    ldb = kind == kBt ? k + 4 : n + 5;
+    a = random_vec((kind == kAt ? k : m) * lda, rng);
+    b = random_vec((kind == kBt ? n : k) * ldb, rng);
+    c0 = random_vec(m * ldc, rng);
+  }
+  const char* name() const {
+    return kind == kAccum ? "gemm_accum"
+                          : (kind == kAt ? "gemm_at_accum" : "gemm_bt_accum");
+  }
+  float at(std::int64_t i, std::int64_t kk) const {
+    return kind == kAt ? a[kk * lda + i] : a[i * lda + kk];
+  }
+  float bt(std::int64_t kk, std::int64_t j) const {
+    return kind == kBt ? b[j * ldb + kk] : b[kk * ldb + j];
+  }
+  std::vector<float> run() const {
+    std::vector<float> c = c0;
+    auto* fn = kind == kAccum ? &simd::gemm_accum
+                              : (kind == kAt ? &simd::gemm_at_accum
+                                             : &simd::gemm_bt_accum);
+    fn(c.data(), a.data(), b.data(), m, n, k, lda, ldb, ldc);
+    return c;
+  }
+  void ref(std::int64_t i, std::int64_t j, double& sum, double& abs) const {
+    sum = c0[i * ldc + j];
+    abs = std::abs(sum);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const double t = static_cast<double>(at(i, kk)) * bt(kk, j);
+      sum += t;
+      abs += std::abs(t);
+    }
+  }
+};
+
+/// Shapes whose row counts cover the 4-row microtile and its remainder and
+/// whose column counts straddle both vector widths (8 and 16 lanes), so
+/// every vector body and every scalar column tail runs.
+std::vector<GemmCase> gemm_cases(Rng& rng) {
+  std::vector<GemmCase> cases;
+  for (GemmCase::Kind kind : {GemmCase::kAccum, GemmCase::kAt, GemmCase::kBt})
+    for (std::int64_t m : {1, 4, 5, 13})
+      for (std::int64_t n : {1, 15, 16, 17, 33, 45})
+        cases.emplace_back(kind, m, n, 19, rng);
+  return cases;
+}
+
 TEST(SimdKernels, GemmMatchesNaiveReference) {
   Rng rng(13);
-  const std::int64_t m = 5, n = 11, k = 17;
-  std::vector<float> a = random_vec(m * k, rng), b = random_vec(k * n, rng);
+  const std::vector<GemmCase> cases = gemm_cases(rng);
+  const double eps = std::numeric_limits<float>::epsilon();
   for (simd::Isa isa : test_isas()) {
     simd::ScopedIsaForTests scope(isa);
-    std::vector<float> c(static_cast<std::size_t>(m * n), 0.5f);
-    simd::gemm_accum(c.data(), a.data(), b.data(), m, n, k, k, n, n);
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < n; ++j) {
-        double ref = 0.5;
-        for (std::int64_t kk = 0; kk < k; ++kk)
-          ref += static_cast<double>(a[i * k + kk]) * b[kk * n + j];
-        EXPECT_NEAR(c[i * n + j], ref, 1e-5)
-            << "isa=" << simd::isa_name(isa) << " (" << i << "," << j << ")";
-      }
+    for (const GemmCase& g : cases) {
+      const std::vector<float> c = g.run();
+      for (std::int64_t i = 0; i < g.m; ++i)
+        for (std::int64_t j = 0; j < g.ldc; ++j) {
+          if (j >= g.n) {  // row padding comes back untouched
+            EXPECT_EQ(c[i * g.ldc + j], g.c0[i * g.ldc + j]) << g.name();
+            continue;
+          }
+          double sum = 0.0, abs = 0.0;
+          g.ref(i, j, sum, abs);
+          EXPECT_NEAR(c[i * g.ldc + j], sum, 4.0 * (g.k + 1) * eps * abs)
+              << simd::isa_name(isa) << " " << g.name() << " m=" << g.m
+              << " n=" << g.n << " (" << i << "," << j << ")";
+        }
+    }
+  }
+}
+
+/// The same shapes, vector tiers against scalar within the bound of
+/// UlpKernelsWithinDocumentedBound (a few eps of the absolute terms).
+TEST(SimdParity, GemmVariantsWithinDocumentedBoundOfScalar) {
+  if (vector_isas().empty()) GTEST_SKIP() << "no vector tier available";
+  Rng rng(24);
+  const std::vector<GemmCase> cases = gemm_cases(rng);
+  const double eps = std::numeric_limits<float>::epsilon();
+  std::vector<std::vector<float>> scalar;
+  {
+    simd::ScopedIsaForTests scope(simd::Isa::Scalar);
+    for (const GemmCase& g : cases) scalar.push_back(g.run());
+  }
+  for (simd::Isa isa : vector_isas()) {
+    simd::ScopedIsaForTests scope(isa);
+    for (std::size_t t = 0; t < cases.size(); ++t) {
+      const GemmCase& g = cases[t];
+      const std::vector<float> c = g.run();
+      for (std::int64_t i = 0; i < g.m; ++i)
+        for (std::int64_t j = 0; j < g.n; ++j) {
+          double sum = 0.0, abs = 0.0;
+          g.ref(i, j, sum, abs);
+          EXPECT_NEAR(c[i * g.ldc + j], scalar[t][i * g.ldc + j],
+                      8.0 * (g.k + 1) * eps * abs)
+              << simd::isa_name(isa) << " " << g.name() << " m=" << g.m
+              << " n=" << g.n << " (" << i << "," << j << ")";
+        }
+    }
   }
 }
 
@@ -759,6 +857,325 @@ TEST(SimdParity, MlpTanhVectorTiersIdenticalScalarWithinBound) {
       simd::mlp_tanh(&single, xs, 1, in_dim, hidden, w1.data(), b1.data(),
                      w2.data(), b2);
       EXPECT_EQ(single, block[k]) << simd::isa_name(isa) << " " << k;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Recorded bits: every public kernel, per tier
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the bytes of every value fed in. A float NaN hashes as one
+/// canonical quiet NaN (sign and payload aside, as in the parity tests).
+class BitDigest {
+ public:
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    for (T x : v) {
+      if constexpr (std::is_floating_point_v<T>)
+        if (std::isnan(x)) x = std::numeric_limits<T>::quiet_NaN();
+      unsigned char bytes[sizeof(T)];
+      std::memcpy(bytes, &x, sizeof(T));
+      for (unsigned char b : bytes) h_ = (h_ ^ b) * 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void add_value(T x) {
+    add(std::vector<T>{x});
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// Digest of each of the 19 public kernels on `isa`, over fixed inputs at
+/// every width n = 1..101. Elementwise kernels see +-4.97 (the tanh
+/// saturation points) and their neighbours, +-inf, NaN and signed zeros
+/// among their float inputs (quantize_to_i16 all but NaN, whose integer
+/// conversion is undefined); GEMM-type kernels see plain random values so
+/// their digests follow every rounding of the accumulation.
+std::vector<std::pair<const char*, std::uint64_t>> kernel_digests(
+    simd::Isa isa) {
+  simd::ScopedIsaForTests scope(isa);
+  Rng rng(97);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sat = 4.97f;
+  const float specials[] = {sat,
+                            -sat,
+                            std::nextafter(sat, 0.0f),
+                            std::nextafter(sat, 10.0f),
+                            std::nextafter(-sat, 0.0f),
+                            std::nextafter(-sat, -10.0f),
+                            inf,
+                            -inf,
+                            nan,
+                            0.0f,
+                            -0.0f};
+  auto spiked = [&](std::int64_t count, double lo, double hi,
+                    bool with_nan = true) {
+    std::vector<float> v = random_vec(count, rng, lo, hi);
+    for (std::int64_t i = 2; i < count; i += 7) {
+      const float s = specials[rng.uniform_index(11)];
+      if (with_nan || !std::isnan(s)) v[static_cast<std::size_t>(i)] = s;
+    }
+    return v;
+  };
+  auto i8s = [&](std::int64_t count) {
+    std::vector<std::int8_t> v(static_cast<std::size_t>(count));
+    for (auto& x : v) x = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    return v;
+  };
+
+  enum {
+    kDot, kGemm, kGemmAt, kGemmBt, kGemmMadd, kGemmF64, kMlp, kAdc,
+    kGxInputs, kGxFeatures, kGxEpilogue, kTanh, kGemv, kBackprop, kAdam,
+    kQuant, kGemmI8, kAdcI32, kDac, kKernels
+  };
+  static const char* const kNames[kKernels] = {
+      "dot", "gemm_accum", "gemm_at_accum", "gemm_bt_accum", "gemm_madd",
+      "gemm_f64acc", "mlp_tanh", "adc_shift_add", "geniex_inputs",
+      "geniex_features", "geniex_epilogue", "tanh_fast_block", "gemv_madd",
+      "tanh_backprop", "adam_step", "quantize_to_i16", "gemm_at_i8_i32acc",
+      "adc_shift_add_i32", "dac_streams_i16"};
+  BitDigest d[kKernels];
+
+  for (std::int64_t n = 1; n <= 101; ++n) {
+    const std::int64_t m = 1 + n % 6, k = 1 + n % 9;
+
+    const std::vector<float> da = random_vec(n, rng), db = random_vec(n, rng);
+    d[kDot].add_value(simd::dot(da.data(), db.data(), n));
+
+    // GEMMs: C(m x n, ldc) with padded leading dimensions; A is (m x k) or,
+    // for gemm_at, (k x m); B is (k x n) or, for gemm_bt, (n x k).
+    const std::int64_t ldc = n + 7;
+    const std::vector<float> c0 = random_vec(m * ldc, rng);
+    const std::vector<float> a = random_vec(m * (k + 3), rng);
+    const std::vector<float> b = random_vec(k * (n + 5), rng);
+    std::vector<float> c = c0;
+    simd::gemm_accum(c.data(), a.data(), b.data(), m, n, k, k + 3, n + 5, ldc);
+    d[kGemm].add(c);
+    const std::vector<float> at = random_vec(k * (m + 2), rng);
+    c = c0;
+    simd::gemm_at_accum(c.data(), at.data(), b.data(), m, n, k, m + 2, n + 5,
+                        ldc);
+    d[kGemmAt].add(c);
+    // gemm_bt reduces each element with dot's tree: a longer k gives its
+    // lanes several terms each.
+    const std::int64_t kb = 1 + n % 41;
+    const std::vector<float> abt = random_vec(m * kb, rng);
+    const std::vector<float> bt = random_vec(n * (kb + 4), rng);
+    c = c0;
+    simd::gemm_bt_accum(c.data(), abt.data(), bt.data(), m, n, kb, kb, kb + 4,
+                        ldc);
+    d[kGemmBt].add(c);
+    c = c0;
+    simd::gemm_madd(c.data(), a.data(), b.data(), m, n, k, k + 3, n + 5, ldc);
+    d[kGemmMadd].add(c);
+    std::vector<float> f64(static_cast<std::size_t>(m * (n + 3)), 7.0f);
+    simd::gemm_f64acc(f64.data(), a.data(), b.data(), m, n, k, k + 3, n + 5,
+                      n + 3);
+    d[kGemmF64].add(f64);
+
+    // mlp_tanh: pre-activations reach past +-4.97; some zero weights.
+    const std::int64_t in_dim = 1 + n % 10, hidden = 1 + n % 13;
+    std::vector<float> x = random_vec(in_dim * n, rng, -3.0, 3.0);
+    if (n % 10 == 3) x[static_cast<std::size_t>(n / 2)] = nan;
+    std::vector<float> w1 = random_vec(hidden * in_dim, rng);
+    const std::vector<float> b1 = random_vec(hidden, rng, -0.5, 0.5);
+    std::vector<float> w2 = random_vec(hidden, rng);
+    w1[static_cast<std::size_t>(n % w1.size())] = 0.0f;
+    w2[static_cast<std::size_t>(n % w2.size())] = 0.0f;
+    std::vector<float> out(static_cast<std::size_t>(n));
+    simd::mlp_tanh(out.data(), x.data(), n, in_dim, hidden, w1.data(),
+                   b1.data(), w2.data(), 0.25f);
+    d[kMlp].add(out);
+
+    const std::int64_t rows = 1 + n % 4;
+    const std::vector<float> cur = spiked(rows * n, -0.3, 2.0);
+    const std::vector<float> base = random_vec(n, rng, 0.0, 0.4);
+    std::vector<float> acc = random_vec(rows * n, rng);
+    simd::adc_shift_add(acc.data(), cur.data(), base.data(), rows, n, 1.7f,
+                        255.0f, -1.25f);
+    d[kAdc].add(acc);
+
+    // GENIEx glue over `cols` columns of n vectors.
+    const std::int64_t g_rows = 1 + n % 5, cols = 1 + n % 4;
+    const std::vector<float> v = spiked(g_rows * n, 0.0, 1.2);
+    const std::vector<float> growsum = random_vec(g_rows, rng, 0.0, 3.0);
+    std::vector<float> vv(v.size()), vr(v.size());
+    std::vector<float> sums(static_cast<std::size_t>(3 * n));
+    simd::geniex_inputs(vv.data(), vr.data(), sums.data(), v.data(),
+                        growsum.data(), g_rows, n, 0.37f, 1.9f, 0.011f);
+    d[kGxInputs].add(vv);
+    d[kGxInputs].add(vr);
+    d[kGxInputs].add(sums);
+    std::vector<float> ft = spiked(10 * cols * n, -2.0, 2.0);
+    const std::vector<float> iid = spiked(cols * n, -0.1, 1.2);
+    const std::vector<float> fsums = spiked(3 * n, 0.0, 1.0);
+    const std::vector<float> colf = random_vec(2 * cols, rng, 0.0, 1.0);
+    simd::geniex_features(ft.data(), iid.data(), fsums.data(), colf.data(),
+                          cols, n, 1.3e-4f, 3.1f, 0.7f, 2.9f, 0.41f);
+    d[kGxFeatures].add(ft);
+    const std::vector<float> rel = spiked(cols * n, -0.6, 1.6);
+    for (bool guard : {true, false}) {
+      std::vector<float> eo(static_cast<std::size_t>(cols * n));
+      std::vector<std::int8_t> flags(static_cast<std::size_t>(n), 7);
+      d[kGxEpilogue].add_value(simd::geniex_epilogue(
+          eo.data(), flags.data(), iid.data(), rel.data(), cols, n, 0.02f,
+          1.0f, guard, -0.5f, 1.5f));
+      d[kGxEpilogue].add(eo);
+      d[kGxEpilogue].add(flags);
+    }
+
+    // Surrogate-training kernels.
+    std::vector<float> y = spiked(n, -6.0, 6.0);
+    simd::tanh_fast_block(y.data(), y.data(), n);
+    d[kTanh].add(y);
+    const std::int64_t gk = 1 + n % 11;
+    const std::vector<float> ga = random_vec(n * (gk + 2), rng);
+    const std::vector<float> gx = random_vec(gk, rng);
+    std::vector<float> gy = random_vec(n, rng);
+    simd::gemv_madd(gy.data(), ga.data(), gx.data(), n, gk, gk + 2);
+    d[kGemv].add(gy);
+    const std::int64_t bm = 1 + n % 5;
+    std::vector<float> act = spiked(bm * n, -1.0, 1.0);
+    const std::vector<float> err = spiked(bm, -0.5, 0.5);
+    const std::vector<float> bw2 = spiked(n, -1.0, 1.0);
+    simd::tanh_backprop(act.data(), err.data(), bw2.data(), bm, n);
+    d[kBackprop].add(act);
+    simd::AdamStep adam;
+    adam.count = 7.0f;
+    adam.bc1 = 1.0f - std::pow(adam.beta1, 3.0f);
+    adam.bc2 = 1.0f - std::pow(adam.beta2, 3.0f);
+    adam.lr = 3e-3f;
+    std::vector<float> p = random_vec(n, rng), pm = random_vec(n, rng, -0.01, 0.01);
+    std::vector<float> pv = random_vec(n, rng, 0.0, 0.01);
+    const std::vector<float> g = spiked(n, -2.0, 2.0);
+    simd::adam_step(p.data(), pm.data(), pv.data(), g.data(), n, adam);
+    d[kAdam].add(p);
+    d[kAdam].add(pm);
+    d[kAdam].add(pv);
+
+    // Integer bit-slice kernels.
+    const float qmaxes[] = {127.0f, 63.0f, 32767.0f, 8.0f};
+    const std::vector<float> qx = spiked(n, -0.4, 1.9, /*with_nan=*/false);
+    std::vector<std::int16_t> q(static_cast<std::size_t>(n));
+    simd::quantize_to_i16(q.data(), qx.data(), n, 1.5f, qmaxes[n % 4]);
+    d[kQuant].add(q);
+    const std::vector<std::int8_t> ia = i8s(k * (m + 2)), ib = i8s(k * (n + 5));
+    std::vector<std::int32_t> ic(static_cast<std::size_t>(m * ldc), -3);
+    simd::gemm_at_i8_i32acc(ic.data(), ia.data(), ib.data(), m, n, k, m + 2,
+                            n + 5, ldc);
+    d[kGemmI8].add(ic);
+    std::vector<std::int32_t> dots(static_cast<std::size_t>(n));
+    for (auto& t : dots)
+      t = static_cast<std::int32_t>(rng.uniform_int(-100, 16383));
+    std::vector<float> iacc = random_vec(n, rng);
+    simd::adc_shift_add_i32(iacc.data(), dots.data(), base.data(), n, 3.1e-5f,
+                            1.1f, 1023.0f, 2.5f);
+    d[kAdcI32].add(iacc);
+    const std::int64_t sb = 1 + n % 7, streams = (15 + sb - 1) / sb;
+    const std::int64_t used = 1 + n % 4, dac_rows = used + 2;
+    std::vector<std::int16_t> codes(static_cast<std::size_t>(used * n));
+    for (auto& t : codes)
+      t = static_cast<std::int16_t>(rng.uniform_index(32768));
+    if (n % 9 == 4) codes[static_cast<std::size_t>(n / 2)] = -5;
+    std::vector<std::int8_t> chunk(
+        static_cast<std::size_t>(streams * dac_rows * n), 0x55);
+    std::vector<std::int8_t> row_max(
+        static_cast<std::size_t>(streams * dac_rows), 0x55);
+    std::vector<std::int32_t> colsum(static_cast<std::size_t>(streams * n),
+                                     -7);
+    d[kDac].add_value<std::uint8_t>(simd::dac_streams_i16(
+        chunk.data(), row_max.data(), colsum.data(), codes.data(), used,
+        dac_rows, n, streams, sb));
+    d[kDac].add(chunk);
+    d[kDac].add(row_max);
+    d[kDac].add(colsum);
+  }
+  std::vector<std::pair<const char*, std::uint64_t>> digests;
+  for (int i = 0; i < kKernels; ++i) digests.emplace_back(kNames[i], d[i].value());
+  return digests;
+}
+
+/// Each kernel's outputs hash to the values recorded per tier, [~ulp]
+/// kernels included: a kernel rewrite that moves any output bit on any
+/// tier fails here. A deliberate numerics change re-records the table
+/// from the values this test prints on failure.
+TEST(SimdGolden, EveryKernelMatchesRecordedBitsPerTier) {
+  struct Recorded {
+    const char* kernel;
+    std::uint64_t bits[3];  // indexed by simd::Isa: scalar, avx2, avx512
+  };
+  static const Recorded kRecorded[] = {
+      {"dot",
+       {0xd2f409f626cd54baull, 0x6515c920b8e4ded1ull,
+        0x188c379aa25c4d3aull}},
+      {"gemm_accum",
+       {0xbf4511c764a2e2cull, 0x5503ba8c0dec8fa9ull,
+        0x14dd5c7d48733bb1ull}},
+      {"gemm_at_accum",
+       {0x3b5666a7900bf2afull, 0x4df36556c33aa4ceull,
+        0x84c3946836104777ull}},
+      {"gemm_bt_accum",
+       {0x88197cb589ca4d15ull, 0xdf78ae025f25a278ull,
+        0xd970604c67934fbeull}},
+      {"gemm_madd",
+       {0xbf4511c764a2e2cull, 0xbf4511c764a2e2cull,
+        0xbf4511c764a2e2cull}},
+      {"gemm_f64acc",
+       {0x193200a82fc0d85cull, 0x193200a82fc0d85cull,
+        0x193200a82fc0d85cull}},
+      {"mlp_tanh",
+       {0x4c7f8729a9806d24ull, 0xfb69a06400ab5a0dull,
+        0xfb69a06400ab5a0dull}},
+      {"adc_shift_add",
+       {0x25279cb80f88f8a6ull, 0x5ffcbcc1c8678773ull,
+        0x5ffcbcc1c8678773ull}},
+      {"geniex_inputs",
+       {0xcf47efc0f8c24a1ull, 0xcf47efc0f8c24a1ull,
+        0xcf47efc0f8c24a1ull}},
+      {"geniex_features",
+       {0xc0db346d42c30e60ull, 0xc0db346d42c30e60ull,
+        0xc0db346d42c30e60ull}},
+      {"geniex_epilogue",
+       {0xbb227450622b0ef0ull, 0xbb227450622b0ef0ull,
+        0xbb227450622b0ef0ull}},
+      {"tanh_fast_block",
+       {0xfb05894136c41369ull, 0xfb05894136c41369ull,
+        0xfb05894136c41369ull}},
+      {"gemv_madd",
+       {0xdfc8edd0ed1d6281ull, 0xdfc8edd0ed1d6281ull,
+        0xdfc8edd0ed1d6281ull}},
+      {"tanh_backprop",
+       {0xc49a602478485bc2ull, 0xc49a602478485bc2ull,
+        0xc49a602478485bc2ull}},
+      {"adam_step",
+       {0xc51ff574a37a571cull, 0xc51ff574a37a571cull,
+        0xc51ff574a37a571cull}},
+      {"quantize_to_i16",
+       {0x508f77abc56fdc78ull, 0x508f77abc56fdc78ull,
+        0x508f77abc56fdc78ull}},
+      {"gemm_at_i8_i32acc",
+       {0x50dab1ddb17f23c4ull, 0x50dab1ddb17f23c4ull,
+        0x50dab1ddb17f23c4ull}},
+      {"adc_shift_add_i32",
+       {0x1e624e03b00788ebull, 0x1e624e03b00788ebull,
+        0x1e624e03b00788ebull}},
+      {"dac_streams_i16",
+       {0xc98534d6b1b201fcull, 0xc98534d6b1b201fcull,
+        0xc98534d6b1b201fcull}},
+  };
+  for (simd::Isa isa : test_isas()) {
+    const auto digests = kernel_digests(isa);
+    ASSERT_EQ(digests.size(), std::size(kRecorded));
+    for (std::size_t i = 0; i < digests.size(); ++i) {
+      ASSERT_STREQ(digests[i].first, kRecorded[i].kernel);
+      EXPECT_EQ(digests[i].second, kRecorded[i].bits[static_cast<int>(isa)])
+          << simd::isa_name(isa) << " " << digests[i].first << " digest 0x"
+          << std::hex << digests[i].second;
     }
   }
 }
