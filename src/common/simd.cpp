@@ -56,9 +56,8 @@ bool avx512_os_state() { return (read_xcr0() & 0xe6) == 0xe6; }
 
 }  // namespace
 
-bool avx2_compiled() { return detail::avx2_tu_compiled(); }
-bool avx512_compiled() { return detail::avx512_tu_compiled(); }
-bool neon_compiled() { return detail::neon_tu_compiled(); }
+bool avx2_compiled() { return detail::kAvx2Kernels != nullptr; }
+bool avx512_compiled() { return detail::kAvx512Kernels != nullptr; }
 
 bool avx2_supported() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -76,14 +75,6 @@ bool avx512_supported() {
 #endif
 }
 
-bool neon_supported() {
-#if defined(__aarch64__)
-  return true;  // Advanced SIMD is architecturally baseline on AArch64
-#else
-  return false;
-#endif
-}
-
 bool isa_usable(Isa isa) {
   switch (isa) {
     case Isa::Scalar:
@@ -92,8 +83,6 @@ bool isa_usable(Isa isa) {
       return avx2_compiled() && avx2_supported();
     case Isa::Avx512:
       return avx512_compiled() && avx512_supported();
-    case Isa::Neon:
-      return neon_compiled() && neon_supported();
   }
   return false;
 }
@@ -104,8 +93,6 @@ const char* isa_name(Isa isa) {
       return "avx2";
     case Isa::Avx512:
       return "avx512";
-    case Isa::Neon:
-      return "neon";
     case Isa::Scalar:
       break;
   }
@@ -118,7 +105,6 @@ std::atomic<int> g_isa{-1};  // -1 = unresolved
 
 /// Widest tier that is compiled in AND safe to execute here.
 Isa best_usable_isa() {
-  if (isa_usable(Isa::Neon)) return Isa::Neon;
   if (isa_usable(Isa::Avx512)) return Isa::Avx512;
   if (isa_usable(Isa::Avx2)) return Isa::Avx2;
   return Isa::Scalar;
@@ -143,9 +129,6 @@ const char* unusable_reason(Isa isa) {
                "state (XCR0)";
 #endif
       return "this CPU lacks AVX-512 F/BW/DQ/VL";
-    case Isa::Neon:
-      if (!neon_compiled()) return "NEON kernels are not compiled in";
-      return "not an AArch64 machine";
     case Isa::Scalar:
       break;
   }
@@ -163,12 +146,10 @@ int resolve_isa() {
       want = Isa::Avx2;
     } else if (req == "avx512") {
       want = Isa::Avx512;
-    } else if (req == "neon") {
-      want = Isa::Neon;
     } else {
       known = false;
       NVM_LOG(Warn) << "unknown NVM_SIMD='" << req
-                    << "' (want scalar|avx2|avx512|neon); auto-detecting";
+                    << "' (want scalar|avx2|avx512); auto-detecting";
     }
     if (known) {
       if (isa_usable(want)) return static_cast<int>(want);
@@ -224,11 +205,11 @@ ScopedIsaForTests::~ScopedIsaForTests() {
 }
 
 // Scalar kernels ----------------------------------------------------------
-// These define the reference semantics; the vector TUs mirror them. Plain
-// mul+add throughout (the build uses -ffp-contract=off, so the compiler
-// cannot fuse these into FMAs behind our back).
+// These define the reference semantics; the vector bodies mirror them.
+// Plain mul+add throughout (the build uses -ffp-contract=off, so the
+// compiler cannot fuse these into FMAs behind our back).
 
-namespace detail {
+namespace {
 
 float dot_scalar(const float* a, const float* b, std::int64_t n) {
   float lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
@@ -538,7 +519,28 @@ bool dac_streams_i16_scalar(std::int8_t* chunk, std::int8_t* row_max,
   return negative;
 }
 
-}  // namespace detail
+constexpr detail::Kernels kScalar = {
+    .dot = dot_scalar,
+    .gemm = gemm_scalar,
+    .gemm_at = gemm_at_scalar,
+    .gemm_bt = gemm_bt_scalar,
+    .gemm_madd = gemm_madd_scalar,
+    .mlp_tanh = mlp_tanh_scalar,
+    .gemm_f64acc = gemm_f64acc_scalar,
+    .adc_shift_add = adc_shift_add_scalar,
+    .geniex_inputs = geniex_inputs_scalar,
+    .geniex_features = geniex_features_scalar,
+    .geniex_epilogue = geniex_epilogue_scalar,
+    .tanh_fast_block = tanh_fast_block_scalar,
+    .gemv_madd = gemv_madd_scalar,
+    .tanh_backprop = tanh_backprop_scalar,
+    .adam_step = adam_step_scalar,
+    .quantize_to_i16 = quantize_to_i16_scalar,
+    .gemm_at_i8_i32acc = gemm_at_i8_i32acc_scalar,
+    .adc_shift_add_i32 = adc_shift_add_i32_scalar,
+    .dac_streams_i16 = dac_streams_i16_scalar};
+
+}  // namespace
 
 float tanh_fast(float x) {
   if (x > 4.97f) return 1.0f;
@@ -564,26 +566,25 @@ inline std::uint64_t u64(std::int64_t v) {
   return static_cast<std::uint64_t>(v);
 }
 
-}  // namespace
+/// The active tier's kernel table.
+const detail::Kernels& tier() {
+  switch (active_isa()) {
+    case Isa::Avx512:
+      return *detail::kAvx512Kernels;
+    case Isa::Avx2:
+      return *detail::kAvx2Kernels;
+    case Isa::Scalar:
+      break;
+  }
+  return kScalar;
+}
 
-// Four-way tier switch; works for void and value-returning kernels alike.
-#define NVM_SIMD_DISPATCH(fn, ...)                      \
-  switch (active_isa()) {                               \
-    case Isa::Avx512:                                   \
-      return detail::fn##_avx512(__VA_ARGS__);          \
-    case Isa::Avx2:                                     \
-      return detail::fn##_avx2(__VA_ARGS__);            \
-    case Isa::Neon:                                     \
-      return detail::fn##_neon(__VA_ARGS__);            \
-    case Isa::Scalar:                                   \
-      break;                                            \
-  }                                                     \
-  return detail::fn##_scalar(__VA_ARGS__)
+}  // namespace
 
 float dot(const float* a, const float* b, std::int64_t n) {
   static metrics::Counter& c = metrics::counter("simd/kernel/dot");
   tally(c, 2 * u64(n));
-  NVM_SIMD_DISPATCH(dot, a, b, n);
+  return tier().dot(a, b, n);
 }
 
 void gemm_accum(float* c, const float* a, const float* b, std::int64_t m,
@@ -591,7 +592,7 @@ void gemm_accum(float* c, const float* a, const float* b, std::int64_t m,
                 std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  NVM_SIMD_DISPATCH(gemm, c, a, b, m, n, k, lda, ldb, ldc);
+  return tier().gemm(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void gemm_at_accum(float* c, const float* a, const float* b, std::int64_t m,
@@ -599,7 +600,7 @@ void gemm_at_accum(float* c, const float* a, const float* b, std::int64_t m,
                    std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_at");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  NVM_SIMD_DISPATCH(gemm_at, c, a, b, m, n, k, lda, ldb, ldc);
+  return tier().gemm_at(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
@@ -607,7 +608,7 @@ void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
                    std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_bt");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  NVM_SIMD_DISPATCH(gemm_bt, c, a, b, m, n, k, lda, ldb, ldc);
+  return tier().gemm_bt(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void gemm_madd(float* c, const float* a, const float* b, std::int64_t m,
@@ -615,7 +616,7 @@ void gemm_madd(float* c, const float* a, const float* b, std::int64_t m,
                std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_madd");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  NVM_SIMD_DISPATCH(gemm_madd, c, a, b, m, n, k, lda, ldb, ldc);
+  return tier().gemm_madd(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void mlp_tanh(float* out, const float* x, std::int64_t n, std::int64_t in_dim,
@@ -625,7 +626,7 @@ void mlp_tanh(float* out, const float* x, std::int64_t n, std::int64_t in_dim,
   // Per sample and hidden unit: 2*in_dim for the hidden FMA chain, ~12
   // for the rational tanh, 2 for the output FMA.
   tally(calls, u64(n) * u64(hidden) * (2 * u64(in_dim) + 14));
-  NVM_SIMD_DISPATCH(mlp_tanh, out, x, n, in_dim, hidden, w1, b1, w2, b2);
+  return tier().mlp_tanh(out, x, n, in_dim, hidden, w1, b1, w2, b2);
 }
 
 void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
@@ -633,7 +634,7 @@ void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
                  std::int64_t ldv, std::int64_t ldo) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_f64acc");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  NVM_SIMD_DISPATCH(gemm_f64acc, out, a, v, m, n, k, lda, ldv, ldo);
+  return tier().gemm_f64acc(out, a, v, m, n, k, lda, ldv, ldo);
 }
 
 void adc_shift_add(float* acc, const float* cur, const float* baseline,
@@ -641,8 +642,8 @@ void adc_shift_add(float* acc, const float* cur, const float* baseline,
                    float steps, float shift) {
   static metrics::Counter& c = metrics::counter("simd/kernel/adc_shift_add");
   tally(c, 8 * u64(rows) * u64(n));
-  NVM_SIMD_DISPATCH(adc_shift_add, acc, cur, baseline, rows, n, full_scale,
-                    steps, shift);
+  return tier().adc_shift_add(acc, cur, baseline, rows, n, full_scale, steps,
+                              shift);
 }
 
 void geniex_inputs(float* vv, float* vr, float* sums, const float* v,
@@ -651,8 +652,7 @@ void geniex_inputs(float* vv, float* vr, float* sums, const float* v,
   static metrics::Counter& c = metrics::counter("simd/kernel/geniex_inputs");
   // Per element: two products and three sum adds; 3 scalings per vector.
   tally(c, 5 * u64(rows) * u64(n) + 3 * u64(n));
-  NVM_SIMD_DISPATCH(geniex_inputs, vv, vr, sums, v, growsum, rows, n, nv, nv2,
-                    nr);
+  return tier().geniex_inputs(vv, vr, sums, v, growsum, rows, n, nv, nv2, nr);
 }
 
 void geniex_features(float* ft, const float* iid, const float* sums,
@@ -662,8 +662,8 @@ void geniex_features(float* ft, const float* iid, const float* sums,
   static metrics::Counter& c =
       metrics::counter("simd/kernel/geniex_features");
   tally(c, 4 * u64(cols) * u64(n));  // the four divided feature rows
-  NVM_SIMD_DISPATCH(geniex_features, ft, iid, sums, colf, cols, n, i_scale,
-                    d_e, d_p, d_w, garr);
+  return tier().geniex_features(ft, iid, sums, colf, cols, n, i_scale, d_e, d_p,
+                                d_w, garr);
 }
 
 std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
@@ -674,14 +674,14 @@ std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
   static metrics::Counter& c =
       metrics::counter("simd/kernel/geniex_epilogue");
   tally(c, 5 * u64(cols) * u64(n));  // max, mul, sub, two clamp compares
-  NVM_SIMD_DISPATCH(geniex_epilogue, out, flags, iid, rel, cols, n, floor,
-                    full_scale, guard, rel_min, rel_max);
+  return tier().geniex_epilogue(out, flags, iid, rel, cols, n, floor,
+                                full_scale, guard, rel_min, rel_max);
 }
 
 void tanh_fast_block(float* y, const float* x, std::int64_t n) {
   static metrics::Counter& c = metrics::counter("simd/kernel/tanh_fast_block");
   tally(c, 14 * u64(n));  // the rational tanh's multiplies, adds, divide
-  NVM_SIMD_DISPATCH(tanh_fast_block, y, x, n);
+  return tier().tanh_fast_block(y, x, n);
 }
 
 void gemv_madd(float* y, const float* a, const float* x, std::int64_t m,
@@ -690,21 +690,21 @@ void gemv_madd(float* y, const float* a, const float* x, std::int64_t m,
             "gemv_madd lda=" << lda);
   static metrics::Counter& c = metrics::counter("simd/kernel/gemv_madd");
   tally(c, 2 * u64(m) * u64(k));
-  NVM_SIMD_DISPATCH(gemv_madd, y, a, x, m, k, lda);
+  return tier().gemv_madd(y, a, x, m, k, lda);
 }
 
 void tanh_backprop(float* a, const float* err, const float* w2,
                    std::int64_t m, std::int64_t h) {
   static metrics::Counter& c = metrics::counter("simd/kernel/tanh_backprop");
   tally(c, 4 * u64(m) * u64(h));
-  NVM_SIMD_DISPATCH(tanh_backprop, a, err, w2, m, h);
+  return tier().tanh_backprop(a, err, w2, m, h);
 }
 
 void adam_step(float* p, float* m, float* v, const float* g, std::int64_t n,
                const AdamStep& c) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/adam_step");
   tally(calls, 14 * u64(n));
-  NVM_SIMD_DISPATCH(adam_step, p, m, v, g, n, c);
+  return tier().adam_step(p, m, v, g, n, c);
 }
 
 void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,
@@ -712,7 +712,7 @@ void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,
   NVM_CHECK(qmax > 0.0f && qmax <= 32767.0f, "i16 qmax=" << qmax);
   static metrics::Counter& c = metrics::counter("simd/kernel/quantize_i16");
   tally(c, 4 * u64(n));
-  NVM_SIMD_DISPATCH(quantize_to_i16, out, x, n, scale, qmax);
+  return tier().quantize_to_i16(out, x, n, scale, qmax);
 }
 
 void gemm_at_i8_i32acc(std::int32_t* c, const std::int8_t* a,
@@ -722,7 +722,7 @@ void gemm_at_i8_i32acc(std::int32_t* c, const std::int8_t* a,
   static metrics::Counter& calls =
       metrics::counter("simd/kernel/gemm_i32acc");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  NVM_SIMD_DISPATCH(gemm_at_i8_i32acc, c, a, b, m, n, k, lda, ldb, ldc);
+  return tier().gemm_at_i8_i32acc(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void adc_shift_add_i32(float* acc, const std::int32_t* dot,
@@ -731,8 +731,8 @@ void adc_shift_add_i32(float* acc, const std::int32_t* dot,
   static metrics::Counter& c =
       metrics::counter("simd/kernel/adc_shift_add_i32");
   tally(c, 10 * u64(n));
-  NVM_SIMD_DISPATCH(adc_shift_add_i32, acc, dot, baseline, n, dot_unit,
-                    full_scale, steps, shift);
+  return tier().adc_shift_add_i32(acc, dot, baseline, n, dot_unit, full_scale,
+                                  steps, shift);
 }
 
 bool dac_streams_i16(std::int8_t* chunk, std::int8_t* row_max,
@@ -747,11 +747,9 @@ bool dac_streams_i16(std::int8_t* chunk, std::int8_t* row_max,
                                         << rows_used << " rows=" << rows);
   static metrics::Counter& c = metrics::counter("simd/kernel/dac_streams_i16");
   c.add();  // integer bit ops only: no flops tallied
-  NVM_SIMD_DISPATCH(dac_streams_i16, chunk, row_max, colsum, src, rows_used,
-                    rows, n, streams, stream_bits);
+  return tier().dac_streams_i16(chunk, row_max, colsum, src, rows_used, rows, n,
+                                streams, stream_bits);
 }
-
-#undef NVM_SIMD_DISPATCH
 
 // Workspace ---------------------------------------------------------------
 

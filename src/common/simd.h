@@ -3,13 +3,13 @@
 // Every hot inner loop of the analog stack — tiled-GEMM shift-add, ideal
 // and fast-noise column evaluation, the GENIEx feature GEMMs, glue and MLP
 // forward, activation / ADC quantization — runs over the fixed set of
-// kernels below. Up to four
-// implementations exist per kernel: hand-written AVX2/FMA, AVX-512 and
-// NEON tiers (each compiled in its own translation unit with per-file
-// arch flags, see NVM_ENABLE_AVX2 / NVM_ENABLE_AVX512 / NVM_ENABLE_NEON)
-// plus a scalar fallback. The active tier is chosen once per process at
-// first use: cpuid + OS state (xgetbv) decide, and
-// NVM_SIMD=scalar|avx2|avx512|neon overrides.
+// kernels below. Each kernel has a scalar reference plus one vector body
+// (simd_vector.h) written over a per-tier traits type and instantiated
+// for two tiers, AVX2/FMA and AVX-512, each in its own translation unit
+// with per-file arch flags (see NVM_ENABLE_AVX2 / NVM_ENABLE_AVX512).
+// Other architectures, AArch64 included, run the scalar tier. The active
+// tier is chosen once per process at first use: cpuid + OS state (xgetbv)
+// decide, and NVM_SIMD=scalar|avx2|avx512 overrides.
 //
 // Determinism contract (DESIGN.md §11, §13):
 //   * Each kernel uses ONE deterministic accumulation tree. Results are
@@ -57,7 +57,8 @@
 
 namespace nvm::simd {
 
-enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2, Neon = 3 };
+/// Values are the `simd/isa` gauge (and the perf gate's host key).
+enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 
 /// The instruction set all kernels dispatch to. Resolved once: NVM_SIMD
 /// env override if set (an unusable request logs a warning and falls
@@ -76,10 +77,6 @@ bool avx512_compiled();
 /// True when this CPU supports AVX-512 F/BW/DQ/VL and the OS enables
 /// ZMM + opmask state (XCR0 bits 1,2,5,6,7).
 bool avx512_supported();
-/// True when the NEON kernel TU was compiled in (NVM_ENABLE_NEON).
-bool neon_compiled();
-/// True on AArch64 (Advanced SIMD is baseline there).
-bool neon_supported();
 /// True when `isa` is both compiled in and usable on this machine.
 bool isa_usable(Isa isa);
 
@@ -152,8 +149,7 @@ void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
 /// op sequence as the scalar loop `for k: c = c + a * b;`, so every tier
 /// (and every blocking of m and n) is bit-identical. The vector tiers hold
 /// a register block of C (4 rows x 2 vectors) across the whole k loop and
-/// finish ragged columns with masked (AVX2/AVX-512) or staged (NEON)
-/// vectors, never a scalar remainder. The GENIEx feature GEMMs run here.
+/// finish ragged columns with masked vectors, never a scalar remainder. The GENIEx feature GEMMs run here.
 void gemm_madd(float* c, const float* a, const float* b, std::int64_t m,
                std::int64_t n, std::int64_t k, std::int64_t lda,
                std::int64_t ldb, std::int64_t ldc);
@@ -175,7 +171,7 @@ void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
 /// round(clamp(c,0,fs)/fs*steps)*fs/steps — the fused ADC +
 /// baseline-subtract + shift-add of the tiled GEMM, one call per crossbar
 /// pass (one baseline value per input column). Ragged rows finish with a
-/// masked (AVX2/AVX-512) or staged (NEON) vector, never a scalar tail.
+/// masked vector, never a scalar tail.
 void adc_shift_add(float* acc, const float* cur, const float* baseline,
                    std::int64_t rows, std::int64_t n, float full_scale,
                    float steps, float shift);
@@ -183,9 +179,9 @@ void adc_shift_add(float* acc, const float* cur, const float* baseline,
 // GENIEx surrogate glue ---------------------------------------------------
 // The elementwise stages around the GENIEx feature GEMMs and MLP forward
 // (xbar/geniex.cpp). All [exact]: each lane runs the scalar reference's
-// IEEE ops in the same order, ragged tails are masked (AVX2/AVX-512) or
-// staged (NEON), and per-vector sums stay sequential over rows, so every
-// tier and every batch width gives the same bits.
+// IEEE ops in the same order, ragged tails are masked, and per-vector sums
+// stay sequential over rows, so every tier and every batch width gives the
+// same bits.
 
 /// [exact] Input transforms and per-vector sums of a (rows x n) voltage
 /// block v (row-major, ld n):
@@ -226,8 +222,8 @@ std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
 // The elementwise stages and the per-sample output sum of the GENIEx MLP
 // training step around its gemm_madd calls (xbar::MlpRegressor::train).
 // All [exact]: each lane runs the scalar reference's IEEE ops in the same
-// order and ragged tails are masked (AVX2/AVX-512) or staged (NEON), so
-// the trained weights are the same bits on every tier.
+// order and ragged tails are masked, so the trained weights are the same
+// bits on every tier.
 
 /// [exact] y[i] = tanh_fast(x[i]) for i in [0, n); y may alias x. The
 /// vector tiers run mlp_tanh's lane tanh (the scalar op sequence, with
@@ -237,9 +233,8 @@ void tanh_fast_block(float* y, const float* x, std::int64_t n);
 
 /// [exact] y[i] = y[i] + sum_k a[i*lda + k] * x[k] for i in [0, m), an
 /// unfused multiply then add per term, sequential over k: gemm_madd's op
-/// sequence at n = 1, vectorized across rows (gathered AVX2/AVX-512
-/// lanes, staged NEON lanes) instead of across columns. Requires
-/// lda * 16 < 2^31.
+/// sequence at n = 1, vectorized across rows (gathered lanes) instead of
+/// across columns. Requires lda * 16 < 2^31.
 void gemv_madd(float* y, const float* a, const float* x, std::int64_t m,
                std::int64_t k, std::int64_t lda);
 
@@ -312,7 +307,7 @@ void adc_shift_add_i32(float* acc, const std::int32_t* dot,
 ///   colsum[t*n + k]           = sum over r of c, in int32.
 /// Returns true when any code is negative. Integer ops only, so every
 /// tier gives the same outputs, also for negative codes; ragged columns
-/// take masked (AVX-512) or staged (AVX2, NEON) vectors. Requires
+/// take masked (AVX-512) or staged (AVX2) vectors. Requires
 /// 1 <= stream_bits <= 7 and (streams - 1) * stream_bits < 16.
 bool dac_streams_i16(std::int8_t* chunk, std::int8_t* row_max,
                      std::int32_t* colsum, const std::int16_t* src,

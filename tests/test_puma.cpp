@@ -20,6 +20,7 @@
 #include "puma/engine.h"
 #include "puma/quantize.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 #include "tiled_reference.h"
 #include "xbar/circuit_solver.h"
 #include "xbar/fast_noise.h"
@@ -301,13 +302,7 @@ TEST(Engine, GainTrimCompensatesFastNoiseLoss) {
 // reference tiled GEMM (tests/tiled_reference.h)
 // ---------------------------------------------------------------------------
 
-std::vector<simd::Isa> usable_isas() {
-  std::vector<simd::Isa> isas{simd::Isa::Scalar};
-  for (simd::Isa isa :
-       {simd::Isa::Avx2, simd::Isa::Avx512, simd::Isa::Neon})
-    if (simd::isa_usable(isa)) isas.push_back(isa);
-  return isas;
-}
+using testutil::usable_isas;
 
 /// The GENIEx surrogate shared across tests in this binary (training once
 /// is the slow part; bit-identity only needs *a* deterministic surrogate).

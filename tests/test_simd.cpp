@@ -24,6 +24,7 @@
 #include "puma/bit_slicing.h"
 #include "puma/tiled_mvm.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 #include "tiled_reference.h"
 #include "xbar/circuit_solver.h"
 #include "xbar/fast_noise.h"
@@ -36,21 +37,11 @@ namespace {
 
 bool avx2_usable() { return simd::isa_usable(simd::Isa::Avx2); }
 
-/// ISAs to exercise on this machine: scalar always, plus every vector
-/// tier that is both compiled in and usable (AVX2/AVX-512 on x86 with OS
-/// state enabled, NEON on AArch64). Parity tests below iterate this list,
-/// so new tiers are covered automatically wherever the hardware allows.
-std::vector<simd::Isa> test_isas() {
-  std::vector<simd::Isa> isas{simd::Isa::Scalar};
-  for (simd::Isa isa :
-       {simd::Isa::Avx2, simd::Isa::Avx512, simd::Isa::Neon})
-    if (simd::isa_usable(isa)) isas.push_back(isa);
-  return isas;
-}
+using testutil::usable_isas;
 
-/// The vector tiers from test_isas() (everything but scalar).
+/// The vector tiers from usable_isas() (everything but scalar).
 std::vector<simd::Isa> vector_isas() {
-  std::vector<simd::Isa> isas = test_isas();
+  std::vector<simd::Isa> isas = usable_isas();
   isas.erase(isas.begin());
   return isas;
 }
@@ -89,7 +80,6 @@ TEST(SimdIsa, NamesAreStable) {
   EXPECT_STREQ(simd::isa_name(simd::Isa::Scalar), "scalar");
   EXPECT_STREQ(simd::isa_name(simd::Isa::Avx2), "avx2");
   EXPECT_STREQ(simd::isa_name(simd::Isa::Avx512), "avx512");
-  EXPECT_STREQ(simd::isa_name(simd::Isa::Neon), "neon");
 }
 
 TEST(SimdIsa, UsableImpliesCompiledAndSupported) {
@@ -98,8 +88,6 @@ TEST(SimdIsa, UsableImpliesCompiledAndSupported) {
             simd::avx2_compiled() && simd::avx2_supported());
   EXPECT_EQ(simd::isa_usable(simd::Isa::Avx512),
             simd::avx512_compiled() && simd::avx512_supported());
-  EXPECT_EQ(simd::isa_usable(simd::Isa::Neon),
-            simd::neon_compiled() && simd::neon_supported());
   // AVX-512 dispatch requires the AVX2-era OS state too, so a machine that
   // can run the avx512 tier can always also run avx2.
   if (simd::avx512_supported()) {
@@ -108,8 +96,7 @@ TEST(SimdIsa, UsableImpliesCompiledAndSupported) {
 }
 
 TEST(SimdIsa, ForcingUnusableTierThrows) {
-  for (simd::Isa isa :
-       {simd::Isa::Avx2, simd::Isa::Avx512, simd::Isa::Neon}) {
+  for (simd::Isa isa : {simd::Isa::Avx2, simd::Isa::Avx512}) {
     if (simd::isa_usable(isa)) continue;
     EXPECT_THROW(simd::ScopedIsaForTests scope(isa), CheckError)
         << simd::isa_name(isa);
@@ -122,7 +109,7 @@ TEST(SimdIsa, ForcingUnusableTierThrows) {
 
 TEST(SimdKernels, DotMatchesNaiveWithinBound) {
   Rng rng(11);
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     for (std::int64_t n : {0, 1, 7, 8, 9, 64, 131}) {
       std::vector<float> a = random_vec(n, rng), b = random_vec(n, rng);
@@ -144,7 +131,7 @@ TEST(SimdKernels, DotMatchesNaiveWithinBound) {
 TEST(SimdKernels, DotIsDeterministicPerIsa) {
   Rng rng(12);
   std::vector<float> a = random_vec(1001, rng), b = random_vec(1001, rng);
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     const float first = simd::dot(a.data(), b.data(), 1001);
     for (int rep = 0; rep < 5; ++rep)
@@ -216,7 +203,7 @@ TEST(SimdKernels, GemmMatchesNaiveReference) {
   Rng rng(13);
   const std::vector<GemmCase> cases = gemm_cases(rng);
   const double eps = std::numeric_limits<float>::epsilon();
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     for (const GemmCase& g : cases) {
       const std::vector<float> c = g.run();
@@ -294,7 +281,7 @@ TEST(SimdKernels, QuantizeAffineMatchesScalarFormula) {
   const std::int64_t n = 37;
   std::vector<float> x = random_vec(n, rng, -0.5, 1.5);
   const float scale = 0.9f, qmax = 63.0f;
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     std::vector<std::int16_t> out(static_cast<std::size_t>(n));
     simd::quantize_to_i16(out.data(), x.data(), n, scale, qmax);
@@ -312,7 +299,7 @@ TEST(SimdKernels, QuantizeAffineRoundsTiesAwayFromZero) {
   // so half-integer inputs hit the rounding tie exactly. std::round ties
   // away from zero; the AVX2 floor+frac>=0.5 emulation must agree.
   std::vector<float> x{0.5f, 1.5f, 2.5f, 3.5f, 4.5f, 5.5f, 6.5f, 7.5f, 8.0f};
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     std::vector<std::int16_t> out(x.size());
     simd::quantize_to_i16(out.data(), x.data(),
@@ -328,7 +315,7 @@ TEST(SimdKernels, AdcShiftAddMatchesUnfusedFormula) {
   std::vector<float> cur = random_vec(n, rng, -0.2, 1.4);
   std::vector<float> base = random_vec(n, rng, 0.0, 0.3);
   const float fs = 1.1f, steps = 255.0f, shift = -3.5f;
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     std::vector<float> acc(static_cast<std::size_t>(n), 0.25f);
     simd::adc_shift_add(acc.data(), cur.data(), base.data(), 1, n, fs, steps,
@@ -349,7 +336,7 @@ TEST(SimdKernels, MlpTanhUnitWeightsMatchTanhFastExactly) {
   for (float t = -6.0f; t <= 6.0f; t += 0.037f) x.push_back(t);
   const auto n = static_cast<std::int64_t>(x.size());
   const float one = 1.0f, zero = 0.0f;
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     std::vector<float> y(x.size());
     simd::mlp_tanh(y.data(), x.data(), n, 1, 1, &one, &zero, &one, 0.0f);
@@ -362,7 +349,7 @@ TEST(SimdKernels, MlpTanhUnitWeightsMatchTanhFastExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar vs vector-tier parity (avx2 / avx512 / neon, whichever run here)
+// Scalar vs vector-tier parity (avx2 / avx512, whichever run here)
 // ---------------------------------------------------------------------------
 
 /// [exact]-contract kernels must produce bit-identical outputs on every
@@ -847,7 +834,7 @@ TEST(SimdParity, MlpTanhVectorTiersIdenticalScalarWithinBound) {
   }
   // Batch-position invariance on every tier: a sample's prediction alone
   // equals its prediction inside the 77-wide block.
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     const std::vector<float> block = run(isa);
     simd::ScopedIsaForTests scope(isa);
     for (std::int64_t k = 0; k < n; ++k) {
@@ -1168,7 +1155,7 @@ TEST(SimdGolden, EveryKernelMatchesRecordedBitsPerTier) {
        {0xc98534d6b1b201fcull, 0xc98534d6b1b201fcull,
         0xc98534d6b1b201fcull}},
   };
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     const auto digests = kernel_digests(isa);
     ASSERT_EQ(digests.size(), std::size(kRecorded));
     for (std::size_t i = 0; i < digests.size(); ++i) {
@@ -1192,7 +1179,7 @@ TEST(SimdIntKernels, QuantizeIntTwinsMatchQuantizeAffineBitExact) {
   std::vector<float> x = random_vec(n, rng, -0.4, 1.9);
   x[0] = 0.0f;
   x[1] = 1.5f;  // ref scale 1.5/qmax hits exact ties for power-of-2 qmax
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     for (const float qmax : {127.0f, 63.0f, 32767.0f, 8.0f}) {
       const float scale = 1.5f;
@@ -1225,7 +1212,7 @@ TEST(SimdIntKernels, GemmI8I32accMatchesFloatGemmExactly) {
   simd::gemm_at_accum(cf.data(), af.data(), bf.data(), m, n, k, m, n, n);
 
   std::vector<std::int32_t> ref;
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 0);
     simd::gemm_at_i8_i32acc(c.data(), a.data(), b.data(), m, n, k, m, n, n);
@@ -1247,7 +1234,7 @@ TEST(SimdIntKernels, AdcShiftAddI32MatchesComposedFloatOps) {
     d = static_cast<std::int32_t>(rng.uniform(0.0, 16383.99));
   std::vector<float> base = random_vec(n, rng, 0.0, 0.3);
   const float dot_unit = 3.1e-5f, fs = 1.1f, steps = 1023.0f, shift = 2.5f;
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     std::vector<float> acc(static_cast<std::size_t>(n), 0.125f);
     simd::adc_shift_add_i32(acc.data(), dot.data(), base.data(), n, dot_unit,
@@ -1323,7 +1310,7 @@ void expect_multi_matches_looped(const xbar::MvmModel& model,
   Tensor g = random_conductances(cfg, rng);
   std::unique_ptr<xbar::ProgrammedXbar> xb = model.program(g);
   Tensor vb = random_voltage_block(cfg, block, rng);
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     Tensor multi = xb->mvm_multi(vb);
     ASSERT_EQ(multi.dim(0), cfg.cols);
@@ -1439,7 +1426,7 @@ TEST(TiledMatmul, DeterministicAcrossThreadCountsAndIsas) {
       ref = tiled_reference_run(model, w, x);
     }
     ASSERT_GT(ref.abs_max(), 0.0f);
-    for (simd::Isa isa : test_isas()) {
+    for (simd::Isa isa : usable_isas()) {
       simd::ScopedIsaForTests scope(isa);
       for (std::size_t threads : {1u, 2u, 5u}) {
         ThreadPool pool(threads);
@@ -1538,7 +1525,7 @@ TEST(IntPath, IntRoutesDeterministicAcrossIsasAndThreads) {
       ThreadPool::ScopedUse use(serial);
       ref = tiled.matmul(x, 0.0f);
     }
-    for (simd::Isa isa : test_isas()) {
+    for (simd::Isa isa : usable_isas()) {
       simd::ScopedIsaForTests scope(isa);
       for (std::size_t threads : {1u, 3u}) {
         ThreadPool pool(threads);
@@ -1578,7 +1565,7 @@ TEST(IntPath, FaultWrappedIdealNeverTakesDigitalRoute) {
   const Tensor ref =
       testutil::reference_tiled_matmul(w, model, puma::HwConfig{}, x);
   ASSERT_GT(ref.abs_max(), 0.0f);
-  for (simd::Isa isa : test_isas()) {
+  for (simd::Isa isa : usable_isas()) {
     simd::ScopedIsaForTests scope(isa);
     const std::uint64_t before = digital_mms.value();
     Tensor out = tiled.matmul(x, 0.0f);

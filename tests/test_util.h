@@ -1,6 +1,7 @@
-// Shared helpers for tests that need a quickly-learnable toy task.
+// Shared test helpers: the kernel tiers to exercise on this machine, and a
+// quickly-learnable toy task.
 //
-// The task must be separable by *spatial pattern*, not global brightness:
+// The toy task must be separable by *spatial pattern*, not global brightness:
 // per-example BatchNorm statistics remove each image's mean, so a
 // mean-brightness task is unlearnable by construction. Class 0 is a
 // horizontal ramp, class 1 a vertical ramp.
@@ -9,9 +10,19 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/simd.h"
 #include "nn/trainer.h"
 
 namespace nvm::testutil {
+
+/// Kernel tiers to exercise here: scalar always, plus every vector tier
+/// that is compiled in and usable on this CPU and OS.
+inline std::vector<simd::Isa> usable_isas() {
+  std::vector<simd::Isa> isas{simd::Isa::Scalar};
+  for (simd::Isa isa : {simd::Isa::Avx2, simd::Isa::Avx512})
+    if (simd::isa_usable(isa)) isas.push_back(isa);
+  return isas;
+}
 
 inline void make_orientation_toy(std::vector<Tensor>& images,
                                  std::vector<std::int64_t>& labels, int n,

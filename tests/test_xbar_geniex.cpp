@@ -19,6 +19,7 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 #include "xbar/fast_noise.h"
 #include "xbar/geniex.h"
 #include "xbar/nf.h"
@@ -405,13 +406,7 @@ Tensor oracle_eval(const CrossbarConfig& cfg, const MlpWeights& m,
   return out;
 }
 
-std::vector<simd::Isa> usable_isas() {
-  std::vector<simd::Isa> isas;
-  for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512,
-                        simd::Isa::Neon})
-    if (simd::isa_usable(isa)) isas.push_back(isa);
-  return isas;
-}
+using testutil::usable_isas;
 
 TEST(GeniexOracle, MvmMultiActiveBitIdenticalToScalarLoopOracle) {
   const CrossbarConfig cfg = xbar_64x64_100k();
