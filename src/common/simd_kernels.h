@@ -9,65 +9,29 @@
 // own metrics and ISA selection.
 #pragma once
 
-#include <cstdint>
-
-namespace nvm::simd {
-struct AdamStep;
-}
+#include "common/simd.h"
 
 namespace nvm::simd::detail {
 
-/// One implementation of every public kernel (see simd.h for contracts).
+/// One implementation of every public kernel; each member has the type of
+/// the public function it implements (see simd.h for the contracts).
 struct Kernels {
-  using Gemm = void (*)(float* c, const float* a, const float* b,
-                        std::int64_t m, std::int64_t n, std::int64_t k,
-                        std::int64_t lda, std::int64_t ldb, std::int64_t ldc);
-
-  float (*dot)(const float* a, const float* b, std::int64_t n);
-  Gemm gemm, gemm_at, gemm_bt, gemm_madd;
-  void (*mlp_tanh)(float* out, const float* x, std::int64_t n,
-                   std::int64_t in_dim, std::int64_t hidden, const float* w1,
-                   const float* b1, const float* w2, float b2);
-  void (*gemm_f64acc)(float* out, const float* a, const float* v,
-                      std::int64_t m, std::int64_t n, std::int64_t k,
-                      std::int64_t lda, std::int64_t ldv, std::int64_t ldo);
-  void (*adc_shift_add)(float* acc, const float* cur, const float* baseline,
-                        std::int64_t rows, std::int64_t n, float full_scale,
-                        float steps, float shift);
-  void (*geniex_inputs)(float* vv, float* vr, float* sums, const float* v,
-                        const float* growsum, std::int64_t rows,
-                        std::int64_t n, float nv, float nv2, float nr);
-  void (*geniex_features)(float* ft, const float* iid, const float* sums,
-                          const float* colf, std::int64_t cols,
-                          std::int64_t n, float i_scale, float d_e, float d_p,
-                          float d_w, float garr);
-  std::int64_t (*geniex_epilogue)(float* out, std::int8_t* flags,
-                                  const float* iid, const float* rel,
-                                  std::int64_t cols, std::int64_t n,
-                                  float floor, float full_scale, bool guard,
-                                  float rel_min, float rel_max);
-  void (*tanh_fast_block)(float* y, const float* x, std::int64_t n);
-  void (*gemv_madd)(float* y, const float* a, const float* x, std::int64_t m,
-                    std::int64_t k, std::int64_t lda);
-  void (*tanh_backprop)(float* a, const float* err, const float* w2,
-                        std::int64_t m, std::int64_t h);
-  void (*adam_step)(float* p, float* m, float* v, const float* g,
-                    std::int64_t n, const AdamStep& c);
-  void (*quantize_to_i16)(std::int16_t* out, const float* x, std::int64_t n,
-                          float scale, float qmax);
-  void (*gemm_at_i8_i32acc)(std::int32_t* c, const std::int8_t* a,
-                            const std::int8_t* b, std::int64_t m,
-                            std::int64_t n, std::int64_t k, std::int64_t lda,
-                            std::int64_t ldb, std::int64_t ldc);
-  void (*adc_shift_add_i32)(float* acc, const std::int32_t* dot,
-                            const float* baseline, std::int64_t n,
-                            float dot_unit, float full_scale, float steps,
-                            float shift);
-  bool (*dac_streams_i16)(std::int8_t* chunk, std::int8_t* row_max,
-                          std::int32_t* colsum, const std::int16_t* src,
-                          std::int64_t rows_used, std::int64_t rows,
-                          std::int64_t n, std::int64_t streams,
-                          std::int64_t stream_bits);
+  decltype(&simd::dot) dot;
+  decltype(&simd::gemm_accum) gemm, gemm_at, gemm_bt, gemm_madd;
+  decltype(&simd::mlp_tanh) mlp_tanh;
+  decltype(&simd::gemm_f64acc) gemm_f64acc;
+  decltype(&simd::adc_shift_add) adc_shift_add;
+  decltype(&simd::geniex_inputs) geniex_inputs;
+  decltype(&simd::geniex_features) geniex_features;
+  decltype(&simd::geniex_epilogue) geniex_epilogue;
+  decltype(&simd::tanh_fast_block) tanh_fast_block;
+  decltype(&simd::gemv_madd) gemv_madd;
+  decltype(&simd::tanh_backprop) tanh_backprop;
+  decltype(&simd::adam_step) adam_step;
+  decltype(&simd::quantize_to_i16) quantize_to_i16;
+  decltype(&simd::gemm_at_i8_i32acc) gemm_at_i8_i32acc;
+  decltype(&simd::adc_shift_add_i32) adc_shift_add_i32;
+  decltype(&simd::dac_streams_i16) dac_streams_i16;
 };
 
 /// The vector tiers' tables; null when the TU was built without its arch
