@@ -592,7 +592,7 @@ void gemm_accum(float* c, const float* a, const float* b, std::int64_t m,
                 std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  return tier().gemm(c, a, b, m, n, k, lda, ldb, ldc);
+  tier().gemm(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void gemm_at_accum(float* c, const float* a, const float* b, std::int64_t m,
@@ -600,7 +600,7 @@ void gemm_at_accum(float* c, const float* a, const float* b, std::int64_t m,
                    std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_at");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  return tier().gemm_at(c, a, b, m, n, k, lda, ldb, ldc);
+  tier().gemm_at(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
@@ -608,7 +608,7 @@ void gemm_bt_accum(float* c, const float* a, const float* b, std::int64_t m,
                    std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_bt");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  return tier().gemm_bt(c, a, b, m, n, k, lda, ldb, ldc);
+  tier().gemm_bt(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void gemm_madd(float* c, const float* a, const float* b, std::int64_t m,
@@ -616,7 +616,7 @@ void gemm_madd(float* c, const float* a, const float* b, std::int64_t m,
                std::int64_t ldb, std::int64_t ldc) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_madd");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  return tier().gemm_madd(c, a, b, m, n, k, lda, ldb, ldc);
+  tier().gemm_madd(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void mlp_tanh(float* out, const float* x, std::int64_t n, std::int64_t in_dim,
@@ -626,7 +626,7 @@ void mlp_tanh(float* out, const float* x, std::int64_t n, std::int64_t in_dim,
   // Per sample and hidden unit: 2*in_dim for the hidden FMA chain, ~12
   // for the rational tanh, 2 for the output FMA.
   tally(calls, u64(n) * u64(hidden) * (2 * u64(in_dim) + 14));
-  return tier().mlp_tanh(out, x, n, in_dim, hidden, w1, b1, w2, b2);
+  tier().mlp_tanh(out, x, n, in_dim, hidden, w1, b1, w2, b2);
 }
 
 void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
@@ -634,7 +634,7 @@ void gemm_f64acc(float* out, const float* a, const float* v, std::int64_t m,
                  std::int64_t ldv, std::int64_t ldo) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/gemm_f64acc");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  return tier().gemm_f64acc(out, a, v, m, n, k, lda, ldv, ldo);
+  tier().gemm_f64acc(out, a, v, m, n, k, lda, ldv, ldo);
 }
 
 void adc_shift_add(float* acc, const float* cur, const float* baseline,
@@ -642,8 +642,8 @@ void adc_shift_add(float* acc, const float* cur, const float* baseline,
                    float steps, float shift) {
   static metrics::Counter& c = metrics::counter("simd/kernel/adc_shift_add");
   tally(c, 8 * u64(rows) * u64(n));
-  return tier().adc_shift_add(acc, cur, baseline, rows, n, full_scale, steps,
-                              shift);
+  tier().adc_shift_add(acc, cur, baseline, rows, n, full_scale, steps,
+                       shift);
 }
 
 void geniex_inputs(float* vv, float* vr, float* sums, const float* v,
@@ -652,7 +652,7 @@ void geniex_inputs(float* vv, float* vr, float* sums, const float* v,
   static metrics::Counter& c = metrics::counter("simd/kernel/geniex_inputs");
   // Per element: two products and three sum adds; 3 scalings per vector.
   tally(c, 5 * u64(rows) * u64(n) + 3 * u64(n));
-  return tier().geniex_inputs(vv, vr, sums, v, growsum, rows, n, nv, nv2, nr);
+  tier().geniex_inputs(vv, vr, sums, v, growsum, rows, n, nv, nv2, nr);
 }
 
 void geniex_features(float* ft, const float* iid, const float* sums,
@@ -662,8 +662,8 @@ void geniex_features(float* ft, const float* iid, const float* sums,
   static metrics::Counter& c =
       metrics::counter("simd/kernel/geniex_features");
   tally(c, 4 * u64(cols) * u64(n));  // the four divided feature rows
-  return tier().geniex_features(ft, iid, sums, colf, cols, n, i_scale, d_e, d_p,
-                                d_w, garr);
+  tier().geniex_features(ft, iid, sums, colf, cols, n, i_scale, d_e, d_p,
+                         d_w, garr);
 }
 
 std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
@@ -681,7 +681,7 @@ std::int64_t geniex_epilogue(float* out, std::int8_t* flags,
 void tanh_fast_block(float* y, const float* x, std::int64_t n) {
   static metrics::Counter& c = metrics::counter("simd/kernel/tanh_fast_block");
   tally(c, 14 * u64(n));  // the rational tanh's multiplies, adds, divide
-  return tier().tanh_fast_block(y, x, n);
+  tier().tanh_fast_block(y, x, n);
 }
 
 void gemv_madd(float* y, const float* a, const float* x, std::int64_t m,
@@ -690,21 +690,21 @@ void gemv_madd(float* y, const float* a, const float* x, std::int64_t m,
             "gemv_madd lda=" << lda);
   static metrics::Counter& c = metrics::counter("simd/kernel/gemv_madd");
   tally(c, 2 * u64(m) * u64(k));
-  return tier().gemv_madd(y, a, x, m, k, lda);
+  tier().gemv_madd(y, a, x, m, k, lda);
 }
 
 void tanh_backprop(float* a, const float* err, const float* w2,
                    std::int64_t m, std::int64_t h) {
   static metrics::Counter& c = metrics::counter("simd/kernel/tanh_backprop");
   tally(c, 4 * u64(m) * u64(h));
-  return tier().tanh_backprop(a, err, w2, m, h);
+  tier().tanh_backprop(a, err, w2, m, h);
 }
 
 void adam_step(float* p, float* m, float* v, const float* g, std::int64_t n,
                const AdamStep& c) {
   static metrics::Counter& calls = metrics::counter("simd/kernel/adam_step");
   tally(calls, 14 * u64(n));
-  return tier().adam_step(p, m, v, g, n, c);
+  tier().adam_step(p, m, v, g, n, c);
 }
 
 void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,
@@ -712,7 +712,7 @@ void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,
   NVM_CHECK(qmax > 0.0f && qmax <= 32767.0f, "i16 qmax=" << qmax);
   static metrics::Counter& c = metrics::counter("simd/kernel/quantize_i16");
   tally(c, 4 * u64(n));
-  return tier().quantize_to_i16(out, x, n, scale, qmax);
+  tier().quantize_to_i16(out, x, n, scale, qmax);
 }
 
 void gemm_at_i8_i32acc(std::int32_t* c, const std::int8_t* a,
@@ -722,7 +722,7 @@ void gemm_at_i8_i32acc(std::int32_t* c, const std::int8_t* a,
   static metrics::Counter& calls =
       metrics::counter("simd/kernel/gemm_i32acc");
   tally(calls, 2 * u64(m) * u64(n) * u64(k));
-  return tier().gemm_at_i8_i32acc(c, a, b, m, n, k, lda, ldb, ldc);
+  tier().gemm_at_i8_i32acc(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void adc_shift_add_i32(float* acc, const std::int32_t* dot,
@@ -731,8 +731,8 @@ void adc_shift_add_i32(float* acc, const std::int32_t* dot,
   static metrics::Counter& c =
       metrics::counter("simd/kernel/adc_shift_add_i32");
   tally(c, 10 * u64(n));
-  return tier().adc_shift_add_i32(acc, dot, baseline, n, dot_unit, full_scale,
-                                  steps, shift);
+  tier().adc_shift_add_i32(acc, dot, baseline, n, dot_unit, full_scale,
+                           steps, shift);
 }
 
 bool dac_streams_i16(std::int8_t* chunk, std::int8_t* row_max,
