@@ -12,7 +12,7 @@
 #ifdef NVM_SIMD_AVX512_TU
 
 // GCC 12 reports -Wmaybe-uninitialized inside the AVX-512 intrinsics'
-// own bodies (their _mm512_undefined_* pass-through operands, GCC PR
+// own bodies (their _mm512_undefined_* pass-through operands, GCC bug
 // 105593) wherever they inline; silenced for this header only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
