@@ -1,5 +1,6 @@
 // Fleet-lifetime layer: chip manufacture, scheduler policy semantics,
-// SLA judging, and end-to-end simulator determinism at toy scale.
+// SLA judging, and end-to-end simulator determinism at toy scale; plus the
+// fault sweep on the same toy task.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +8,11 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "attack/attack_model.h"
+#include "core/evaluator.h"
+#include "core/fault_sweep.h"
 #include "fleet/simulator.h"
+#include "puma/hw_network.h"
 #include "nn/resnet.h"
 #include "nn/trainer.h"
 #include "test_util.h"
@@ -512,6 +517,88 @@ TEST(FleetSim, MaterializationIsAPureFunctionOfChipAndTime) {
   ASSERT_EQ(ma.cell.size(), mb.cell.size());
   for (std::size_t i = 0; i < ma.cell.size(); ++i)
     EXPECT_EQ(ma.cell[i], mb.cell[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Fault sweep (toy task, tiny crossbar)
+
+void expect_same_health(const HealthSnapshot& a, const HealthSnapshot& b) {
+  EXPECT_EQ(a.solver_nonconverged, b.solver_nonconverged);
+  EXPECT_EQ(a.nonfinite_outputs, b.nonfinite_outputs);
+  EXPECT_EQ(a.surrogate_fallbacks, b.surrogate_fallbacks);
+  EXPECT_EQ(a.cache_corrupt, b.cache_corrupt);
+}
+
+TEST(FaultSweep, RowsMatchFreshDeploymentsAtAnyThreadCount) {
+  core::PreparedTask& p = prepared();
+  const auto base = toy_base_model();
+  core::FaultSweepOptions opt;
+  opt.stuck_rates = {0.0, 0.05};
+  opt.n_eval = 8;
+  opt.run_pgd = true;
+  opt.pgd_iters = 3;
+  opt.run_square = true;
+  opt.square_queries = 20;
+
+  const auto sweep_at = [&](std::size_t threads) {
+    ThreadPool pool(threads);
+    ThreadPool::ScopedUse use(pool);
+    return core::run_fault_sweep(p, base, opt);
+  };
+  const core::FaultSweepResult serial = sweep_at(1);
+  const core::FaultSweepResult wide = sweep_at(3);
+
+  // The transfer sets, crafted serially against the digital network.
+  const auto images = p.eval_images(opt.n_eval);
+  const auto labels = p.eval_labels(opt.n_eval);
+  attack::NetworkAttackModel attacker(p.network);
+  attack::PgdOptions pgd;
+  pgd.epsilon = p.task.scaled_eps(opt.pgd_eps_255);
+  pgd.iters = opt.pgd_iters;
+  const std::vector<Tensor> adv_pgd =
+      core::craft_pgd(attacker, images, labels, pgd);
+  attack::SquareOptions sq;
+  sq.epsilon = p.task.scaled_eps(opt.pgd_eps_255);
+  sq.max_queries = opt.square_queries;
+  const std::vector<Tensor> adv_square =
+      core::craft_square(attacker, images, labels, sq);
+
+  const auto fn = core::plain_forward(p.network);
+  EXPECT_EQ(serial.digital_clean, core::accuracy(fn, images, labels));
+  EXPECT_EQ(serial.digital_pgd,
+            core::accuracy(fn, std::span<const Tensor>(adv_pgd), labels));
+  EXPECT_EQ(serial.digital_square,
+            core::accuracy(fn, std::span<const Tensor>(adv_square), labels));
+  const auto calib = p.calibration_images();
+  ASSERT_EQ(serial.rows.size(), 2u);
+  for (const core::FaultSweepRow& row : serial.rows) {
+    puma::HwDeployment dep(
+        p.network, std::make_shared<xbar::FaultModel>(base, row.fault),
+        std::span<const Tensor>(calib));
+    EXPECT_EQ(row.clean, core::accuracy(fn, images, labels));
+    EXPECT_EQ(row.pgd,
+              core::accuracy(fn, std::span<const Tensor>(adv_pgd), labels));
+    EXPECT_EQ(row.square, core::accuracy(
+                              fn, std::span<const Tensor>(adv_square), labels));
+  }
+
+  EXPECT_EQ(serial.digital_clean, wide.digital_clean);
+  EXPECT_EQ(serial.digital_pgd, wide.digital_pgd);
+  EXPECT_EQ(serial.digital_square, wide.digital_square);
+  ASSERT_EQ(serial.rows.size(), wide.rows.size());
+  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+    const core::FaultSweepRow& a = serial.rows[i];
+    const core::FaultSweepRow& b = wide.rows[i];
+    EXPECT_EQ(a.clean, b.clean);
+    EXPECT_EQ(a.pgd, b.pgd);
+    EXPECT_EQ(a.square, b.square);
+    EXPECT_EQ(a.stuck_on_cells, b.stuck_on_cells);
+    EXPECT_EQ(a.stuck_off_cells, b.stuck_off_cells);
+    EXPECT_EQ(a.dead_rows, b.dead_rows);
+    EXPECT_EQ(a.dead_cols, b.dead_cols);
+    expect_same_health(a.health, b.health);
+  }
+  expect_same_health(serial.total, wide.total);
 }
 
 }  // namespace
