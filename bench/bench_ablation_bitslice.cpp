@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   const std::int64_t n_eval = env_int("NVMROBUST_ABL_N", scaled(32, 500));
   auto images = prepared.eval_images(n_eval);
   auto labels = prepared.eval_labels(n_eval);
-  auto calib = prepared.calibration_images();
   auto model = xbar::make_geniex("64x64_100k");
 
   // One white-box adversarial set (paper eps 2/255), crafted against the
@@ -26,11 +25,6 @@ int main(int argc, char** argv) {
   pgd.epsilon = task.scaled_eps(2.0f);
   pgd.iters = 30;
   std::vector<Tensor> adv = core::craft_pgd(attacker, images, labels, pgd);
-
-  const float base_clean =
-      core::accuracy(core::plain_forward(prepared.network), images, labels);
-  const float base_adv = core::accuracy(core::plain_forward(prepared.network),
-                                        adv, labels);
 
   struct Config {
     std::string name;
@@ -78,12 +72,9 @@ int main(int argc, char** argv) {
     configs.push_back(c);
   }
 
-  core::TablePrinter table({"Mapping config", "Clean acc", "WB adv acc",
-                            "Clean delta", "Robustness gain"});
-  table.add_row({"digital baseline", core::fmt(base_clean),
-                 core::fmt(base_adv), "-", "-"});
+  // The digital baseline, then every configuration, on the same images.
+  std::vector<core::Target> targets{{}};
   for (const Config& config : configs) {
-    trace::Span sw("bench/stage");
     // 64-level single-slice config needs a device with enough levels.
     auto cfg_model = model;
     if (config.hw.slice_bits > 4) {
@@ -91,15 +82,26 @@ int main(int argc, char** argv) {
       cfg.levels = std::int64_t{1} << config.hw.slice_bits;
       cfg_model = std::make_shared<xbar::GeniexModel>(cfg, model->mlp());
     }
-    puma::HwDeployment dep(prepared.network, cfg_model, calib, config.hw);
-    const float clean =
-        core::accuracy(core::plain_forward(prepared.network), images, labels);
-    const float adv_acc = core::accuracy(
-        core::plain_forward(prepared.network), adv, labels);
-    table.add_row({config.name, core::fmt(clean), core::fmt(adv_acc),
+    targets.push_back({cfg_model, config.hw});
+  }
+  trace::Span sw("bench/stage");
+  const std::vector<core::ImageSet> sets{{images, labels}, {adv, labels}};
+  const std::vector<core::TargetEval> evals =
+      core::evaluate_targets(prepared, targets, sets);
+  bench::progress("mapping configs", sw.seconds());
+
+  const float base_clean = evals[0].accuracy(0);
+  const float base_adv = evals[0].accuracy(1);
+  core::TablePrinter table({"Mapping config", "Clean acc", "WB adv acc",
+                            "Clean delta", "Robustness gain"});
+  table.add_row({"digital baseline", core::fmt(base_clean),
+                 core::fmt(base_adv), "-", "-"});
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const float clean = evals[c + 1].accuracy(0);
+    const float adv_acc = evals[c + 1].accuracy(1);
+    table.add_row({configs[c].name, core::fmt(clean), core::fmt(adv_acc),
                    core::fmt(clean - base_clean),
                    core::fmt(adv_acc - base_adv)});
-    bench::progress(config.name, sw.seconds());
   }
   table.print(
       "Ablation: PUMA mapping knobs on 64x64_100k, SCIFAR10 (WB PGD, paper "

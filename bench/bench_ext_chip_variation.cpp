@@ -10,6 +10,7 @@
 #include "attack/noise.h"
 #include "attack/pgd.h"
 #include "bench_util.h"
+#include "puma/hw_network.h"
 #include "xbar/variation.h"
 
 int main(int argc, char** argv) {
@@ -47,39 +48,22 @@ int main(int argc, char** argv) {
   for (const Tensor& img : images)
     noise.push_back(attack::random_sign_noise(img, pgd.epsilon, noise_rng));
 
+  const std::vector<std::string> names = {
+      "digital baseline", "chip 0 (attacker's die)", "chip 1 (same design)",
+      "chip 2 (same design)", "no-variation reference"};
+  const std::vector<core::Target> targets = {
+      {}, {chip(0), {}}, {chip(1), {}}, {chip(2), {}}, {base, {}}};
+  const std::vector<core::ImageSet> sets = {
+      {images, labels}, {adv, labels}, {noise, labels}};
+  const std::vector<core::TargetEval> evals =
+      core::evaluate_targets(prepared, targets, sets);
+
   core::TablePrinter table({"Evaluation target", "clean", "HIL PGD (chip 0)",
                             "random noise"});
-  auto row = [&](const std::string& name,
-                 const std::shared_ptr<const xbar::MvmModel>& model) {
-    float clean, a, nz;
-    if (model == nullptr) {
-      clean = core::accuracy(core::plain_forward(prepared.network), images,
-                             labels);
-      a = core::accuracy(core::plain_forward(prepared.network),
-                         std::span<const Tensor>(adv.data(), adv.size()),
-                         labels);
-      nz = core::accuracy(core::plain_forward(prepared.network),
-                          std::span<const Tensor>(noise.data(), noise.size()),
-                          labels);
-    } else {
-      puma::HwDeployment dep(prepared.network, model, calib);
-      clean = core::accuracy(core::plain_forward(prepared.network), images,
-                             labels);
-      a = core::accuracy(core::plain_forward(prepared.network),
-                         std::span<const Tensor>(adv.data(), adv.size()),
-                         labels);
-      nz = core::accuracy(core::plain_forward(prepared.network),
-                          std::span<const Tensor>(noise.data(), noise.size()),
-                          labels);
-    }
-    table.add_row({name, core::fmt(clean), core::fmt(a), core::fmt(nz)});
-  };
-
-  row("digital baseline", nullptr);
-  row("chip 0 (attacker's die)", chip(0));
-  row("chip 1 (same design)", chip(1));
-  row("chip 2 (same design)", chip(2));
-  row("no-variation reference", base);
+  for (std::size_t t = 0; t < targets.size(); ++t)
+    table.add_row({names[t], core::fmt(evals[t].accuracy(0)),
+                   core::fmt(evals[t].accuracy(1)),
+                   core::fmt(evals[t].accuracy(2))});
 
   char title[128];
   std::snprintf(title, sizeof title,

@@ -41,28 +41,21 @@ int main(int argc, char** argv) {
     for (float eps : paper_eps) std::printf(", %.1f", eps);
     std::printf("\n");
 
-    auto eval_series = [&](const std::string& name,
-                           const std::function<float(std::span<const Tensor>)>& fn) {
-      std::vector<float> series;
-      for (const auto& adv : adv_sets)
-        series.push_back(fn({adv.data(), adv.size()}));
-      core::print_series(name, series);
-    };
-
-    eval_series("baseline", [&](std::span<const Tensor> adv) {
-      return core::accuracy(core::plain_forward(prepared.network), adv, labels);
-    });
-    for (auto& nm : models) {
-      eval_series(nm.name, [&](std::span<const Tensor> adv) {
-        return bench::hw_accuracy(prepared, nm.model, adv, labels);
-      });
-    }
-    eval_series("4bit_input", [&](std::span<const Tensor> adv) {
-      return bench::bw_defense_accuracy(prepared.network, adv, labels);
-    });
-    eval_series("sap", [&](std::span<const Tensor> adv) {
-      return bench::sap_defense_accuracy(prepared.network, adv, labels);
-    });
+    const std::vector<core::TargetEval> evals = core::evaluate_targets(
+        prepared, bench::paper_targets(models),
+        bench::image_sets(adv_sets, labels));
+    core::print_series("baseline", bench::accuracies(evals[0]));
+    for (std::size_t m = 0; m < models.size(); ++m)
+      core::print_series(models[m].name, bench::accuracies(evals[m + 1]));
+    core::print_series(
+        "4bit_input",
+        bench::defense_series(adv_sets, [&](std::span<const Tensor> adv) {
+          return bench::bw_defense_accuracy(prepared.network, adv, labels);
+        }));
+    core::print_series(
+        "sap", bench::defense_series(adv_sets, [&](std::span<const Tensor> adv) {
+          return bench::sap_defense_accuracy(prepared.network, adv, labels);
+        }));
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
   return 0;

@@ -35,11 +35,9 @@ int main(int argc, char** argv) {
 
     // Three non-adaptive adversarial sets: ensemble BB (eps 4), square
     // (eps 4), white-box (eps 1) — the attacks plotted in the figure.
-    struct AdvSet {
-      std::string name;
-      std::vector<Tensor> adv;
-    };
-    std::vector<AdvSet> sets;
+    const std::vector<std::string> set_names = {
+        "EnsembleBB eps4", "Square eps4", "WhiteBox eps2"};
+    std::vector<std::vector<Tensor>> sets;
 
     {
       attack::EnsembleBbOptions bb_opt;
@@ -56,16 +54,14 @@ int main(int argc, char** argv) {
       attack::PgdOptions opt;
       opt.epsilon = task.scaled_eps(4.0f);
       opt.iters = 30;
-      sets.push_back(
-          {"EnsembleBB eps4", core::craft_pgd(*ensemble, images, labels, opt)});
+      sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
     }
     {
       attack::NetworkAttackModel victim(prepared.network);
       attack::SquareOptions opt;
       opt.epsilon = task.scaled_eps(4.0f);
       opt.max_queries = env_int("NVMROBUST_SQ_QUERIES", scaled(100, 1000));
-      sets.push_back(
-          {"Square eps4", core::craft_square(victim, images, labels, opt)});
+      sets.push_back(core::craft_square(victim, images, labels, opt));
     }
     {
       attack::NetworkAttackModel attacker(prepared.network);
@@ -75,18 +71,16 @@ int main(int argc, char** argv) {
       // epsilon mapping).
       opt.epsilon = task.scaled_eps(2.0f);
       opt.iters = 30;
-      sets.push_back(
-          {"WhiteBox eps2", core::craft_pgd(attacker, images, labels, opt)});
+      sets.push_back(core::craft_pgd(attacker, images, labels, opt));
     }
 
-    for (const AdvSet& set : sets) {
-      std::span<const Tensor> adv(set.adv.data(), set.adv.size());
-      const float baseline =
-          core::accuracy(core::plain_forward(prepared.network), adv, labels);
+    const std::vector<core::TargetEval> evals = core::evaluate_targets(
+        prepared, bench::paper_targets(models), bench::image_sets(sets, labels));
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      const float baseline = evals[0].accuracy(s);
       for (std::size_t m = 0; m < models.size(); ++m) {
-        const float hw =
-            bench::hw_accuracy(prepared, models[m].model, adv, labels);
-        table.add_row({task.name, set.name, models[m].name,
+        const float hw = evals[m + 1].accuracy(s);
+        table.add_row({task.name, set_names[s], models[m].name,
                        core::fmt(static_cast<float>(nf_values[m])),
                        core::fmt(baseline), core::fmt(hw),
                        core::fmt(hw - baseline)});

@@ -8,6 +8,7 @@
 #include "attack/ensemble_bb.h"
 #include "attack/pgd.h"
 #include "bench_util.h"
+#include "puma/hw_network.h"
 
 int main(int argc, char** argv) {
   using namespace nvm;
@@ -39,19 +40,8 @@ int main(int argc, char** argv) {
     for (float eps : paper_eps) std::printf(", %.0f", eps);
     std::printf("\n");
 
-    // Baseline series: accuracy of the *digital* network under the
-    // non-adaptive interpretation is not meaningful here; the paper plots
-    // the target-hardware accuracy under each attacker's images, plus the
-    // digital baseline under the digital attack for reference. We report
-    // target-hardware clean accuracy as the reference line.
-    {
-      std::vector<float> clean_line;
-      const float target_clean =
-          bench::hw_accuracy(prepared, target_model, images, labels);
-      clean_line.assign(paper_eps.size(), target_clean);
-      core::print_series("target_clean(ref)", clean_line);
-    }
-
+    // Each attacker's sets, crafted before any is evaluated on the target.
+    std::vector<std::vector<Tensor>> adv_sets;
     for (auto& attacker_xbar : models) {
       // 1. Attacker queries the network deployed on THEIR crossbar model.
       trace::Span sw("bench/stage");
@@ -69,19 +59,35 @@ int main(int argc, char** argv) {
       }();
       auto ensemble = surrogates.attack_model();
 
-      // 2. Craft per epsilon; 3. evaluate on the target hardware.
-      std::vector<float> series;
+      // 2. Craft per epsilon.
       for (float eps : paper_eps) {
         attack::PgdOptions opt;
         opt.epsilon = task.scaled_eps(eps);
         opt.iters = 30;
-        std::vector<Tensor> adv =
-            core::craft_pgd(*ensemble, images, labels, opt);
-        series.push_back(bench::hw_accuracy(
-            prepared, target_model, {adv.data(), adv.size()}, labels));
+        adv_sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
       }
-      core::print_series("attacker_" + attacker_xbar.name, series);
       bench::progress("attacker " + attacker_xbar.name, sw.seconds());
+    }
+
+    // 3. Evaluate the clean images and every attacker's sets on the target
+    // hardware. Baseline series: accuracy of the *digital* network under
+    // the non-adaptive interpretation is not meaningful here; the paper
+    // plots the target-hardware accuracy under each attacker's images,
+    // plus the digital baseline under the digital attack for reference.
+    // We report target-hardware clean accuracy as the reference line.
+    std::vector<core::ImageSet> sets{{images, labels}};
+    for (const core::ImageSet& set : bench::image_sets(adv_sets, labels))
+      sets.push_back(set);
+    const core::TargetEval on_target = core::evaluate_targets(
+        prepared, std::vector<core::Target>{{target_model, {}}}, sets)[0];
+    core::print_series("target_clean(ref)",
+                       std::vector<float>(paper_eps.size(),
+                                          on_target.accuracy(0)));
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      std::vector<float> series;
+      for (std::size_t e = 0; e < paper_eps.size(); ++e)
+        series.push_back(on_target.accuracy(1 + m * paper_eps.size() + e));
+      core::print_series("attacker_" + models[m].name, series);
     }
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }

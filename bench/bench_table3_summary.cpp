@@ -16,33 +16,33 @@ namespace {
 
 using namespace nvm;
 
-/// Evaluates one adversarial (or clean) image set across all columns.
-std::vector<std::string> eval_row(
-    const std::string& row_name, core::PreparedTask& prepared,
-    std::vector<bench::NamedModel>& models, std::span<const Tensor> images,
-    std::span<const std::int64_t> labels, bool imagenet_defenses) {
-  std::vector<std::string> cells{row_name};
-  const float baseline =
-      core::accuracy(core::plain_forward(prepared.network), images, labels);
-  cells.push_back(core::fmt(baseline));
-  for (auto& nm : models)
-    cells.push_back(core::with_delta(
-        bench::hw_accuracy(prepared, nm.model, images, labels), baseline));
+/// One row: the paired accuracies of image set `s` on the baseline and the
+/// crossbar columns, then the defense columns.
+std::vector<std::string> eval_row(const std::string& row_name,
+                                  core::PreparedTask& prepared,
+                                  std::span<const core::TargetEval> evals,
+                                  std::size_t s, const core::ImageSet& set,
+                                  bool imagenet_defenses) {
+  std::vector<std::string> cells = bench::paired_cells(row_name, evals, s);
+  const float baseline = evals[0].accuracy(s);
   cells.push_back(core::with_delta(
-      bench::bw_defense_accuracy(prepared.network, images, labels), baseline));
+      bench::bw_defense_accuracy(prepared.network, set.images, set.labels),
+      baseline));
   if (imagenet_defenses) {
     cells.push_back(core::with_delta(
-        bench::randpad_defense_accuracy(prepared.network, images, labels),
+        bench::randpad_defense_accuracy(prepared.network, set.images,
+                                        set.labels),
         baseline));
   } else {
     cells.push_back(core::with_delta(
-        bench::sap_defense_accuracy(prepared.network, images, labels),
+        bench::sap_defense_accuracy(prepared.network, set.images, set.labels),
         baseline));
   }
   return cells;
 }
 
-void run_task(const core::Task& task, std::vector<bench::NamedModel>& models) {
+void run_task(const core::Task& task,
+              const std::vector<bench::NamedModel>& models) {
   trace::Span total("bench/total");
   core::PreparedTask prepared = core::prepare(task);
   const bool imagenet = task.name == "SIMAGENET";
@@ -56,10 +56,8 @@ void run_task(const core::Task& task, std::vector<bench::NamedModel>& models) {
        "4-bit input", imagenet ? "Random Pad" : "SAP"});
 
   // Clean row (uses the larger test set for a stable clean number).
-  auto clean_imgs = prepared.eval_images(scaled(128, 1000));
-  auto clean_lbls = prepared.eval_labels(scaled(128, 1000));
-  table.add_row(eval_row("Clean", prepared, models, clean_imgs, clean_lbls,
-                         imagenet));
+  std::vector<std::string> row_names{"Clean"};
+  std::vector<std::vector<Tensor>> adv_sets;
 
   // Ensemble black-box PGD at paper eps 4/255 (CIFAR tasks only, as in
   // the paper's Table III).
@@ -78,10 +76,9 @@ void run_task(const core::Task& task, std::vector<bench::NamedModel>& models) {
     attack::PgdOptions opt;
     opt.epsilon = task.scaled_eps(4.0f);
     opt.iters = 30;
-    std::vector<Tensor> adv = core::craft_pgd(*ensemble, images, labels, opt);
+    adv_sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
     bench::progress("ensemble BB crafting", sw.seconds());
-    table.add_row(eval_row("Ensemble BB PGD " + bench::eps_label(task, 4),
-                           prepared, models, adv, labels, imagenet));
+    row_names.push_back("Ensemble BB PGD " + bench::eps_label(task, 4));
   }
 
   // Square attack (black box) at paper eps 4/255, querying the digital
@@ -93,13 +90,13 @@ void run_task(const core::Task& task, std::vector<bench::NamedModel>& models) {
     opt.epsilon = task.scaled_eps(4.0f);
     opt.max_queries = env_int("NVMROBUST_SQ_QUERIES",
                               scaled(imagenet ? 60 : 100, 1000));
-    std::vector<Tensor> adv = core::craft_square(victim, images, labels, opt);
+    adv_sets.push_back(core::craft_square(victim, images, labels, opt));
     bench::progress("square crafting", sw.seconds());
     char name[96];
     std::snprintf(name, sizeof name, "Square BB %s q=%lld",
                   bench::eps_label(task, 4).c_str(),
                   static_cast<long long>(opt.max_queries));
-    table.add_row(eval_row(name, prepared, models, adv, labels, imagenet));
+    row_names.push_back(name);
   }
 
   // White-box PGD at paper eps 1/255 and 2/255.
@@ -109,11 +106,21 @@ void run_task(const core::Task& task, std::vector<bench::NamedModel>& models) {
     attack::PgdOptions opt;
     opt.epsilon = task.scaled_eps(eps);
     opt.iters = 30;
-    std::vector<Tensor> adv = core::craft_pgd(attacker, images, labels, opt);
+    adv_sets.push_back(core::craft_pgd(attacker, images, labels, opt));
     bench::progress("white-box crafting", sw.seconds());
-    table.add_row(eval_row("White Box PGD " + bench::eps_label(task, eps),
-                           prepared, models, adv, labels, imagenet));
+    row_names.push_back("White Box PGD " + bench::eps_label(task, eps));
   }
+
+  std::vector<core::ImageSet> sets{
+      {prepared.eval_images(scaled(128, 1000)),
+       prepared.eval_labels(scaled(128, 1000))}};
+  for (const core::ImageSet& set : bench::image_sets(adv_sets, labels))
+    sets.push_back(set);
+  const std::vector<core::TargetEval> evals = core::evaluate_targets(
+      prepared, bench::paper_targets(models), sets);
+  for (std::size_t s = 0; s < sets.size(); ++s)
+    table.add_row(
+        eval_row(row_names[s], prepared, evals, s, sets[s], imagenet));
 
   char title[160];
   std::snprintf(title, sizeof title,

@@ -17,25 +17,25 @@
 #include "attack/pgd.h"
 #include "attack/square.h"
 #include "bench_util.h"
+#include "puma/hw_network.h"
 
 namespace {
 
 using namespace nvm;
 
-/// Row = evaluate one adversarial set on baseline + the 3 targets.
-std::vector<std::string> transfer_row(const std::string& name,
-                                      core::PreparedTask& prepared,
-                                      std::vector<bench::NamedModel>& models,
-                                      std::span<const Tensor> adv,
-                                      std::span<const std::int64_t> labels) {
-  std::vector<std::string> cells{name};
-  const float baseline =
-      core::accuracy(core::plain_forward(prepared.network), adv, labels);
-  cells.push_back(core::fmt(baseline));
-  for (auto& nm : models)
-    cells.push_back(core::with_delta(
-        bench::hw_accuracy(prepared, nm.model, adv, labels), baseline));
-  return cells;
+/// Rows = each adversarial set on the baseline + the 3 targets, as one
+/// paired evaluation.
+void add_transfer_rows(core::TablePrinter& table,
+                       const core::PreparedTask& prepared,
+                       const std::vector<bench::NamedModel>& models,
+                       const std::vector<std::string>& names,
+                       const std::vector<std::vector<Tensor>>& adv_sets,
+                       std::span<const std::int64_t> labels) {
+  const std::vector<core::TargetEval> evals = core::evaluate_targets(
+      prepared, bench::paper_targets(models),
+      bench::image_sets(adv_sets, labels));
+  for (std::size_t s = 0; s < adv_sets.size(); ++s)
+    table.add_row(bench::paired_cells(names[s], evals, s));
 }
 
 }  // namespace
@@ -61,6 +61,8 @@ int main(int argc, char** argv) {
     auto images = prepared.eval_images(n_eval);
     auto labels = prepared.eval_labels(n_eval);
     auto calib = prepared.calibration_images();
+    std::vector<std::string> names;
+    std::vector<std::vector<Tensor>> adv_sets;
 
     // --- Ensemble BB adaptive (CIFAR tasks, paper eps 4/255). ---
     if (!imagenet) {
@@ -85,11 +87,9 @@ int main(int argc, char** argv) {
       attack::PgdOptions opt;
       opt.epsilon = task.scaled_eps(4.0f);
       opt.iters = 30;
-      std::vector<Tensor> adv = core::craft_pgd(*ensemble, images, labels, opt);
-      table.add_row(transfer_row(
-          task.name + " Ensemble BB " + bench::eps_label(task, 4) +
-              " (64x64_100k)",
-          prepared, models, adv, labels));
+      adv_sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
+      names.push_back(task.name + " Ensemble BB " + bench::eps_label(task, 4) +
+                      " (64x64_100k)");
       bench::progress(task.name + " adaptive ensemble BB", sw.seconds());
     }
 
@@ -97,19 +97,16 @@ int main(int argc, char** argv) {
     //     30 queries (paper's crossbar-emulation budget). ---
     {
       trace::Span sw("bench/stage");
-      std::vector<Tensor> adv;
       {
         puma::HwDeployment dep(prepared.network, attacker_sq, calib);
         attack::NetworkAttackModel victim(prepared.network);
         attack::SquareOptions opt;
         opt.epsilon = task.scaled_eps(8.0f);
         opt.max_queries = 30;
-        adv = core::craft_square(victim, images, labels, opt);
+        adv_sets.push_back(core::craft_square(victim, images, labels, opt));
       }
-      table.add_row(transfer_row(
-          task.name + " Square BB " + bench::eps_label(task, 8) +
-              " q=30 (32x32_100k)",
-          prepared, models, adv, labels));
+      names.push_back(task.name + " Square BB " + bench::eps_label(task, 8) +
+                      " q=30 (32x32_100k)");
       bench::progress(task.name + " adaptive square", sw.seconds());
     }
 
@@ -119,21 +116,19 @@ int main(int argc, char** argv) {
     for (float eps : wb_eps) {
       if (imagenet && eps > 1.0f) continue;
       trace::Span sw("bench/stage");
-      std::vector<Tensor> adv;
       {
         puma::HwDeployment dep(prepared.network, attacker_bb, calib);
         attack::NetworkAttackModel attacker(prepared.network);
         attack::PgdOptions opt;
         opt.epsilon = task.scaled_eps(eps);
         opt.iters = 30;
-        adv = core::craft_pgd(attacker, images, labels, opt);
+        adv_sets.push_back(core::craft_pgd(attacker, images, labels, opt));
       }
-      table.add_row(transfer_row(
-          task.name + " WB HIL PGD " + bench::eps_label(task, eps) +
-              " (64x64_100k)",
-          prepared, models, adv, labels));
+      names.push_back(task.name + " WB HIL PGD " +
+                      bench::eps_label(task, eps) + " (64x64_100k)");
       bench::progress(task.name + " hardware-in-loop WB", sw.seconds());
     }
+    add_transfer_rows(table, prepared, models, names, adv_sets, labels);
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
 

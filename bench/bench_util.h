@@ -1,6 +1,6 @@
-// Shared plumbing for the experiment harnesses: crossbar model set,
-// hardware-accuracy evaluation, defended forwards, and attack crafting
-// with progress reporting.
+// Shared plumbing for the experiment harnesses: crossbar model set, the
+// targets and image sets handed to core::evaluate_targets, defended
+// forwards, and progress reporting.
 //
 // All harnesses run at reduced sample counts on one core; REPRO_FULL=1
 // raises them (common/env.h). Trained targets, GENIEx fits, and distilled
@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "core/report.h"
 #include "core/tasks.h"
 #include "defense/defenses.h"
-#include "puma/hw_network.h"
 #include "xbar/model_zoo.h"
 
 namespace nvm::bench {
@@ -38,15 +38,51 @@ inline std::vector<NamedModel> paper_models() {
   return out;
 }
 
-/// Accuracy of `net` deployed on `model` over an image set. Deployment is
-/// scoped: the network is restored afterwards.
-inline float hw_accuracy(core::PreparedTask& prepared,
-                         const std::shared_ptr<xbar::GeniexModel>& model,
-                         std::span<const Tensor> images,
-                         std::span<const std::int64_t> labels) {
-  auto calib = prepared.calibration_images();
-  puma::HwDeployment deployment(prepared.network, model, calib);
-  return core::accuracy(core::plain_forward(prepared.network), images, labels);
+/// The digital baseline, then each model on its default deployment: the
+/// targets of every non-adaptive table and figure.
+inline std::vector<core::Target> paper_targets(
+    const std::vector<NamedModel>& models) {
+  std::vector<core::Target> out{{}};
+  for (const NamedModel& nm : models) out.push_back({nm.model, {}});
+  return out;
+}
+
+/// Crafted image sets that share the labels of the images they came from.
+inline std::vector<core::ImageSet> image_sets(
+    const std::vector<std::vector<Tensor>>& sets,
+    std::span<const std::int64_t> labels) {
+  std::vector<core::ImageSet> out;
+  for (const std::vector<Tensor>& set : sets) out.push_back({set, labels});
+  return out;
+}
+
+/// One target's accuracy on each image set, in set order.
+inline std::vector<float> accuracies(const core::TargetEval& eval) {
+  std::vector<float> out;
+  for (std::size_t s = 0; s < eval.correct.size(); ++s)
+    out.push_back(eval.accuracy(s));
+  return out;
+}
+
+/// Table row for image set `s`: its name, the baseline (target 0)
+/// accuracy, then every other target's as "value (delta vs baseline)".
+inline std::vector<std::string> paired_cells(
+    const std::string& name, std::span<const core::TargetEval> evals,
+    std::size_t s) {
+  const float baseline = evals[0].accuracy(s);
+  std::vector<std::string> cells{name, core::fmt(baseline)};
+  for (std::size_t t = 1; t < evals.size(); ++t)
+    cells.push_back(core::with_delta(evals[t].accuracy(s), baseline));
+  return cells;
+}
+
+/// Accuracy behind a defense on each crafted set.
+inline std::vector<float> defense_series(
+    const std::vector<std::vector<Tensor>>& sets,
+    const std::function<float(std::span<const Tensor>)>& defended) {
+  std::vector<float> out;
+  for (const std::vector<Tensor>& set : sets) out.push_back(defended(set));
+  return out;
 }
 
 /// Accuracy behind the 4-bit input bit-width-reduction defense [35].

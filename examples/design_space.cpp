@@ -12,7 +12,6 @@
 #include "attack/pgd.h"
 #include "core/evaluator.h"
 #include "core/tasks.h"
-#include "puma/hw_network.h"
 #include "xbar/geniex.h"
 #include "xbar/nf.h"
 
@@ -22,7 +21,6 @@ int main() {
   const std::int64_t n = 48;
   auto images = prepared.eval_images(n);
   auto labels = prepared.eval_labels(n);
-  auto calib = prepared.calibration_images();
 
   // One shared white-box adversarial set (the attacker is unaware of any
   // of the candidate designs).
@@ -31,20 +29,14 @@ int main() {
   pgd.epsilon = prepared.task.scaled_eps(2.0f);
   pgd.iters = 30;
   std::vector<Tensor> adv = core::craft_pgd(attacker, images, labels, pgd);
-  const float base_clean =
-      core::accuracy(core::plain_forward(prepared.network), images, labels);
-  const float base_adv =
-      core::accuracy(core::plain_forward(prepared.network), adv, labels);
-
-  std::printf("digital baseline: clean %.2f%%, white-box adv %.2f%%\n\n",
-              base_clean, base_adv);
-  std::printf("%-18s %6s %10s %12s %12s\n", "design", "NF", "clean",
-              "adv (WB)", "adv gain");
 
   struct Design {
     std::int64_t size;
     double r_on;
   };
+  std::vector<std::string> names;
+  std::vector<double> nfs;
+  std::vector<core::Target> targets{{}};  // the digital baseline first
   for (const Design& d : {Design{32, 300e3}, Design{32, 100e3},
                           Design{48, 100e3}, Design{64, 100e3},
                           Design{64, 50e3}}) {
@@ -62,16 +54,24 @@ int main() {
         xbar::GeniexModel::load_or_train(cfg));
     xbar::NfOptions nf_opt;
     nf_opt.samples = 16;
-    const double nf = xbar::measure_nf(*model, nf_opt).nf;
+    names.push_back(name);
+    nfs.push_back(xbar::measure_nf(*model, nf_opt).nf);
+    targets.push_back({model, {}});
+  }
 
-    puma::HwDeployment dep(prepared.network, model, calib);
-    const float clean =
-        core::accuracy(core::plain_forward(prepared.network), images, labels);
-    const float adv_acc = core::accuracy(
-        core::plain_forward(prepared.network),
-        std::span<const Tensor>(adv.data(), adv.size()), labels);
-    std::printf("%-18s %6.3f %9.2f%% %11.2f%% %+11.2f%%\n", name, nf, clean,
-                adv_acc, adv_acc - base_adv);
+  const std::vector<core::ImageSet> sets = {{images, labels}, {adv, labels}};
+  const auto evals = core::evaluate_targets(prepared, targets, sets);
+  const float base_clean = evals[0].accuracy(0);
+  const float base_adv = evals[0].accuracy(1);
+  std::printf("digital baseline: clean %.2f%%, white-box adv %.2f%%\n\n",
+              base_clean, base_adv);
+  std::printf("%-18s %6s %10s %12s %12s\n", "design", "NF", "clean",
+              "adv (WB)", "adv gain");
+  for (std::size_t d = 0; d < names.size(); ++d) {
+    const float clean = evals[d + 1].accuracy(0);
+    const float adv_acc = evals[d + 1].accuracy(1);
+    std::printf("%-18s %6.3f %9.2f%% %11.2f%% %+11.2f%%\n", names[d].c_str(),
+                nfs[d], clean, adv_acc, adv_acc - base_adv);
   }
   std::printf(
       "\nPick the design where the robustness gain outweighs the clean-accuracy"

@@ -52,14 +52,16 @@ int main() {
   }
 
   // Evaluate everything on the real target deployment.
-  auto eval_on_target = [&](std::span<const Tensor> set) {
-    puma::HwDeployment dep(prepared.network, target, calib);
-    return core::accuracy(core::plain_forward(prepared.network), set, labels);
-  };
-  const float clean = eval_on_target(images);
-  const float acc_digital = eval_on_target(adv_digital);
-  const float acc_matched = eval_on_target(adv_matched);
-  const float acc_mismatched = eval_on_target(adv_mismatched);
+  const std::vector<core::ImageSet> sets = {{images, labels},
+                                            {adv_digital, labels},
+                                            {adv_matched, labels},
+                                            {adv_mismatched, labels}};
+  const core::TargetEval on_target = core::evaluate_targets(
+      prepared, std::vector<core::Target>{{target, {}}}, sets)[0];
+  const float clean = on_target.accuracy(0);
+  const float acc_digital = on_target.accuracy(1);
+  const float acc_matched = on_target.accuracy(2);
+  const float acc_mismatched = on_target.accuracy(3);
 
   std::printf("target deployment: %s; PGD eps=%.1f/255, iter=30\n",
               target_name.c_str(), pgd.epsilon * 255.0f);

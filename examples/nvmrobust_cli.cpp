@@ -60,7 +60,6 @@
 #include "core/tasks.h"
 #include "fleet/simulator.h"
 #include "nn/loss.h"
-#include "puma/hw_network.h"
 #include "puma/tiled_mvm.h"
 #include "serve/cluster.h"
 #include "serve/serve.h"
@@ -215,23 +214,22 @@ int cmd_eval(const Flags& flags) {
   auto labels = prepared.eval_labels(n);
   manifest.set_note("task", prepared.task.name);
   const std::string xbar_name = flag_or(flags, "xbar", std::string());
+  core::Target target;  // digital unless --xbar names a crossbar
+  if (!xbar_name.empty()) target.model = xbar::make_geniex(xbar_name);
+  const float acc =
+      core::evaluate_targets(prepared, std::vector<core::Target>{target},
+                             std::vector<core::ImageSet>{{images, labels}})[0]
+          .accuracy(0);
   if (xbar_name.empty()) {
-    const float acc =
-        core::accuracy(core::plain_forward(prepared.network), images, labels);
     std::printf("%s digital accuracy: %.2f%% (n=%lld)\n",
                 prepared.task.name.c_str(), acc,
                 static_cast<long long>(images.size()));
     manifest.add_result("digital_accuracy", acc);
   } else {
-    auto model = xbar::make_geniex(xbar_name);
-    auto calib = prepared.calibration_images();
-    puma::HwDeployment dep(prepared.network, model, calib);
-    const float acc =
-        core::accuracy(core::plain_forward(prepared.network), images, labels);
     std::printf("%s on %s: %.2f%% (n=%lld)\n", prepared.task.name.c_str(),
                 xbar_name.c_str(), acc,
                 static_cast<long long>(images.size()));
-    manifest.set_xbar(model->config());
+    manifest.set_xbar(target.model->config());
     manifest.add_result("hw_accuracy", acc);
   }
   return 0;
@@ -255,29 +253,24 @@ int cmd_attack(const Flags& flags) {
               opt.epsilon * 255.0f, static_cast<long long>(opt.iters),
               prepared.task.name.c_str(),
               static_cast<long long>(images.size()));
-  const float clean =
-      core::accuracy(core::plain_forward(prepared.network), images, labels);
-  const float adv_acc =
-      core::accuracy(core::plain_forward(prepared.network),
-                     std::span<const Tensor>(adv.data(), adv.size()), labels);
+  const std::string xbar_name = flag_or(flags, "xbar", std::string());
+  std::vector<core::Target> targets{{}};  // digital, then --xbar if named
+  if (!xbar_name.empty()) targets.push_back({xbar::make_geniex(xbar_name), {}});
+  const std::vector<core::ImageSet> sets = {{images, labels}, {adv, labels}};
+  const auto evals = core::evaluate_targets(prepared, targets, sets);
+  const float clean = evals[0].accuracy(0);
+  const float adv_acc = evals[0].accuracy(1);
   std::printf("  digital: clean %.2f%%, adversarial %.2f%%\n", clean, adv_acc);
   manifest.set_note("task", prepared.task.name);
   manifest.add_result("digital_clean_accuracy", clean);
   manifest.add_result("digital_adv_accuracy", adv_acc);
   manifest.add_result("pgd_eps_255", opt.epsilon * 255.0f);
-  const std::string xbar_name = flag_or(flags, "xbar", std::string());
   if (!xbar_name.empty()) {
-    auto model = xbar::make_geniex(xbar_name);
-    auto calib = prepared.calibration_images();
-    puma::HwDeployment dep(prepared.network, model, calib);
-    const float hw_clean =
-        core::accuracy(core::plain_forward(prepared.network), images, labels);
-    const float hw_adv =
-        core::accuracy(core::plain_forward(prepared.network),
-                       std::span<const Tensor>(adv.data(), adv.size()), labels);
+    const float hw_clean = evals[1].accuracy(0);
+    const float hw_adv = evals[1].accuracy(1);
     std::printf("  %s: clean %.2f%%, adversarial %.2f%%\n", xbar_name.c_str(),
                 hw_clean, hw_adv);
-    manifest.set_xbar(model->config());
+    manifest.set_xbar(targets[1].model->config());
     manifest.add_result("hw_clean_accuracy", hw_clean);
     manifest.add_result("hw_adv_accuracy", hw_adv);
   }

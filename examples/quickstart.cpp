@@ -14,7 +14,6 @@
 #include "attack/pgd.h"
 #include "core/evaluator.h"
 #include "core/tasks.h"
-#include "puma/hw_network.h"
 #include "xbar/model_zoo.h"
 
 int main() {
@@ -41,23 +40,18 @@ int main() {
   pgd.iters = 30;
   std::vector<Tensor> adv = core::craft_pgd(attacker, images, labels, pgd);
 
-  const float clean_digital =
-      core::accuracy(core::plain_forward(prepared.network), images, labels);
-  const float adv_digital = core::accuracy(
-      core::plain_forward(prepared.network), adv, labels);
-
-  // 3. Deploy onto the most non-ideal Table I crossbar (GENIEx surrogate
-  //    trained against the in-repo circuit solver; cached after first run).
-  //    The deployment restores the network when it goes out of scope.
+  // 3. Classify the clean and adversarial images on the digital network and
+  //    on the most non-ideal Table I crossbar (GENIEx surrogate trained
+  //    against the in-repo circuit solver; cached after first run). The
+  //    deployment runs on copies of the network.
   auto model = xbar::make_geniex("64x64_100k");
-  auto calib = prepared.calibration_images();
-  float clean_hw = 0.0f, adv_hw = 0.0f;
-  {
-    puma::HwDeployment deployment(prepared.network, model, calib);
-    clean_hw =
-        core::accuracy(core::plain_forward(prepared.network), images, labels);
-    adv_hw = core::accuracy(core::plain_forward(prepared.network), adv, labels);
-  }
+  const std::vector<core::Target> targets = {{}, {model, {}}};
+  const std::vector<core::ImageSet> sets = {{images, labels}, {adv, labels}};
+  const auto evals = core::evaluate_targets(prepared, targets, sets);
+  const float clean_digital = evals[0].accuracy(0);
+  const float adv_digital = evals[0].accuracy(1);
+  const float clean_hw = evals[1].accuracy(0);
+  const float adv_hw = evals[1].accuracy(1);
 
   // 4. Report the push-pull effect: non-idealities cost clean accuracy but
   //    blunt the transferred attack.

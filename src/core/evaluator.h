@@ -1,5 +1,6 @@
 // Accuracy evaluation over (possibly defended, possibly crossbar-deployed)
-// forward functions, and batch adversarial-set generation.
+// forward functions, batch adversarial-set generation, and the paired
+// target evaluation every experiment harness runs (evaluate_targets).
 //
 // Parallel execution model: a Network (and therefore a ForwardFn or
 // AttackModel wrapping one) caches layer state during forward/backward, so
@@ -14,12 +15,16 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "attack/pgd.h"
 #include "attack/square.h"
+#include "common/health.h"
+#include "core/tasks.h"
 #include "nn/network.h"
+#include "puma/tiled_mvm.h"
 
 namespace nvm::core {
 
@@ -68,5 +73,79 @@ std::vector<Tensor> craft_square(
     std::span<attack::AttackModel* const> attackers,
     std::span<const Tensor> images, std::span<const std::int64_t> labels,
     const attack::SquareOptions& opt);
+
+/// One evaluation target: the network deployed on `model` crossbars with
+/// `hw`, or the digital network itself when `model` is null.
+struct Target {
+  std::shared_ptr<const xbar::MvmModel> model;
+  puma::HwConfig hw;
+};
+
+/// One labelled image set (the clean test images or a crafted set).
+struct ImageSet {
+  std::span<const Tensor> images;
+  std::span<const std::int64_t> labels;
+};
+
+/// What one target made of every image set.
+struct TargetEval {
+  /// correct[s][i] is 1 when the target classified image i of set s as
+  /// its label.
+  std::vector<std::vector<std::uint8_t>> correct;
+  /// Failure-handling activity of this target's deployment (counted once)
+  /// and of its evaluation.
+  HealthSnapshot health;
+
+  /// Top-1 accuracy (%) on set `s`, from its bits.
+  float accuracy(std::size_t s) const;
+};
+
+/// Classifies every image set on every target: the paper's "same images on
+/// the digital baseline and on each crossbar" comparison. Targets run one
+/// after another (the health counters are process-wide). Within a target
+/// the images of all sets fan out over network replicas cloned from
+/// `prepared`, one per pool thread; each replica deploys the target once,
+/// calibrated on prepared.calibration_images(). Every bit is a pure
+/// function of (network, target, calibration, image), so the result is
+/// identical for any NVM_THREADS; `prepared.network` is never touched.
+std::vector<TargetEval> evaluate_targets(const PreparedTask& prepared,
+                                         std::span<const Target> targets,
+                                         std::span<const ImageSet> sets);
+
+/// The non-adaptive transfer attacks of the fault sweep and the fleet
+/// simulator: crafted once against the digital network, then replayed on
+/// every target. Each caller sets its own defaults.
+struct TransferOptions {
+  bool run_pgd = false;
+  float pgd_eps_255 = 2.0f;  ///< paper-units epsilon (scaled via the task)
+  std::int64_t pgd_iters = 20;
+  bool run_square = false;
+  std::int64_t square_queries = 300;
+};
+
+/// Clean accuracy and, when crafted, transfer accuracies (-1 = not run).
+struct TransferAccuracy {
+  float clean = -1.0f;
+  float pgd = -1.0f;
+  float square = -1.0f;
+};
+
+/// The clean evaluation images plus the adversarial sets crafted from them.
+struct TransferSets {
+  ImageSet clean;
+  std::vector<Tensor> pgd;     ///< empty unless TransferOptions::run_pgd
+  std::vector<Tensor> square;  ///< empty unless TransferOptions::run_square
+
+  /// clean, then pgd and square when crafted: the sets to evaluate.
+  std::vector<ImageSet> sets() const;
+  /// Reads one target's accuracies back in the order of sets().
+  TransferAccuracy accuracy(const TargetEval& eval) const;
+};
+
+/// Crafts the transfer sets from `clean` against the digital network with
+/// the attacks' default seeds, fanned over network replicas (one per pool
+/// thread); the sets equal serial craft_pgd / craft_square output.
+TransferSets craft_transfer_sets(const PreparedTask& prepared, ImageSet clean,
+                                 const TransferOptions& opt);
 
 }  // namespace nvm::core

@@ -5,25 +5,12 @@
 #include <sstream>
 #include <utility>
 
-#include "attack/attack_model.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
-#include "core/evaluator.h"
 #include "core/report.h"
-#include "puma/hw_network.h"
 
 namespace nvm::core {
 
 namespace {
-
-/// One evaluation replica: a network copy plus (while a grid point is
-/// active) its crossbar deployment.
-struct Replica {
-  explicit Replica(const PreparedTask& prepared)
-      : net(prepared.clone_network()) {}
-  nn::Network net;
-  std::unique_ptr<puma::HwDeployment> deployment;
-};
 
 std::string fmt_rate(double r) {
   std::ostringstream os;
@@ -45,52 +32,16 @@ FaultSweepResult run_fault_sweep(
   NVM_CHECK(opt.stuck_on_fraction >= 0.0 && opt.stuck_on_fraction <= 1.0,
             "stuck_on_fraction must lie in [0, 1]");
 
-  const std::size_t n_rep =
-      opt.replicas > 0 ? static_cast<std::size_t>(opt.replicas)
-                       : ThreadPool::current().size();
-  const auto images = prepared.eval_images(opt.n_eval);
-  const auto labels = prepared.eval_labels(opt.n_eval);
-  const std::vector<Tensor> calib = prepared.calibration_images();
-
-  std::vector<std::unique_ptr<Replica>> reps;
-  reps.reserve(n_rep);
-  for (std::size_t i = 0; i < n_rep; ++i)
-    reps.push_back(std::make_unique<Replica>(prepared));
-  std::vector<ForwardFn> fns;
-  fns.reserve(n_rep);
-  for (auto& rep : reps) fns.push_back(plain_forward(rep->net));
-
-  FaultSweepResult result;
-  result.digital_clean = accuracy(fns, images, labels);
-
   // Adversarial sets are crafted once against the digital network — the
   // paper's non-adaptive transfer setting — then replayed on every faulty
   // deployment.
-  std::vector<Tensor> adv_pgd, adv_square;
-  if (opt.run_pgd || opt.run_square) {
-    std::vector<attack::NetworkAttackModel> attackers;
-    attackers.reserve(n_rep);
-    for (auto& rep : reps) attackers.emplace_back(rep->net);
-    std::vector<attack::AttackModel*> ptrs;
-    ptrs.reserve(n_rep);
-    for (auto& a : attackers) ptrs.push_back(&a);
-    if (opt.run_pgd) {
-      attack::PgdOptions pgd;
-      pgd.epsilon = prepared.task.scaled_eps(opt.pgd_eps_255);
-      pgd.iters = opt.pgd_iters;
-      adv_pgd = craft_pgd(ptrs, images, labels, pgd);
-      result.digital_pgd = accuracy(fns, adv_pgd, labels);
-    }
-    if (opt.run_square) {
-      attack::SquareOptions sq;
-      sq.epsilon = prepared.task.scaled_eps(opt.pgd_eps_255);
-      sq.max_queries = opt.square_queries;
-      adv_square = craft_square(ptrs, images, labels, sq);
-      result.digital_square = accuracy(fns, adv_square, labels);
-    }
-  }
+  const TransferSets transfer = craft_transfer_sets(
+      prepared,
+      {prepared.eval_images(opt.n_eval), prepared.eval_labels(opt.n_eval)},
+      opt);
 
-  const HealthSnapshot sweep_start = health_snapshot();
+  FaultSweepResult result;
+  std::vector<Target> targets{{}};  // the digital network first
   for (double rate : opt.stuck_rates) {
     for (double t : opt.drift_times) {
       xbar::FaultOptions fo;
@@ -108,23 +59,28 @@ FaultSweepResult run_fault_sweep(
       row.stuck_off_cells = faulty->map().stuck_off_cells;
       row.dead_rows = faulty->map().dead_rows;
       row.dead_cols = faulty->map().dead_cols;
-
-      const HealthSnapshot before = health_snapshot();
-      for (auto& rep : reps)
-        rep->deployment = std::make_unique<puma::HwDeployment>(
-            rep->net, faulty, std::span<const Tensor>(calib));
-      row.clean = accuracy(fns, images, labels);
-      if (opt.run_pgd)
-        row.pgd = accuracy(fns, std::span<const Tensor>(adv_pgd), labels);
-      if (opt.run_square)
-        row.square =
-            accuracy(fns, std::span<const Tensor>(adv_square), labels);
-      for (auto& rep : reps) rep->deployment.reset();
-      row.health = health_snapshot().delta_since(before);
       result.rows.push_back(std::move(row));
+      targets.push_back({std::move(faulty), {}});
     }
   }
+
+  const HealthSnapshot sweep_start = health_snapshot();
+  const std::vector<TargetEval> evals =
+      evaluate_targets(prepared, targets, transfer.sets());
   result.total = health_snapshot().delta_since(sweep_start);
+
+  const TransferAccuracy digital = transfer.accuracy(evals[0]);
+  result.digital_clean = digital.clean;
+  result.digital_pgd = digital.pgd;
+  result.digital_square = digital.square;
+  for (std::size_t i = 0; i < result.rows.size(); ++i) {
+    FaultSweepRow& row = result.rows[i];
+    const TransferAccuracy acc = transfer.accuracy(evals[i + 1]);
+    row.clean = acc.clean;
+    row.pgd = acc.pgd;
+    row.square = acc.square;
+    row.health = evals[i + 1].health;
+  }
   return result;
 }
 

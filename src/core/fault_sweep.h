@@ -11,8 +11,9 @@
 // degradation path was exercised — a run is only trustworthy together
 // with its counters.
 //
-// Evaluation reuses the parallel replica machinery: one deployed network
-// replica per worker chunk, bit-identical results for any NVM_THREADS.
+// Evaluation is one evaluate_targets call (the digital network plus one
+// target per grid point), so results are bit-identical for any
+// NVM_THREADS.
 #pragma once
 
 #include <memory>
@@ -20,12 +21,16 @@
 #include <vector>
 
 #include "common/health.h"
+#include "core/evaluator.h"
 #include "core/tasks.h"
 #include "xbar/fault.h"
 
 namespace nvm::core {
 
-struct FaultSweepOptions {
+/// The transfer attacks come from the base; PGD runs by default.
+struct FaultSweepOptions : TransferOptions {
+  FaultSweepOptions() : TransferOptions{.run_pgd = true} {}
+
   /// Total stuck-cell rates to sweep; each splits into stuck-ON /
   /// stuck-OFF by `stuck_on_fraction`.
   std::vector<double> stuck_rates = {0.0, 0.01, 0.05};
@@ -38,13 +43,6 @@ struct FaultSweepOptions {
   std::uint64_t chip_seed = 1;
 
   std::int64_t n_eval = 32;
-  bool run_pgd = true;
-  float pgd_eps_255 = 2.0f;  ///< paper-units epsilon (scaled via the task)
-  std::int64_t pgd_iters = 20;
-  bool run_square = false;
-  std::int64_t square_queries = 300;
-  /// Deployed network replicas for parallel evaluation; 0 = pool size.
-  std::int64_t replicas = 0;
 };
 
 struct FaultSweepRow {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/evaluator.h"
 #include "puma/tiled_mvm.h"
 
 namespace nvm::fleet {
@@ -84,7 +85,9 @@ struct ChipInstance {
 };
 
 /// Fleet-level population + simulation parameters.
-struct FleetOptions {
+struct FleetOptions : core::TransferOptions {
+  FleetOptions() : TransferOptions{.pgd_eps_255 = 8.0f, .pgd_iters = 10} {}
+
   std::int64_t n_chips = 64;
   std::int64_t epochs = 6;
   /// Chips evaluated per epoch (the sampling estimator of fleet health);
@@ -109,16 +112,8 @@ struct FleetOptions {
   double write_sigma = 0.05;
   double process_sigma = 0.03;
 
-  // Evaluation settings (mirrors FaultSweepOptions).
+  // Evaluation settings (the transfer attacks come from the base).
   std::int64_t n_eval = 32;
-  bool run_pgd = false;
-  bool run_square = false;
-  float pgd_eps_255 = 8.0f;
-  int pgd_iters = 10;
-  int square_queries = 300;
-  /// Evaluation replicas; 0 = thread-pool size. Results are identical for
-  /// any value (replica-per-chunk fan-out).
-  std::int64_t replicas = 0;
   /// Deployment config for non-refit chips (factory calibration). Refit
   /// chips additionally get gain_trim (BN re-estimation is deliberately
   /// excluded — see FleetSimulator).

@@ -6,15 +6,11 @@
 #include <sstream>
 #include <utility>
 
-#include "attack/attack_model.h"
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/telemetry.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/evaluator.h"
 #include "puma/cost_model.h"
-#include "puma/hw_network.h"
 #include "xbar/variation.h"
 
 namespace nvm::fleet {
@@ -24,15 +20,6 @@ namespace {
 /// Stream tag for per-epoch sampling draws (chip manufacture has its own
 /// tag in fleet.cpp; the two never collide).
 constexpr std::uint64_t kEpochStream = 0x5A3F1EE7ULL;
-
-/// One evaluation replica: a network copy plus (while a chip is being
-/// measured) its crossbar deployment. Replica r serves worker chunk r.
-struct Replica {
-  explicit Replica(const core::PreparedTask& prepared)
-      : net(prepared.clone_network()) {}
-  nn::Network net;
-  std::unique_ptr<puma::HwDeployment> deployment;
-};
 
 metrics::Gauge& alive_gauge() {
   static metrics::Gauge& g = metrics::gauge("fleet/chips_alive");
@@ -136,55 +123,25 @@ FleetResult FleetSimulator::run(const SchedulerConfig& sched_cfg,
   for (std::int64_t id = 0; id < opt_.n_chips; ++id)
     chips.push_back(make_chip(opt_, id));
 
-  const std::size_t n_rep =
-      opt_.replicas > 0 ? static_cast<std::size_t>(opt_.replicas)
-                        : ThreadPool::current().size();
   const auto images = prepared_.eval_images(opt_.n_eval);
-  const auto labels = prepared_.eval_labels(opt_.n_eval);
-  const std::vector<Tensor> calib = prepared_.calibration_images();
   NVM_CHECK(!images.empty(), "no evaluation images");
-
-  std::vector<std::unique_ptr<Replica>> reps;
-  reps.reserve(n_rep);
-  for (std::size_t i = 0; i < n_rep; ++i)
-    reps.push_back(std::make_unique<Replica>(prepared_));
-  std::vector<core::ForwardFn> fns;
-  fns.reserve(n_rep);
-  for (auto& rep : reps) fns.push_back(core::plain_forward(rep->net));
 
   // The scheduler's price list: one full re-programming of this network's
   // tile set on this crossbar geometry.
   const puma::ReprogramCost unit = puma::estimate_reprogram_cost(
-      reps[0]->net, images[0], base_->config(), opt_.hw);
+      prepared_.network, images[0], base_->config(), opt_.hw);
   result.unit_reprogram_energy_nj = unit.write_energy_nj;
 
   // Digital baselines + transfer adversarial sets, crafted once.
-  result.digital_clean = core::accuracy(fns, images, labels);
-  std::vector<Tensor> adv_pgd, adv_square;
-  if (opt_.run_pgd || opt_.run_square) {
-    std::vector<attack::NetworkAttackModel> attackers;
-    attackers.reserve(n_rep);
-    for (auto& rep : reps) attackers.emplace_back(rep->net);
-    std::vector<attack::AttackModel*> ptrs;
-    ptrs.reserve(n_rep);
-    for (auto& a : attackers) ptrs.push_back(&a);
-    if (opt_.run_pgd) {
-      attack::PgdOptions pgd;
-      pgd.epsilon = prepared_.task.scaled_eps(opt_.pgd_eps_255);
-      pgd.iters = opt_.pgd_iters;
-      adv_pgd = core::craft_pgd(ptrs, images, labels, pgd);
-      result.digital_pgd = core::accuracy(
-          fns, std::span<const Tensor>(adv_pgd), labels);
-    }
-    if (opt_.run_square) {
-      attack::SquareOptions sq;
-      sq.epsilon = prepared_.task.scaled_eps(opt_.pgd_eps_255);
-      sq.max_queries = opt_.square_queries;
-      adv_square = core::craft_square(ptrs, images, labels, sq);
-      result.digital_square = core::accuracy(
-          fns, std::span<const Tensor>(adv_square), labels);
-    }
-  }
+  const core::TransferSets transfer = core::craft_transfer_sets(
+      prepared_, {images, prepared_.eval_labels(opt_.n_eval)}, opt_);
+  const std::vector<core::ImageSet> sets = transfer.sets();
+  const core::TransferAccuracy digital = transfer.accuracy(
+      core::evaluate_targets(prepared_, std::vector<core::Target>{{}}, sets)
+          .front());
+  result.digital_clean = digital.clean;
+  result.digital_pgd = digital.pgd;
+  result.digital_square = digital.square;
 
   RecalibrationScheduler scheduler(sched_cfg, unit.write_energy_nj);
   SlaMonitor sla(sla_cfg);
@@ -221,58 +178,45 @@ FleetResult FleetSimulator::run(const SchedulerConfig& sched_cfg,
     alive_gauge().set(static_cast<double>(summary.alive));
     retired_gauge().set(static_cast<double>(summary.retired));
 
-    // Measure a deterministic sample of the alive population. Chip i's
-    // evaluation is a pure function of (chip, fleet_time, eval set), so
-    // the chunk decomposition — which depends only on (n_sampled,
-    // n_rep) — cannot change results, only which replica serves them.
+    // Measure a deterministic sample of the alive population, each chip a
+    // target of one paired evaluation on the same image sets.
     const std::vector<std::int64_t> sampled =
         sample_alive(chips, opt_, epoch);
-    summary.chips.resize(sampled.size());
-    parallel_chunks(
-        static_cast<std::int64_t>(sampled.size()),
-        static_cast<std::int64_t>(n_rep),
-        [&](std::int64_t chunk, std::int64_t begin, std::int64_t end) {
-          Replica& rep = *reps[static_cast<std::size_t>(chunk)];
-          const core::ForwardFn fn = core::plain_forward(rep.net);
-          for (std::int64_t i = begin; i < end; ++i) {
-            const ChipInstance& chip =
-                chips[static_cast<std::size_t>(
-                    sampled[static_cast<std::size_t>(i)])];
-            const MaterializedChip m = materialize(chip, fleet_time_s);
-            puma::HwConfig hw = opt_.hw;
-            if (chip.refit) {
-              // The surrogate refit: a per-layer output gain least-squares
-              // fitted on the aged silicon. Power-law drift is close to a
-              // uniform conductance shrink, so this digital-side scalar
-              // recovers most of it (BN re-estimation is deliberately NOT
-              // part of the refit: re-estimated statistics from the small
-              // calibration set are noisy enough to hurt).
-              hw.gain_trim = true;
-            }
-            rep.deployment = std::make_unique<puma::HwDeployment>(
-                rep.net, m.model, std::span<const Tensor>(calib), hw);
-            ChipEval eval;
-            eval.chip_id = chip.id;
-            eval.age_s = chip.age_s(fleet_time_s);
-            eval.decay = chip.predicted_decay(fleet_time_s);
-            eval.refit = chip.refit;
-            const auto& map = m.faults->map();
-            const auto& cfg = base_->config();
-            eval.defect_fraction =
-                static_cast<double>(map.stuck_on_cells +
-                                    map.stuck_off_cells) /
-                static_cast<double>(cfg.rows * cfg.cols);
-            eval.clean = core::accuracy(fn, images, labels);
-            if (opt_.run_pgd)
-              eval.pgd = core::accuracy(
-                  fn, std::span<const Tensor>(adv_pgd), labels);
-            if (opt_.run_square)
-              eval.square = core::accuracy(
-                  fn, std::span<const Tensor>(adv_square), labels);
-            rep.deployment.reset();
-            summary.chips[static_cast<std::size_t>(i)] = std::move(eval);
-          }
-        });
+    std::vector<MaterializedChip> materialized;
+    std::vector<core::Target> targets;
+    for (const std::int64_t id : sampled) {
+      const ChipInstance& chip = chips[static_cast<std::size_t>(id)];
+      materialized.push_back(materialize(chip, fleet_time_s));
+      puma::HwConfig hw = opt_.hw;
+      // The surrogate refit: a per-layer output gain least-squares fitted
+      // on the aged silicon. Power-law drift is close to a uniform
+      // conductance shrink, so this digital-side scalar recovers most of
+      // it (BN re-estimation is deliberately NOT part of the refit:
+      // re-estimated statistics from the small calibration set are noisy
+      // enough to hurt).
+      if (chip.refit) hw.gain_trim = true;
+      targets.push_back({materialized.back().model, hw});
+    }
+    const std::vector<core::TargetEval> evals =
+        core::evaluate_targets(prepared_, targets, sets);
+    const auto& cfg = base_->config();
+    for (std::size_t i = 0; i < sampled.size(); ++i) {
+      const ChipInstance& chip = chips[static_cast<std::size_t>(sampled[i])];
+      const xbar::FaultMap& map = materialized[i].faults->map();
+      const core::TransferAccuracy acc = transfer.accuracy(evals[i]);
+      ChipEval eval;
+      eval.chip_id = chip.id;
+      eval.age_s = chip.age_s(fleet_time_s);
+      eval.decay = chip.predicted_decay(fleet_time_s);
+      eval.refit = chip.refit;
+      eval.defect_fraction =
+          static_cast<double>(map.stuck_on_cells + map.stuck_off_cells) /
+          static_cast<double>(cfg.rows * cfg.cols);
+      eval.clean = acc.clean;
+      eval.pgd = acc.pgd;
+      eval.square = acc.square;
+      summary.chips.push_back(eval);
+    }
     sampled_counter().add(sampled.size());
 
     double clean_sum = 0.0, pgd_sum = 0.0, square_sum = 0.0;

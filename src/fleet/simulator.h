@@ -3,19 +3,18 @@
 // Each epoch the simulator (1) advances the fleet clock by dt, (2) draws
 // a deterministic sample of alive chips, (3) lazily materializes each
 // sampled chip as a VariationModel(FaultModel(base)) stack at its current
-// drift age and measures clean / PGD / Square accuracy through the
-// existing evaluator (adversarial sets are crafted once against the
-// digital network — the paper's non-adaptive transfer setting), (4) lets
+// drift age and measures clean / PGD / Square accuracy with one
+// core::evaluate_targets call over the sampled chips (adversarial sets are
+// crafted once against the digital network — the paper's non-adaptive
+// transfer setting), (4) lets
 // the SlaMonitor judge the measurements, and (5) lets the
 // RecalibrationScheduler act on the *whole* population (O(1) handle
 // features, no materialization).
 //
 // Determinism: chip manufacture and epoch sampling derive from the fleet
-// seed via derive_seed; evaluation fans sampled chips across thread-pool
-// replica chunks whose decomposition depends only on (n_sampled,
-// replicas) — never the pool size — so the full FleetResult is
-// bit-identical under any NVM_THREADS and reproducible from the manifest
-// seed alone.
+// seed via derive_seed, and every accuracy bit is a pure function of
+// (chip, fleet time, image), so the full FleetResult is bit-identical
+// under any NVM_THREADS and reproducible from the manifest seed alone.
 #pragma once
 
 #include <memory>

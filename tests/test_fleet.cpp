@@ -1,6 +1,6 @@
 // Fleet-lifetime layer: chip manufacture, scheduler policy semantics,
 // SLA judging, and end-to-end simulator determinism at toy scale; plus the
-// fault sweep on the same toy task.
+// paired target evaluation and the fault sweep on the same toy task.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -400,22 +400,32 @@ void expect_same_result(const fleet::FleetResult& a,
                         const fleet::FleetResult& b) {
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   EXPECT_EQ(a.digital_clean, b.digital_clean);
+  EXPECT_EQ(a.digital_pgd, b.digital_pgd);
+  EXPECT_EQ(a.digital_square, b.digital_square);
   EXPECT_EQ(a.mean_clean, b.mean_clean);
+  EXPECT_EQ(a.mean_pgd, b.mean_pgd);
   EXPECT_EQ(a.score, b.score);
   for (std::size_t e = 0; e < a.epochs.size(); ++e) {
     EXPECT_EQ(a.epochs[e].mean_clean, b.epochs[e].mean_clean);
+    EXPECT_EQ(a.epochs[e].mean_square, b.epochs[e].mean_square);
     ASSERT_EQ(a.epochs[e].chips.size(), b.epochs[e].chips.size());
     for (std::size_t i = 0; i < a.epochs[e].chips.size(); ++i) {
       EXPECT_EQ(a.epochs[e].chips[i].chip_id, b.epochs[e].chips[i].chip_id);
       EXPECT_EQ(a.epochs[e].chips[i].clean, b.epochs[e].chips[i].clean);
+      EXPECT_EQ(a.epochs[e].chips[i].pgd, b.epochs[e].chips[i].pgd);
+      EXPECT_EQ(a.epochs[e].chips[i].square, b.epochs[e].chips[i].square);
       EXPECT_EQ(a.epochs[e].chips[i].defect_fraction,
                 b.epochs[e].chips[i].defect_fraction);
     }
   }
 }
 
-TEST(FleetSim, DeterministicAcrossThreadsAndReplicas) {
-  const FleetOptions opt = toy_fleet_options();
+TEST(FleetSim, DeterministicAcrossThreads) {
+  FleetOptions opt = toy_fleet_options();
+  opt.run_pgd = true;
+  opt.pgd_iters = 3;
+  opt.run_square = true;
+  opt.square_queries = 20;
 
   fleet::FleetResult serial_run = [&] {
     ThreadPool serial(1);
@@ -427,11 +437,9 @@ TEST(FleetSim, DeterministicAcrossThreadsAndReplicas) {
     ThreadPool::ScopedUse use(wide);
     return run_toy_fleet(opt, PolicyKind::Threshold);
   }();
+  EXPECT_GE(serial_run.digital_pgd, 0.0f);
+  EXPECT_GE(serial_run.digital_square, 0.0f);
   expect_same_result(serial_run, wide_run);
-
-  FleetOptions pinned = opt;
-  pinned.replicas = 2;
-  expect_same_result(serial_run, run_toy_fleet(pinned, PolicyKind::Threshold));
 }
 
 TEST(FleetSim, SeedChangesThePopulation) {
@@ -520,7 +528,7 @@ TEST(FleetSim, MaterializationIsAPureFunctionOfChipAndTime) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault sweep (toy task, tiny crossbar)
+// Paired target evaluation (toy task, tiny crossbar)
 
 void expect_same_health(const HealthSnapshot& a, const HealthSnapshot& b) {
   EXPECT_EQ(a.solver_nonconverged, b.solver_nonconverged);
@@ -528,6 +536,130 @@ void expect_same_health(const HealthSnapshot& a, const HealthSnapshot& b) {
   EXPECT_EQ(a.surrogate_fallbacks, b.surrogate_fallbacks);
   EXPECT_EQ(a.cache_corrupt, b.cache_corrupt);
 }
+
+/// The digital network, plain fast noise, a faulty die, and two deployment
+/// options that calibrate on the crossbar itself.
+std::vector<core::Target> toy_targets() {
+  const auto base = toy_base_model();
+  xbar::FaultOptions fo;
+  fo.stuck_on_rate = 0.1;
+  fo.stuck_off_rate = 0.1;
+  fo.chip_seed = 5;
+  puma::HwConfig trim, bn;
+  trim.gain_trim = true;
+  bn.bn_reestimate = true;
+  return {{},
+          {base, {}},
+          {std::make_shared<xbar::FaultModel>(base, fo), {}},
+          {base, trim},
+          {base, bn}};
+}
+
+/// PGD images crafted against the digital network: near the decision
+/// boundary, where the targets disagree.
+const std::vector<Tensor>& toy_adv() {
+  static const std::vector<Tensor> adv = [] {
+    core::PreparedTask& p = prepared();
+    attack::NetworkAttackModel attacker(p.network);
+    attack::PgdOptions pgd;
+    pgd.epsilon = 0.05f;
+    pgd.iters = 5;
+    return core::craft_pgd(attacker, p.eval_images(12), p.eval_labels(12),
+                           pgd);
+  }();
+  return adv;
+}
+
+/// Two overlapping sets of test images (so one image sits in both) and
+/// the adversarial set.
+std::vector<core::ImageSet> toy_sets(const core::PreparedTask& p) {
+  const std::span<const Tensor> x = p.dataset.test_images;
+  const std::span<const std::int64_t> y = p.dataset.test_labels;
+  return {{x.subspan(0, 8), y.subspan(0, 8)},
+          {x.subspan(4, 11), y.subspan(4, 11)},
+          {toy_adv(), y.subspan(0, 12)}};
+}
+
+std::vector<core::TargetEval> evaluate_toy_at(std::size_t threads) {
+  ThreadPool pool(threads);
+  ThreadPool::ScopedUse use(pool);
+  return core::evaluate_targets(prepared(), toy_targets(), toy_sets(prepared()));
+}
+
+TEST(EvaluateTargets, BitsMatchFreshDeploymentPerImageArgmax) {
+  core::PreparedTask& p = prepared();
+  const std::vector<core::Target> targets = toy_targets();
+  const std::vector<core::ImageSet> sets = toy_sets(p);
+  const std::vector<core::TargetEval> evals = evaluate_toy_at(3);
+  ASSERT_EQ(evals.size(), targets.size());
+
+  const auto calib = p.calibration_images();
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    std::unique_ptr<puma::HwDeployment> dep;
+    if (targets[t].model != nullptr)
+      dep = std::make_unique<puma::HwDeployment>(
+          p.network, targets[t].model, std::span<const Tensor>(calib),
+          targets[t].hw);
+    ASSERT_EQ(evals[t].correct.size(), sets.size());
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      ASSERT_EQ(evals[t].correct[s].size(), sets[s].images.size());
+      for (std::size_t i = 0; i < sets[s].images.size(); ++i) {
+        const bool hit =
+            p.network.forward(sets[s].images[i], nn::Mode::Eval).argmax() ==
+            sets[s].labels[i];
+        EXPECT_EQ(evals[t].correct[s][i], hit ? 1 : 0)
+            << "target " << t << " set " << s << " image " << i;
+      }
+      EXPECT_EQ(evals[t].accuracy(s),
+                core::accuracy(core::plain_forward(p.network), sets[s].images,
+                               sets[s].labels));
+    }
+  }
+}
+
+TEST(EvaluateTargets, IdenticalAtOneAndThreeThreads) {
+  const std::vector<core::TargetEval> serial = evaluate_toy_at(1);
+  const std::vector<core::TargetEval> wide = evaluate_toy_at(3);
+  ASSERT_EQ(serial.size(), wide.size());
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    EXPECT_EQ(serial[t].correct, wide[t].correct) << "target " << t;
+    expect_same_health(serial[t].health, wide[t].health);
+  }
+}
+
+TEST(EvaluateTargets, LeavesThePreparedNetworkUntouched) {
+  core::PreparedTask& p = prepared();
+  const Tensor& probe = p.dataset.test_images[3];
+  const Tensor before = p.network.forward(probe, nn::Mode::Eval);
+  (void)evaluate_toy_at(3);
+  const Tensor after = p.network.forward(probe, nn::Mode::Eval);
+  ASSERT_EQ(before.numel(), after.numel());
+  for (std::int64_t i = 0; i < before.numel(); ++i)
+    EXPECT_EQ(before.data()[static_cast<std::size_t>(i)],
+              after.data()[static_cast<std::size_t>(i)]);
+}
+
+TEST(EvaluateTargets, DeploysATargetOnceHoweverManySets) {
+  core::PreparedTask& p = prepared();
+  const std::vector<core::Target> one_target = {{toy_base_model(), {}}};
+  const std::vector<core::ImageSet> sets = toy_sets(p);
+  metrics::Counter& programmed =
+      metrics::counter("puma/tiled/tiles_programmed");
+  ThreadPool pool(3);
+  ThreadPool::ScopedUse use(pool);
+  const auto programmed_by = [&](std::span<const core::ImageSet> s) {
+    const std::uint64_t start = programmed.value();
+    (void)core::evaluate_targets(p, one_target, s);
+    return programmed.value() - start;
+  };
+  const std::uint64_t one_set = programmed_by({sets.data(), 1});
+  const std::vector<core::ImageSet> three = {sets[0], sets[1], sets[0]};
+  EXPECT_GT(one_set, 0u);
+  EXPECT_EQ(programmed_by(three), one_set);
+}
+
+// ---------------------------------------------------------------------------
+// Fault sweep (toy task, tiny crossbar)
 
 TEST(FaultSweep, RowsMatchFreshDeploymentsAtAnyThreadCount) {
   core::PreparedTask& p = prepared();
