@@ -21,10 +21,7 @@ int main(int argc, char** argv) {
   // One white-box adversarial set (paper eps 2/255), crafted against the
   // digital network, shared by every configuration.
   attack::NetworkAttackModel attacker(prepared.network);
-  attack::PgdOptions pgd;
-  pgd.epsilon = task.scaled_eps(2.0f);
-  pgd.iters = 30;
-  std::vector<Tensor> adv = core::craft_pgd(attacker, images, labels, pgd);
+  std::vector<Tensor> adv = bench::pgd30(attacker, task, 2.0f, images, labels);
 
   struct Config {
     std::string name;

@@ -6,7 +6,6 @@
 // scaled analogue of the paper's ResNet-10/20/32), and attacks their
 // stack-parallel ensemble; the images transfer to the baseline, the three
 // crossbar deployments, and the two defenses.
-#include "attack/ensemble_bb.h"
 #include "attack/pgd.h"
 #include "bench_util.h"
 
@@ -24,25 +23,15 @@ int main(int argc, char** argv) {
     auto labels = prepared.eval_labels(n_eval);
 
     trace::Span distill_sw("bench/distill");
-    attack::EnsembleBbOptions bb_opt;
-    bb_opt.epochs =
-        static_cast<std::int64_t>(env_int("NVMROBUST_SURR_EPOCHS", 12));
-    attack::SurrogateEnsemble surrogates = attack::SurrogateEnsemble::distill(
-        [&](const Tensor& x) {
-          return prepared.network.forward(x, nn::Mode::Eval);
-        },
-        prepared.dataset.train_images, task.data_spec.classes, bb_opt,
-        "nonadaptive_" + task.name);
+    attack::SurrogateEnsemble surrogates = bench::distill_ensemble(
+        prepared, prepared.dataset.train_images, "nonadaptive_" + task.name);
     bench::progress("surrogate distillation", distill_sw.seconds());
     auto ensemble = surrogates.attack_model();
 
     std::vector<std::vector<Tensor>> adv_sets;
     trace::Span craft("bench/craft");
     for (float eps : paper_eps) {
-      attack::PgdOptions opt;
-      opt.epsilon = task.scaled_eps(eps);
-      opt.iters = 30;
-      adv_sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
+      adv_sets.push_back(bench::pgd30(*ensemble, task, eps, images, labels));
     }
     bench::progress("ensemble PGD crafting", craft.seconds());
 
@@ -54,21 +43,7 @@ int main(int argc, char** argv) {
     for (float eps : paper_eps) std::printf(", %.0f", eps);
     std::printf("\n");
 
-    const std::vector<core::TargetEval> evals = core::evaluate_targets(
-        prepared, bench::paper_targets(models),
-        bench::image_sets(adv_sets, labels));
-    core::print_series("baseline", bench::accuracies(evals[0]));
-    for (std::size_t m = 0; m < models.size(); ++m)
-      core::print_series(models[m].name, bench::accuracies(evals[m + 1]));
-    core::print_series(
-        "4bit_input",
-        bench::defense_series(adv_sets, [&](std::span<const Tensor> adv) {
-          return bench::bw_defense_accuracy(prepared.network, adv, labels);
-        }));
-    core::print_series(
-        "sap", bench::defense_series(adv_sets, [&](std::span<const Tensor> adv) {
-          return bench::sap_defense_accuracy(prepared.network, adv, labels);
-        }));
+    bench::print_columns(prepared, models, adv_sets, labels, false);
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
   return 0;

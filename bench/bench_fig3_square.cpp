@@ -46,31 +46,7 @@ int main(int argc, char** argv) {
     for (float eps : paper_eps) std::printf(", %.0f", eps);
     std::printf("\n");
 
-    const std::vector<core::TargetEval> evals = core::evaluate_targets(
-        prepared, bench::paper_targets(models),
-        bench::image_sets(adv_sets, labels));
-    core::print_series("baseline", bench::accuracies(evals[0]));
-    for (std::size_t m = 0; m < models.size(); ++m)
-      core::print_series(models[m].name, bench::accuracies(evals[m + 1]));
-    core::print_series(
-        "4bit_input",
-        bench::defense_series(adv_sets, [&](std::span<const Tensor> adv) {
-          return bench::bw_defense_accuracy(prepared.network, adv, labels);
-        }));
-    if (imagenet) {
-      core::print_series(
-          "random_pad",
-          bench::defense_series(adv_sets, [&](std::span<const Tensor> adv) {
-            return bench::randpad_defense_accuracy(prepared.network, adv,
-                                                   labels);
-          }));
-    } else {
-      core::print_series(
-          "sap",
-          bench::defense_series(adv_sets, [&](std::span<const Tensor> adv) {
-            return bench::sap_defense_accuracy(prepared.network, adv, labels);
-          }));
-    }
+    bench::print_columns(prepared, models, adv_sets, labels, imagenet);
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
   return 0;

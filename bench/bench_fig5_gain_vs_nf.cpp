@@ -4,7 +4,6 @@
 // Paper shape: gain rises steeply from NF~0.07 to NF~0.14, then tapers at
 // NF~0.26 as inaccurate computation starts to outweigh the intrinsic
 // robustness (the push-pull effect).
-#include "attack/ensemble_bb.h"
 #include "attack/pgd.h"
 #include "attack/square.h"
 #include "bench_util.h"
@@ -40,21 +39,10 @@ int main(int argc, char** argv) {
     std::vector<std::vector<Tensor>> sets;
 
     {
-      attack::EnsembleBbOptions bb_opt;
-      bb_opt.epochs =
-          static_cast<std::int64_t>(env_int("NVMROBUST_SURR_EPOCHS", 12));
-      attack::SurrogateEnsemble surrogates =
-          attack::SurrogateEnsemble::distill(
-              [&](const Tensor& x) {
-                return prepared.network.forward(x, nn::Mode::Eval);
-              },
-              prepared.dataset.train_images, task.data_spec.classes, bb_opt,
-              "nonadaptive_" + task.name);
+      attack::SurrogateEnsemble surrogates = bench::distill_ensemble(
+          prepared, prepared.dataset.train_images, "nonadaptive_" + task.name);
       auto ensemble = surrogates.attack_model();
-      attack::PgdOptions opt;
-      opt.epsilon = task.scaled_eps(4.0f);
-      opt.iters = 30;
-      sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
+      sets.push_back(bench::pgd30(*ensemble, task, 4.0f, images, labels));
     }
     {
       attack::NetworkAttackModel victim(prepared.network);
@@ -65,17 +53,15 @@ int main(int argc, char** argv) {
     }
     {
       attack::NetworkAttackModel attacker(prepared.network);
-      attack::PgdOptions opt;
       // Paper eps 2/255: the operating point where the baseline has
       // collapsed into the paper's regime (see EXPERIMENTS.md on the
       // epsilon mapping).
-      opt.epsilon = task.scaled_eps(2.0f);
-      opt.iters = 30;
-      sets.push_back(core::craft_pgd(attacker, images, labels, opt));
+      sets.push_back(bench::pgd30(attacker, task, 2.0f, images, labels));
     }
 
     const std::vector<core::TargetEval> evals = core::evaluate_targets(
-        prepared, bench::paper_targets(models), bench::image_sets(sets, labels));
+        prepared, bench::paper_targets(models),
+        bench::image_sets(sets, labels));
     for (std::size_t s = 0; s < sets.size(); ++s) {
       const float baseline = evals[0].accuracy(s);
       for (std::size_t m = 0; m < models.size(); ++m) {

@@ -5,7 +5,6 @@
 // not match the target's). Paper finding: adaptive attacks fall well below
 // the baseline, and attackers whose NF is closer to the target's craft
 // stronger attacks.
-#include "attack/ensemble_bb.h"
 #include "attack/pgd.h"
 #include "bench_util.h"
 #include "puma/hw_network.h"
@@ -45,26 +44,17 @@ int main(int argc, char** argv) {
     for (auto& attacker_xbar : models) {
       // 1. Attacker queries the network deployed on THEIR crossbar model.
       trace::Span sw("bench/stage");
-      attack::EnsembleBbOptions bb_opt;
-      bb_opt.epochs =
-          static_cast<std::int64_t>(env_int("NVMROBUST_SURR_EPOCHS", 12));
       attack::SurrogateEnsemble surrogates = [&] {
         puma::HwDeployment dep(prepared.network, attacker_xbar.model, calib);
-        return attack::SurrogateEnsemble::distill(
-            [&](const Tensor& x) {
-              return prepared.network.forward(x, nn::Mode::Eval);
-            },
-            query_images, task.data_spec.classes, bb_opt,
+        return bench::distill_ensemble(
+            prepared, query_images,
             "adaptive_" + task.name + "_" + attacker_xbar.name);
       }();
       auto ensemble = surrogates.attack_model();
 
       // 2. Craft per epsilon.
       for (float eps : paper_eps) {
-        attack::PgdOptions opt;
-        opt.epsilon = task.scaled_eps(eps);
-        opt.iters = 30;
-        adv_sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
+        adv_sets.push_back(bench::pgd30(*ensemble, task, eps, images, labels));
       }
       bench::progress("attacker " + attacker_xbar.name, sw.seconds());
     }

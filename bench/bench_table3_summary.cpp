@@ -7,7 +7,6 @@
 // Columns: baseline (digital), the 3 NVM crossbar models, and the
 // defenses (4-bit input for all; SAP for CIFAR tasks, Random Pad for the
 // ImageNet task), each cell as "value (delta vs baseline)".
-#include "attack/ensemble_bb.h"
 #include "attack/pgd.h"
 #include "attack/square.h"
 #include "bench_util.h"
@@ -15,31 +14,6 @@
 namespace {
 
 using namespace nvm;
-
-/// One row: the paired accuracies of image set `s` on the baseline and the
-/// crossbar columns, then the defense columns.
-std::vector<std::string> eval_row(const std::string& row_name,
-                                  core::PreparedTask& prepared,
-                                  std::span<const core::TargetEval> evals,
-                                  std::size_t s, const core::ImageSet& set,
-                                  bool imagenet_defenses) {
-  std::vector<std::string> cells = bench::paired_cells(row_name, evals, s);
-  const float baseline = evals[0].accuracy(s);
-  cells.push_back(core::with_delta(
-      bench::bw_defense_accuracy(prepared.network, set.images, set.labels),
-      baseline));
-  if (imagenet_defenses) {
-    cells.push_back(core::with_delta(
-        bench::randpad_defense_accuracy(prepared.network, set.images,
-                                        set.labels),
-        baseline));
-  } else {
-    cells.push_back(core::with_delta(
-        bench::sap_defense_accuracy(prepared.network, set.images, set.labels),
-        baseline));
-  }
-  return cells;
-}
 
 void run_task(const core::Task& task,
               const std::vector<bench::NamedModel>& models) {
@@ -63,20 +37,10 @@ void run_task(const core::Task& task,
   // the paper's Table III).
   if (!imagenet) {
     trace::Span sw("bench/stage");
-    attack::EnsembleBbOptions bb_opt;
-    bb_opt.epochs = static_cast<std::int64_t>(
-        env_int("NVMROBUST_SURR_EPOCHS", 12));
-    attack::SurrogateEnsemble surrogates = attack::SurrogateEnsemble::distill(
-        [&](const Tensor& x) {
-          return prepared.network.forward(x, nn::Mode::Eval);
-        },
-        prepared.dataset.train_images, task.data_spec.classes, bb_opt,
-        "nonadaptive_" + task.name);
+    attack::SurrogateEnsemble surrogates = bench::distill_ensemble(
+        prepared, prepared.dataset.train_images, "nonadaptive_" + task.name);
     auto ensemble = surrogates.attack_model();
-    attack::PgdOptions opt;
-    opt.epsilon = task.scaled_eps(4.0f);
-    opt.iters = 30;
-    adv_sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
+    adv_sets.push_back(bench::pgd30(*ensemble, task, 4.0f, images, labels));
     bench::progress("ensemble BB crafting", sw.seconds());
     row_names.push_back("Ensemble BB PGD " + bench::eps_label(task, 4));
   }
@@ -103,10 +67,7 @@ void run_task(const core::Task& task,
   for (float eps : {1.0f, 2.0f}) {
     trace::Span sw("bench/stage");
     attack::NetworkAttackModel attacker(prepared.network);
-    attack::PgdOptions opt;
-    opt.epsilon = task.scaled_eps(eps);
-    opt.iters = 30;
-    adv_sets.push_back(core::craft_pgd(attacker, images, labels, opt));
+    adv_sets.push_back(bench::pgd30(attacker, task, eps, images, labels));
     bench::progress("white-box crafting", sw.seconds());
     row_names.push_back("White Box PGD " + bench::eps_label(task, eps));
   }
@@ -118,9 +79,16 @@ void run_task(const core::Task& task,
     sets.push_back(set);
   const std::vector<core::TargetEval> evals = core::evaluate_targets(
       prepared, bench::paper_targets(models), sets);
-  for (std::size_t s = 0; s < sets.size(); ++s)
-    table.add_row(
-        eval_row(row_names[s], prepared, evals, s, sets[s], imagenet));
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    // The paired baseline and crossbar cells, then the defense columns.
+    std::vector<std::string> cells =
+        bench::paired_cells(row_names[s], evals, s);
+    for (const bench::Defense& d : bench::paper_defenses(imagenet))
+      cells.push_back(core::with_delta(
+          d.accuracy(prepared.network, sets[s].images, sets[s].labels),
+          evals[0].accuracy(s)));
+    table.add_row(cells);
+  }
 
   char title[160];
   std::snprintf(title, sizeof title,

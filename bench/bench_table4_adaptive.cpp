@@ -13,32 +13,10 @@
 // Bold cells in the paper (attacker model == target model) correspond here
 // to the matching column; deltas are vs the digital baseline under the
 // same adversarial images.
-#include "attack/ensemble_bb.h"
 #include "attack/pgd.h"
 #include "attack/square.h"
 #include "bench_util.h"
 #include "puma/hw_network.h"
-
-namespace {
-
-using namespace nvm;
-
-/// Rows = each adversarial set on the baseline + the 3 targets, as one
-/// paired evaluation.
-void add_transfer_rows(core::TablePrinter& table,
-                       const core::PreparedTask& prepared,
-                       const std::vector<bench::NamedModel>& models,
-                       const std::vector<std::string>& names,
-                       const std::vector<std::vector<Tensor>>& adv_sets,
-                       std::span<const std::int64_t> labels) {
-  const std::vector<core::TargetEval> evals = core::evaluate_targets(
-      prepared, bench::paper_targets(models),
-      bench::image_sets(adv_sets, labels));
-  for (std::size_t s = 0; s < adv_sets.size(); ++s)
-    table.add_row(bench::paired_cells(names[s], evals, s));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace nvm;
@@ -70,24 +48,14 @@ int main(int argc, char** argv) {
       const auto n_query = static_cast<std::size_t>(std::min<std::int64_t>(
           scaled(300, 4000),
           static_cast<std::int64_t>(prepared.dataset.train_images.size())));
-      attack::EnsembleBbOptions bb_opt;
-      bb_opt.epochs =
-          static_cast<std::int64_t>(env_int("NVMROBUST_SURR_EPOCHS", 12));
       attack::SurrogateEnsemble surrogates = [&] {
         puma::HwDeployment dep(prepared.network, attacker_bb, calib);
-        return attack::SurrogateEnsemble::distill(
-            [&](const Tensor& x) {
-              return prepared.network.forward(x, nn::Mode::Eval);
-            },
-            {prepared.dataset.train_images.data(), n_query},
-            task.data_spec.classes, bb_opt,
+        return bench::distill_ensemble(
+            prepared, {prepared.dataset.train_images.data(), n_query},
             "adaptive_" + task.name + "_64x64_100k");
       }();
       auto ensemble = surrogates.attack_model();
-      attack::PgdOptions opt;
-      opt.epsilon = task.scaled_eps(4.0f);
-      opt.iters = 30;
-      adv_sets.push_back(core::craft_pgd(*ensemble, images, labels, opt));
+      adv_sets.push_back(bench::pgd30(*ensemble, task, 4.0f, images, labels));
       names.push_back(task.name + " Ensemble BB " + bench::eps_label(task, 4) +
                       " (64x64_100k)");
       bench::progress(task.name + " adaptive ensemble BB", sw.seconds());
@@ -119,16 +87,18 @@ int main(int argc, char** argv) {
       {
         puma::HwDeployment dep(prepared.network, attacker_bb, calib);
         attack::NetworkAttackModel attacker(prepared.network);
-        attack::PgdOptions opt;
-        opt.epsilon = task.scaled_eps(eps);
-        opt.iters = 30;
-        adv_sets.push_back(core::craft_pgd(attacker, images, labels, opt));
+        adv_sets.push_back(bench::pgd30(attacker, task, eps, images, labels));
       }
       names.push_back(task.name + " WB HIL PGD " +
                       bench::eps_label(task, eps) + " (64x64_100k)");
       bench::progress(task.name + " hardware-in-loop WB", sw.seconds());
     }
-    add_transfer_rows(table, prepared, models, names, adv_sets, labels);
+    // Every set on the baseline + the 3 targets, as one paired evaluation.
+    const std::vector<core::TargetEval> evals = core::evaluate_targets(
+        prepared, bench::paper_targets(models),
+        bench::image_sets(adv_sets, labels));
+    for (std::size_t s = 0; s < adv_sets.size(); ++s)
+      table.add_row(bench::paired_cells(names[s], evals, s));
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
 

@@ -10,11 +10,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "attack/ensemble_bb.h"
 #include "common/env.h"
 #include "common/trace.h"
 #include "core/evaluator.h"
@@ -56,14 +56,6 @@ inline std::vector<core::ImageSet> image_sets(
   return out;
 }
 
-/// One target's accuracy on each image set, in set order.
-inline std::vector<float> accuracies(const core::TargetEval& eval) {
-  std::vector<float> out;
-  for (std::size_t s = 0; s < eval.correct.size(); ++s)
-    out.push_back(eval.accuracy(s));
-  return out;
-}
-
 /// Table row for image set `s`: its name, the baseline (target 0)
 /// accuracy, then every other target's as "value (delta vs baseline)".
 inline std::vector<std::string> paired_cells(
@@ -76,13 +68,32 @@ inline std::vector<std::string> paired_cells(
   return cells;
 }
 
-/// Accuracy behind a defense on each crafted set.
-inline std::vector<float> defense_series(
-    const std::vector<std::vector<Tensor>>& sets,
-    const std::function<float(std::span<const Tensor>)>& defended) {
-  std::vector<float> out;
-  for (const std::vector<Tensor>& set : sets) out.push_back(defended(set));
-  return out;
+/// Surrogate ensemble distilled from `queries` answered by
+/// `prepared.network` as it runs now (digital, or on the crossbar of a
+/// caller's HwDeployment); cached under `tag`.
+inline attack::SurrogateEnsemble distill_ensemble(
+    core::PreparedTask& prepared, std::span<const Tensor> queries,
+    const std::string& tag) {
+  attack::EnsembleBbOptions bb_opt;
+  bb_opt.epochs =
+      static_cast<std::int64_t>(env_int("NVMROBUST_SURR_EPOCHS", 12));
+  return attack::SurrogateEnsemble::distill(
+      [&](const Tensor& x) {
+        return prepared.network.forward(x, nn::Mode::Eval);
+      },
+      queries, prepared.task.data_spec.classes, bb_opt, tag);
+}
+
+/// Crafts PGD images at the paper's iter=30 and paper epsilon
+/// `paper_eps_255`.
+inline std::vector<Tensor> pgd30(attack::AttackModel& attacker,
+                                 const core::Task& task, float paper_eps_255,
+                                 std::span<const Tensor> images,
+                                 std::span<const std::int64_t> labels) {
+  attack::PgdOptions opt;
+  opt.epsilon = task.scaled_eps(paper_eps_255);
+  opt.iters = 30;
+  return core::craft_pgd(attacker, images, labels, opt);
 }
 
 /// Accuracy behind the 4-bit input bit-width-reduction defense [35].
@@ -118,6 +129,46 @@ inline float randpad_defense_accuracy(nn::Network& net,
                        nn::Mode::Eval);
   };
   return core::accuracy(fn, images, labels);
+}
+
+/// One defense column: the digital network's accuracy behind a defense.
+struct Defense {
+  std::string name;
+  float (*accuracy)(nn::Network&, std::span<const Tensor>,
+                    std::span<const std::int64_t>);
+};
+
+/// The paper's defense columns: 4-bit input on every task, then SAP on the
+/// CIFAR tasks or Random Pad on the ImageNet one.
+inline std::vector<Defense> paper_defenses(bool imagenet) {
+  return {{"4bit_input", bw_defense_accuracy},
+          imagenet ? Defense{"random_pad", randpad_defense_accuracy}
+                   : Defense{"sap", sap_defense_accuracy}};
+}
+
+/// Prints one series over the crafted sets per column: the baseline and
+/// each model from one paired evaluation, then each defense.
+inline void print_columns(core::PreparedTask& prepared,
+                          const std::vector<NamedModel>& models,
+                          const std::vector<std::vector<Tensor>>& adv_sets,
+                          std::span<const std::int64_t> labels,
+                          bool imagenet) {
+  const std::vector<core::TargetEval> evals = core::evaluate_targets(
+      prepared, paper_targets(models), image_sets(adv_sets, labels));
+  const auto series = [&](const std::string& name, const auto& accuracy) {
+    std::vector<float> values;
+    for (std::size_t s = 0; s < adv_sets.size(); ++s)
+      values.push_back(accuracy(s));
+    core::print_series(name, values);
+  };
+  series("baseline", [&](std::size_t s) { return evals[0].accuracy(s); });
+  for (std::size_t m = 0; m < models.size(); ++m)
+    series(models[m].name,
+           [&](std::size_t s) { return evals[m + 1].accuracy(s); });
+  for (const Defense& d : paper_defenses(imagenet))
+    series(d.name, [&](std::size_t s) {
+      return d.accuracy(prepared.network, adv_sets[s], labels);
+    });
 }
 
 /// Run manifest for a bench binary: --metrics-out PATH on the command

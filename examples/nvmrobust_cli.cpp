@@ -297,27 +297,43 @@ std::vector<double> parse_list(const std::string& s) {
   return out;
 }
 
+/// The --model crossbar kind on `xbar_name`'s geometry; null, after an
+/// error line, for an unknown kind.
+std::shared_ptr<const xbar::MvmModel> base_model(const std::string& kind,
+                                                 const std::string& xbar_name) {
+  if (kind == "geniex") return xbar::make_geniex(xbar_name);
+  if (kind == "solver") return xbar::make_solver(xbar_name);
+  if (kind == "fast_noise")
+    return std::make_shared<xbar::FastNoiseModel>(
+        xbar::make_solver(xbar_name)->config());
+  std::fprintf(stderr,
+               "unknown --model '%s' (try: geniex, fast_noise, solver)\n",
+               kind.c_str());
+  return nullptr;
+}
+
+/// --n, --eps, --iters (default: the caller's), --queries and
+/// --attack pgd|square|both|none (default `attack`).
+void read_transfer_flags(const Flags& flags, const std::string& attack,
+                         core::TransferOptions& opt) {
+  opt.n_eval = static_cast<std::int64_t>(flag_or(flags, "n", 32));
+  opt.pgd_eps_255 = static_cast<float>(flag_or(flags, "eps", 2.0));
+  opt.pgd_iters = static_cast<std::int64_t>(
+      flag_or(flags, "iters", static_cast<double>(opt.pgd_iters)));
+  opt.square_queries =
+      static_cast<std::int64_t>(flag_or(flags, "queries", 300));
+  const std::string kind = flag_or(flags, "attack", attack);
+  opt.run_pgd = kind == "pgd" || kind == "both";
+  opt.run_square = kind == "square" || kind == "both";
+}
+
 int cmd_fault_sweep(const Flags& flags) {
   core::RunManifest manifest = manifest_for("fault_sweep", flags);
   core::PreparedTask prepared =
       core::prepare(find_task(flag_or(flags, "task", "SCIFAR10")));
   const std::string xbar_name = flag_or(flags, "xbar", "64x64_100k");
-  const std::string model_kind = flag_or(flags, "model", "geniex");
-
-  std::shared_ptr<const xbar::MvmModel> base;
-  if (model_kind == "geniex") {
-    base = xbar::make_geniex(xbar_name);
-  } else if (model_kind == "solver") {
-    base = xbar::make_solver(xbar_name);
-  } else if (model_kind == "fast_noise") {
-    base = std::make_shared<xbar::FastNoiseModel>(
-        xbar::make_solver(xbar_name)->config());
-  } else {
-    std::fprintf(stderr,
-                 "unknown --model '%s' (try: geniex, fast_noise, solver)\n",
-                 model_kind.c_str());
-    return 2;
-  }
+  const auto base = base_model(flag_or(flags, "model", "geniex"), xbar_name);
+  if (base == nullptr) return 2;
 
   core::FaultSweepOptions opt;
   if (const std::string* rates = flags.find("rates"))
@@ -328,14 +344,7 @@ int cmd_fault_sweep(const Flags& flags) {
   opt.dead_row_rate = flag_or(flags, "dead_rows", 0.0);
   opt.dead_col_rate = flag_or(flags, "dead_cols", 0.0);
   opt.chip_seed = static_cast<std::uint64_t>(flag_or(flags, "chip", 1));
-  opt.n_eval = static_cast<std::int64_t>(flag_or(flags, "n", 32));
-  opt.pgd_eps_255 = static_cast<float>(flag_or(flags, "eps", 2.0));
-  opt.pgd_iters = static_cast<std::int64_t>(flag_or(flags, "iters", 20));
-  opt.square_queries =
-      static_cast<std::int64_t>(flag_or(flags, "queries", 300));
-  const std::string attack_kind = flag_or(flags, "attack", "pgd");
-  opt.run_pgd = attack_kind == "pgd" || attack_kind == "both";
-  opt.run_square = attack_kind == "square" || attack_kind == "both";
+  read_transfer_flags(flags, "pgd", opt);
 
   const auto result = core::run_fault_sweep(prepared, base, opt);
   core::print_fault_sweep(prepared.task, base->name() + "/" + xbar_name, opt,
@@ -374,22 +383,9 @@ int cmd_fleet_sim(const Flags& flags) {
   core::PreparedTask prepared =
       core::prepare(find_task(flag_or(flags, "task", "SCIFAR10")));
   const std::string xbar_name = flag_or(flags, "xbar", "64x64_100k");
-  const std::string model_kind = flag_or(flags, "model", "fast_noise");
-
-  std::shared_ptr<const xbar::MvmModel> base;
-  if (model_kind == "geniex") {
-    base = xbar::make_geniex(xbar_name);
-  } else if (model_kind == "solver") {
-    base = xbar::make_solver(xbar_name);
-  } else if (model_kind == "fast_noise") {
-    base = std::make_shared<xbar::FastNoiseModel>(
-        xbar::make_solver(xbar_name)->config());
-  } else {
-    std::fprintf(stderr,
-                 "unknown --model '%s' (try: geniex, fast_noise, solver)\n",
-                 model_kind.c_str());
-    return 2;
-  }
+  const auto base =
+      base_model(flag_or(flags, "model", "fast_noise"), xbar_name);
+  if (base == nullptr) return 2;
 
   fleet::FleetOptions opt;
   opt.n_chips = static_cast<std::int64_t>(
@@ -410,13 +406,7 @@ int cmd_fleet_sim(const Flags& flags) {
   opt.rate_log_sigma = flag_or(flags, "rate_sigma", opt.rate_log_sigma);
   opt.drift_nu_lo = flag_or(flags, "nu_lo", opt.drift_nu_lo);
   opt.drift_nu_hi = flag_or(flags, "nu_hi", opt.drift_nu_hi);
-  opt.n_eval = static_cast<std::int64_t>(flag_or(flags, "n", 32));
-  opt.pgd_eps_255 = static_cast<float>(flag_or(flags, "eps", 2.0));
-  opt.pgd_iters = static_cast<int>(flag_or(flags, "iters", 10));
-  opt.square_queries = static_cast<int>(flag_or(flags, "queries", 300));
-  const std::string attack_kind = flag_or(flags, "attack", "none");
-  opt.run_pgd = attack_kind == "pgd" || attack_kind == "both";
-  opt.run_square = attack_kind == "square" || attack_kind == "both";
+  read_transfer_flags(flags, "none", opt);
 
   fleet::SchedulerConfig sched;
   sched.policy = fleet::RecalibrationScheduler::parse_policy(

@@ -210,8 +210,8 @@ std::vector<TargetEval> evaluate_targets(const PreparedTask& prepared,
 
     TargetEval eval;
     for (std::size_t s = 0; s < sets.size(); ++s)
-      eval.correct.emplace_back(hit.begin() + static_cast<std::ptrdiff_t>(start[s]),
-                                hit.begin() + static_cast<std::ptrdiff_t>(start[s + 1]));
+      eval.correct.emplace_back(hit.data() + start[s],
+                                hit.data() + start[s + 1]);
     // One deployment's worth of calibration activity, so the count does
     // not depend on the replica (= thread) count.
     eval.health =
@@ -237,9 +237,11 @@ TransferAccuracy TransferSets::accuracy(const TargetEval& eval) const {
   return acc;
 }
 
-TransferSets craft_transfer_sets(const PreparedTask& prepared, ImageSet clean,
+TransferSets craft_transfer_sets(const PreparedTask& prepared,
                                  const TransferOptions& opt) {
   TransferSets out;
+  const ImageSet clean{prepared.eval_images(opt.n_eval),
+                       prepared.eval_labels(opt.n_eval)};
   out.clean = clean;
   if (!opt.run_pgd && !opt.run_square) return out;
   std::vector<nn::Network> nets =

@@ -112,10 +112,12 @@ std::vector<TargetEval> evaluate_targets(const PreparedTask& prepared,
                                          std::span<const Target> targets,
                                          std::span<const ImageSet> sets);
 
-/// The non-adaptive transfer attacks of the fault sweep and the fleet
-/// simulator: crafted once against the digital network, then replayed on
-/// every target. Each caller sets its own defaults.
+/// The evaluation of the fault sweep and the fleet simulator: the first
+/// n_eval test images, plus non-adaptive transfer attacks crafted from them
+/// once against the digital network and replayed on every target. Each
+/// caller sets its own defaults.
 struct TransferOptions {
+  std::int64_t n_eval = 32;
   bool run_pgd = false;
   float pgd_eps_255 = 2.0f;  ///< paper-units epsilon (scaled via the task)
   std::int64_t pgd_iters = 20;
@@ -142,10 +144,10 @@ struct TransferSets {
   TransferAccuracy accuracy(const TargetEval& eval) const;
 };
 
-/// Crafts the transfer sets from `clean` against the digital network with
-/// the attacks' default seeds, fanned over network replicas (one per pool
-/// thread); the sets equal serial craft_pgd / craft_square output.
-TransferSets craft_transfer_sets(const PreparedTask& prepared, ImageSet clean,
+/// Crafts the transfer sets against the digital network with the attacks'
+/// default seeds, fanned over network replicas (one per pool thread); the
+/// sets equal serial craft_pgd / craft_square output.
+TransferSets craft_transfer_sets(const PreparedTask& prepared,
                                  const TransferOptions& opt);
 
 }  // namespace nvm::core

@@ -35,10 +35,7 @@ FaultSweepResult run_fault_sweep(
   // Adversarial sets are crafted once against the digital network — the
   // paper's non-adaptive transfer setting — then replayed on every faulty
   // deployment.
-  const TransferSets transfer = craft_transfer_sets(
-      prepared,
-      {prepared.eval_images(opt.n_eval), prepared.eval_labels(opt.n_eval)},
-      opt);
+  const TransferSets transfer = craft_transfer_sets(prepared, opt);
 
   FaultSweepResult result;
   std::vector<Target> targets{{}};  // the digital network first

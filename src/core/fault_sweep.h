@@ -41,8 +41,6 @@ struct FaultSweepOptions : TransferOptions {
   double dead_row_rate = 0.0;
   double dead_col_rate = 0.0;
   std::uint64_t chip_seed = 1;
-
-  std::int64_t n_eval = 32;
 };
 
 struct FaultSweepRow {

@@ -111,9 +111,6 @@ struct FleetOptions : core::TransferOptions {
   double drift_t0 = 1.0;
   double write_sigma = 0.05;
   double process_sigma = 0.03;
-
-  // Evaluation settings (the transfer attacks come from the base).
-  std::int64_t n_eval = 32;
   /// Deployment config for non-refit chips (factory calibration). Refit
   /// chips additionally get gain_trim (BN re-estimation is deliberately
   /// excluded — see FleetSimulator).

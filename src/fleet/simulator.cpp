@@ -123,18 +123,9 @@ FleetResult FleetSimulator::run(const SchedulerConfig& sched_cfg,
   for (std::int64_t id = 0; id < opt_.n_chips; ++id)
     chips.push_back(make_chip(opt_, id));
 
-  const auto images = prepared_.eval_images(opt_.n_eval);
-  NVM_CHECK(!images.empty(), "no evaluation images");
-
-  // The scheduler's price list: one full re-programming of this network's
-  // tile set on this crossbar geometry.
-  const puma::ReprogramCost unit = puma::estimate_reprogram_cost(
-      prepared_.network, images[0], base_->config(), opt_.hw);
-  result.unit_reprogram_energy_nj = unit.write_energy_nj;
-
   // Digital baselines + transfer adversarial sets, crafted once.
-  const core::TransferSets transfer = core::craft_transfer_sets(
-      prepared_, {images, prepared_.eval_labels(opt_.n_eval)}, opt_);
+  const core::TransferSets transfer =
+      core::craft_transfer_sets(prepared_, opt_);
   const std::vector<core::ImageSet> sets = transfer.sets();
   const core::TransferAccuracy digital = transfer.accuracy(
       core::evaluate_targets(prepared_, std::vector<core::Target>{{}}, sets)
@@ -142,6 +133,12 @@ FleetResult FleetSimulator::run(const SchedulerConfig& sched_cfg,
   result.digital_clean = digital.clean;
   result.digital_pgd = digital.pgd;
   result.digital_square = digital.square;
+
+  // The scheduler's price list: one full re-programming of this network's
+  // tile set on this crossbar geometry.
+  const puma::ReprogramCost unit = puma::estimate_reprogram_cost(
+      prepared_.network, transfer.clean.images[0], base_->config(), opt_.hw);
+  result.unit_reprogram_energy_nj = unit.write_energy_nj;
 
   RecalibrationScheduler scheduler(sched_cfg, unit.write_energy_nj);
   SlaMonitor sla(sla_cfg);

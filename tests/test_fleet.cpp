@@ -583,7 +583,8 @@ std::vector<core::ImageSet> toy_sets(const core::PreparedTask& p) {
 std::vector<core::TargetEval> evaluate_toy_at(std::size_t threads) {
   ThreadPool pool(threads);
   ThreadPool::ScopedUse use(pool);
-  return core::evaluate_targets(prepared(), toy_targets(), toy_sets(prepared()));
+  return core::evaluate_targets(prepared(), toy_targets(),
+                                toy_sets(prepared()));
 }
 
 TEST(EvaluateTargets, BitsMatchFreshDeploymentPerImageArgmax) {
