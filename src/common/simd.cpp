@@ -368,12 +368,10 @@ void adc_shift_add_scalar(float* acc, const float* cur, const float* baseline,
   for (std::int64_t r = 0; r < rows; ++r) {
     float* arow = acc + r * n;
     const float* crow = cur + r * n;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float clamped = std::clamp(crow[i], 0.0f, full_scale);
-      const float q = std::round(clamped / full_scale * steps) * full_scale /
-                      steps;
-      arow[i] += shift * (q - baseline[i]);
-    }
+    for (std::int64_t i = 0; i < n; ++i)
+      arow[i] += shift * (detail::adc_quantize_scalar(crow[i], full_scale,
+                                                      steps) -
+                          baseline[i]);
   }
 }
 
@@ -480,10 +478,9 @@ void adc_shift_add_i32_scalar(float* acc, const std::int32_t* dot,
                               float shift) {
   for (std::int64_t i = 0; i < n; ++i) {
     const float cur = baseline[i] + dot_unit * static_cast<float>(dot[i]);
-    const float clamped = std::clamp(cur, 0.0f, full_scale);
-    const float q = std::round(clamped / full_scale * steps) * full_scale /
-                    steps;
-    acc[i] += shift * (q - baseline[i]);
+    acc[i] += shift *
+              (detail::adc_quantize_scalar(cur, full_scale, steps) -
+               baseline[i]);
   }
 }
 

@@ -9,6 +9,9 @@
 // own metrics and ISA selection.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/simd.h"
 
 namespace nvm::simd::detail {
@@ -38,5 +41,14 @@ struct Kernels {
 /// flags (NVM_ENABLE_AVX2 / NVM_ENABLE_AVX512 off).
 extern const Kernels* const kAvx2Kernels;
 extern const Kernels* const kAvx512Kernels;
+
+/// The mid-tread ADC of adc_shift_add on one current, the scalar tier's
+/// and the vector tails': round(clamp(cur, 0, fs) / fs * steps) * fs /
+/// steps. The clamp takes max(0, cur) first, as the vector tiers' x86 max
+/// does, so a NaN or -0 current reads 0 on every tier.
+inline float adc_quantize_scalar(float cur, float full_scale, float steps) {
+  const float clamped = std::min(std::max(0.0f, cur), full_scale);
+  return std::round(clamped / full_scale * steps) * full_scale / steps;
+}
 
 }  // namespace nvm::simd::detail

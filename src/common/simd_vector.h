@@ -633,10 +633,8 @@ void adc_shift_add_i32(float* acc, const std::int32_t* dot,
   }
   for (std::int64_t i = nw; i < n; ++i) {
     const float cur = baseline[i] + dot_unit * static_cast<float>(dot[i]);
-    const float clamped = std::clamp(cur, 0.0f, full_scale);
-    const float q = std::round(clamped / full_scale * steps) * full_scale /
-                    steps;
-    acc[i] += shift * (q - baseline[i]);
+    acc[i] += shift * (adc_quantize_scalar(cur, full_scale, steps) -
+                       baseline[i]);
   }
 }
 
