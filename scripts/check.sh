@@ -229,7 +229,8 @@ else
 fi
 
 # Thread-identity legs: results are bit-identical for any NVM_THREADS
-# (DESIGN.md §13), so the quickstart accuracy and every served label must
+# (DESIGN.md §13), so the quickstart accuracy, every served label and the
+# printed fault-sweep table (accuracies and per-row health counters) must
 # match exactly between 1 and 4 threads. The serve parameters are the
 # shed-free smoke parameters (big queue, modest rate), so the labels
 # checksum covers identical request sets on both legs.
@@ -262,6 +263,17 @@ assert a["results"]["labels_checksum"] == b["results"]["labels_checksum"], \
 print("thread identity ok (serve): labels checksum %d on both legs"
       % a["results"]["labels_checksum"])
 EOF
+  local s1=/tmp/nvmrobust_check_sweep1.txt s4=/tmp/nvmrobust_check_sweep4.txt
+  local sweep=(fault_sweep --model fast_noise --n 16 --attack both --iters 5
+               --queries 30)
+  NVM_THREADS=1 "$cli" "${sweep[@]}" >"$s1"
+  NVM_THREADS=4 "$cli" "${sweep[@]}" >"$s4"
+  if ! diff "$s1" "$s4"; then
+    echo "FAIL: fault_sweep table differs between 1 and 4 threads" >&2
+    exit 1
+  fi
+  echo "thread identity ok (fault_sweep): $(wc -l <"$s1") identical lines"
+  rm -f "$s1" "$s4"
   echo "thread identity ok ($tag)"
 }
 
