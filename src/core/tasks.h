@@ -57,8 +57,8 @@ struct PreparedTask {
 
   /// Functionally-identical copy of the trained network (fresh layer
   /// objects, same weights), via a serialize roundtrip. Replica fan-outs
-  /// (fault sweep, fleet evaluation) deploy crossbars on these copies so
-  /// the prepared network itself is never mutated.
+  /// (evaluate_targets, craft_transfer_sets) run on these copies, so the
+  /// prepared network itself is never mutated.
   nn::Network clone_network() const;
 
   /// First few training images — used to calibrate DAC ranges at

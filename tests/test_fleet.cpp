@@ -16,6 +16,7 @@
 #include "nn/resnet.h"
 #include "nn/trainer.h"
 #include "test_util.h"
+#include "xbar/circuit_solver.h"
 #include "xbar/config.h"
 #include "xbar/fast_noise.h"
 
@@ -626,6 +627,33 @@ TEST(EvaluateTargets, IdenticalAtOneAndThreeThreads) {
     EXPECT_EQ(serial[t].correct, wide[t].correct) << "target " << t;
     expect_same_health(serial[t].health, wide[t].health);
   }
+}
+
+TEST(EvaluateTargets, HealthCountsOneDeploymentAtAnyThreadCount) {
+  // A circuit solver cut off after one sweep: every solve, the gain-trim
+  // calibration's included, counts as non-converged.
+  xbar::SolverOptions one_sweep;
+  one_sweep.max_sweeps = 1;
+  puma::HwConfig trim;
+  trim.gain_trim = true;
+  const std::vector<core::Target> solver = {
+      {std::make_shared<xbar::CircuitSolverModel>(toy_base_model()->config(),
+                                                  one_sweep),
+       trim}};
+  const core::PreparedTask& p = prepared();
+  const std::vector<core::ImageSet> two = {
+      {std::span<const Tensor>(p.dataset.test_images).first(2),
+       std::span<const std::int64_t>(p.dataset.test_labels).first(2)}};
+  const auto evaluate_at = [&](std::size_t threads) {
+    ThreadPool pool(threads);
+    ThreadPool::ScopedUse use(pool);
+    return core::evaluate_targets(p, solver, two)[0];
+  };
+  const core::TargetEval serial = evaluate_at(1);
+  const core::TargetEval wide = evaluate_at(3);  // two replicas
+  EXPECT_GT(serial.health.solver_nonconverged, 0u);
+  EXPECT_EQ(serial.correct, wide.correct);
+  expect_same_health(serial.health, wide.health);
 }
 
 TEST(EvaluateTargets, LeavesThePreparedNetworkUntouched) {
