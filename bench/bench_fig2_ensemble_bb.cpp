@@ -30,20 +30,16 @@ int main(int argc, char** argv) {
 
     std::vector<std::vector<Tensor>> adv_sets;
     trace::Span craft("bench/craft");
-    for (float eps : paper_eps) {
+    for (float eps : paper_eps)
       adv_sets.push_back(bench::pgd30(*ensemble, task, eps, images, labels));
-    }
     bench::progress("ensemble PGD crafting", craft.seconds());
 
     std::printf(
         "\n== Fig 2: non-adaptive Ensemble BB PGD (iter=30), %s (%s), n=%lld ==\n",
         task.name.c_str(), task.paper_analogue.c_str(),
         static_cast<long long>(images.size()));
-    std::printf("x-axis: paper eps/255");
-    for (float eps : paper_eps) std::printf(", %.0f", eps);
-    std::printf("\n");
-
-    bench::print_columns(prepared, models, adv_sets, labels, false);
+    bench::print_columns(prepared, models, paper_eps, 0, adv_sets, labels,
+                         false);
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
   return 0;

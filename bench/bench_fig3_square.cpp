@@ -42,11 +42,8 @@ int main(int argc, char** argv) {
         "\n== Fig 3: non-adaptive Square Attack (q=%lld), %s (%s), n=%lld ==\n",
         static_cast<long long>(queries), task.name.c_str(),
         task.paper_analogue.c_str(), static_cast<long long>(images.size()));
-    std::printf("x-axis: paper eps/255");
-    for (float eps : paper_eps) std::printf(", %.0f", eps);
-    std::printf("\n");
-
-    bench::print_columns(prepared, models, adv_sets, labels, imagenet);
+    bench::print_columns(prepared, models, paper_eps, 0, adv_sets, labels,
+                         imagenet);
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
   return 0;

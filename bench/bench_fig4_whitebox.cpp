@@ -26,19 +26,16 @@ int main(int argc, char** argv) {
     attack::NetworkAttackModel attacker(prepared.network);
     std::vector<std::vector<Tensor>> adv_sets;
     trace::Span craft("bench/craft");
-    for (float eps : paper_eps) {
+    for (float eps : paper_eps)
       adv_sets.push_back(bench::pgd30(attacker, task, eps, images, labels));
-    }
     bench::progress("PGD crafting " + task.name, craft.seconds());
 
     std::printf("\n== Fig 4: non-adaptive White-Box PGD (iter=30), %s (%s), n=%lld ==\n",
                 task.name.c_str(), task.paper_analogue.c_str(),
                 static_cast<long long>(images.size()));
-    std::printf("x-axis: paper eps/255");
-    for (float eps : paper_eps) std::printf(", %.1f", eps);
-    std::printf("\n");
 
-    bench::print_columns(prepared, models, adv_sets, labels, false);
+    bench::print_columns(prepared, models, paper_eps, 1, adv_sets, labels,
+                         false);
     std::printf("[%s done in %.0fs]\n", task.name.c_str(), total.seconds());
   }
   return 0;

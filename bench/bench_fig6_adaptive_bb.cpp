@@ -53,9 +53,8 @@ int main(int argc, char** argv) {
       auto ensemble = surrogates.attack_model();
 
       // 2. Craft per epsilon.
-      for (float eps : paper_eps) {
+      for (float eps : paper_eps)
         adv_sets.push_back(bench::pgd30(*ensemble, task, eps, images, labels));
-      }
       bench::progress("attacker " + attacker_xbar.name, sw.seconds());
     }
 

@@ -146,13 +146,20 @@ inline std::vector<Defense> paper_defenses(bool imagenet) {
                    : Defense{"sap", sap_defense_accuracy}};
 }
 
-/// Prints one series over the crafted sets per column: the baseline and
-/// each model from one paired evaluation, then each defense.
+/// Prints a figure's x-axis (the paper epsilon of each crafted set, with
+/// `eps_decimals` decimals), then one series over the sets per column: the
+/// baseline and each model from one paired evaluation, then each defense.
 inline void print_columns(core::PreparedTask& prepared,
                           const std::vector<NamedModel>& models,
+                          const std::vector<float>& paper_eps,
+                          int eps_decimals,
                           const std::vector<std::vector<Tensor>>& adv_sets,
                           std::span<const std::int64_t> labels,
                           bool imagenet) {
+  std::printf("x-axis: paper eps/255");
+  for (float eps : paper_eps)
+    std::printf(", %.*f", eps_decimals, static_cast<double>(eps));
+  std::printf("\n");
   const std::vector<core::TargetEval> evals = core::evaluate_targets(
       prepared, paper_targets(models), image_sets(adv_sets, labels));
   const auto series = [&](const std::string& name, const auto& accuracy) {

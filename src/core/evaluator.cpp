@@ -201,9 +201,7 @@ std::vector<TargetEval> evaluate_targets(const PreparedTask& prepared,
                 start.begin() - 1);
             const std::size_t k = i - start[s];
             hit[i] = net.forward(sets[s].images[k], nn::Mode::Eval).argmax() ==
-                             sets[s].labels[k]
-                         ? 1
-                         : 0;
+                     sets[s].labels[k];
           }
         });
     deployments.clear();

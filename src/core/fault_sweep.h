@@ -27,7 +27,8 @@
 
 namespace nvm::core {
 
-/// The transfer attacks come from the base; PGD runs by default.
+/// The grid to sweep. The evaluation (n_eval and the transfer attacks,
+/// PGD on by default) comes from the base.
 struct FaultSweepOptions : TransferOptions {
   FaultSweepOptions() : TransferOptions{.run_pgd = true} {}
 

@@ -84,7 +84,8 @@ struct ChipInstance {
   }
 };
 
-/// Fleet-level population + simulation parameters.
+/// Fleet-level population + simulation parameters. The evaluation (n_eval
+/// and the transfer attacks, off by default) comes from the base.
 struct FleetOptions : core::TransferOptions {
   FleetOptions() : TransferOptions{.pgd_eps_255 = 8.0f, .pgd_iters = 10} {}
 
