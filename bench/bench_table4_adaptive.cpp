@@ -82,7 +82,6 @@ int main(int argc, char** argv) {
     const std::vector<float> wb_eps =
         imagenet ? std::vector<float>{1.0f} : std::vector<float>{1.0f, 2.0f};
     for (float eps : wb_eps) {
-      if (imagenet && eps > 1.0f) continue;
       trace::Span sw("bench/stage");
       {
         puma::HwDeployment dep(prepared.network, attacker_bb, calib);
