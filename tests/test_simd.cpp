@@ -274,6 +274,161 @@ TEST(SimdKernels, TransposedGemmVariantsMatchExplicitTranspose) {
     EXPECT_NEAR(bt[i], bt_ref[i], 1e-5) << i;
 }
 
+/// Float lanes per vector of a tier; 0 for the scalar tier, which has no
+/// vector columns.
+std::int64_t float_lanes(simd::Isa isa) {
+  switch (isa) {
+    case simd::Isa::Avx512:
+      return 16;
+    case simd::Isa::Avx2:
+      return 8;
+    case simd::Isa::Scalar:
+      break;
+  }
+  return 0;
+}
+
+/// Bit equality, except that any NaN matches any NaN: x86 picks a NaN
+/// result's payload by operand position, which the C++ source of an
+/// unfused `c + a * b` does not pin.
+bool same_bits(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  std::uint32_t bx = 0, by = 0;
+  std::memcpy(&bx, &x, sizeof bx);
+  std::memcpy(&by, &y, sizeof by);
+  return bx == by;
+}
+
+/// gemm_accum and gemm_at_accum against their per-position op order:
+/// the columns below W*floor(n/W) (W the tier's float lanes) are one
+/// std::fma chain over kk, the remaining columns the unfused
+/// `c = c + a * b` over kk, and the scalar tier is that unfused loop on
+/// every column, skipping zero A elements. Special values (+-Inf, NaN,
+/// -0) sit in a few rows of A, columns of B and elements of C; the
+/// padding of C's rows and a guard block past C's end must come back
+/// untouched.
+TEST(SimdGemm, RaggedColumnsKeepTheScalarTailOrder) {
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  // The seven ResNet-20 GEMM shapes of a 12x12 image (stage-1 conv with 3
+  // and 8 input channels, stage-2 and stage-3 convs, the classifier).
+  std::vector<Shape> shapes = {{8, 27, 144}, {8, 72, 144}, {16, 72, 36},
+                               {16, 144, 36}, {32, 144, 9}, {32, 288, 9},
+                               {10, 32, 1}};
+  for (std::int64_t m : {1, 7, 17, 33})
+    for (std::int64_t n : {1, 7, 9, 15, 17, 19, 35})  // 1, W-1, W+1, 2W+3
+      shapes.push_back({m, 19, n});
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {inf, -inf, nan, -0.0f};
+  const float kPad = 12345.5f;
+  constexpr std::int64_t kGuard = 64;
+  Rng rng(71);
+  for (const Shape& s : shapes) {
+    for (const bool at : {false, true}) {
+      const std::int64_t m = s.m, k = s.k, n = s.n;
+      const std::int64_t lda = at ? m + 2 : k + 3, ldb = n + 5, ldc = n + 7;
+      std::vector<float> a = random_vec((at ? k : m) * lda, rng);
+      std::vector<float> b = random_vec(k * ldb, rng);
+      std::vector<float> c0 = random_vec(m * ldc + kGuard, rng);
+      auto a_at = [&](std::int64_t i, std::int64_t kk) -> float& {
+        return at ? a[kk * lda + i] : a[i * lda + kk];
+      };
+      // Specials confined to rows i % 5 == 3 of A, columns j % 6 == 2 of
+      // B and every 7th element of C, so most outputs stay finite; exact
+      // zeros of both signs in A exercise the scalar tier's zero skip.
+      for (std::int64_t i = 3; i < m; i += 5)
+        a_at(i, (i * 7) % k) = specials[i % 4];
+      for (std::int64_t i = 0; i < m; i += 2) a_at(i, (i * 3) % k) = -0.0f;
+      for (std::int64_t i = 1; i < m; i += 4) a_at(i, (i * 5) % k) = 0.0f;
+      for (std::int64_t j = 2; j < n; j += 6)
+        b[((j * 11) % k) * ldb + j] = specials[(j / 6) % 4];
+      for (std::int64_t e = 0; e < m * ldc; e += 7)
+        c0[e] = (e / 7) % 3 == 0 ? -0.0f : specials[(e / 7) % 4];
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = n; j < ldc; ++j) c0[i * ldc + j] = kPad;
+      for (std::int64_t g = 0; g < kGuard; ++g) c0[m * ldc + g] = kPad;
+      for (simd::Isa isa : usable_isas()) {
+        simd::ScopedIsaForTests scope(isa);
+        const std::int64_t lanes = float_lanes(isa);
+        const std::int64_t nw = lanes == 0 ? 0 : n / lanes * lanes;
+        std::vector<float> c = c0;
+        (at ? simd::gemm_at_accum : simd::gemm_accum)(
+            c.data(), a.data(), b.data(), m, n, k, lda, ldb, ldc);
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t j = 0; j < ldc; ++j) {
+            float want = c0[i * ldc + j];
+            if (j < n)
+              for (std::int64_t kk = 0; kk < k; ++kk) {
+                const float aik = a_at(i, kk), bkj = b[kk * ldb + j];
+                if (j < nw) {
+                  want = std::fma(aik, bkj, want);
+                } else if (lanes != 0 || aik != 0.0f) {
+                  const float t = aik * bkj;
+                  want = want + t;
+                }
+              }
+            ASSERT_TRUE(same_bits(c[i * ldc + j], want))
+                << simd::isa_name(isa) << (at ? " gemm_at_accum" : " gemm_accum")
+                << " m=" << m << " k=" << k << " n=" << n << " (" << i
+                << "," << j << ") got " << c[i * ldc + j] << " want " << want;
+          }
+        for (std::int64_t g = 0; g < kGuard; ++g)
+          ASSERT_TRUE(same_bits(c[m * ldc + g], kPad))
+              << simd::isa_name(isa) << " guard " << g << " m=" << m
+              << " n=" << n;
+      }
+    }
+  }
+}
+
+/// A single row with leading dimensions past 2^31 / 16 floats: the vector
+/// tails' 32-bit gather offsets cannot address a second row there, so
+/// these calls take the scalar fallback, with the same bits.
+TEST(SimdGemm, HugeLeadingDimensionsKeepTheTailOrder) {
+  const std::int64_t huge = std::int64_t{1} << 28;
+  const std::int64_t k = 5;
+  Rng rng(72);
+  for (const std::int64_t n : {3, 9, 21}) {
+    // m = 1 and k = 1 row of A^T respectively: no element past row 0 is
+    // ever addressed, so the huge strides cost no memory.
+    const std::vector<float> a = random_vec(k, rng), b = random_vec(k * n, rng);
+    const std::vector<float> c0 = random_vec(n, rng);
+    for (simd::Isa isa : usable_isas()) {
+      simd::ScopedIsaForTests scope(isa);
+      const std::int64_t lanes = float_lanes(isa);
+      const std::int64_t nw = lanes == 0 ? 0 : n / lanes * lanes;
+      std::vector<float> c = c0, cat = c0;
+      simd::gemm_accum(c.data(), a.data(), b.data(), 1, n, k, huge, n, huge);
+      // A^T with one column (m = 1): a[kk * lda] would leave the buffer
+      // for lda > 1, so A^T runs k = 1 with the same huge strides.
+      simd::gemm_at_accum(cat.data(), a.data(), b.data(), 1, n, 1, huge, n,
+                          huge);
+      for (std::int64_t j = 0; j < n; ++j) {
+        float want = c0[j], want_at = c0[j];
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          if (j < nw) {
+            want = std::fma(a[kk], b[kk * n + j], want);
+          } else {
+            const float t = a[kk] * b[kk * n + j];
+            want = want + t;
+          }
+        }
+        if (j < nw) {
+          want_at = std::fma(a[0], b[j], want_at);
+        } else {
+          const float t = a[0] * b[j];
+          want_at = want_at + t;
+        }
+        EXPECT_TRUE(same_bits(c[j], want)) << simd::isa_name(isa) << " " << j;
+        EXPECT_TRUE(same_bits(cat[j], want_at))
+            << simd::isa_name(isa) << " " << j;
+      }
+    }
+  }
+}
+
 /// quantize_to_i16 is the affine activation quantizer
 /// round(clamp(x, 0, scale) / scale * qmax) on every tier.
 TEST(SimdKernels, QuantizeAffineMatchesScalarFormula) {
