@@ -402,13 +402,18 @@ BENCHMARK(BM_SolverTiledMatmulWarmStart)
 // bench/nn/input_grad_speedup is what skipping the parameter gradients
 // (conv dW above all) saves per attack gradient, and the perf gate holds
 // a floor on it.
-void BM_InputGrad(benchmark::State& state) {
-  Rng rng(11);
+/// The untrained SCIFAR10 ResNet-20 (widths 8/16/32) the nn benches run.
+nn::Network probe_resnet20(Rng& rng) {
   nn::ResnetCifarSpec spec;
   spec.blocks_per_stage = 3;
   spec.widths = {8, 16, 32};
   spec.num_classes = 10;
-  nn::Network net = nn::make_resnet_cifar(spec, rng);
+  return nn::make_resnet_cifar(spec, rng);
+}
+
+void BM_InputGrad(benchmark::State& state) {
+  Rng rng(11);
+  nn::Network net = probe_resnet20(rng);
   Tensor x = Tensor::uniform({3, 12, 12}, 0.0f, 1.0f, rng);
   nn::LossGrad lg = nn::cross_entropy(net.forward(x, nn::Mode::Eval), 3);
   using Clock = std::chrono::steady_clock;
@@ -431,6 +436,24 @@ void BM_InputGrad(benchmark::State& state) {
       .set(full_s.count() / input_s.count());
 }
 BENCHMARK(BM_InputGrad)->Unit(benchmark::kMillisecond);
+
+// One Eval forward of BM_InputGrad's network and image on ideal engines:
+// the per-image digital classification every digital baseline, transfer
+// attack and HIL gradient pays (GEMMs plus im2col and ReLU glue).
+// bench/nn/forward_ms is its wall time per forward.
+void BM_DigitalForward(benchmark::State& state) {
+  Rng rng(11);
+  nn::Network net = probe_resnet20(rng);
+  Tensor x = Tensor::uniform({3, 12, 12}, 0.0f, 1.0f, rng);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) benchmark::DoNotOptimize(net.forward(x, nn::Mode::Eval));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  if (state.iterations() == 0) return;
+  metrics::gauge("bench/nn/forward_ms")
+      .set(dt.count() * 1e3 / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_DigitalForward)->Unit(benchmark::kMillisecond);
 
 void BM_FloatGemmReference(benchmark::State& state) {
   Rng rng(5);

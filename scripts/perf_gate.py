@@ -100,6 +100,12 @@ SPECS = [
     # fails if input_grad goes back to computing conv dW (ratio ~1.0).
     ("BENCH_mvm_perf.json", "metrics",
      "bench/nn/input_grad_speedup", "min", 1.8),
+    # Per-image digital forward (BM_DigitalForward): one Eval forward of
+    # the same ResNet-20 on ideal engines. Vectorizing the float GEMMs'
+    # ragged column tails and the im2col/ReLU glue took it from 0.58-0.64
+    # to 0.12-0.13 ms on the 4-vCPU AVX-512 host; a 50% band absorbs host
+    # noise and still catches a return to the scalar tails.
+    ("BENCH_mvm_perf.json", "metrics", "bench/nn/forward_ms", "lower", 0.50),
     # Serving layer (BENCH_serve.json).
     # Saturation throughput at batch 1 and batch 32, each held on its own.
     # Their ratio (saturation_speedup, still printed) fell whenever the

@@ -40,10 +40,11 @@ run cost_model "$BUILD/bench/bench_cost_model"
 # tiled matmul at 32 columns and at one (bench/tiled/fused_ms,
 # bench/tiled/fused_n1_ms), the ideal and GENIEx tiled matmuls
 # (bench/tiled/geniex_ms), the empty pool fork-join
-# (bench/pool/fork_join_us), and the backward vs input-only backward A/B
-# (bench/nn/input_grad_speedup).
+# (bench/pool/fork_join_us), the backward vs input-only backward A/B
+# (bench/nn/input_grad_speedup) and the per-image digital ResNet-20
+# forward (bench/nn/forward_ms).
 run mvm_perf "$BUILD/bench/bench_mvm_perf" \
-  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverMvm/64|BM_GeniexFit|BM_TiledProgram|BM_ForkJoin|BM_InputGrad' \
+  --benchmark_filter='BM_IdealMvm|BM_FastNoiseMvm|BM_TiledMatmul/|BM_TiledMatmulFused|BM_SolverTiledMatmulWarmStart|BM_CircuitSolverMvm/64|BM_GeniexFit|BM_TiledProgram|BM_ForkJoin|BM_InputGrad|BM_DigitalForward' \
   --benchmark_min_time=0.05
 # Serving layer: throughput + exact p50/p99 latency at 2 offered loads and
 # saturation, max_batch 1 vs 32; exits nonzero if batching fails to beat

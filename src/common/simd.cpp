@@ -338,6 +338,68 @@ void adam_step_scalar(float* p, float* m, float* v, const float* g,
   }
 }
 
+void im2col_scalar(float* cols, const float* img, const ConvShape& g) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w(), n_cols = oh * ow;
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+        const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
+        float* dst = cols + row * n_cols;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * g.stride + ky - g.pad;
+          if (iy < 0 || iy >= g.h) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) dst[oy * ow + ox] = 0.0f;
+            continue;
+          }
+          const float* src = img + (c * g.h + iy) * g.w;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * g.stride + kx - g.pad;
+            dst[oy * ow + ox] = (ix >= 0 && ix < g.w) ? src[ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im_scalar(float* img, const float* cols, const ConvShape& g) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w(), n_cols = oh * ow;
+  std::fill(img, img + g.channels * g.h * g.w, 0.0f);
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+        const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
+        const float* src = cols + row * n_cols;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * g.stride + ky - g.pad;
+          if (iy < 0 || iy >= g.h) continue;
+          float* dst = img + (c * g.h + iy) * g.w;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * g.stride + kx - g.pad;
+            if (ix >= 0 && ix < g.w) dst[ix] += src[oy * ow + ox];
+          }
+        }
+      }
+    }
+  }
+}
+
+void relu_scalar(float* y, std::uint8_t* mask, const float* x,
+                 std::int64_t n) {
+  std::fill(mask, mask + (n + 7) / 8, std::uint8_t{0});
+  for (std::int64_t i = 0; i < n; ++i) {
+    const bool pos = x[i] > 0.0f;
+    y[i] = pos ? x[i] : 0.0f;
+    mask[i / 8] = static_cast<std::uint8_t>(mask[i / 8] | (pos << (i % 8)));
+  }
+}
+
+void relu_backprop_scalar(float* dx, const float* grad,
+                          const std::uint8_t* mask, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i)
+    dx[i] = grad[i] * (((mask[i / 8] >> (i % 8)) & 1) != 0 ? 1.0f : 0.0f);
+}
+
 void gemm_f64acc_scalar(float* out, const float* a, const float* v,
                         std::int64_t m, std::int64_t n, std::int64_t k,
                         std::int64_t lda, std::int64_t ldv, std::int64_t ldo) {
@@ -532,6 +594,10 @@ constexpr detail::Kernels kScalar = {
     .gemv_madd = gemv_madd_scalar,
     .tanh_backprop = tanh_backprop_scalar,
     .adam_step = adam_step_scalar,
+    .im2col = im2col_scalar,
+    .col2im = col2im_scalar,
+    .relu = relu_scalar,
+    .relu_backprop = relu_backprop_scalar,
     .quantize_to_i16 = quantize_to_i16_scalar,
     .gemm_at_i8_i32acc = gemm_at_i8_i32acc_scalar,
     .adc_shift_add_i32 = adc_shift_add_i32_scalar,
@@ -702,6 +768,52 @@ void adam_step(float* p, float* m, float* v, const float* g, std::int64_t n,
   static metrics::Counter& calls = metrics::counter("simd/kernel/adam_step");
   tally(calls, 14 * u64(n));
   tier().adam_step(p, m, v, g, n, c);
+}
+
+namespace {
+
+/// The conv-glue kernels' geometry contract: a non-empty output and an
+/// image small enough for the vector tiers' 32-bit lane offsets.
+void check_conv_shape(const ConvShape& g) {
+  NVM_CHECK(g.channels > 0 && g.h > 0 && g.w > 0 && g.kernel > 0 &&
+                g.stride > 0 && g.pad >= 0 && g.out_h() > 0 &&
+                g.out_w() > 0 &&
+                g.channels * g.h * g.w < (std::int64_t{1} << 31) &&
+                g.channels * g.kernel * g.kernel * g.out_h() * g.out_w() <
+                    (std::int64_t{1} << 31),
+            "conv shape c=" << g.channels << " h=" << g.h << " w=" << g.w
+                            << " k=" << g.kernel << " s=" << g.stride
+                            << " p=" << g.pad);
+}
+
+}  // namespace
+
+void im2col(float* cols, const float* img, const ConvShape& g) {
+  check_conv_shape(g);
+  static metrics::Counter& c = metrics::counter("simd/kernel/im2col");
+  c.add();  // a copy: no flops tallied
+  tier().im2col(cols, img, g);
+}
+
+void col2im(float* img, const float* cols, const ConvShape& g) {
+  check_conv_shape(g);
+  static metrics::Counter& c = metrics::counter("simd/kernel/col2im");
+  // One add per im2col element (padding included).
+  tally(c, u64(g.channels * g.kernel * g.kernel) * u64(g.out_h() * g.out_w()));
+  tier().col2im(img, cols, g);
+}
+
+void relu(float* y, std::uint8_t* mask, const float* x, std::int64_t n) {
+  static metrics::Counter& c = metrics::counter("simd/kernel/relu");
+  tally(c, u64(n));  // one compare per element
+  tier().relu(y, mask, x, n);
+}
+
+void relu_backprop(float* dx, const float* grad, const std::uint8_t* mask,
+                   std::int64_t n) {
+  static metrics::Counter& c = metrics::counter("simd/kernel/relu_backprop");
+  tally(c, u64(n));
+  tier().relu_backprop(dx, grad, mask, n);
 }
 
 void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,

@@ -31,8 +31,9 @@
 // Kernel list by contract:
 //   [exact] gemm_madd, gemm_f64acc, adc_shift_add, geniex_inputs,
 //           geniex_features, geniex_epilogue, tanh_fast_block, gemv_madd,
-//           tanh_backprop, adam_step, quantize_to_i16,
-//           gemm_at_i8_i32acc, adc_shift_add_i32, dac_streams_i16
+//           tanh_backprop, adam_step, im2col, col2im, relu,
+//           relu_backprop, quantize_to_i16, gemm_at_i8_i32acc,
+//           adc_shift_add_i32, dac_streams_i16
 //   [~ulp]  dot, gemm_accum, gemm_at_accum, gemm_bt_accum, mlp_tanh
 //
 // Reduction trees:
@@ -40,7 +41,11 @@
 //     reduced as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)). Wider tiers fold
 //     their extra lanes pairwise onto the 8-lane tree (still [~ulp]).
 //   * gemm*: per output element, sequential accumulation over k (the
-//     microtile blocks rows/columns, never the reduction).
+//     microtile blocks rows/columns, never the reduction). gemm_accum and
+//     gemm_at_accum fix the op per output position: an FMA chain for the
+//     columns in full W-lane vectors, unfused multiply-then-add for the
+//     ragged columns [W*floor(n/W), n), which run vectorized across rows
+//     (scalar only when lda*W or ldc*W reaches 2^31).
 //   * mlp_tanh: per sample, each hidden unit's sum sequential over the
 //     inputs, the output sum sequential over the hidden units (vector
 //     tiers block samples, never the reductions).
@@ -126,14 +131,21 @@ void mlp_tanh(float* out, const float* x, std::int64_t n, std::int64_t in_dim,
 // All operate on row-major storage with explicit leading dimensions and
 // ACCUMULATE into C (callers zero C for a plain product). The vector
 // implementations block into 4xW microtiles of broadcast-FMA (W = the
-// tier's float lane count).
+// tier's float lane count) over the full vectors of columns.
 
-/// [~ulp] C(m x n, ldc) += A(m x k, lda) * B(k x n, ldb).
+/// [~ulp] C(m x n, ldc) += A(m x k, lda) * B(k x n, ldb). Per output
+/// element, sequential over k: on a vector tier with W float lanes the
+/// columns below W*floor(n/W) are one FMA chain and the ragged columns
+/// the unfused `c = c + a * b` (vectorized across W rows of C, A
+/// gathered at stride lda); the scalar tier is that unfused loop on every
+/// column, skipping zero A elements.
 void gemm_accum(float* c, const float* a, const float* b, std::int64_t m,
                 std::int64_t n, std::int64_t k, std::int64_t lda,
                 std::int64_t ldb, std::int64_t ldc);
 
-/// [~ulp] C(m x n, ldc) += A^T * B where A is (k x m, lda).
+/// [~ulp] C(m x n, ldc) += A^T * B where A is (k x m, lda), with
+/// gemm_accum's per-position op order (ragged columns load A^T rows
+/// contiguously).
 void gemm_at_accum(float* c, const float* a, const float* b, std::int64_t m,
                    std::int64_t n, std::int64_t k, std::int64_t lda,
                    std::int64_t ldb, std::int64_t ldc);
@@ -262,6 +274,50 @@ struct AdamStep {
 /// with IEEE divides and a correctly rounded sqrt.
 void adam_step(float* p, float* m, float* v, const float* g, std::int64_t n,
                const AdamStep& c);
+
+// Convolution glue ---------------------------------------------------------
+// The per-image layout and activation steps around the digital network's
+// GEMMs (tensor/ops.cpp, nn/activations.cpp). All [exact]: im2col is a
+// copy, col2im keeps each element's summation order, and the ReLU pair
+// runs the scalar reference's comparisons and products per lane, so every
+// tier gives the same bits.
+
+/// Geometry of one (channels x h x w) image under a square kernel with
+/// symmetric zero padding and equal strides (the nvm::ConvGeom of a conv
+/// layer without its output channels).
+struct ConvShape {
+  std::int64_t channels = 0, h = 0, w = 0;
+  std::int64_t kernel = 1, stride = 1, pad = 0;
+
+  std::int64_t out_h() const { return (h + 2 * pad - kernel) / stride + 1; }
+  std::int64_t out_w() const { return (w + 2 * pad - kernel) / stride + 1; }
+};
+
+/// [exact] Unfolds the image into cols, a (channels*kernel^2 x
+/// out_h*out_w) row-major matrix:
+///   cols[((c*kernel + ky)*kernel + kx) * out_h*out_w + oy*out_w + ox]
+///     = img[(c*h + iy)*w + ix],  iy = oy*stride + ky - pad,
+///                                ix = ox*stride + kx - pad,
+/// and +0 where (iy, ix) falls in the padding. Requires a non-empty
+/// output and channels*h*w < 2^31.
+void im2col(float* cols, const float* img, const ConvShape& g);
+
+/// [exact] Adjoint of im2col: img (channels x h x w) is overwritten with
+/// the sum of every cols element im2col would have copied from that
+/// pixel, accumulated from +0 in the scalar loop's order (c, ky, kx, oy,
+/// ox), i.e. per pixel in (ky, kx) order. Same requirements as im2col.
+void col2im(float* img, const float* cols, const ConvShape& g);
+
+/// [exact] ReLU forward over n elements: y[i] = x[i] > 0 ? x[i] : +0 (so
+/// -0 and NaN give +0), and bit i % 8 of mask[i / 8] records x[i] > 0
+/// (ceil(n / 8) bytes; bits past n are 0).
+void relu(float* y, std::uint8_t* mask, const float* x, std::int64_t n);
+
+/// [exact] ReLU backprop: dx[i] = grad[i] * (bit i of mask ? 1.0f : 0.0f)
+/// as an IEEE product, so a masked -x gives -0 and a masked NaN or Inf
+/// gradient gives NaN. dx may alias grad.
+void relu_backprop(float* dx, const float* grad, const std::uint8_t* mask,
+                   std::int64_t n);
 
 // Integer bit-slice kernels (DESIGN.md §13) -------------------------------
 // The tiled GEMM's operands are small non-negative integers (weight

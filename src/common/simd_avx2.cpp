@@ -5,7 +5,8 @@
 // and the dispatcher never routes here).
 //
 // Tail policy: float and int32 tails are maskload/maskstore vectors
-// (gather tails masked gathers); int16 loads and int8 stores have no
+// (gather tails masked gathers; AVX2 has no scatter, so scatters store
+// their live lanes one by one); int16 loads and int8 stores have no
 // masked form in AVX2, so a ragged int16 vector is staged through a
 // zero-padded buffer.
 #include "common/simd_kernels.h"
@@ -75,6 +76,12 @@ struct Avx2 {
   static unsigned bits(Mask m) {
     return static_cast<unsigned>(_mm256_movemask_ps(m));
   }
+  static Mask from_bits(unsigned bits) {
+    const __m256i lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i set = _mm256_and_si256(
+        _mm256_set1_epi32(static_cast<int>(bits)), lane);
+    return _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, lane));
+  }
 
   static VI load_i32(const std::int32_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -103,6 +110,22 @@ struct Avx2 {
   static V gather(const float* base, VI offsets, Tail m) {
     return _mm256_mask_i32gather_ps(zero(), base, offsets,
                                     _mm256_castsi256_ps(m), 4);
+  }
+  static Tail in_range_i32(VI x, std::int32_t hi) {
+    return _mm256_and_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(hi), x),
+                            _mm256_cmpgt_epi32(x, _mm256_set1_epi32(-1)));
+  }
+  static Tail eq_i32(VI a, VI b) { return _mm256_cmpeq_epi32(a, b); }
+  static Tail tand(Tail a, Tail b) { return _mm256_and_si256(a, b); }
+  /// No scatter instruction in AVX2: the live lanes are stored one by one.
+  static void scatter(float* base, VI offsets, Tail m, V x) {
+    alignas(32) float v[8];
+    alignas(32) std::int32_t off[8];
+    _mm256_store_ps(v, x);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(off), offsets);
+    const int live = _mm256_movemask_ps(_mm256_castsi256_ps(m));
+    for (int l = 0; l < 8; ++l)
+      if ((live >> l) & 1) base[off[l]] = v[l];
   }
 
   static D zero_d() { return _mm256_setzero_pd(); }

@@ -6,7 +6,7 @@
 // here).
 //
 // Tail policy: every ragged vector — float, int32, int16 and int8 — is a
-// masked load/store (gathers masked gathers).
+// masked load/store (gathers and scatters masked).
 #include "common/simd_kernels.h"
 
 #ifdef NVM_SIMD_AVX512_TU
@@ -77,6 +77,7 @@ struct Avx512 {
     return _mm512_mask_blend_ps(m, no, yes);
   }
   static unsigned bits(Mask m) { return m; }
+  static Mask from_bits(unsigned bits) { return static_cast<Mask>(bits); }
 
   static VI load_i32(const std::int32_t* p) { return _mm512_loadu_si512(p); }
   static void store_i32(std::int32_t* p, VI x) { _mm512_storeu_si512(p, x); }
@@ -101,6 +102,15 @@ struct Avx512 {
   }
   static V gather(const float* base, VI offsets, Tail m) {
     return _mm512_mask_i32gather_ps(zero(), m, offsets, base, 4);
+  }
+  /// Unsigned compare: a negative x reads as >= 2^31, out of range.
+  static Tail in_range_i32(VI x, std::int32_t hi) {
+    return _mm512_cmplt_epu32_mask(x, _mm512_set1_epi32(hi));
+  }
+  static Tail eq_i32(VI a, VI b) { return _mm512_cmpeq_epi32_mask(a, b); }
+  static Tail tand(Tail a, Tail b) { return static_cast<Tail>(a & b); }
+  static void scatter(float* base, VI offsets, Tail m, V x) {
+    _mm512_mask_i32scatter_ps(base, m, offsets, x, 4);
   }
 
   static D zero_d() { return _mm512_setzero_pd(); }

@@ -31,6 +31,9 @@ struct Kernels {
   decltype(&simd::gemv_madd) gemv_madd;
   decltype(&simd::tanh_backprop) tanh_backprop;
   decltype(&simd::adam_step) adam_step;
+  decltype(&simd::im2col) im2col, col2im;
+  decltype(&simd::relu) relu;
+  decltype(&simd::relu_backprop) relu_backprop;
   decltype(&simd::quantize_to_i16) quantize_to_i16;
   decltype(&simd::gemm_at_i8_i32acc) gemm_at_i8_i32acc;
   decltype(&simd::adc_shift_add_i32) adc_shift_add_i32;

@@ -7,7 +7,9 @@
 // reference's IEEE ops per lane, in the same order (elementwise ops are
 // width-independent, so any lane count gives the same bits); [~ulp]
 // kernels (dot, gemm, gemm_at, gemm_bt, mlp_tanh) use FMA in the vector
-// body, and dot folds its lanes pairwise onto the documented 8-lane tree.
+// body, and dot folds its lanes pairwise onto the documented 8-lane tree;
+// gemm and gemm_at finish their ragged columns unfused, vectorized across
+// rows.
 // gemm_f64acc stays [exact]: float*float products are exact in double, so
 // a double FMA rounds like the reference's mul-then-add. Scalar tail loops
 // here are unfused like the reference (the whole build carries
@@ -20,7 +22,8 @@
 //                    first min(left, W) lanes, all() every lane; load()
 //                    zeroes the lanes it drops and store() skips them
 //   Mask             comparison result: lt, gt (ordered), nonfinite
-//                    (!std::isfinite), mor, none, select(m, yes, no), bits
+//                    (!std::isfinite), mor, none, select(m, yes, no),
+//                    bits (lane l = bit l), from_bits (its inverse)
 //   float ops        zero, set1, loadu, storeu, add, sub, mul, div,
 //                    fmadd(a, b, c) = a*b + c fused, min, max (x86 operand
 //                    semantics), sqrt, round_nonneg (std::round for t >= 0)
@@ -28,7 +31,9 @@
 //                    cvt_f (i32 -> float), cvt_i (float -> i32, nearest),
 //                    load_i8 (W int8 widened), store_i16 (W int32
 //                    truncated), row_offsets(ld) (lane l = l * ld),
-//                    gather(base, offsets, Tail)
+//                    gather(base, offsets, Tail) (dropped lanes read 0),
+//                    scatter(base, offsets, Tail, V); lane masks as Tail:
+//                    in_range_i32(x, hi) (0 <= x < hi), eq_i32, tand
 //   double ops       zero_d, set1_d, load_d (kDLanes floats widened),
 //                    fmadd_d, store_d (rounded to float)
 //   int16 ops        zero_i, set1_i16, or_i, and_i, max_i16, shift_count,
@@ -73,16 +78,14 @@ float dot(const float* a, const float* b, std::int64_t n) {
   return reduce_lanes(lanes);
 }
 
-/// R rows of C += coef * B style accumulation: c[r*ldc + j] accumulates
-/// coef(r, kk) * b[kk*ldb + j] sequentially over kk, R independent FMA
-/// chains per vector of columns; columns past the last full vector take
-/// an unfused scalar loop.
+/// R rows of C += coef * B over the full vectors of columns [0, nw):
+/// c[r*ldc + j] accumulates coef(r, kk) * b[kk*ldb + j] sequentially over
+/// kk, R independent FMA chains per vector of columns.
 template <class T, int R, typename Coef>
-inline void gemm_rows_fma(float* c, const float* b, std::int64_t n,
+inline void gemm_rows_fma(float* c, const float* b, std::int64_t nw,
                           std::int64_t k, std::int64_t ldb, std::int64_t ldc,
                           Coef coef) {
   constexpr int W = T::kLanes;
-  const std::int64_t nw = n & ~std::int64_t{W - 1};
   for (std::int64_t j0 = 0; j0 < nw; j0 += W) {
     typename T::V acc[R];
 #pragma GCC unroll 4
@@ -96,28 +99,103 @@ inline void gemm_rows_fma(float* c, const float* b, std::int64_t n,
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) T::storeu(c + r * ldc + j0, acc[r]);
   }
-  for (std::int64_t j = nw; j < n; ++j)
-    for (int r = 0; r < R; ++r) {
-      float acc = c[r * ldc + j];
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        acc += coef(r, kk) * b[kk * ldb + j];
-      c[r * ldc + j] = acc;
-    }
 }
 
-/// C(m x n) += A * B where a(i, kk) yields the A element: 4-row
-/// microtiles, then single rows.
+/// The full vectors of columns of C(m x n) += A * B, where a(i, kk)
+/// yields the A element: 4-row microtiles, then single rows. Kept out of
+/// line, with a(i, kk) capturing by value, so the ragged-column pass
+/// after it cannot change its code: inlined beside that pass the AVX2
+/// body reloaded its loop state from the stack every k step (A^T * B at
+/// 72x8x144: 2.9 -> 4.1 us).
 template <class T, typename A>
-inline void gemm_fma(float* c, const float* b, std::int64_t m, std::int64_t n,
-                     std::int64_t k, std::int64_t ldb, std::int64_t ldc,
-                     A a) {
+[[gnu::noinline]] void gemm_fma(float* c, const float* b, std::int64_t m,
+                                std::int64_t n, std::int64_t k,
+                                std::int64_t ldb, std::int64_t ldc, A a) {
+  const std::int64_t nw = n & ~std::int64_t{T::kLanes - 1};
   const std::int64_t m4 = m & ~std::int64_t{3};
   for (std::int64_t i0 = 0; i0 < m4; i0 += 4)
-    gemm_rows_fma<T, 4>(c + i0 * ldc, b, n, k, ldb, ldc,
+    gemm_rows_fma<T, 4>(c + i0 * ldc, b, nw, k, ldb, ldc,
                         [&](int r, std::int64_t kk) { return a(i0 + r, kk); });
   for (std::int64_t i = m4; i < m; ++i)
-    gemm_rows_fma<T, 1>(c + i * ldc, b, n, k, ldb, ldc,
+    gemm_rows_fma<T, 1>(c + i * ldc, b, nw, k, ldb, ldc,
                         [&](int, std::int64_t kk) { return a(i, kk); });
+}
+
+/// NC ragged columns of C for the W rows in `rows` (lane l = row l, C
+/// lanes at offsets `crows`): every lane runs the unfused
+/// `c = c + a * b` sequentially over kk, B broadcast once per column.
+/// arow(kk) yields the A vector of those rows at kk.
+template <class T, int NC, typename ARow>
+inline void gemm_tail_cols(float* c, const float* b, std::int64_t k,
+                           std::int64_t ldb, typename T::VI crows,
+                           typename T::Tail rows, ARow arow) {
+  typename T::V acc[NC];
+#pragma GCC unroll 8
+  for (int t = 0; t < NC; ++t) acc[t] = T::gather(c + t, crows, rows);
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const typename T::V av = arow(kk);
+    const float* brow = b + kk * ldb;
+#pragma GCC unroll 8
+    for (int t = 0; t < NC; ++t)
+      acc[t] = T::add(acc[t], T::mul(av, T::set1(brow[t])));
+  }
+#pragma GCC unroll 8
+  for (int t = 0; t < NC; ++t) T::scatter(c + t, crows, rows, acc[t]);
+}
+
+/// True when lane offsets l * ld (l < W) fit the gathers' int32 offsets.
+template <class T>
+inline bool lane_offsets_fit(std::int64_t ld) {
+  return ld >= 0 && ld < (std::int64_t{1} << 31) / T::kLanes;
+}
+
+/// The ragged columns [W*floor(n/W), n) of C(m x n) += A * B (kAT: A^T,
+/// A stored k x m), with gemm_madd's per-element op order: vectorized
+/// across W rows of C in blocks of up to 8 columns. A is loaded
+/// contiguously (A^T) or gathered at stride lda. Leading dimensions too
+/// large for 32-bit lane offsets take the same op order in scalar code.
+template <class T, bool kAT>
+void gemm_tail(float* c, const float* a, const float* b, std::int64_t m,
+               std::int64_t n, std::int64_t k, std::int64_t lda,
+               std::int64_t ldb, std::int64_t ldc) {
+  constexpr int W = T::kLanes;
+  const std::int64_t nw = n & ~std::int64_t{W - 1};
+  if (!lane_offsets_fit<T>(ldc) || (!kAT && !lane_offsets_fit<T>(lda))) {
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t j = nw; j < n; ++j) {
+        float acc = c[i * ldc + j];
+        for (std::int64_t kk = 0; kk < k; ++kk)
+          acc += (kAT ? a[kk * lda + i] : a[i * lda + kk]) * b[kk * ldb + j];
+        c[i * ldc + j] = acc;
+      }
+    return;
+  }
+  const typename T::VI crows = T::row_offsets(static_cast<int>(ldc));
+  const typename T::VI arows =
+      T::row_offsets(kAT ? 0 : static_cast<int>(lda));
+  for (std::int64_t i0 = 0; i0 < m; i0 += W) {
+    const typename T::Tail rows = T::tail(m - i0);
+    auto arow = [&](std::int64_t kk) {
+      return kAT ? T::load(a + kk * lda + i0, rows)
+                 : T::gather(a + i0 * lda + kk, arows, rows);
+    };
+    float* ci = c + i0 * ldc;
+    std::int64_t j = nw;
+    for (; j + 8 <= n; j += 8)
+      gemm_tail_cols<T, 8>(ci + j, b + j, k, ldb, crows, rows, arow);
+    float* cj = ci + j;
+    const float* bj = b + j;
+    switch (n - j) {
+      case 7: gemm_tail_cols<T, 7>(cj, bj, k, ldb, crows, rows, arow); break;
+      case 6: gemm_tail_cols<T, 6>(cj, bj, k, ldb, crows, rows, arow); break;
+      case 5: gemm_tail_cols<T, 5>(cj, bj, k, ldb, crows, rows, arow); break;
+      case 4: gemm_tail_cols<T, 4>(cj, bj, k, ldb, crows, rows, arow); break;
+      case 3: gemm_tail_cols<T, 3>(cj, bj, k, ldb, crows, rows, arow); break;
+      case 2: gemm_tail_cols<T, 2>(cj, bj, k, ldb, crows, rows, arow); break;
+      case 1: gemm_tail_cols<T, 1>(cj, bj, k, ldb, crows, rows, arow); break;
+      default: break;
+    }
+  }
 }
 
 template <class T>
@@ -125,7 +203,11 @@ void gemm(float* c, const float* a, const float* b, std::int64_t m,
           std::int64_t n, std::int64_t k, std::int64_t lda, std::int64_t ldb,
           std::int64_t ldc) {
   gemm_fma<T>(c, b, m, n, k, ldb, ldc,
-              [&](std::int64_t i, std::int64_t kk) { return a[i * lda + kk]; });
+              [a, lda](std::int64_t i, std::int64_t kk) {
+                return a[i * lda + kk];
+              });
+  if (n % T::kLanes != 0)
+    gemm_tail<T, false>(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 template <class T>
@@ -133,7 +215,11 @@ void gemm_at(float* c, const float* a, const float* b, std::int64_t m,
              std::int64_t n, std::int64_t k, std::int64_t lda,
              std::int64_t ldb, std::int64_t ldc) {
   gemm_fma<T>(c, b, m, n, k, ldb, ldc,
-              [&](std::int64_t i, std::int64_t kk) { return a[kk * lda + i]; });
+              [a, lda](std::int64_t i, std::int64_t kk) {
+                return a[kk * lda + i];
+              });
+  if (n % T::kLanes != 0)
+    gemm_tail<T, true>(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 template <class T>
@@ -546,6 +632,138 @@ void adam_step(float* p, float* m, float* v, const float* g, std::int64_t n,
   }
 }
 
+/// T::set1_i32 of a conv index (check_conv_shape keeps them in int32).
+template <class T>
+inline typename T::VI splat_i32(std::int64_t v) {
+  return T::set1_i32(static_cast<std::int32_t>(v));
+}
+
+/// im2col over W output columns at a time: each lane's (iy, ix) comes
+/// from its column's (oy, ox), and every source pixel is one masked
+/// gather (padding lanes read +0), shared by all channels.
+template <class T>
+void im2col(float* cols, const float* img, const ConvShape& g) {
+  constexpr int W = T::kLanes;
+  const std::int64_t ow = g.out_w(), n_cols = g.out_h() * ow;
+  const std::int64_t kk2 = g.kernel * g.kernel, plane = g.h * g.w;
+  std::int64_t oy = 0, ox = 0;  // output pixel of the block's first lane
+  for (std::int64_t p0 = 0; p0 < n_cols; p0 += W) {
+    alignas(64) std::int32_t iy0[W], ix0[W];
+    for (int l = 0; l < W; ++l) {
+      iy0[l] = static_cast<std::int32_t>(oy * g.stride - g.pad);
+      ix0[l] = static_cast<std::int32_t>(ox * g.stride - g.pad);
+      if (++ox == ow) {
+        ox = 0;
+        ++oy;
+      }
+    }
+    const typename T::Tail live = T::tail(n_cols - p0);
+    const typename T::VI by = T::load_i32(iy0), bx = T::load_i32(ix0);
+    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+      const typename T::VI iy = T::add_i32(by, splat_i32<T>(ky));
+      const typename T::Tail rows =
+          T::tand(live, T::in_range_i32(iy, static_cast<std::int32_t>(g.h)));
+      const typename T::VI rowoff = T::mul_i32(iy, splat_i32<T>(g.w));
+      for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+        const typename T::VI ix = T::add_i32(bx, splat_i32<T>(kx));
+        const typename T::Tail ok = T::tand(
+            rows, T::in_range_i32(ix, static_cast<std::int32_t>(g.w)));
+        const typename T::VI off = T::add_i32(rowoff, ix);
+        float* dst = cols + (ky * g.kernel + kx) * n_cols + p0;
+        for (std::int64_t c = 0; c < g.channels; ++c)
+          T::store(dst + c * kk2 * n_cols, live,
+                   T::gather(img + c * plane, off, ok));
+      }
+    }
+  }
+}
+
+/// col2im one image row at a time, W pixels of it per vector, each lane
+/// summing its own contributions in (ky, kx) order in a register: pixel
+/// ix of row iy takes column (oy, ox) of row (c, ky, kx) where
+/// iy + pad = oy*stride + ky and ix + pad = ox*stride + kx. With
+/// iy + pad = qy*stride + ry and ky = a*stride + b, that is oy = qy - a
+/// when b == ry (likewise in x, per lane). A stride-1 row is a
+/// contiguous masked load, a strided one a masked gather. The sum starts
+/// at +0 and so never holds -0, which makes adding a dropped lane's +0
+/// exact.
+template <class T>
+void col2im(float* img, const float* cols, const ConvShape& g) {
+  constexpr int W = T::kLanes;
+  const std::int64_t oh = g.out_h(), ow = g.out_w(), n_cols = oh * ow;
+  const std::int64_t kk = g.kernel, s = g.stride;
+  for (std::int64_t ix0 = 0; ix0 < g.w; ix0 += W) {
+    alignas(64) std::int32_t qx[W], rx[W];
+    for (int l = 0; l < W; ++l) {
+      qx[l] = static_cast<std::int32_t>((ix0 + l + g.pad) / s);
+      rx[l] = static_cast<std::int32_t>((ix0 + l + g.pad) % s);
+    }
+    const typename T::Tail live = T::tail(g.w - ix0);
+    const typename T::VI vqx = T::load_i32(qx), vrx = T::load_i32(rx);
+    for (std::int64_t iy = 0; iy < g.h; ++iy) {
+      const std::int64_t qy = (iy + g.pad) / s, ry = (iy + g.pad) % s;
+      for (std::int64_t c = 0; c < g.channels; ++c) {
+        typename T::V acc = T::zero();
+        for (std::int64_t ky = 0, a = 0, b = 0; ky < kk; ++ky) {
+          const std::int64_t oy = qy - a;
+          if (b == ry && oy >= 0 && oy < oh) {
+            const float* src = cols + (c * kk + ky) * kk * n_cols + oy * ow;
+            for (std::int64_t kx = 0, ax = 0, bx = 0; kx < kk;
+                 ++kx, src += n_cols) {
+              const typename T::VI ox = T::add_i32(vqx, splat_i32<T>(-ax));
+              const typename T::Tail ok =
+                  T::tand(T::tand(live, T::eq_i32(vrx, splat_i32<T>(bx))),
+                          T::in_range_i32(ox, static_cast<std::int32_t>(ow)));
+              // Stride 1: lane l reads src[ix0 + l + pad - kx]; the lanes
+              // outside [0, ow) are dropped, so none is read.
+              acc = T::add(acc, s == 1 ? T::load(src + (ix0 + g.pad - kx), ok)
+                                       : T::gather(src, ox, ok));
+              if (++bx == s) {
+                bx = 0;
+                ++ax;
+              }
+            }
+          }
+          if (++b == s) {
+            b = 0;
+            ++a;
+          }
+        }
+        T::store(img + (c * g.h + iy) * g.w + ix0, live, acc);
+      }
+    }
+  }
+}
+
+template <class T>
+void relu(float* y, std::uint8_t* mask, const float* x, std::int64_t n) {
+  const typename T::V zero = T::zero();
+  for (std::int64_t i = 0; i < n; i += T::kLanes) {
+    const typename T::Tail m = T::tail(n - i);
+    const typename T::V v = T::load(x + i, m);
+    // x86 max(v, 0) is v > 0 ? v : 0, so -0 and NaN give +0.
+    T::store(y + i, m, T::max(v, zero));
+    // Dropped lanes load as 0, so their bits are 0.
+    const unsigned bits = T::bits(T::gt(v, zero));
+    for (int b = 0; b < T::kLanes / 8 && i + 8 * b < n; ++b)
+      mask[i / 8 + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+  }
+}
+
+template <class T>
+void relu_backprop(float* dx, const float* grad, const std::uint8_t* mask,
+                   std::int64_t n) {
+  const typename T::V one = T::set1(1.0f), zero = T::zero();
+  for (std::int64_t i = 0; i < n; i += T::kLanes) {
+    const typename T::Tail m = T::tail(n - i);
+    unsigned bits = 0;  // the W / 8 mask bytes at i, fewer at the end
+    for (int b = 0; b < T::kLanes / 8 && i + 8 * b < n; ++b)
+      bits |= static_cast<unsigned>(mask[i / 8 + b]) << (8 * b);
+    const typename T::V keep = T::select(T::from_bits(bits), one, zero);
+    T::store(dx + i, m, T::mul(T::load(grad + i, m), keep));
+  }
+}
+
 template <class T>
 void quantize_to_i16(std::int16_t* out, const float* x, std::int64_t n,
                      float scale, float qmax) {
@@ -695,6 +913,10 @@ constexpr Kernels make_kernels() {
           .gemv_madd = gemv_madd<T>,
           .tanh_backprop = tanh_backprop<T>,
           .adam_step = adam_step<T>,
+          .im2col = im2col<T>,
+          .col2im = col2im<T>,
+          .relu = relu<T>,
+          .relu_backprop = relu_backprop<T>,
           .quantize_to_i16 = quantize_to_i16<T>,
           .gemm_at_i8_i32acc = gemm_at_i8_i32acc<T>,
           .adc_shift_add_i32 = adc_shift_add_i32<T>,

@@ -1,6 +1,9 @@
 // Pointwise activation layers.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.h"
 
 namespace nvm::nn {
@@ -14,7 +17,8 @@ class ReLU final : public Layer {
   std::string name() const override { return "relu"; }
 
  private:
-  Tensor cached_mask_;  // 1 where x > 0
+  Shape cached_shape_;                    // of the last forward input
+  std::vector<std::uint8_t> cached_mask_;  // bit i: x[i] > 0 (simd::relu)
 };
 
 }  // namespace nvm::nn

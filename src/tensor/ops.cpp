@@ -54,6 +54,14 @@ Tensor transpose2d(const Tensor& a) {
   return t;
 }
 
+namespace {
+
+simd::ConvShape image_shape(const ConvGeom& g) {
+  return {g.in_c, g.in_h, g.in_w, g.kernel, g.stride, g.pad};
+}
+
+}  // namespace
+
 Tensor im2col(const Tensor& input, const ConvGeom& g) {
   NVM_CHECK_EQ(input.rank(), 3u);
   NVM_CHECK_EQ(input.dim(0), g.in_c);
@@ -62,30 +70,7 @@ Tensor im2col(const Tensor& input, const ConvGeom& g) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   NVM_CHECK(oh > 0 && ow > 0, "conv output empty");
   Tensor cols({g.patch_size(), oh * ow});
-  const float* in = input.raw();
-  float* out = cols.raw();
-  const std::int64_t n_cols = oh * ow;
-  for (std::int64_t c = 0; c < g.in_c; ++c) {
-    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
-        const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
-        float* dst = out + row * n_cols;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= g.in_h) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) dst[oy * ow + ox] = 0.0f;
-            continue;
-          }
-          const float* src = in + (c * g.in_h + iy) * g.in_w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * g.stride + kx - g.pad;
-            dst[oy * ow + ox] =
-                (ix >= 0 && ix < g.in_w) ? src[ix] : 0.0f;
-          }
-        }
-      }
-    }
-  }
+  simd::im2col(cols.raw(), input.raw(), image_shape(g));
   return cols;
 }
 
@@ -95,26 +80,7 @@ Tensor col2im(const Tensor& cols, const ConvGeom& g) {
   NVM_CHECK_EQ(cols.dim(0), g.patch_size());
   NVM_CHECK_EQ(cols.dim(1), oh * ow);
   Tensor img({g.in_c, g.in_h, g.in_w});
-  const float* in = cols.raw();
-  float* out = img.raw();
-  const std::int64_t n_cols = oh * ow;
-  for (std::int64_t c = 0; c < g.in_c; ++c) {
-    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
-        const std::int64_t row = (c * g.kernel + ky) * g.kernel + kx;
-        const float* src = in + row * n_cols;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= g.in_h) continue;
-          float* dst = out + (c * g.in_h + iy) * g.in_w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * g.stride + kx - g.pad;
-            if (ix >= 0 && ix < g.in_w) dst[ix] += src[oy * ow + ox];
-          }
-        }
-      }
-    }
-  }
+  simd::col2im(img.raw(), cols.raw(), image_shape(g));
   return img;
 }
 

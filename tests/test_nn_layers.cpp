@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include "common/check.h"
 
@@ -14,6 +19,7 @@
 #include "nn/linear.h"
 #include "nn/pool.h"
 #include "nn/sequential.h"
+#include "test_util.h"
 
 namespace nvm::nn {
 namespace {
@@ -212,6 +218,61 @@ TEST(GradCheck, SequentialChain) {
   seq.emplace<Linear>(3, 2, rng);
   Tensor x = Tensor::normal({2, 5, 5}, 0.5f, 1.0f, rng);
   check_layer_gradients(seq, x, Mode::Train, 3e-2f);
+}
+
+/// ReLU against its scalar semantics on every tier, over lengths that
+/// cover each tier's ragged tail: y = x > 0 ? x : +0 (so -0 and NaN give
+/// +0), and dx = grad * (x > 0 ? 1.0f : 0.0f) as an IEEE product (a
+/// masked -x is -0, a masked NaN or Inf gradient NaN). The forward and
+/// backprop tiers are crossed: the cached mask means the same on all.
+TEST(ReluSemantics, ForwardAndBackpropMatchTheScalarFormulaOnEveryTier) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float xs[] = {-0.0f, 0.0f,  nan,    inf,   -inf,  1e-45f, -1e-45f,
+                      2.5f,  -2.5f, 1e30f, -3.0f, 0.25f, -0.0f,  7.0f};
+  const float gs[] = {1.5f, -2.0f, -0.0f, 0.0f, nan, inf, -inf, -3.5f, 0.75f};
+  auto bits = [](float v) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  auto same = [&](float got, float want) {
+    return std::isnan(want) ? std::isnan(got) : bits(got) == bits(want);
+  };
+  const std::vector<simd::Isa> isas = testutil::usable_isas();
+  for (std::int64_t n = 1; n <= 41; ++n) {
+    Tensor x({n}), g({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      x[i] = xs[(i * 5 + n) % std::size(xs)];
+      g[i] = gs[(i * 7 + n) % std::size(gs)];
+    }
+    for (simd::Isa fwd : isas)
+      for (simd::Isa bwd : isas) {
+        ReLU relu;
+        Tensor y;
+        {
+          simd::ScopedIsaForTests scope(fwd);
+          y = relu.forward(x, Mode::Train);
+        }
+        simd::ScopedIsaForTests scope(bwd);
+        const Tensor dx = relu.backprop(g, /*param_grads=*/false);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const bool pos = x[i] > 0.0f;
+          ASSERT_EQ(bits(y[i]), bits(pos ? x[i] : 0.0f))
+              << simd::isa_name(fwd) << " n=" << n << " i=" << i;
+          ASSERT_TRUE(same(dx[i], g[i] * (pos ? 1.0f : 0.0f)))
+              << simd::isa_name(fwd) << "/" << simd::isa_name(bwd)
+              << " n=" << n << " i=" << i << " got " << dx[i];
+        }
+      }
+  }
+}
+
+TEST(ReluSemantics, BackpropChecksShapeAndOrder) {
+  ReLU relu;
+  EXPECT_THROW(relu.backprop(Tensor({2}), false), CheckError);
+  relu.forward(Tensor({2, 3}), Mode::Eval);
+  EXPECT_THROW(relu.backprop(Tensor({3, 2}), false), CheckError);
 }
 
 TEST(Layer, BackwardBeforeForwardThrows) {

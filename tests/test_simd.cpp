@@ -370,7 +370,8 @@ TEST(SimdGemm, RaggedColumnsKeepTheScalarTailOrder) {
                 }
               }
             ASSERT_TRUE(same_bits(c[i * ldc + j], want))
-                << simd::isa_name(isa) << (at ? " gemm_at_accum" : " gemm_accum")
+                << simd::isa_name(isa)
+                << (at ? " gemm_at_accum" : " gemm_accum")
                 << " m=" << m << " k=" << k << " n=" << n << " (" << i
                 << "," << j << ") got " << c[i * ldc + j] << " want " << want;
           }
