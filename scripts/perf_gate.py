@@ -102,8 +102,8 @@ SPECS = [
      "bench/nn/input_grad_speedup", "min", 1.8),
     # Per-image digital forward (BM_DigitalForward): one Eval forward of
     # the same ResNet-20 on ideal engines. Vectorizing the float GEMMs'
-    # ragged column tails and the im2col/ReLU glue took it from 0.58-0.64
-    # to 0.12-0.13 ms on the 4-vCPU AVX-512 host; a 50% band absorbs host
+    # ragged column tails and the im2col/ReLU glue took it from 0.52-0.64
+    # to 0.12-0.14 ms on the 4-vCPU AVX-512 host; a 50% band absorbs host
     # noise and still catches a return to the scalar tails.
     ("BENCH_mvm_perf.json", "metrics", "bench/nn/forward_ms", "lower", 0.50),
     # Serving layer (BENCH_serve.json).
